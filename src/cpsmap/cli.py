@@ -43,9 +43,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cps import gamma_wigner, sample_sphere_batch
+from .cps import gamma_wigner, sample_sphere, sample_sphere_batch
 from .dynamics import invariant_drift, propagate_segment
 from .estimators import MethodSpec, TCFRequest, estimate_tcf
+from .kernels import inverse_kernel_coefficients
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf
 
@@ -231,81 +232,68 @@ def _parse_weight(value, F):
     return GammaWeight.delta_comb(pairs)
 
 
+def _parse_components(value, F):
+    comps = []
+    for chunk in value.split(";"):
+        chunk = chunk.strip()
+        if not chunk:
+            continue
+        if ":" not in chunk:
+            raise ConfigError(f"method.components: expected 'weight:gamma', got {chunk!r}")
+        w, g = chunk.split(":", 1)
+        comps.append(
+            (_as_float("method.components", w), _as_float("method.components", g) * np.eye(F))
+        )
+    return comps
+
+
+# family -> (MethodSpec constructor, the config key it reads or None,
+# default for that key as a function of F, or None when the key is required)
+_METHODS = {
+    "cmm": (MethodSpec.cmm, "method.gamma", gamma_wigner),
+    "wmm": (MethodSpec.wmm, "method.weight", None),
+    "cmmcv": (MethodSpec.cmmcv, "method.components", None),
+    "cornered_simplex": (MethodSpec.cornered_simplex, "method.gamma", lambda F: 1.0),
+    "triangle_sqc": (MethodSpec.triangle_sqc, "method.obs_gamma", lambda F: "shell"),
+    "ehrenfest": (MethodSpec.ehrenfest, None, None),
+    "lambda_point": (MethodSpec.lambda_point, "method.gamma", gamma_wigner),
+    "dtwa": (MethodSpec.dtwa, None, None),
+    "gdtwa": (MethodSpec.gdtwa, None, None),
+    "triangle_ww": (MethodSpec.triangle_ww, None, None),
+    "triangle_f2_single": (MethodSpec.triangle_f2_single, "method.gamma", lambda F: 0.0),
+    "hill_ww": (MethodSpec.hill_ww, "method.gamma", lambda F: 0.0),
+}
+
+_PARAM_PARSERS = {
+    "method.gamma": lambda value, F: _as_float("method.gamma", value),
+    "method.obs_gamma": lambda value, F: value,
+    "method.weight": _parse_weight,
+    "method.components": _parse_components,
+}
+
+
 def _build_method(entries, F):
     family = _take(entries, "method.family")
     if family is None:
         raise ConfigError("method.family: required")
-    gamma = _take(entries, "method.gamma")
-    obs_gamma = _take(entries, "method.obs_gamma", "shell")
-    weight = _take(entries, "method.weight")
-    components = _take(entries, "method.components")
+    # Every method key is consumed, whether or not the family reads it.
+    given = {key: _take(entries, key) for key in _PARAM_PARSERS}
+    if family not in _METHODS:
+        raise ConfigError(f"method.family: unknown family {family!r}")
+    make, key, default = _METHODS[family]
+    raw = given.get(key)
+    if key is not None and raw is None and default is None:
+        raise ConfigError(f"{key}: required for {family}")
     try:
-        if family == "cmm":
-            g = _as_float("method.gamma", gamma) if gamma is not None else gamma_wigner(F)
-            spec = MethodSpec.cmm(g)
-            text = f"cmm(gamma={g})"
-        elif family == "wmm":
-            if weight is None:
-                raise ConfigError("method.weight: required for wmm")
-            spec = MethodSpec.wmm(_parse_weight(weight, F))
-            text = f"wmm(weight={weight})"
-        elif family == "cmmcv":
-            if components is None:
-                raise ConfigError("method.components: required for cmmcv")
-            comps = []
-            for chunk in components.split(";"):
-                chunk = chunk.strip()
-                if not chunk:
-                    continue
-                if ":" not in chunk:
-                    raise ConfigError(
-                        f"method.components: expected 'weight:gamma', got {chunk!r}"
-                    )
-                w, g = chunk.split(":", 1)
-                comps.append(
-                    (_as_float("method.components", w),
-                     _as_float("method.components", g) * np.eye(F))
-                )
-            spec = MethodSpec.cmmcv(comps)
-            text = f"cmmcv(components={components})"
-        elif family == "cornered_simplex":
-            g = _as_float("method.gamma", gamma) if gamma is not None else 1.0
-            spec = MethodSpec.cornered_simplex(g)
-            text = f"cornered_simplex(gamma={g})"
-        elif family == "triangle_sqc":
-            spec = MethodSpec.triangle_sqc(obs_gamma)
-            text = f"triangle_sqc(obs_gamma={obs_gamma})"
-        elif family == "ehrenfest":
-            spec = MethodSpec.ehrenfest()
-            text = "ehrenfest()"
-        elif family == "lambda_point":
-            g = _as_float("method.gamma", gamma) if gamma is not None else gamma_wigner(F)
-            spec = MethodSpec.lambda_point(g)
-            text = f"lambda_point(gamma={g})"
-        elif family == "dtwa":
-            spec = MethodSpec.dtwa()
-            text = "dtwa()"
-        elif family == "gdtwa":
-            spec = MethodSpec.gdtwa()
-            text = "gdtwa()"
-        elif family == "triangle_ww":
-            spec = MethodSpec.triangle_ww()
-            text = "triangle_ww()"
-        elif family == "triangle_f2_single":
-            g = _as_float("method.gamma", gamma) if gamma is not None else 0.0
-            spec = MethodSpec.triangle_f2_single(g)
-            text = f"triangle_f2_single(gamma={g})"
-        elif family == "hill_ww":
-            g = _as_float("method.gamma", gamma) if gamma is not None else 0.0
-            spec = MethodSpec.hill_ww(g)
-            text = f"hill_ww(gamma={g})"
-        else:
-            raise ConfigError(f"method.family: unknown family {family!r}")
+        if key is None:
+            return make(), f"{family}()"
+        arg = default(F) if raw is None else _PARAM_PARSERS[key](raw, F)
+        shown = arg if key == "method.gamma" or raw is None else raw
+        return make(arg), f"{family}({key.split('.')[1]}={shown})"
+    except ConfigError:
+        raise
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(f"method.family: {exc}") from exc
-    return spec, text
 
 
 def load_config(path, overrides=None):
@@ -406,46 +394,50 @@ def _mapping_quadruples(F):
     ]
 
 
-def _validate_exact_mapping(H, method, n_traj, seed):
-    """Monte Carlo check of int dmu K_mn Kinv_lk = delta_mk delta_nl."""
-    F = H.shape[0]
-    g = method.gamma if method.gamma is not None and method.gamma > -1.0 / F else gamma_wigner(F)
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    Z = sample_sphere_batch(F, g, rng, n_traj)
-    c1 = (1.0 + F) / (2.0 * (1.0 + F * g) ** 2)
-    c2 = (1.0 - g) / (1.0 + F * g)
-    Kv = 0.5 * Z[:, :, None] * np.conj(Z[:, None, :]) - g * np.eye(F)
-    Kinv = c1 * Z[:, :, None] * np.conj(Z[:, None, :]) - c2 * np.eye(F)
+def _check_means(name, label, checks, n_traj):
+    """Pass when every sample mean is within 5 SE of its target.
+
+    checks yields (samples, target) pairs; a zero-variance sample that
+    misses its target by more than 1e-12 fails at once.
+    """
     worst = 0.0
-    for (n, m), (k, l) in _mapping_quadruples(F):
-        vals = F * Kv[:, m - 1, n - 1] * Kinv[:, l - 1, k - 1]
+    for vals, target in checks:
         mean = np.mean(vals)
         se = np.std(vals, ddof=1) / math.sqrt(n_traj)
-        target = float(m == k) * float(n == l)
         dev = abs(mean - target)
         if se > 0:
             worst = max(worst, dev / se)
         elif dev > 1e-12:
-            return ValidationResult("exact_mapping", False, f"zero-variance deviation {dev:.2e}")
-    ok = worst <= 5.0
-    return ValidationResult(
-        "exact_mapping", ok, f"gamma={g:.6g}, worst |dev|/SE = {worst:.2f} (limit 5)"
+            return ValidationResult(name, False, f"zero-variance deviation {dev:.2e}")
+    return ValidationResult(name, worst <= 5.0, f"{label}, worst |dev|/SE = {worst:.2f} (limit 5)")
+
+
+def _validate_exact_mapping(H, g, n_traj, seed):
+    """Monte Carlo check of int dmu K_mn Kinv_lk = delta_mk delta_nl on the sphere at g."""
+    F = H.shape[0]
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    # Only the first min(F, 4) states are checked; build just their block.
+    Z = sample_sphere_batch(F, g, rng, n_traj)[:, : min(F, 4)]
+    c1, c2 = inverse_kernel_coefficients(F, g)
+    eye = np.eye(Z.shape[1])
+    Kv = 0.5 * Z[:, :, None] * np.conj(Z[:, None, :]) - g * eye
+    Kinv = c1 * Z[:, :, None] * np.conj(Z[:, None, :]) - c2 * eye
+    checks = (
+        (F * Kv[:, m - 1, n - 1] * Kinv[:, l - 1, k - 1], float(m == k) * float(n == l))
+        for (n, m), (k, l) in _mapping_quadruples(F)
     )
+    return _check_means("exact_mapping", f"gamma={g:.6g}", checks, n_traj)
 
 
 def _validate_drift(H, backend, dt, seed):
     """Constraint and energy drift of propagated trajectories to t=10."""
-    F = H.shape[0]
-    from .cps import StiefelPoint, cmm_signature
-
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    g = gamma_wigner(F)
+    g = gamma_wigner(H.shape[0])
     tol = 1e-10 if backend == "exact" else 1e-6
     times = np.linspace(0.0, 10.0, 11)[1:]
     worst = 0.0
     for _ in range(16):
-        z = sample_sphere_batch(F, g, rng, 1)[0]
-        point = StiefelPoint(z.real, z.imag, cmm_signature(F, g))
+        point = sample_sphere(H.shape[0], g, rng)
         seg = propagate_segment(point, H, times, backend=backend, dt=dt)
         rep = invariant_drift(seg)
         worst = max(worst, rep.max_drift)
@@ -462,22 +454,12 @@ def _validate_moments(F, gamma, n_traj, seed):
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     Z = sample_sphere_batch(F, gamma, rng, n_traj)
     target = 2.0 * (1.0 + F * gamma) / F
-    worst = 0.0
-    for n in range(F):
-        for m in range(F):
-            vals = Z[:, n] * np.conj(Z[:, m])
-            mean = np.mean(vals)
-            se = np.std(vals, ddof=1) / math.sqrt(n_traj)
-            ref = target if n == m else 0.0
-            dev = abs(mean - ref)
-            if se > 0:
-                worst = max(worst, dev / se)
-            elif dev > 1e-12:
-                return ValidationResult("moments", False, f"zero-variance deviation {dev:.2e}")
-    ok = worst <= 5.0
-    return ValidationResult(
-        "moments", ok, f"gamma={gamma:.6g}, worst |dev|/SE = {worst:.2f} (limit 5)"
+    checks = (
+        (Z[:, n] * np.conj(Z[:, m]), target if n == m else 0.0)
+        for n in range(F)
+        for m in range(F)
     )
+    return _check_means("moments", f"gamma={gamma:.6g}", checks, n_traj)
 
 
 def run_validations(cfg, H):
@@ -489,7 +471,7 @@ def run_validations(cfg, H):
         g = gamma_wigner(F)
     if cfg.validate_exact_mapping:
         results.append(
-            _validate_exact_mapping(H, cfg.method, cfg.validate_n_traj, cfg.seed + 101)
+            _validate_exact_mapping(H, g, cfg.validate_n_traj, cfg.seed + 101)
         )
     if cfg.validate_drift:
         results.append(_validate_drift(H, cfg.backend, cfg.dt, cfg.seed + 202))
@@ -502,31 +484,34 @@ def run_validations(cfg, H):
 # experiment driver
 
 
+def _request(cfg, H, pair, n_traj):
+    (n, m), (k, l) = pair
+    return TCFRequest(
+        H, (n, m), (k, l), cfg.t_grid(), n_traj, cfg.seed, cfg.method,
+        backend=cfg.backend, dt=cfg.dt, n_threads=cfg.threads,
+    )
+
+
+def _exact_series(H, pair, t_grid):
+    """exact_tcf for rho = |n><m| and A = |k><l|."""
+    (n, m), (k, l) = pair
+    F = H.shape[0]
+    rho = np.zeros((F, F), dtype=np.complex128)
+    rho[n - 1, m - 1] = 1.0
+    A = np.zeros((F, F), dtype=np.complex128)
+    A[k - 1, l - 1] = 1.0
+    return exact_tcf(rho, A, H, t_grid)
+
+
 def _result_rows(cfg, H):
     """Estimate every configured pair; yield CSV rows and the worst err/SE."""
     t_grid = cfg.t_grid()
-    F = H.shape[0]
     rows = []
     worst = 0.0
-    for (n, m), (k, l) in cfg.pairs:
-        req = TCFRequest(
-            H,
-            (n, m),
-            (k, l),
-            t_grid,
-            cfg.n_traj,
-            cfg.seed,
-            cfg.method,
-            backend=cfg.backend,
-            dt=cfg.dt,
-            n_threads=cfg.threads,
-        )
-        res = estimate_tcf(req)
-        rho = np.zeros((F, F), dtype=np.complex128)
-        rho[n - 1, m - 1] = 1.0
-        A = np.zeros((F, F), dtype=np.complex128)
-        A[k - 1, l - 1] = 1.0
-        ref = exact_tcf(rho, A, H, t_grid)
+    for pair in cfg.pairs:
+        (n, m), (k, l) = pair
+        res = estimate_tcf(_request(cfg, H, pair, cfg.n_traj))
+        ref = _exact_series(H, pair, t_grid)
         for ti, t in enumerate(t_grid):
             est = res.estimates[ti]
             se = float(res.standard_errors[ti])
@@ -616,29 +601,11 @@ def convergence_study(cfg, n_traj_list):
     if len(n_traj_list) < 3:
         raise ConfigError("convergence study needs at least 3 ensemble sizes")
     H = build_hamiltonian(cfg.model)
-    F = H.shape[0]
-    t_grid = cfg.t_grid()
     (n, m), (k, l) = cfg.pairs[0]
-    rho = np.zeros((F, F), dtype=np.complex128)
-    rho[n - 1, m - 1] = 1.0
-    A = np.zeros((F, F), dtype=np.complex128)
-    A[k - 1, l - 1] = 1.0
-    ref = exact_tcf(rho, A, H, t_grid)
+    ref = _exact_series(H, cfg.pairs[0], cfg.t_grid())
     max_errors = []
     for N in n_traj_list:
-        req = TCFRequest(
-            H,
-            (n, m),
-            (k, l),
-            t_grid,
-            int(N),
-            cfg.seed,
-            cfg.method,
-            backend=cfg.backend,
-            dt=cfg.dt,
-            n_threads=cfg.threads,
-        )
-        res = estimate_tcf(req)
+        res = estimate_tcf(_request(cfg, H, cfg.pairs[0], int(N)))
         max_errors.append(float(np.max(np.abs(res.estimates - ref))))
     floored = np.maximum(max_errors, 1e-16)
     slope = float(np.polyfit(np.log10(n_traj_list), np.log10(floored), 1)[0])

@@ -328,14 +328,19 @@ def sample_gamma(weight, rng):
 
 
 def sample_sphere_batch(F, gamma, rng, size):
-    """size uniform points on the sphere at gamma, as (size, F) complex z."""
-    if gamma <= -1.0 / F:
-        raise ValueError(f"gamma={gamma} must exceed -1/F = {-1.0 / F}")
+    """size uniform points on the sphere at gamma, as (size, F) complex z.
+
+    gamma is one sphere parameter for every row or an array of one per row.
+    """
+    gamma = np.asarray(gamma, dtype=np.float64)
+    bad = gamma[~(gamma > -1.0 / F)]
+    if bad.size:
+        raise ValueError(f"gamma={float(bad[0])} must exceed -1/F = {-1.0 / F}")
     w = rng.standard_normal((size, F)) + 1j * rng.standard_normal((size, F))
     norms = np.linalg.norm(w, axis=1, keepdims=True)
     # A zero draw has probability zero; guard against it anyway.
     norms[norms == 0.0] = 1.0
-    return w * (math.sqrt(2.0 * (1.0 + F * gamma)) / norms)
+    return w * (np.sqrt(2.0 * (1.0 + F * gamma))[..., None] / norms)
 
 
 def sample_sphere(F, gamma, rng):

@@ -39,8 +39,7 @@ def propagate_exact(point, H, t):
     H = require_hermitian(H)
     if H.shape[0] != point.F:
         raise ValueError(f"H dimension {H.shape[0]} does not match point F={point.F}")
-    U = propagator_from_decomposition(hermitian_eig(H), t).matrix
-    z = point.z @ U.T
+    (z,) = grid_march(H, [t])(point.z, point.signature.signs)
     return StiefelPoint(z.real, z.imag, point.signature)
 
 
@@ -86,6 +85,41 @@ def propagate_rk4(point, H, dt, steps):
     return StiefelPoint(x, p, point.signature)
 
 
+def grid_march(H, times, backend="exact", dt=1e-3):
+    """Return walk(Z, signs), which yields the frames Z (..., r, F) at each grid time.
+
+    The exact backend builds exp(-i H t) for every grid time once, here,
+    and applies it to the starting frames; the rk4 backend integrates the
+    sign-factor equations (frame signs s) between grid times with
+    ceil(span/dt) equal steps of at most dt.  Either way the march is a
+    complex-linear map of the starting frames.
+    """
+    if backend == "exact":
+        dec = hermitian_eig(H)
+        props = [propagator_from_decomposition(dec, t).matrix for t in times]
+
+        def walk(Z, signs):
+            for U in props:
+                yield np.matmul(Z, U.T)
+
+    elif backend == "rk4":
+
+        def walk(Z, signs):
+            x, p = Z.real, Z.imag
+            prev = 0.0
+            for t in times:
+                span = t - prev
+                if span > 0:
+                    steps = max(1, int(np.ceil(span / dt)))
+                    x, p = _rk4_arrays(x, p, signs, H, span / steps, steps)
+                yield x + 1j * p
+                prev = t
+
+    else:
+        raise ValueError(f"unknown backend {backend!r}")
+    return walk
+
+
 @dataclass
 class TrajectorySegment:
     """A propagated trajectory sampled on a time grid."""
@@ -106,25 +140,9 @@ def propagate_segment(point, H, times, backend="exact", dt=1e-3):
     if times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a nonempty strictly increasing grid")
     H = require_hermitian(H)
-    points = []
-    if backend == "exact":
-        dec = hermitian_eig(H)
-        for t in times:
-            U = propagator_from_decomposition(dec, t).matrix
-            z = point.z @ U.T
-            points.append(StiefelPoint(z.real, z.imag, point.signature))
-    elif backend == "rk4":
-        x, p = point.x, point.p
-        prev = 0.0
-        for t in times:
-            span = t - prev
-            if span > 0:
-                steps = max(1, int(np.ceil(span / dt)))
-                x, p = _rk4_arrays(x, p, point.signature.signs, H, span / steps, steps)
-            points.append(StiefelPoint(x.copy(), p.copy(), point.signature))
-            prev = t
-    else:
-        raise ValueError(f"unknown backend {backend!r}")
+    walk = grid_march(H, times, backend, dt)
+    sig = point.signature
+    points = [StiefelPoint(z.real, z.imag, sig) for z in walk(point.z, sig.signs)]
     return TrajectorySegment(times, points, backend, H)
 
 

@@ -24,6 +24,14 @@ families divide by the summed-window denominator accumulated over the
 same trajectory set, which makes sum_m P(n->m, t) = 1 up to float
 rounding and keeps every per-trajectory contribution nonnegative.
 
+Every family is a small plan (_Plan) run by one block driver (_drive):
+the plan's sampler draws a block of frames (nb, r, F) on one component
+of the phase space (a sphere, or the gdtwa two-frame Stiefel component)
+together with the density-side weights; the time-march of
+dynamics.grid_march carries the frames over the grid, by exact
+propagators or rk4; and the plan's evaluator turns the marched frames
+into the block's sums of the observable kernel or window at each time.
+
 Trajectories are generated in 100 fixed blocks.  Block b draws from
 Generator(Philox(SeedSequence(seed, spawn_key=(b,)))), blocks double as
 jackknife resampling units for the standard errors, and the reduction
@@ -34,13 +42,18 @@ for a given (seed, n_traj) regardless of the worker thread count.
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .cps import GammaWeight, gdtwa_signature, sample_sphere_batch
-from .dynamics import _rk4_arrays
-from .kernels import gdtwa_points
-from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian
+from .kernels import gdtwa_points, inverse_kernel_coefficients
+
+# The time-march in dynamics owns the propagators and the rk4 steps;
+# _rk4_arrays and propagator_from_decomposition are imported here only
+# because perfbench/spans.py wraps these names in this module.
+from .dynamics import _rk4_arrays, grid_march  # noqa: F401
+from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
 
 N_BLOCKS = 100
 
@@ -48,7 +61,6 @@ _CC_FAMILIES = ("cmm", "wmm", "cmmcv")
 _CX_FAMILIES = ("cornered_simplex",)
 _XC_FAMILIES = ("triangle_sqc", "ehrenfest", "lambda_point", "dtwa", "gdtwa")
 _WW_FAMILIES = ("triangle_ww", "triangle_f2_single", "hill_ww")
-_FAMILIES = _CC_FAMILIES + _CX_FAMILIES + _XC_FAMILIES + _WW_FAMILIES
 
 
 def hill_exponent(F):
@@ -73,6 +85,12 @@ class MethodSpec:
     components: tuple = None
     obs_gamma: str = "shell"
 
+    def __post_init__(self):
+        if self.gamma is not None and not math.isfinite(self.gamma):
+            raise ValueError(f"{self.family} gamma must be finite, got {self.gamma!r}")
+        if self.obs_gamma not in ("shell", "third"):
+            raise ValueError("obs_gamma must be 'shell' or 'third'")
+
     @staticmethod
     def cmm(gamma):
         return MethodSpec("cmm", gamma=float(gamma))
@@ -88,7 +106,7 @@ class MethodSpec:
         comps = []
         for w, G in components:
             G = np.asarray(G, dtype=np.complex128)
-            require_hermitian(G)
+            require_hermitian(G, name="cmmcv Gamma")
             comps.append((float(w), G))
         if not comps:
             raise ValueError("cmmcv needs at least one (weight, Gamma) component")
@@ -102,8 +120,6 @@ class MethodSpec:
 
     @staticmethod
     def triangle_sqc(obs_gamma="shell"):
-        if obs_gamma not in ("shell", "third"):
-            raise ValueError("obs_gamma must be 'shell' or 'third'")
         return MethodSpec("triangle_sqc", obs_gamma=obs_gamma)
 
     @staticmethod
@@ -194,29 +210,15 @@ def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _jackknife_mean(block_sums, sizes, n_traj):
-    """SE of sums/n_traj from leave-one-block-out estimates."""
-    total = np.sum(block_sums, axis=0)
-    live = sizes > 0
-    B = int(np.count_nonzero(live))
-    if B < 2:
-        return np.full(total.shape, np.nan)
-    theta = (total[None, :] - block_sums[live]) / (n_traj - sizes[live])[:, None]
-    return _jackknife_spread(theta, B)
-
-
-def _jackknife_ratio(num_blocks, den_blocks, num_total, den_total, sizes):
+def _jackknife(num_blocks, den_blocks, num_total, den_total, sizes):
+    """SE of num_total / den_total from leave-one-block-out ratios."""
     live = sizes > 0
     B = int(np.count_nonzero(live))
     if B < 2:
         return np.full(num_total.shape, np.nan)
-    den_loo = den_total[None, :] - den_blocks[live]
+    den_loo = den_total - den_blocks[live]
     den_loo = np.where(den_loo == 0.0, np.nan, den_loo)
     theta = (num_total[None, :] - num_blocks[live]) / den_loo
-    return _jackknife_spread(theta, B)
-
-
-def _jackknife_spread(theta, B):
     mean = np.mean(theta, axis=0)
     dev = theta - mean[None, :]
     var = (B - 1) / B * np.sum(dev.real**2 + dev.imag**2, axis=0)
@@ -228,7 +230,7 @@ def _jackknife_spread(theta, B):
 
 
 def _prepare(req):
-    H = require_hermitian(req.hamiltonian)
+    H = require_hermitian(req.hamiltonian, name="hamiltonian")
     F = H.shape[0]
     n, m = req.rho_indices
     k, l = req.obs_indices
@@ -238,22 +240,22 @@ def _prepare(req):
     if req.n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     t_grid = np.asarray(req.t_grid, dtype=np.float64)
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError("t_grid must be finite")
     if t_grid.size < 1 or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
         raise ValueError("t_grid must be nonempty, nonnegative, strictly increasing")
     if req.backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {req.backend!r}")
-    if req.dt <= 0:
-        raise ValueError("dt must be positive")
+    if not (math.isfinite(req.dt) and req.dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {req.dt!r}")
     method = req.method
     fam = method.family
-    if fam not in _FAMILIES:
-        raise ValueError(f"unknown method family {fam!r}")
     if fam == "cmm" and method.gamma <= -1.0 / F:
         raise ValueError(f"cmm gamma must exceed -1/F = {-1.0 / F}")
     if fam == "wmm":
         method.weight.validate()
         moment = method.weight.moment(lambda g: F * g * g + 2.0 * g)
-        if abs(moment - 1.0) > 1e-6:
+        if not abs(moment - 1.0) <= 1e-6:
             raise ValueError(
                 "wmm weight violates the exact mapping condition: "
                 f"integral of w(gamma)(F gamma^2 + 2 gamma) is {moment!r}, expected 1"
@@ -269,8 +271,6 @@ def _prepare(req):
                 raise ValueError("cmmcv component needs Tr Gamma > -1 for a real sphere radius")
     if fam == "dtwa" and F != 2:
         raise ValueError("dtwa is the F=2 method; use gdtwa for F >= 3")
-    if fam == "triangle_sqc" and method.obs_gamma not in ("shell", "third"):
-        raise ValueError("obs_gamma must be 'shell' or 'third'")
     if fam == "triangle_f2_single" and F != 2:
         raise ValueError("triangle_f2_single is defined for F = 2 only")
     if fam == "cornered_simplex" and k != l:
@@ -284,45 +284,38 @@ def _prepare(req):
 
 
 # ---------------------------------------------------------------------------
-# shared propagation inside a block
+# the block driver
 
 
-def _propagators(H, t_grid):
-    dec = hermitian_eig(H)
-    return [propagator_from_decomposition(dec, t).matrix for t in t_grid]
+class _Plan(NamedTuple):
+    """One family's sampler and evaluator.
+
+    sample(rng, nb) draws a block's frames (nb, r, F) with the
+    per-trajectory data its evaluator needs; evaluate(Zt, aux, ti)
+    returns the block's sums at grid time ti, shape (width,); signs are
+    the frame signs of the sign-factor equations (rk4 only).
+    """
+
+    sample: Callable
+    evaluate: Callable
+    signs: tuple = (1.0,)
+    width: int = 1
+    dtype: type = np.complex128
 
 
-def _block_series(rng, nb, sampler, evaluate, width, dtype, req, H, t_grid, signs, prop):
-    """Sample one block, march it over the grid, return per-time sums."""
-    Z0, aux = sampler(rng, nb)
-    out = np.zeros((t_grid.size, width), dtype=dtype)
-    if req.backend == "exact":
-        for ti, U in enumerate(prop):
-            out[ti] = evaluate(np.matmul(Z0, U.T), aux)
-    else:
-        x = Z0.real.copy()
-        p = Z0.imag.copy()
-        prev = 0.0
-        for ti, t in enumerate(t_grid):
-            span = t - prev
-            if span > 0:
-                steps = max(1, int(np.ceil(span / req.dt)))
-                x, p = _rk4_arrays(x, p, signs, H, span / steps, steps)
-            out[ti] = evaluate(x + 1j * p, aux)
-            prev = t
-    return out
+def _drive(req, walk, n_times, plan):
+    """Sample, march and evaluate every block; returns the block sums and sizes.
 
-
-def _run_blocks(req, H, t_grid, sampler, evaluate, width, dtype, signs):
+    Block b draws from its own Philox stream and writes only sums[b], so
+    the result does not depend on the thread count.
+    """
     sizes = _block_sizes(req.n_traj)
-    prop = _propagators(H, t_grid) if req.backend == "exact" else None
-    sums = np.zeros((N_BLOCKS, t_grid.size, width), dtype=dtype)
+    sums = np.zeros((N_BLOCKS, n_times, plan.width), dtype=plan.dtype)
 
     def work(b):
-        rng = _block_rng(req.seed, b)
-        sums[b] = _block_series(
-            rng, int(sizes[b]), sampler, evaluate, width, dtype, req, H, t_grid, signs, prop
-        )
+        Z0, aux = plan.sample(_block_rng(req.seed, b), int(sizes[b]))
+        for ti, Zt in enumerate(walk(Z0, plan.signs)):
+            sums[b, ti] = plan.evaluate(Zt, aux, ti)
 
     blocks = [b for b in range(N_BLOCKS) if sizes[b] > 0]
     if req.n_threads > 1:
@@ -334,20 +327,30 @@ def _run_blocks(req, H, t_grid, sampler, evaluate, width, dtype, signs):
     return sums, sizes
 
 
-def _mean_result(req, t_grid, sums, sizes):
+def _estimate_mean(req, families, kind, make_plan):
+    """Run a constant-normalization family: plan, march, drive, block mean."""
+    if req.method.family not in families:
+        raise ValueError(f"{req.method.family!r} is not {kind} family")
+    H, F, t_grid, idx = _prepare(req)
+    walk = grid_march(H, t_grid, req.backend, req.dt)
+    sums, sizes = _drive(req, walk, t_grid.size, make_plan(req, F, idx, walk))
     total = np.sum(sums[:, :, 0], axis=0)
     estimates = total / req.n_traj
-    se = _jackknife_mean(sums[:, :, 0], sizes, req.n_traj)
+    se = _jackknife(sums[:, :, 0], sizes[:, None], total, req.n_traj, sizes)
     return TCFResult(t_grid, estimates, np.ones(t_grid.size), se, req.n_traj)
 
 
 # ---------------------------------------------------------------------------
-# covariant-kernel entry helpers (single-frame batches)
+# covariant-kernel entries and the single-sphere density side
 
 
-def _kernel_entry(Z, row, col, gamma):
-    """[(1/2) z z^dagger - gamma I]_{row,col} for a (nb, 1, F) batch."""
-    val = 0.5 * Z[:, 0, row] * np.conj(Z[:, 0, col])
+def _kernel_entry(Z, row, col, gamma, scale=0.5):
+    """[scale z z^dagger - gamma I]_{row,col} for a (nb, 1, F) batch.
+
+    scale 1/2 gives the covariant kernel, scale c1 with gamma c2 the
+    inverse kernel; gamma is a scalar or one value per trajectory.
+    """
+    val = scale * Z[:, 0, row] * np.conj(Z[:, 0, col])
     if row == col:
         val = val - gamma
     return val
@@ -358,177 +361,125 @@ def _actions(Z):
     return 0.5 * (np.abs(Z[:, 0, :]) ** 2)
 
 
+def _sphere_density(F, g, n0, m0):
+    """Sampler of the sphere at g with density weight F K_mn(z)."""
+
+    def sample(rng, nb):
+        Z = sample_sphere_batch(F, g, rng, nb)[:, None, :]
+        return Z, F * _kernel_entry(Z, m0, n0, g)
+
+    return sample
+
+
+def _covariant_observable(l0, k0):
+    """Evaluator sum_n W_n K_lk(z_n) for aux = (W, gamma), gamma per trajectory or shared."""
+
+    def evaluate(Zt, aux, ti):
+        W, gamma = aux
+        return np.sum(W * _kernel_entry(Zt, l0, k0, gamma))
+
+    return evaluate
+
+
 # ---------------------------------------------------------------------------
 # cc family
 
 
-def estimate_tcf_cc(req):
-    """Estimate a TCF with the covariant-covariant families."""
-    if req.method.family not in _CC_FAMILIES:
-        raise ValueError(f"{req.method.family!r} is not a cc family")
-    H, F, t_grid, (n0, m0, k0, l0) = _prepare(req)
-    fam = req.method.family
-    if fam == "cmmcv":
-        return _estimate_cmmcv(req, H, F, t_grid, (n0, m0, k0, l0))
+def _cc_plan(req, F, idx, walk):
+    n0, m0, k0, l0 = idx
+    if req.method.family == "cmmcv":
+        return _cmmcv_plan(req, F, idx, walk)
 
-    if fam == "cmm":
+    if req.method.family == "cmm":
         g = req.method.gamma
-        c1 = (1.0 + F) / (2.0 * (1.0 + F * g) ** 2)
-        c2 = (1.0 - g) / (1.0 + F * g)
+        c1, c2 = inverse_kernel_coefficients(F, g)
 
-        def sampler(rng, nb):
-            Z = sample_sphere_batch(F, g, rng, nb)[:, None, :]
-            W = F * _kernel_entry(Z, m0, n0, g)
-            return Z, W
+        def evaluate(Zt, W, ti):
+            return np.sum(W * _kernel_entry(Zt, l0, k0, c2, scale=c1))
 
-        def evaluate(Zt, W):
-            val = c1 * Zt[:, 0, l0] * np.conj(Zt[:, 0, k0])
-            if l0 == k0:
-                val = val - c2
-            return np.sum(W * val)
+        return _Plan(_sphere_density(F, g, n0, m0), evaluate)
 
-    else:
-        weight = req.method.weight
-        tot = weight.abs_total()
+    weight = req.method.weight
+    tot = weight.abs_total()
 
-        def sampler(rng, nb):
-            gam, sgn = weight.sample_batch(rng, nb)
-            w = rng.standard_normal((nb, F)) + 1j * rng.standard_normal((nb, F))
-            norms = np.linalg.norm(w, axis=1)
-            norms[norms == 0.0] = 1.0
-            radius = np.sqrt(2.0 * (1.0 + F * gam))
-            Z = (w * (radius / norms)[:, None])[:, None, :]
-            W = 0.5 * Z[:, 0, m0] * np.conj(Z[:, 0, n0])
-            if m0 == n0:
-                W = W - gam
-            W = W * (F * tot * sgn)
-            return Z, (W, gam)
+    def sample(rng, nb):
+        gam, sgn = weight.sample_batch(rng, nb)
+        Z = sample_sphere_batch(F, gam, rng, nb)[:, None, :]
+        W = _kernel_entry(Z, m0, n0, gam) * (F * tot * sgn)
+        return Z, (W, gam)
 
-        def evaluate(Zt, aux):
-            W, gam = aux
-            val = 0.5 * Zt[:, 0, l0] * np.conj(Zt[:, 0, k0])
-            if l0 == k0:
-                val = val - gam
-            return np.sum(W * val)
-
-    sums, sizes = _run_blocks(req, H, t_grid, sampler, evaluate, 1, np.complex128, np.ones(1))
-    return _mean_result(req, t_grid, sums, sizes)
+    return _Plan(sample, _covariant_observable(l0, k0))
 
 
-def _estimate_cmmcv(req, H, F, t_grid, idx):
-    """cmmcv: self-dual Gamma-comb kernels, K = (1/2) z z^dagger - Gamma.
+def _cmmcv_plan(req, F, idx, walk):
+    """cmmcv: self-dual Gamma-comb kernels, K = (1/2) z z^dagger - Gamma_c.
 
-    The exact backend evolves the kernel matrix covariantly.  The rk4
-    backend decomposes each kernel into its full eigenframe set at
-    gamma = 0 (frames sqrt(2|lambda_i|) v_i with signs sgn(lambda_i)),
-    integrates the sign-factor equations, and rebuilds the kernel.
+    Each trajectory carries one frame z on the sphere of its component c
+    (squared radius 2(1 + Tr Gamma_c)), drawn with probability
+    |w_c| / sum|w|.  Both backends march z by a complex-linear map R, and
+    R K R^dagger = (1/2)(R z)(R z)^dagger - R Gamma_c R^dagger.  The last
+    term is shared by every trajectory of component c, so it is marched
+    once per request, as the eigenframes of Gamma_c.
     """
     n0, m0, k0, l0 = idx
     comps = req.method.components
     weights = np.array([w for w, _ in comps])
-    gammas_mats = [G for _, G in comps]
     tot = float(np.sum(np.abs(weights)))
     probs = np.abs(weights) / tot
     comp_signs = np.sign(weights)
     comp_signs[comp_signs == 0] = 1.0
-    radii = np.array([math.sqrt(2.0 * (1.0 + float(np.real(np.trace(G))))) for G in gammas_mats])
-    gstack = np.stack(gammas_mats)
+    gstack = np.stack([G for _, G in comps])
+    shells = np.array([np.real(np.trace(G)) for G in gstack]) / F
+    marched = []
+    for G in gstack:
+        dec = hermitian_eig(G)
+        walked = walk(dec.eigenvectors.T, np.ones(F))
+        lam = dec.eigenvalues
+        marched.append([np.sum(lam * Vt[:, l0] * np.conj(Vt[:, k0])) for Vt in walked])
+    gamma_lk = np.array(marched).T  # (n_times, n_components)
 
-    def sampler(rng, nb):
+    def sample(rng, nb):
         ci = rng.choice(len(comps), size=nb, p=probs)
-        w = rng.standard_normal((nb, F)) + 1j * rng.standard_normal((nb, F))
-        norms = np.linalg.norm(w, axis=1)
-        norms[norms == 0.0] = 1.0
-        z = w * (radii[ci] / norms)[:, None]
-        K0 = 0.5 * z[:, :, None] * np.conj(z[:, None, :]) - gstack[ci]
-        W = (F * tot * comp_signs[ci]) * K0[:, m0, n0]
-        if req.backend == "exact":
-            return K0, W
-        lam, vec = np.linalg.eigh(K0)
-        frames = np.sqrt(2.0 * np.abs(lam))[:, :, None] * np.swapaxes(vec, 1, 2)
-        signs = np.sign(lam)
-        return frames, (W, signs)
+        z = sample_sphere_batch(F, shells[ci], rng, nb)
+        K_mn = 0.5 * z[:, m0] * np.conj(z[:, n0]) - gstack[ci, m0, n0]
+        return z[:, None, :], ((F * tot * comp_signs[ci]) * K_mn, ci)
 
-    if req.backend == "exact":
+    def evaluate(Zt, aux, ti):
+        W, ci = aux
+        return np.sum(W * (0.5 * Zt[:, 0, l0] * np.conj(Zt[:, 0, k0]) - gamma_lk[ti][ci]))
 
-        def evaluate_exact(Kt_entry, W):
-            return np.sum(W * Kt_entry)
+    return _Plan(sample, evaluate)
 
-        sizes = _block_sizes(req.n_traj)
-        prop = _propagators(H, t_grid)
-        sums = np.zeros((N_BLOCKS, t_grid.size, 1), dtype=np.complex128)
 
-        def work(b):
-            rng = _block_rng(req.seed, b)
-            K0, W = sampler(rng, int(sizes[b]))
-            for ti, U in enumerate(prop):
-                entry = np.einsum("b,nbc,c->n", U[l0], K0, np.conj(U[k0]))
-                sums[b, ti, 0] = evaluate_exact(entry, W)
-
-        blocks = [b for b in range(N_BLOCKS) if sizes[b] > 0]
-        if req.n_threads > 1:
-            with ThreadPoolExecutor(max_workers=req.n_threads) as pool:
-                list(pool.map(work, blocks))
-        else:
-            for b in blocks:
-                work(b)
-        return _mean_result(req, t_grid, sums, sizes)
-
-    def evaluate(Zt, aux):
-        W, signs = aux
-        val = np.einsum("nr,nr,nr->n", 0.5 * signs, Zt[:, :, l0], np.conj(Zt[:, :, k0]))
-        return np.sum(W * val)
-
-    sizes = _block_sizes(req.n_traj)
-    sums = np.zeros((N_BLOCKS, t_grid.size, 1), dtype=np.complex128)
-
-    def work(b):
-        rng = _block_rng(req.seed, b)
-        frames, (W, signs) = sampler(rng, int(sizes[b]))
-        x = frames.real.copy()
-        p = frames.imag.copy()
-        prev = 0.0
-        for ti, t in enumerate(t_grid):
-            span = t - prev
-            if span > 0:
-                steps = max(1, int(np.ceil(span / req.dt)))
-                x, p = _rk4_arrays(x, p, signs, H, span / steps, steps)
-            sums[b, ti, 0] = evaluate(x + 1j * p, (W, signs))
-            prev = t
-
-    blocks = [b for b in range(N_BLOCKS) if sizes[b] > 0]
-    if req.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=req.n_threads) as pool:
-            list(pool.map(work, blocks))
-    else:
-        for b in blocks:
-            work(b)
-    return _mean_result(req, t_grid, sums, sizes)
+def estimate_tcf_cc(req):
+    """Estimate a TCF with the covariant-covariant families."""
+    return _estimate_mean(req, _CC_FAMILIES, "a cc", _cc_plan)
 
 
 # ---------------------------------------------------------------------------
 # cx family
 
 
-def estimate_tcf_cx(req):
-    """Estimate a TCF with the cornered-simplex family."""
-    if req.method.family not in _CX_FAMILIES:
-        raise ValueError(f"{req.method.family!r} is not a cx family")
-    H, F, t_grid, (n0, m0, k0, l0) = _prepare(req)
+def _cornered_norm(F, g):
+    """Normalization F (F gamma / (1 + F gamma))^(F-1) of the cornered-simplex window."""
+    return F * (F * g / (1.0 + F * g)) ** (F - 1)
+
+
+def _cx_plan(req, F, idx, walk):
+    n0, m0, k0, l0 = idx
     g = req.method.gamma
-    norm_inv = 1.0 / (F * (F * g / (1.0 + F * g)) ** (F - 1))
+    norm_inv = 1.0 / _cornered_norm(F, g)
 
-    def sampler(rng, nb):
-        Z = sample_sphere_batch(F, g, rng, nb)[:, None, :]
-        W = F * _kernel_entry(Z, m0, n0, g)
-        return Z, W
-
-    def evaluate(Zt, W):
+    def evaluate(Zt, W, ti):
         e = 0.5 * np.abs(Zt[:, 0, k0]) ** 2
         return np.sum(W * (norm_inv * (e >= 1.0)))
 
-    sums, sizes = _run_blocks(req, H, t_grid, sampler, evaluate, 1, np.complex128, np.ones(1))
-    return _mean_result(req, t_grid, sums, sizes)
+    return _Plan(_sphere_density(F, g, n0, m0), evaluate)
+
+
+def estimate_tcf_cx(req):
+    """Estimate a TCF with the cornered-simplex family."""
+    return _estimate_mean(req, _CX_FAMILIES, "a cx", _cx_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -536,23 +487,25 @@ def estimate_tcf_cx(req):
 
 
 def _triangle_population_sampler(rng, nb, F, focus):
-    """Actions for the triangle density kernel focused on one state.
+    """Actions for the triangle density kernel focused on one state per row.
 
-    The focus action has density proportional to (2 - e) on [1, 2], the
-    spectators are uniform on [0, 2 - e_focus], angles are uniform.
+    focus is a state index, shared or one per row.  The focus action has
+    density proportional to (2 - e) on [1, 2], the spectators are uniform
+    on [0, 2 - e_focus] in state order, angles are uniform.
     """
+    focus = np.broadcast_to(focus, (nb,))
     u = rng.random(nb)
     e_focus = 2.0 - np.sqrt(1.0 - u)
     spect = rng.random((nb, F - 1)) * (2.0 - e_focus)[:, None]
     theta = rng.random((nb, F)) * (2.0 * np.pi)
     e = np.empty((nb, F))
-    others = [i for i in range(F) if i != focus]
-    e[:, focus] = e_focus
-    e[:, others] = spect
+    e[np.arange(nb), focus] = e_focus
+    cols = np.arange(F - 1)[None, :]
+    np.put_along_axis(e, cols + (cols >= focus[:, None]), spect, axis=1)
     return np.sqrt(2.0 * e) * np.exp(1j * theta)
 
 
-def _xc_plan(req, F, idx):
+def _xc_plan(req, F, idx, walk):
     """Sampler/observable pair for the noncovariant-covariant families."""
     n0, m0, k0, l0 = idx
     fam = req.method.family
@@ -561,63 +514,39 @@ def _xc_plan(req, F, idx):
     if fam == "triangle_sqc":
         third = req.method.obs_gamma == "third"
 
-        def sampler(rng, nb):
+        def sample(rng, nb):
             if diagonal:
                 z = _triangle_population_sampler(rng, nb, F, n0)
                 W = np.ones(nb, dtype=np.complex128)
             else:
                 pick = rng.random(nb) < 0.5
-                u = rng.random(nb)
-                e_focus = 2.0 - np.sqrt(1.0 - u)
-                spect = rng.random((nb, F - 1)) * (2.0 - e_focus)[:, None]
-                theta = rng.random((nb, F)) * (2.0 * np.pi)
-                e = np.empty((nb, F))
-                for focus, mask in ((n0, pick), (m0, ~pick)):
-                    others = [i for i in range(F) if i != focus]
-                    e[mask, focus] = e_focus[mask]
-                    e[np.ix_(mask, others)] = spect[mask]
-                z = np.sqrt(2.0 * e) * np.exp(1j * theta)
+                z = _triangle_population_sampler(rng, nb, F, np.where(pick, n0, m0))
                 W = 1.2 * z[:, m0] * np.conj(z[:, n0])
-            Z = z[:, None, :]
             if third:
                 gobs = np.full(nb, 1.0 / 3.0)
             else:
                 gobs = (np.sum(0.5 * np.abs(z) ** 2, axis=1) - 1.0) / F
-            return Z, (W, gobs)
+            return z[:, None, :], (W, gobs)
 
-        def evaluate(Zt, aux):
-            W, gobs = aux
-            val = 0.5 * Zt[:, 0, l0] * np.conj(Zt[:, 0, k0])
-            if l0 == k0:
-                val = val - gobs
-            return np.sum(W * val)
-
-        return sampler, evaluate, np.ones(1)
+        return _Plan(sample, _covariant_observable(l0, k0))
 
     if fam in ("ehrenfest", "lambda_point"):
         g = 0.0 if fam == "ehrenfest" else req.method.gamma
 
-        def sampler(rng, nb):
+        def sample(rng, nb):
             theta = rng.random((nb, F)) * (2.0 * np.pi)
             e = np.full((nb, F), g)
             if diagonal:
                 e[:, n0] = 1.0 + g
-                W = np.ones(nb, dtype=np.complex128)
-                z = np.sqrt(2.0 * e) * np.exp(1j * theta)
             else:
-                e[:, n0] = (1.0 + 2.0 * g) / 2.0
-                e[:, m0] = (1.0 + 2.0 * g) / 2.0
-                z = np.sqrt(2.0 * e) * np.exp(1j * theta)
-                W = 2.0 * z[:, m0] * np.conj(z[:, n0]) / (1.0 + 2.0 * g) ** 2
-            return z[:, None, :], W
+                e[:, [n0, m0]] = (1.0 + 2.0 * g) / 2.0
+            z = np.sqrt(2.0 * e) * np.exp(1j * theta)
+            if diagonal:
+                return z[:, None, :], (np.ones(nb, dtype=np.complex128), g)
+            W = 2.0 * z[:, m0] * np.conj(z[:, n0]) / (1.0 + 2.0 * g) ** 2
+            return z[:, None, :], (W, g)
 
-        def evaluate(Zt, W):
-            val = 0.5 * Zt[:, 0, l0] * np.conj(Zt[:, 0, k0])
-            if l0 == k0:
-                val = val - g
-            return np.sum(W * val)
-
-        return sampler, evaluate, np.ones(1)
+        return _Plan(sample, _covariant_observable(l0, k0))
 
     # dtwa / gdtwa
     sig = gdtwa_signature(F)
@@ -626,7 +555,7 @@ def _xc_plan(req, F, idx):
     frames_n = set_n.frames
     if diagonal:
 
-        def sampler(rng, nb):
+        def sample(rng, nb):
             pts = rng.integers(frames_n.shape[0], size=nb)
             W = np.ones(nb, dtype=np.complex128)
             return frames_n[pts], W
@@ -637,30 +566,25 @@ def _xc_plan(req, F, idx):
         kv_n = np.array([K[m0, n0] for K in set_n.kernel_values])
         kv_m = np.array([K[m0, n0] for K in set_m.kernel_values])
 
-        def sampler(rng, nb):
+        def sample(rng, nb):
             pick = rng.random(nb) < 0.5
             pts = rng.integers(frames_n.shape[0], size=nb)
             Z = np.where(pick[:, None, None], frames_n[pts], frames_m[pts])
             W = 2.0 * np.where(pick, kv_n[pts], kv_m[pts])
             return Z, W
 
-    def evaluate(Zt, W):
+    def evaluate(Zt, W, ti):
         val = np.einsum("r,nr,nr->n", 0.5 * signs, Zt[:, :, l0], np.conj(Zt[:, :, k0]))
         if l0 == k0:
             val = val - sig.gamma
         return np.sum(W * val)
 
-    return sampler, evaluate, signs
+    return _Plan(sample, evaluate, signs)
 
 
 def estimate_tcf_xc(req):
     """Estimate a TCF with the sampler-density, covariant-observable families."""
-    if req.method.family not in _XC_FAMILIES:
-        raise ValueError(f"{req.method.family!r} is not an xc family")
-    H, F, t_grid, idx = _prepare(req)
-    sampler, evaluate, signs = _xc_plan(req, F, idx)
-    sums, sizes = _run_blocks(req, H, t_grid, sampler, evaluate, 1, np.complex128, signs)
-    return _mean_result(req, t_grid, sums, sizes)
+    return _estimate_mean(req, _XC_FAMILIES, "an xc", _xc_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -670,7 +594,7 @@ def estimate_tcf_xc(req):
 def _ww_plan(req, F, n0):
     """Sampler and per-state window values for the ww families.
 
-    The evaluator returns, per trajectory, the numerator contributions
+    The window values are, per trajectory, the numerator contributions
     Qbar_{nn,mm} for every final state m; the caller accumulates state
     sums and forms the ratio to the summed denominator.
     """
@@ -737,54 +661,24 @@ def estimate_tcf_ww(req):
         raise ValueError(f"{req.method.family!r} is not a ww family")
     H, F, t_grid, (n0, m0, k0, l0) = _prepare(req)
     sampler, window_values, meas = _ww_plan(req, F, n0)
-    min_box = np.full(N_BLOCKS, np.inf)
 
-    def evaluate_factory(block):
-        def evaluate(Zt, aux):
-            vals = window_values(Zt, aux)
-            m = float(vals.min()) if vals.size else np.inf
-            if m < min_box[block]:
-                min_box[block] = m
-            return np.sum(vals, axis=0)
+    def evaluate(Zt, aux, ti):
+        # per-state numerator sums, then the smallest single numerator
+        vals = window_values(Zt, aux)
+        return np.append(np.sum(vals, axis=0), vals.min())
 
-        return evaluate
-
-    sizes = _block_sizes(req.n_traj)
-    prop = _propagators(H, t_grid) if req.backend == "exact" else None
-    sums = np.zeros((N_BLOCKS, t_grid.size, F))
-
-    def work(b):
-        rng = _block_rng(req.seed, b)
-        sums[b] = _block_series(
-            rng,
-            int(sizes[b]),
-            sampler,
-            evaluate_factory(b),
-            F,
-            np.float64,
-            req,
-            H,
-            t_grid,
-            np.ones(1),
-            prop,
-        )
-
-    blocks = [b for b in range(N_BLOCKS) if sizes[b] > 0]
-    if req.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=req.n_threads) as pool:
-            list(pool.map(work, blocks))
-    else:
-        for b in blocks:
-            work(b)
-
+    walk = grid_march(H, t_grid, req.backend, req.dt)
+    plan = _Plan(sampler, evaluate, width=F + 1, dtype=np.float64)
+    out, sizes = _drive(req, walk, t_grid.size, plan)
+    sums = np.ascontiguousarray(out[:, :, :F])
     num_total = np.sum(sums, axis=0)
     den_total = np.sum(num_total, axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         estimates = (num_total[:, k0] / den_total).astype(np.complex128)
     den_blocks = np.sum(sums, axis=2)
-    se = _jackknife_ratio(sums[:, :, k0], den_blocks, num_total[:, k0], den_total, sizes)
+    se = _jackknife(sums[:, :, k0], den_blocks, num_total[:, k0], den_total, sizes)
     normalization = meas * den_total / req.n_traj
-    min_num = float(np.min(min_box))
+    min_num = float(np.nanmin(out[sizes > 0, :, F]))
     return TCFResult(t_grid, estimates, normalization, se, req.n_traj, min_num)
 
 
@@ -839,8 +733,7 @@ def eval_window(kind, point, n):
         g = point.signature.gamma
         if g <= 0:
             raise ValueError("cornered window needs a gamma > 0 sphere")
-        norm = F * (F * g / (1.0 + F * g)) ** (F - 1)
-        return float(e[n0] >= 1.0) / norm
+        return float(e[n0] >= 1.0) / _cornered_norm(F, g)
     raise ValueError(f"unknown window kind {kind!r}")
 
 
@@ -877,10 +770,7 @@ def intra_electron_check(weight, H, rho, A, n_traj, seed):
     tot = weight.abs_total()
     rng = _block_rng(seed, 0)
     gam, sgn = weight.sample_batch(rng, n_traj)
-    w = rng.standard_normal((n_traj, F)) + 1j * rng.standard_normal((n_traj, F))
-    norms = np.linalg.norm(w, axis=1)
-    norms[norms == 0.0] = 1.0
-    Z = w * (np.sqrt(2.0 * (1.0 + F * gam)) / norms)[:, None]
+    Z = sample_sphere_batch(F, gam, rng, n_traj)
 
     def trace_against(M):
         quad = 0.5 * np.einsum("na,ab,nb->n", np.conj(Z), M, Z)

@@ -111,6 +111,12 @@ def eval_kernel(spec, point):
     raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
 
+def inverse_kernel_coefficients(F, gamma):
+    """(c1, c2) of the inverse kernel c1 z z^dagger - c2 I on the sphere at gamma."""
+    shell = 1.0 + F * gamma
+    return (1.0 + F) / (2.0 * shell**2), (1.0 - gamma) / shell
+
+
 def eval_inverse_kernel(gamma, point):
     """Inverse kernel entries on the sphere at gamma.
 
@@ -132,8 +138,7 @@ def eval_inverse_kernel(gamma, point):
             f"point violates the sphere constraint at gamma={gamma}: "
             f"residual {violation:.3e}"
         )
-    c1 = (1.0 + F) / (2.0 * shell**2)
-    c2 = (1.0 - gamma) / shell
+    c1, c2 = inverse_kernel_coefficients(F, gamma)
     return c1 * np.outer(z, z.conj()) - c2 * np.eye(F)
 
 

@@ -25,7 +25,7 @@ class NonHermitianError(ValueError):
     """Input matrix violates Hermitian symmetry beyond tolerance."""
 
 
-def require_hermitian(H, tol=HERMITIAN_TOL):
+def require_hermitian(H, tol=HERMITIAN_TOL, name="matrix"):
     """Validate H and return it as a square complex128 array.
 
     Parameters
@@ -34,6 +34,8 @@ def require_hermitian(H, tol=HERMITIAN_TOL):
         Matrix to validate.
     tol : float
         Largest tolerated absolute asymmetry ``max|H - H^dagger|``.
+    name : str
+        What the matrix is, for the error messages.
 
     Returns
     -------
@@ -42,6 +44,8 @@ def require_hermitian(H, tol=HERMITIAN_TOL):
 
     Raises
     ------
+    ValueError
+        If an entry is NaN or infinite.
     NonHermitianError
         If the asymmetry exceeds ``tol``; the message reports the
         measured maximum asymmetry.
@@ -51,10 +55,12 @@ def require_hermitian(H, tol=HERMITIAN_TOL):
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if H.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
+    if not np.all(np.isfinite(H)):
+        raise ValueError(f"{name} has non-finite entries")
     asym = float(np.max(np.abs(H - H.conj().T)))
     if asym > tol:
         raise NonHermitianError(
-            f"matrix is not Hermitian: max asymmetry {asym:.3e} exceeds {tol:.3e}"
+            f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds {tol:.3e}"
         )
     return H
 

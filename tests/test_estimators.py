@@ -157,6 +157,22 @@ def test_cmm_gamma_domain():
         estimate_tcf(request(RABI, MethodSpec.cmm(-0.5)))
 
 
+@pytest.mark.parametrize(
+    "field, make",
+    [
+        ("hamiltonian", lambda: request(np.array([[0.0, np.nan], [np.nan, 0.0]]), MethodSpec.cmm(0.0))),
+        ("t_grid", lambda: request(RABI, MethodSpec.cmm(0.0), t_grid=[0.0, np.nan, 1.0])),
+        ("t_grid", lambda: request(RABI, MethodSpec.cmm(0.0), t_grid=[0.0, np.inf])),
+        ("dt", lambda: request(RABI, MethodSpec.cmm(0.0), backend="rk4", dt=np.nan)),
+        ("gamma", lambda: request(RABI, MethodSpec.cmm(np.nan))),
+    ],
+    ids=["hamiltonian-nan", "t_grid-nan", "t_grid-inf", "dt-nan", "gamma-nan"],
+)
+def test_non_finite_input_is_rejected_by_field(field, make):
+    with pytest.raises(ValueError, match=field):
+        estimate_tcf(make())
+
+
 # -- t = 0 identity and frozen-nuclei exactness (light versions) -----
 
 
@@ -247,12 +263,29 @@ def test_same_seed_is_bitwise_reproducible():
     assert np.array_equal(a.standard_errors, b.standard_errors)
 
 
-def test_thread_count_does_not_change_results():
-    H = random_h(2, seed=21)
-    a = estimate_tcf(request(H, MethodSpec.hill_ww(0.0), n_traj=8000))
-    b = estimate_tcf(request(H, MethodSpec.hill_ww(0.0), n_traj=8000, n_threads=4))
+SHORT_RK4 = dict(t_grid=[0.0, 0.1], backend="rk4", dt=1e-2)
+CMMCV_COMB = [(0.7, np.diag([0.3, 0.1])), (0.3, gamma_wigner(2) * np.eye(2))]
+THREAD_CASES = {
+    "hill_ww": (2, MethodSpec.hill_ww(0.0), dict(n_traj=8000)),
+    "cmmcv-exact": (2, MethodSpec.cmmcv(CMMCV_COMB), dict(nmkl=(1, 2, 2, 1), n_traj=3000)),
+    "cmmcv-rk4": (2, MethodSpec.cmmcv(CMMCV_COMB), dict(nmkl=(1, 2, 2, 1), n_traj=3000, **SHORT_RK4)),
+    "wmm": (2, MethodSpec.wmm(two_delta_comb()), dict(nmkl=(1, 2, 2, 1), n_traj=3000)),
+    "cornered_simplex": (3, MethodSpec.cornered_simplex(0.5), dict(nmkl=(1, 1, 2, 2), n_traj=3000)),
+    "triangle_sqc-offdiag": (3, MethodSpec.triangle_sqc(), dict(nmkl=(1, 2, 2, 1), n_traj=3000)),
+    "gdtwa-rk4": (3, MethodSpec.gdtwa(), dict(nmkl=(1, 2, 2, 1), n_traj=2000, **SHORT_RK4)),
+}
+
+
+@pytest.mark.parametrize("case", list(THREAD_CASES))
+def test_thread_count_does_not_change_results(case):
+    F, method, kw = THREAD_CASES[case]
+    H = random_h(F, seed=21)
+    a = estimate_tcf(request(H, method, **kw))
+    b = estimate_tcf(request(H, method, n_threads=4, **kw))
     assert np.array_equal(a.estimates, b.estimates)
     assert np.array_equal(a.normalization, b.normalization)
+    assert np.array_equal(a.standard_errors, b.standard_errors)
+    assert np.array_equal(a.min_numerator, b.min_numerator, equal_nan=True)
 
 
 def test_single_trajectory_has_nan_se():
