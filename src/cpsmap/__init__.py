@@ -40,10 +40,6 @@ from .estimators import (
     TCFRequest,
     TCFResult,
     estimate_tcf,
-    estimate_tcf_cc,
-    estimate_tcf_cx,
-    estimate_tcf_ww,
-    estimate_tcf_xc,
     eval_window,
     hill_exponent,
     intra_electron_check,
@@ -93,10 +89,6 @@ __all__ = [
     "classify_kernel",
     "cmm_signature",
     "estimate_tcf",
-    "estimate_tcf_cc",
-    "estimate_tcf_cx",
-    "estimate_tcf_ww",
-    "estimate_tcf_xc",
     "eval_inverse_kernel",
     "eval_kernel",
     "eval_window",

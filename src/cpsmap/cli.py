@@ -46,7 +46,7 @@ from . import __version__
 from .cps import gamma_wigner, sample_sphere, sample_sphere_batch
 from .dynamics import invariant_drift, propagate_segment
 from .estimators import MethodSpec, TCFRequest, estimate_tcf
-from .kernels import inverse_kernel_coefficients
+from .kernels import inverse_kernel_coefficients, kernel_entries
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf
 
@@ -417,11 +417,10 @@ def _validate_exact_mapping(H, g, n_traj, seed):
     F = H.shape[0]
     rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
     # Only the first min(F, 4) states are checked; build just their block.
-    Z = sample_sphere_batch(F, g, rng, n_traj)[:, : min(F, 4)]
+    Z = sample_sphere_batch(F, g, rng, n_traj)[:, None, : min(F, 4)]
     c1, c2 = inverse_kernel_coefficients(F, g)
-    eye = np.eye(Z.shape[1])
-    Kv = 0.5 * Z[:, :, None] * np.conj(Z[:, None, :]) - g * eye
-    Kinv = c1 * Z[:, :, None] * np.conj(Z[:, None, :]) - c2 * eye
+    Kv = kernel_entries(Z, gamma=g)
+    Kinv = kernel_entries(Z, gamma=c2, weights=c1)
     checks = (
         (F * Kv[:, m - 1, n - 1] * Kinv[:, l - 1, k - 1], float(m == k) * float(n == l))
         for (n, m), (k, l) in _mapping_quadruples(F)

@@ -15,23 +15,27 @@ integrates the sign-factor equations as written so their equivalence
 is measured rather than assumed.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cps import check_constraints, StiefelPoint
+from .kernels import kernel_trace
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian
 
 
 def classical_energy(point, H):
-    """H_C(X) = sum_i s_i (1/2) z_i^dagger H z_i - gamma Tr H."""
+    """H_C(X) = sum_i s_i (1/2) z_i^dagger H z_i - gamma Tr H = Tr[H K(X)]."""
     H = require_hermitian(H)
-    z = point.z
     sig = point.signature
-    total = 0.0
-    for zi, s in zip(z, sig.signs):
-        total += s * 0.5 * float(np.real(zi.conj() @ H @ zi))
-    return total - sig.gamma * float(np.real(np.trace(H)))
+    weights = 0.5 * np.asarray(sig.signs, dtype=np.float64)
+    return float(np.real(kernel_trace(point.z, H, sig.gamma, weights)))
+
+
+def _check_step(dt):
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
 
 def propagate_exact(point, H, t):
@@ -39,6 +43,8 @@ def propagate_exact(point, H, t):
     H = require_hermitian(H)
     if H.shape[0] != point.F:
         raise ValueError(f"H dimension {H.shape[0]} does not match point F={point.F}")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t!r}")
     (z,) = grid_march(H, [t])(point.z, point.signature.signs)
     return StiefelPoint(z.real, z.imag, point.signature)
 
@@ -79,8 +85,7 @@ def propagate_rk4(point, H, dt, steps):
     H = require_hermitian(H)
     if H.shape[0] != point.F:
         raise ValueError(f"H dimension {H.shape[0]} does not match point F={point.F}")
-    if dt <= 0:
-        raise ValueError("dt must be positive")
+    _check_step(dt)
     x, p = _rk4_arrays(point.x, point.p, point.signature.signs, H, dt, int(steps))
     return StiefelPoint(x, p, point.signature)
 
@@ -137,8 +142,11 @@ def propagate_segment(point, H, times, backend="exact", dt=1e-3):
     time; the rk4 backend steps between grid times with step <= dt.
     """
     times = np.asarray(times, dtype=np.float64)
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
     if times.size < 1 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be a nonempty strictly increasing grid")
+    _check_step(dt)
     H = require_hermitian(H)
     walk = grid_march(H, times, backend, dt)
     sig = point.signature

@@ -31,6 +31,11 @@ together with the density-side weights; the time-march of
 dynamics.grid_march carries the frames over the grid, by exact
 propagators or rk4; and the plan's evaluator turns the marched frames
 into the block's sums of the observable kernel or window at each time.
+Plans are looked up by family in one table (_PLANS).  Every kernel
+entry, on the density or the observable side, comes from
+kernels.kernel_entries; every window is one batched function of the
+actions (..., F) in this module, and the single-point eval_window is a
+batch of one of the same functions.
 
 Trajectories are generated in 100 fixed blocks.  Block b draws from
 Generator(Philox(SeedSequence(seed, spawn_key=(b,)))), blocks double as
@@ -47,21 +52,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cps import GammaWeight, gdtwa_signature, sample_sphere_batch
-from .kernels import gdtwa_points, inverse_kernel_coefficients
+from .kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries, kernel_trace
 
 # The time-march in dynamics owns the propagators and the rk4 steps;
 # _rk4_arrays and propagator_from_decomposition are imported here only
 # because perfbench/spans.py wraps these names in this module.
-from .dynamics import _rk4_arrays, grid_march  # noqa: F401
+from .dynamics import _check_step, _rk4_arrays, grid_march  # noqa: F401
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
 
 N_BLOCKS = 100
-
-_CC_FAMILIES = ("cmm", "wmm", "cmmcv")
-_CX_FAMILIES = ("cornered_simplex",)
-_XC_FAMILIES = ("triangle_sqc", "ehrenfest", "lambda_point", "dtwa", "gdtwa")
-_WW_FAMILIES = ("triangle_ww", "triangle_f2_single", "hill_ww")
-
 
 def hill_exponent(F):
     """Exponent B(F) of the hill window, 3/(7(F-1)) + 60/(7(F+13))."""
@@ -246,8 +245,7 @@ def _prepare(req):
         raise ValueError("t_grid must be nonempty, nonnegative, strictly increasing")
     if req.backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {req.backend!r}")
-    if not (math.isfinite(req.dt) and req.dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {req.dt!r}")
+    _check_step(req.dt)
     method = req.method
     fam = method.family
     if fam == "cmm" and method.gamma <= -1.0 / F:
@@ -275,7 +273,7 @@ def _prepare(req):
         raise ValueError("triangle_f2_single is defined for F = 2 only")
     if fam == "cornered_simplex" and k != l:
         raise ValueError("cornered_simplex supports population observables only (k = l)")
-    if fam in _WW_FAMILIES and (n != m or k != l):
+    if _PLANS[fam] is _ww_plan and (n != m or k != l):
         raise ValueError(
             "window-window families estimate population-population "
             "correlation functions only (n = m and k = l)"
@@ -293,7 +291,9 @@ class _Plan(NamedTuple):
     sample(rng, nb) draws a block's frames (nb, r, F) with the
     per-trajectory data its evaluator needs; evaluate(Zt, aux, ti)
     returns the block's sums at grid time ti, shape (width,); signs are
-    the frame signs of the sign-factor equations (rk4 only).
+    the frame signs of the sign-factor equations (rk4 only).  measure is
+    None for the block-mean families and the phase space measure factor
+    of a ww plan.
     """
 
     sample: Callable
@@ -301,6 +301,7 @@ class _Plan(NamedTuple):
     signs: tuple = (1.0,)
     width: int = 1
     dtype: type = np.complex128
+    measure: float = None
 
 
 def _drive(req, walk, n_times, plan):
@@ -327,38 +328,8 @@ def _drive(req, walk, n_times, plan):
     return sums, sizes
 
 
-def _estimate_mean(req, families, kind, make_plan):
-    """Run a constant-normalization family: plan, march, drive, block mean."""
-    if req.method.family not in families:
-        raise ValueError(f"{req.method.family!r} is not {kind} family")
-    H, F, t_grid, idx = _prepare(req)
-    walk = grid_march(H, t_grid, req.backend, req.dt)
-    sums, sizes = _drive(req, walk, t_grid.size, make_plan(req, F, idx, walk))
-    total = np.sum(sums[:, :, 0], axis=0)
-    estimates = total / req.n_traj
-    se = _jackknife(sums[:, :, 0], sizes[:, None], total, req.n_traj, sizes)
-    return TCFResult(t_grid, estimates, np.ones(t_grid.size), se, req.n_traj)
-
-
 # ---------------------------------------------------------------------------
-# covariant-kernel entries and the single-sphere density side
-
-
-def _kernel_entry(Z, row, col, gamma, scale=0.5):
-    """[scale z z^dagger - gamma I]_{row,col} for a (nb, 1, F) batch.
-
-    scale 1/2 gives the covariant kernel, scale c1 with gamma c2 the
-    inverse kernel; gamma is a scalar or one value per trajectory.
-    """
-    val = scale * Z[:, 0, row] * np.conj(Z[:, 0, col])
-    if row == col:
-        val = val - gamma
-    return val
-
-
-def _actions(Z):
-    """(nb, F) actions of a single-frame batch."""
-    return 0.5 * (np.abs(Z[:, 0, :]) ** 2)
+# covariant observable and the single-sphere density side
 
 
 def _sphere_density(F, g, n0, m0):
@@ -366,7 +337,7 @@ def _sphere_density(F, g, n0, m0):
 
     def sample(rng, nb):
         Z = sample_sphere_batch(F, g, rng, nb)[:, None, :]
-        return Z, F * _kernel_entry(Z, m0, n0, g)
+        return Z, F * kernel_entries(Z, m0, n0, g)
 
     return sample
 
@@ -376,36 +347,35 @@ def _covariant_observable(l0, k0):
 
     def evaluate(Zt, aux, ti):
         W, gamma = aux
-        return np.sum(W * _kernel_entry(Zt, l0, k0, gamma))
+        return np.sum(W * kernel_entries(Zt, l0, k0, gamma))
 
     return evaluate
 
 
 # ---------------------------------------------------------------------------
-# cc family
+# cc families
 
 
-def _cc_plan(req, F, idx, walk):
+def _cmm_plan(req, F, idx, walk):
     n0, m0, k0, l0 = idx
-    if req.method.family == "cmmcv":
-        return _cmmcv_plan(req, F, idx, walk)
+    g = req.method.gamma
+    c1, c2 = inverse_kernel_coefficients(F, g)
 
-    if req.method.family == "cmm":
-        g = req.method.gamma
-        c1, c2 = inverse_kernel_coefficients(F, g)
+    def evaluate(Zt, W, ti):
+        return np.sum(W * kernel_entries(Zt, l0, k0, c2, c1))
 
-        def evaluate(Zt, W, ti):
-            return np.sum(W * _kernel_entry(Zt, l0, k0, c2, scale=c1))
+    return _Plan(_sphere_density(F, g, n0, m0), evaluate)
 
-        return _Plan(_sphere_density(F, g, n0, m0), evaluate)
 
+def _wmm_plan(req, F, idx, walk):
+    n0, m0, k0, l0 = idx
     weight = req.method.weight
     tot = weight.abs_total()
 
     def sample(rng, nb):
         gam, sgn = weight.sample_batch(rng, nb)
         Z = sample_sphere_batch(F, gam, rng, nb)[:, None, :]
-        W = _kernel_entry(Z, m0, n0, gam) * (F * tot * sgn)
+        W = kernel_entries(Z, m0, n0, gam) * (F * tot * sgn)
         return Z, (W, gam)
 
     return _Plan(sample, _covariant_observable(l0, k0))
@@ -419,7 +389,8 @@ def _cmmcv_plan(req, F, idx, walk):
     |w_c| / sum|w|.  Both backends march z by a complex-linear map R, and
     R K R^dagger = (1/2)(R z)(R z)^dagger - R Gamma_c R^dagger.  The last
     term is shared by every trajectory of component c, so it is marched
-    once per request, as the eigenframes of Gamma_c.
+    once per request, as the eigenframes of Gamma_c weighted by its
+    eigenvalues.
     """
     n0, m0, k0, l0 = idx
     comps = req.method.components
@@ -434,52 +405,35 @@ def _cmmcv_plan(req, F, idx, walk):
     for G in gstack:
         dec = hermitian_eig(G)
         walked = walk(dec.eigenvectors.T, np.ones(F))
-        lam = dec.eigenvalues
-        marched.append([np.sum(lam * Vt[:, l0] * np.conj(Vt[:, k0])) for Vt in walked])
+        marched.append([kernel_entries(Vt, l0, k0, weights=dec.eigenvalues) for Vt in walked])
     gamma_lk = np.array(marched).T  # (n_times, n_components)
 
     def sample(rng, nb):
         ci = rng.choice(len(comps), size=nb, p=probs)
-        z = sample_sphere_batch(F, shells[ci], rng, nb)
-        K_mn = 0.5 * z[:, m0] * np.conj(z[:, n0]) - gstack[ci, m0, n0]
-        return z[:, None, :], ((F * tot * comp_signs[ci]) * K_mn, ci)
+        Z = sample_sphere_batch(F, shells[ci], rng, nb)[:, None, :]
+        K_mn = kernel_entries(Z, m0, n0, Gamma=gstack[ci, m0, n0])
+        return Z, ((F * tot * comp_signs[ci]) * K_mn, ci)
 
     def evaluate(Zt, aux, ti):
         W, ci = aux
-        return np.sum(W * (0.5 * Zt[:, 0, l0] * np.conj(Zt[:, 0, k0]) - gamma_lk[ti][ci]))
+        return np.sum(W * kernel_entries(Zt, l0, k0, Gamma=gamma_lk[ti][ci]))
 
     return _Plan(sample, evaluate)
-
-
-def estimate_tcf_cc(req):
-    """Estimate a TCF with the covariant-covariant families."""
-    return _estimate_mean(req, _CC_FAMILIES, "a cc", _cc_plan)
 
 
 # ---------------------------------------------------------------------------
 # cx family
 
 
-def _cornered_norm(F, g):
-    """Normalization F (F gamma / (1 + F gamma))^(F-1) of the cornered-simplex window."""
-    return F * (F * g / (1.0 + F * g)) ** (F - 1)
-
-
 def _cx_plan(req, F, idx, walk):
     n0, m0, k0, l0 = idx
     g = req.method.gamma
-    norm_inv = 1.0 / _cornered_norm(F, g)
 
     def evaluate(Zt, W, ti):
         e = 0.5 * np.abs(Zt[:, 0, k0]) ** 2
-        return np.sum(W * (norm_inv * (e >= 1.0)))
+        return np.sum(W * _cornered_window(e, F, g))
 
     return _Plan(_sphere_density(F, g, n0, m0), evaluate)
-
-
-def estimate_tcf_cx(req):
-    """Estimate a TCF with the cornered-simplex family."""
-    return _estimate_mean(req, _CX_FAMILIES, "a cx", _cx_plan)
 
 
 # ---------------------------------------------------------------------------
@@ -505,55 +459,56 @@ def _triangle_population_sampler(rng, nb, F, focus):
     return np.sqrt(2.0 * e) * np.exp(1j * theta)
 
 
-def _xc_plan(req, F, idx, walk):
-    """Sampler/observable pair for the noncovariant-covariant families."""
+def _triangle_sqc_plan(req, F, idx, walk):
     n0, m0, k0, l0 = idx
-    fam = req.method.family
-    diagonal = n0 == m0
+    third = req.method.obs_gamma == "third"
 
-    if fam == "triangle_sqc":
-        third = req.method.obs_gamma == "third"
+    def sample(rng, nb):
+        if n0 == m0:
+            z = _triangle_population_sampler(rng, nb, F, n0)
+            W = np.ones(nb, dtype=np.complex128)
+        else:
+            pick = rng.random(nb) < 0.5
+            z = _triangle_population_sampler(rng, nb, F, np.where(pick, n0, m0))
+            W = kernel_entries(z[:, None, :], m0, n0, weights=1.2)
+        if third:
+            gobs = np.full(nb, 1.0 / 3.0)
+        else:
+            gobs = (np.sum(0.5 * np.abs(z) ** 2, axis=1) - 1.0) / F
+        return z[:, None, :], (W, gobs)
 
-        def sample(rng, nb):
-            if diagonal:
-                z = _triangle_population_sampler(rng, nb, F, n0)
-                W = np.ones(nb, dtype=np.complex128)
-            else:
-                pick = rng.random(nb) < 0.5
-                z = _triangle_population_sampler(rng, nb, F, np.where(pick, n0, m0))
-                W = 1.2 * z[:, m0] * np.conj(z[:, n0])
-            if third:
-                gobs = np.full(nb, 1.0 / 3.0)
-            else:
-                gobs = (np.sum(0.5 * np.abs(z) ** 2, axis=1) - 1.0) / F
-            return z[:, None, :], (W, gobs)
+    return _Plan(sample, _covariant_observable(l0, k0))
 
-        return _Plan(sample, _covariant_observable(l0, k0))
 
-    if fam in ("ehrenfest", "lambda_point"):
-        g = 0.0 if fam == "ehrenfest" else req.method.gamma
+def _focused_plan(req, F, idx, walk):
+    """ehrenfest (gamma = 0) and lambda_point: the focused density kernel."""
+    n0, m0, k0, l0 = idx
+    g = 0.0 if req.method.family == "ehrenfest" else req.method.gamma
 
-        def sample(rng, nb):
-            theta = rng.random((nb, F)) * (2.0 * np.pi)
-            e = np.full((nb, F), g)
-            if diagonal:
-                e[:, n0] = 1.0 + g
-            else:
-                e[:, [n0, m0]] = (1.0 + 2.0 * g) / 2.0
-            z = np.sqrt(2.0 * e) * np.exp(1j * theta)
-            if diagonal:
-                return z[:, None, :], (np.ones(nb, dtype=np.complex128), g)
-            W = 2.0 * z[:, m0] * np.conj(z[:, n0]) / (1.0 + 2.0 * g) ** 2
-            return z[:, None, :], (W, g)
+    def sample(rng, nb):
+        theta = rng.random((nb, F)) * (2.0 * np.pi)
+        e = np.full((nb, F), g)
+        if n0 == m0:
+            e[:, n0] = 1.0 + g
+        else:
+            e[:, [n0, m0]] = (1.0 + 2.0 * g) / 2.0
+        Z = (np.sqrt(2.0 * e) * np.exp(1j * theta))[:, None, :]
+        if n0 == m0:
+            return Z, (np.ones(nb, dtype=np.complex128), g)
+        W = kernel_entries(Z, m0, n0, weights=2.0) / (1.0 + 2.0 * g) ** 2
+        return Z, (W, g)
 
-        return _Plan(sample, _covariant_observable(l0, k0))
+    return _Plan(sample, _covariant_observable(l0, k0))
 
-    # dtwa / gdtwa
+
+def _discrete_plan(req, F, idx, walk):
+    """dtwa and gdtwa: uniform draws from the discrete point sets."""
+    n0, m0, k0, l0 = idx
     sig = gdtwa_signature(F)
     signs = np.asarray(sig.signs, dtype=np.float64)
     set_n = gdtwa_points(F, n0 + 1)
     frames_n = set_n.frames
-    if diagonal:
+    if n0 == m0:
 
         def sample(rng, nb):
             pts = rng.integers(frames_n.shape[0], size=nb)
@@ -574,130 +529,112 @@ def _xc_plan(req, F, idx, walk):
             return Z, W
 
     def evaluate(Zt, W, ti):
-        val = np.einsum("r,nr,nr->n", 0.5 * signs, Zt[:, :, l0], np.conj(Zt[:, :, k0]))
-        if l0 == k0:
-            val = val - sig.gamma
-        return np.sum(W * val)
+        return np.sum(W * kernel_entries(Zt, l0, k0, sig.gamma, 0.5 * signs))
 
     return _Plan(sample, evaluate, signs)
-
-
-def estimate_tcf_xc(req):
-    """Estimate a TCF with the sampler-density, covariant-observable families."""
-    return _estimate_mean(req, _XC_FAMILIES, "an xc", _xc_plan)
 
 
 # ---------------------------------------------------------------------------
 # ww families
 
 
-def _ww_plan(req, F, n0):
-    """Sampler and per-state window values for the ww families.
+def _ww_plan(req, F, idx, walk):
+    """Window-window plan: per-trajectory numerators Qbar_{nn,mm} for every state m.
 
-    The window values are, per trajectory, the numerator contributions
-    Qbar_{nn,mm} for every final state m; the caller accumulates state
-    sums and forms the ratio to the summed denominator.
+    The family supplies a frame sampler, an optional density window of
+    the starting actions e0 and the observable windows of the actions e
+    at each time, (nb, F).  The block sums hold the per-state numerator
+    sums plus the smallest single numerator; estimate_tcf forms the ratio
+    to the summed denominator.
     """
+    n0 = idx[0]
     fam = req.method.family
-
-    if fam == "triangle_ww":
-
-        def sampler(rng, nb):
-            z = _triangle_population_sampler(rng, nb, F, n0)
-            return z[:, None, :], None
-
-        def window_values(Zt, aux):
-            e = _actions(Zt)
-            n_above = np.sum(e > 1.0, axis=1)
-            vals = (e >= 1.0) & ((n_above[:, None] - (e > 1.0)) == 0)
-            return vals.astype(np.float64)
-
-        return sampler, window_values, 1.0
-
-    if fam == "triangle_f2_single":
-        g = req.method.gamma
-        cut = (1.0 + 2.0 * g) / 2.0
-
-        def sampler(rng, nb):
-            Z = sample_sphere_batch(F, g, rng, nb)[:, None, :]
-            a0 = np.abs(Z[:, 0, n0]) ** 2
-            return Z, a0
-
-        def window_values(Zt, a0):
-            at = np.abs(Zt[:, 0, :]) ** 2
-            passing = (a0[:, None] >= 2.0 * cut) & (at >= 2.0 * cut)
-            mn = np.minimum(a0[:, None], at)
-            safe = np.where(passing, mn, 1.0)
-            bracket = 2.0 - 2.0 * (2.0 * cut) ** 2 / safe**2
-            return np.where(passing, bracket, 0.0)
-
-        return sampler, window_values, float(F)
-
-    # hill_ww
     g = req.method.gamma
-    B = hill_exponent(F)
+    rho = None
+    if fam == "triangle_ww":
+        draw = lambda rng, nb: _triangle_population_sampler(rng, nb, F, n0)[:, None, :]
+        obs = lambda e, aux: _triangle_obs_windows(e)
+        measure = 1.0
+    else:
+        draw = lambda rng, nb: sample_sphere_batch(F, g, rng, nb)[:, None, :]
+        measure = float(F)
+        if fam == "triangle_f2_single":
+            rho = lambda e0: e0[:, n0]
+            obs = lambda e, e0_n: _f2_single_windows(e0_n, e, (1.0 + 2.0 * g) / 2.0)
+        else:
+            rho = lambda e0: _hill_rho_window(e0, n0)
+            obs = lambda e, rho_w: rho_w[:, None] * _hill_obs_windows(e)
 
-    def sampler(rng, nb):
-        Z = sample_sphere_batch(F, g, rng, nb)[:, None, :]
-        e0 = _actions(Z)
-        rho_w = np.all(e0[:, n0, None] >= e0, axis=1).astype(np.float64)
-        return Z, rho_w
-
-    def window_values(Zt, rho_w):
-        e = _actions(Zt)
-        diffs = e[:, :, None] - e[:, None, :]
-        clipped = np.where(diffs >= 0.0, diffs, 0.0)
-        idx = np.arange(F)
-        clipped[:, idx, idx] = 1.0
-        vals = np.prod(clipped**B, axis=2)
-        return rho_w[:, None] * vals
-
-    return sampler, window_values, float(F)
-
-
-def estimate_tcf_ww(req):
-    """Estimate a population-population TCF with a window-window family."""
-    if req.method.family not in _WW_FAMILIES:
-        raise ValueError(f"{req.method.family!r} is not a ww family")
-    H, F, t_grid, (n0, m0, k0, l0) = _prepare(req)
-    sampler, window_values, meas = _ww_plan(req, F, n0)
+    def sample(rng, nb):
+        Z = draw(rng, nb)
+        if rho is None:
+            return Z, None
+        return Z, rho(0.5 * np.abs(Z[:, 0, :]) ** 2)
 
     def evaluate(Zt, aux, ti):
-        # per-state numerator sums, then the smallest single numerator
-        vals = window_values(Zt, aux)
+        vals = obs(0.5 * np.abs(Zt[:, 0, :]) ** 2, aux)
         return np.append(np.sum(vals, axis=0), vals.min())
 
-    walk = grid_march(H, t_grid, req.backend, req.dt)
-    plan = _Plan(sampler, evaluate, width=F + 1, dtype=np.float64)
-    out, sizes = _drive(req, walk, t_grid.size, plan)
-    sums = np.ascontiguousarray(out[:, :, :F])
-    num_total = np.sum(sums, axis=0)
-    den_total = np.sum(num_total, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        estimates = (num_total[:, k0] / den_total).astype(np.complex128)
-    den_blocks = np.sum(sums, axis=2)
-    se = _jackknife(sums[:, :, k0], den_blocks, num_total[:, k0], den_total, sizes)
-    normalization = meas * den_total / req.n_traj
-    min_num = float(np.nanmin(out[sizes > 0, :, F]))
-    return TCFResult(t_grid, estimates, normalization, se, req.n_traj, min_num)
-
-
-def estimate_tcf(req):
-    """Dispatch a TCF request to its family's estimator."""
-    fam = req.method.family
-    if fam in _CC_FAMILIES:
-        return estimate_tcf_cc(req)
-    if fam in _CX_FAMILIES:
-        return estimate_tcf_cx(req)
-    if fam in _XC_FAMILIES:
-        return estimate_tcf_xc(req)
-    if fam in _WW_FAMILIES:
-        return estimate_tcf_ww(req)
-    raise ValueError(f"unknown method family {fam!r}")
+    return _Plan(sample, evaluate, width=F + 1, dtype=np.float64, measure=measure)
 
 
 # ---------------------------------------------------------------------------
-# single-point window evaluation
+# windows: batched functions of the actions e (..., F)
+
+
+def _triangle_rho_window(e, n0):
+    """Density-side triangle window of state n0: e_n >= 1 and e_n + e_i <= 2 for i != n."""
+    others = np.delete(e, n0, axis=-1)
+    e_n = e[..., n0]
+    return ((e_n >= 1.0) & np.all(2.0 - e_n[..., None] - others >= 0.0, axis=-1)) * 1.0
+
+
+def _triangle_obs_windows(e):
+    """Observable triangle windows of every state: e_m >= 1 with no other action above 1."""
+    above = e > 1.0
+    n_above = np.sum(above, axis=-1)
+    return ((e >= 1.0) & ((n_above[..., None] - above) == 0)).astype(np.float64)
+
+
+def _f2_single_windows(e0_n, e, cut):
+    """triangle_f2_single numerators of every state m: 2 - 2 cut^2 / min(e0_n, e_m)^2.
+
+    e0_n is the starting action of the initial state, one per row; the
+    value is zero unless both actions reach cut.
+    """
+    passing = (e0_n[:, None] >= cut) & (e >= cut)
+    safe = np.where(passing, np.minimum(e0_n[:, None], e), 1.0)
+    return np.where(passing, 2.0 - 2.0 * cut**2 / safe**2, 0.0)
+
+
+def _hill_rho_window(e, n0):
+    """Hill density window of state n0: 1 where e_n0 is the largest action."""
+    return np.all(e[..., n0, None] >= e, axis=-1).astype(np.float64)
+
+
+def _hill_obs_windows(e):
+    """Hill observable windows of every state m, prod_{j != m} max(e_m - e_j, 0)^B(F)."""
+    F = e.shape[-1]
+    diffs = e[..., :, None] - e[..., None, :]
+    clipped = np.where(diffs >= 0.0, diffs, 0.0)
+    idx = np.arange(F)
+    clipped[..., idx, idx] = 1.0
+    return np.prod(clipped ** hill_exponent(F), axis=-1)
+
+
+def _cornered_window(e_n, F, g):
+    """Cornered-simplex window [e_n >= 1] of one state's actions, normalized on the sphere at g.
+
+    The normalization is F (F gamma / (1 + F gamma))^(F-1).
+    """
+    return (1.0 / (F * (F * g / (1.0 + F * g)) ** (F - 1))) * (e_n >= 1.0)
+
+
+_WINDOWS = {
+    "triangle": _triangle_rho_window,
+    "hill_obs": lambda e, n0: _hill_obs_windows(e)[..., n0],
+    "hill_rho": _hill_rho_window,
+}
 
 
 def eval_window(kind, point, n):
@@ -705,36 +642,73 @@ def eval_window(kind, point, n):
 
     kinds: triangle (the density-side triangle window), hill_obs and
     hill_rho (the hill pair), cornered (the normalized cornered-simplex
-    window, using the point's sphere parameter).
+    window, using the point's sphere parameter).  The point's actions
+    are a batch of one for the estimators' window functions.
     """
     if point.r != 1:
         raise ValueError("windows are defined on single-frame points")
     F = point.F
     if not 1 <= n <= F:
         raise ValueError(f"state index {n} outside 1..{F}")
-    e = point.actions()[0]
-    n0 = n - 1
-    others = [i for i in range(F) if i != n0]
-    if kind == "triangle":
-        val = float(e[n0] >= 1.0)
-        for i in others:
-            val *= float(2.0 - e[n0] - e[i] >= 0.0)
-        return val
-    if kind == "hill_obs":
-        B = hill_exponent(F)
-        val = 1.0
-        for i in others:
-            d = e[n0] - e[i]
-            val *= d**B if d >= 0.0 else 0.0
-        return val
-    if kind == "hill_rho":
-        return float(all(e[n0] >= e[i] for i in others))
+    e = point.actions()
     if kind == "cornered":
         g = point.signature.gamma
         if g <= 0:
             raise ValueError("cornered window needs a gamma > 0 sphere")
-        return float(e[n0] >= 1.0) / _cornered_norm(F, g)
-    raise ValueError(f"unknown window kind {kind!r}")
+        return float(_cornered_window(e[:, n - 1], F, g)[0])
+    if kind not in _WINDOWS:
+        raise ValueError(f"unknown window kind {kind!r}")
+    return float(_WINDOWS[kind](e, n - 1)[0])
+
+
+# ---------------------------------------------------------------------------
+# family table and dispatch
+
+
+_PLANS = {
+    "cmm": _cmm_plan,
+    "wmm": _wmm_plan,
+    "cmmcv": _cmmcv_plan,
+    "cornered_simplex": _cx_plan,
+    "triangle_sqc": _triangle_sqc_plan,
+    "ehrenfest": _focused_plan,
+    "lambda_point": _focused_plan,
+    "dtwa": _discrete_plan,
+    "gdtwa": _discrete_plan,
+    "triangle_ww": _ww_plan,
+    "triangle_f2_single": _ww_plan,
+    "hill_ww": _ww_plan,
+}
+
+
+def estimate_tcf(req):
+    """Estimate a TCF: the family's plan, the block driver, then the reduction.
+
+    The cc/cx/xc families reduce to the block mean; a ww plan (one with a
+    measure) to the ratio of the observed state's numerator to the summed
+    denominator over the same trajectories.
+    """
+    make_plan = _PLANS.get(req.method.family)
+    if make_plan is None:
+        raise ValueError(f"unknown method family {req.method.family!r}")
+    H, F, t_grid, (n0, m0, k0, l0) = _prepare(req)
+    walk = grid_march(H, t_grid, req.backend, req.dt)
+    plan = make_plan(req, F, (n0, m0, k0, l0), walk)
+    out, sizes = _drive(req, walk, t_grid.size, plan)
+    if plan.measure is None:
+        total = np.sum(out[:, :, 0], axis=0)
+        se = _jackknife(out[:, :, 0], sizes[:, None], total, req.n_traj, sizes)
+        return TCFResult(t_grid, total / req.n_traj, np.ones(t_grid.size), se, req.n_traj)
+    sums = np.ascontiguousarray(out[:, :, :F])
+    num_total = np.sum(sums, axis=0)
+    den_total = np.sum(num_total, axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        estimates = (num_total[:, k0] / den_total).astype(np.complex128)
+    den_blocks = np.sum(sums, axis=2)
+    se = _jackknife(sums[:, :, k0], den_blocks, num_total[:, k0], den_total, sizes)
+    normalization = plan.measure * den_total / req.n_traj
+    min_num = float(np.nanmin(out[sizes > 0, :, F]))
+    return TCFResult(t_grid, estimates, normalization, se, req.n_traj, min_num)
 
 
 # ---------------------------------------------------------------------------
@@ -770,15 +744,9 @@ def intra_electron_check(weight, H, rho, A, n_traj, seed):
     tot = weight.abs_total()
     rng = _block_rng(seed, 0)
     gam, sgn = weight.sample_batch(rng, n_traj)
-    Z = sample_sphere_batch(F, gam, rng, n_traj)
-
-    def trace_against(M):
-        quad = 0.5 * np.einsum("na,ab,nb->n", np.conj(Z), M, Z)
-        return quad - gam * np.trace(M)
-
-    vals = np.real(
-        (F * tot * sgn) * trace_against(rho) * trace_against(A) * trace_against(H)
-    )
+    Z = sample_sphere_batch(F, gam, rng, n_traj)[:, None, :]
+    traces = [kernel_trace(Z, M, gam) for M in (rho, A, H)]
+    vals = np.real((F * tot * sgn) * traces[0] * traces[1] * traces[2])
     rhs = float(np.mean(vals))
     rhs_se = float(np.std(vals, ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else math.nan
     cubic = weight.moment(lambda g: (1.0 + F * g) ** 3)

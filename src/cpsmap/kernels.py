@@ -8,10 +8,15 @@ it in the exact-mapping identity
 
     F * E[ K_mn(X) Kinv_lk(X) ] = delta_mk delta_nl
 
-over the uniform sphere.  classify_kernel reads the component
-signature off an arbitrary Hermitian matrix, point_from_kernel
-reconstructs the phase point, and gdtwa_points builds the 2^(2(F-1))
-discrete kernel matrices used by the discrete-sampling estimators.
+over the uniform sphere.  kernel_entries is the one evaluator of
+sum_i w_i z_i z_i^dagger - shift over batches of frames and
+kernel_trace the one Tr[M K]; the estimators, the CLI mapping
+validation and the single-point eval_kernel, eval_inverse_kernel and
+dynamics.classical_energy (batches of one) all call them.
+classify_kernel reads the component signature off an arbitrary
+Hermitian matrix, point_from_kernel reconstructs the phase point, and
+gdtwa_points builds the 2^(2(F-1)) discrete kernel matrices used by the
+discrete-sampling estimators.
 
 States are numbered 1..F in public interfaces.
 """
@@ -77,11 +82,43 @@ class KernelSpec:
         )
 
 
-def _covariant_from_frames(z, signs, gamma):
-    K = np.zeros((z.shape[1], z.shape[1]), dtype=np.complex128)
-    for zi, s in zip(z, signs):
-        K += (0.5 * s) * np.outer(zi, zi.conj())
-    return K - gamma * np.eye(z.shape[1])
+def _frame_sum(terms):
+    """Sum per-frame terms (..., r) over the frame axis; r = 1 is a view."""
+    return terms[..., 0] if terms.shape[-1] == 1 else np.sum(terms, axis=-1)
+
+
+def kernel_entries(Z, row=None, col=None, gamma=0.0, weights=0.5, Gamma=None):
+    """Entries [sum_i w_i z_i z_i^dagger - S]_{row, col} at frames Z (..., r, F).
+
+    One entry per leading index of Z; leaving out row and col gives the
+    whole (F, F) matrix instead.  weights are the w_i, one scalar or one
+    per frame.  The shift S is gamma*I, with gamma a scalar or one value
+    per leading index, unless Gamma is given: Gamma is then the shift's
+    entries themselves (a scalar, one value per leading index, or the
+    (F, F) matrix).
+    """
+    Zs = np.swapaxes(Z, -1, -2)
+    full = row is None
+    if full:
+        a, b = Zs[..., :, None, :], Zs[..., None, :, :]
+    else:
+        a, b = Zs[..., row, :], Zs[..., col, :]
+    val = _frame_sum(weights * a * np.conj(b))
+    if Gamma is not None:
+        return val - Gamma
+    if full:
+        return val - np.multiply.outer(gamma, np.eye(Z.shape[-1]))
+    return val - gamma if row == col else val
+
+
+def kernel_trace(Z, M, gamma=0.0, weights=0.5):
+    """Tr[M K] for K = sum_i w_i z_i z_i^dagger - gamma*I at frames Z (..., r, F).
+
+    gamma is a scalar or one value per leading index of Z; one value
+    comes back per leading index.
+    """
+    quad = (np.conj(Z)[..., None, :] @ M @ Z[..., :, None])[..., 0, 0]
+    return _frame_sum(weights * quad) - gamma * np.trace(M)
 
 
 def eval_kernel(spec, point):
@@ -92,22 +129,18 @@ def eval_kernel(spec, point):
     """
     if point.F != spec.F:
         raise ValueError(f"point dimension {point.F} does not match spec F={spec.F}")
-    if spec.kind == "cps_covariant":
-        if point.r != 1:
-            raise ValueError(f"single-sphere kernel needs r=1, point has r={point.r}")
-        return _covariant_from_frames(point.z, (1,), spec.gamma)
     if spec.kind == "cps_inverse":
         return eval_inverse_kernel(spec.gamma, point)
-    if spec.kind == "cmmcv":
+    if spec.kind in ("cps_covariant", "cmmcv"):
         if point.r != 1:
-            raise ValueError(f"commutator kernel needs r=1, point has r={point.r}")
-        z = point.z[0]
-        return 0.5 * np.outer(z, z.conj()) - spec.Gamma
+            raise ValueError(f"single-sphere kernel needs r=1, point has r={point.r}")
+        return kernel_entries(point.z, gamma=spec.gamma, Gamma=spec.Gamma)
     if spec.kind in ("gdtwa", "stiefel_covariant"):
         sig = spec.signature
         if point.r != sig.r:
             raise ValueError(f"point has r={point.r}, spec expects r={sig.r}")
-        return _covariant_from_frames(point.z, sig.signs, sig.gamma)
+        weights = 0.5 * np.asarray(sig.signs, dtype=np.float64)
+        return kernel_entries(point.z, gamma=sig.gamma, weights=weights)
     raise ValueError(f"unknown kernel kind {spec.kind!r}")
 
 
@@ -130,16 +163,15 @@ def eval_inverse_kernel(gamma, point):
         raise ValueError(f"gamma={gamma} must exceed -1/F = {-1.0 / F}")
     if point.r != 1:
         raise ValueError(f"inverse kernel needs r=1, point has r={point.r}")
-    z = point.z[0]
     shell = 1.0 + F * gamma
-    violation = abs(0.5 * float(np.sum(np.abs(z) ** 2)) - shell)
+    violation = abs(0.5 * float(np.sum(np.abs(point.z) ** 2)) - shell)
     if violation > 1e-8:
         raise ValueError(
             f"point violates the sphere constraint at gamma={gamma}: "
             f"residual {violation:.3e}"
         )
     c1, c2 = inverse_kernel_coefficients(F, gamma)
-    return c1 * np.outer(z, z.conj()) - c2 * np.eye(F)
+    return kernel_entries(point.z, gamma=c2, weights=c1)
 
 
 def _group_eigenvalues(lam, degeneracy_tol):

@@ -73,7 +73,8 @@ def load_hamiltonian(path):
 
     Format: '#' starts a comment (rest of line ignored), the first data
     line holds F, and the next F data lines each hold 2F floats giving
-    the real and imaginary part of every entry of one row.
+    the real and imaginary part of every entry of one row.  The matrix
+    must pass require_hermitian, the contract of the core.
     """
     rows = []
     with open(path) as fh:
@@ -108,15 +109,7 @@ def load_hamiltonian(path):
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
         rows.append([complex(vals[2 * j], vals[2 * j + 1]) for j in range(F)])
-    H = np.array(rows, dtype=np.complex128)
-    asym = np.abs(H - H.conj().T)
-    if np.max(asym) > 1e-10:
-        i, j = np.unravel_index(np.argmax(asym), asym.shape)
-        raise ValueError(
-            f"{path}: matrix is not Hermitian, entries ({i}, {j}) and ({j}, {i}) "
-            f"differ by {asym[i, j]:.3g}"
-        )
-    return H
+    return require_hermitian(rows, name=str(path))
 
 
 def save_hamiltonian(path, H):

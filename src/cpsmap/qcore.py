@@ -47,8 +47,8 @@ def require_hermitian(H, tol=HERMITIAN_TOL, name="matrix"):
     ValueError
         If an entry is NaN or infinite.
     NonHermitianError
-        If the asymmetry exceeds ``tol``; the message reports the
-        measured maximum asymmetry.
+        If the asymmetry exceeds ``tol``; the message names the worst
+        entry pair (0-based) and the measured maximum asymmetry.
     """
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
@@ -57,10 +57,12 @@ def require_hermitian(H, tol=HERMITIAN_TOL, name="matrix"):
         raise ValueError("matrix dimension must be at least 1")
     if not np.all(np.isfinite(H)):
         raise ValueError(f"{name} has non-finite entries")
-    asym = float(np.max(np.abs(H - H.conj().T)))
-    if asym > tol:
+    asym = np.abs(H - H.conj().T)
+    i, j = np.unravel_index(np.argmax(asym), asym.shape)
+    if asym[i, j] > tol:
         raise NonHermitianError(
-            f"{name} is not Hermitian: max asymmetry {asym:.3e} exceeds {tol:.3e}"
+            f"{name} is not Hermitian: entries ({i}, {j}) and ({j}, {i}) differ, "
+            f"max asymmetry {asym[i, j]:.3e} exceeds {tol:.3e}"
         )
     return H
 

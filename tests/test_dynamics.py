@@ -94,6 +94,8 @@ def test_rk4_zero_steps_is_identity():
 def test_rk4_rejects_nonpositive_step():
     with pytest.raises(ValueError, match="positive"):
         propagate_rk4(pole_point(), RABI, 0.0, 10)
+    with pytest.raises(ValueError, match="positive"):
+        propagate_rk4(pole_point(), RABI, math.nan, 3)
 
 
 def test_multiframe_signs_cancel_in_motion():
@@ -144,6 +146,13 @@ def test_segment_grid_validation():
         propagate_segment(pt, RABI, [1.0, 0.5])
     with pytest.raises(ValueError, match="increasing"):
         propagate_segment(pt, RABI, [])
+    for backend in ("exact", "rk4"):
+        with pytest.raises(ValueError, match="times"):
+            propagate_segment(pt, RABI, [0.0, math.nan], backend=backend)
+    with pytest.raises(ValueError, match="dt"):
+        propagate_segment(pt, RABI, [0.0, 1.0], backend="rk4", dt=math.nan)
+    with pytest.raises(ValueError, match="t must be finite"):
+        propagate_exact(pt, RABI, math.nan)
 
 
 def test_segment_unknown_backend():

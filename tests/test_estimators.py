@@ -273,6 +273,12 @@ THREAD_CASES = {
     "cornered_simplex": (3, MethodSpec.cornered_simplex(0.5), dict(nmkl=(1, 1, 2, 2), n_traj=3000)),
     "triangle_sqc-offdiag": (3, MethodSpec.triangle_sqc(), dict(nmkl=(1, 2, 2, 1), n_traj=3000)),
     "gdtwa-rk4": (3, MethodSpec.gdtwa(), dict(nmkl=(1, 2, 2, 1), n_traj=2000, **SHORT_RK4)),
+    "cmm": (3, MethodSpec.cmm(gamma_wigner(3)), dict(nmkl=(1, 2, 2, 1), n_traj=3000)),
+    "ehrenfest": (3, MethodSpec.ehrenfest(), dict(nmkl=(1, 1, 2, 2), n_traj=3000)),
+    "lambda_point-offdiag": (3, MethodSpec.lambda_point(0.5), dict(nmkl=(1, 2, 2, 1), n_traj=3000)),
+    "dtwa": (2, MethodSpec.dtwa(), dict(nmkl=(1, 2, 2, 1), n_traj=3000)),
+    "triangle_ww": (3, MethodSpec.triangle_ww(), dict(nmkl=(1, 1, 2, 2), n_traj=3000)),
+    "triangle_f2_single": (2, MethodSpec.triangle_f2_single(0.3), dict(nmkl=(1, 1, 2, 2), n_traj=3000)),
 }
 
 

@@ -74,6 +74,17 @@ def test_file_rejects_non_hermitian(tmp_path):
     path.write_text("2\n0 0 1 0\n2 0 0 0\n")
     with pytest.raises(ValueError, match=r"\(0, 1\).*\(1, 0\)"):
         load_hamiltonian(path)
+    # an asymmetry the core rejects must not load either
+    path.write_text("2\n0 0 1 0\n1.00000000005 0 0 0\n")
+    with pytest.raises(ValueError, match="not Hermitian"):
+        load_hamiltonian(path)
+
+
+def test_file_rejects_non_finite_entry(tmp_path):
+    path = tmp_path / "h.txt"
+    path.write_text("2\n0 0 nan 0\nnan 0 0 0\n")
+    with pytest.raises(ValueError, match="h.txt.*non-finite"):
+        load_hamiltonian(path)
 
 
 def test_file_reports_malformed_line(tmp_path):
