@@ -7,112 +7,28 @@ spheres and complex Stiefel manifolds, with mapping-kernel method
 families ranging from covariant-kernel estimators to window and
 discrete-point schemes, and verifies them against a dense
 matrix-exponential reference.
+
+The top level carries the names of the README's library example;
+every other name is imported from its module (cpsmap.cps,
+cpsmap.kernels, cpsmap.dynamics, cpsmap.estimators, cpsmap.models,
+cpsmap.qcore).
 """
 
-from .cps import (
-    ActionAngle,
-    GammaWeight,
-    StiefelPoint,
-    StiefelSignature,
-    action_angle,
-    check_constraints,
-    cmm_signature,
-    gamma_wigner,
-    gdtwa_signature,
-    measure_norm,
-    sample_gamma,
-    sample_sphere,
-    sample_sphere_batch,
-    sample_stiefel,
-)
-from .dynamics import (
-    DriftReport,
-    TrajectorySegment,
-    classical_energy,
-    invariant_drift,
-    propagate_exact,
-    propagate_rk4,
-    propagate_segment,
-)
-from .estimators import (
-    IntraElectronReport,
-    MethodSpec,
-    TCFRequest,
-    TCFResult,
-    estimate_tcf,
-    eval_window,
-    hill_exponent,
-    intra_electron_check,
-)
-from .kernels import (
-    DiscretePointSet,
-    KernelSpec,
-    classify_kernel,
-    eval_inverse_kernel,
-    eval_kernel,
-    gdtwa_points,
-    point_from_kernel,
-)
-from .models import ModelSpec, build_hamiltonian, load_hamiltonian, save_hamiltonian
-from .qcore import (
-    SpectralDecomposition,
-    UnitaryPropagator,
-    exact_tcf,
-    hermitian_eig,
-    propagator,
-    propagator_from_decomposition,
-    require_hermitian,
-)
+from .cps import gamma_wigner
+from .estimators import MethodSpec, TCFRequest, TCFResult, estimate_tcf
+from .models import ModelSpec, build_hamiltonian
+from .qcore import exact_tcf
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActionAngle",
-    "DiscretePointSet",
-    "DriftReport",
-    "GammaWeight",
-    "IntraElectronReport",
-    "KernelSpec",
     "MethodSpec",
     "ModelSpec",
-    "SpectralDecomposition",
-    "StiefelPoint",
-    "StiefelSignature",
     "TCFRequest",
     "TCFResult",
-    "TrajectorySegment",
-    "UnitaryPropagator",
-    "action_angle",
     "build_hamiltonian",
-    "check_constraints",
-    "classical_energy",
-    "classify_kernel",
-    "cmm_signature",
     "estimate_tcf",
-    "eval_inverse_kernel",
-    "eval_kernel",
-    "eval_window",
     "exact_tcf",
     "gamma_wigner",
-    "gdtwa_points",
-    "gdtwa_signature",
-    "hermitian_eig",
-    "hill_exponent",
-    "intra_electron_check",
-    "invariant_drift",
-    "load_hamiltonian",
-    "measure_norm",
-    "point_from_kernel",
-    "propagate_exact",
-    "propagate_rk4",
-    "propagate_segment",
-    "propagator",
-    "propagator_from_decomposition",
-    "require_hermitian",
-    "sample_gamma",
-    "sample_sphere",
-    "sample_sphere_batch",
-    "sample_stiefel",
-    "save_hamiltonian",
     "__version__",
 ]

@@ -26,7 +26,7 @@ prefixes.  Recognized keys:
   tcf.t_max, tcf.n_times, tcf.n_traj, tcf.seed, tcf.backend, tcf.dt
   tcf.threads
   validate.exact_mapping, validate.drift, validate.moments   (true/false)
-  validate.n_traj   sample size for the statistical validations
+  validate.n_traj   sample size for the statistical validations (at least 2)
 
 Exit status: 0 on success, 2 when an enabled validation fails, 1 on
 usage or config errors.
@@ -82,6 +82,8 @@ class ExperimentConfig:
             raise ConfigError("tcf.n_times: must be at least 2")
         if self.t_max <= 0:
             raise ConfigError("tcf.t_max: must be positive")
+        if self.validate_n_traj < 2:
+            raise ConfigError("validate.n_traj: must be at least 2")
 
     def t_grid(self):
         return np.linspace(0.0, self.t_max, self.n_times)
@@ -387,45 +389,41 @@ def _fmt(x):
 # validation suites
 
 
-def _mapping_quadruples(F):
-    states = range(1, min(F, 4) + 1)
-    return [
-        ((n, m), (k, l)) for n in states for m in states for k in states for l in states
-    ]
+def _check_products(name, label, A, B, target):
+    """Pass when every sample mean of A[:, i] * B[:, j] is within 5 SE of target[i, j].
 
-
-def _check_means(name, label, checks, n_traj):
-    """Pass when every sample mean is within 5 SE of its target.
-
-    checks yields (samples, target) pairs; a zero-variance sample that
-    misses its target by more than 1e-12 fails at once.
+    A (n, p) and B (n, q) hold one sample per row.  All the means come
+    from one A.T @ B and all the SEs (np.std with ddof=1, over sqrt(n))
+    from one |A|^2.T @ |B|^2.  A product whose variance is below the
+    rounding level of those sums has zero variance; it fails at once
+    when it misses its target by more than 1e-12.
     """
-    worst = 0.0
-    for vals, target in checks:
-        mean = np.mean(vals)
-        se = np.std(vals, ddof=1) / math.sqrt(n_traj)
-        dev = abs(mean - target)
-        if se > 0:
-            worst = max(worst, dev / se)
-        elif dev > 1e-12:
-            return ValidationResult(name, False, f"zero-variance deviation {dev:.2e}")
+    n = A.shape[0]
+    mean = (A.T @ B) / n
+    second = (np.abs(A) ** 2).T @ (np.abs(B) ** 2) / n
+    var = (second - np.abs(mean) ** 2) * (n / (n - 1))
+    dev = np.abs(mean - target)
+    zero = ~(var > n * np.finfo(np.float64).eps * second)
+    if not np.all(dev[zero] <= 1e-12):
+        return ValidationResult(name, False, f"zero-variance deviation {np.max(dev[zero]):.2e}")
+    worst = float(np.max(dev[~zero] / np.sqrt(var[~zero] / n), initial=0.0))
     return ValidationResult(name, worst <= 5.0, f"{label}, worst |dev|/SE = {worst:.2f} (limit 5)")
 
 
-def _validate_exact_mapping(H, g, n_traj, seed):
-    """Monte Carlo check of int dmu K_mn Kinv_lk = delta_mk delta_nl on the sphere at g."""
-    F = H.shape[0]
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    # Only the first min(F, 4) states are checked; build just their block.
-    Z = sample_sphere_batch(F, g, rng, n_traj)[:, None, : min(F, 4)]
+def _validate_exact_mapping(Z, g):
+    """Monte Carlo check of F int dmu K_mn Kinv_lk = delta_mk delta_nl on the sphere at g.
+
+    Z is a sphere sample (n, F) at g; only its first min(F, 4) states are checked.
+    """
+    F = Z.shape[1]
+    s = min(F, 4)
     c1, c2 = inverse_kernel_coefficients(F, g)
-    Kv = kernel_entries(Z, gamma=g)
-    Kinv = kernel_entries(Z, gamma=c2, weights=c1)
-    checks = (
-        (F * Kv[:, m - 1, n - 1] * Kinv[:, l - 1, k - 1], float(m == k) * float(n == l))
-        for (n, m), (k, l) in _mapping_quadruples(F)
-    )
-    return _check_means("exact_mapping", f"gamma={g:.6g}", checks, n_traj)
+    # Columns m*s + n of Kv and l*s + k of Kinv.
+    Kv = kernel_entries(Z[:, None, :s], gamma=g).reshape(-1, s * s)
+    Kinv = kernel_entries(Z[:, None, :s], gamma=c2, weights=c1).reshape(-1, s * s)
+    eye = np.eye(s)
+    target = np.einsum("mk,nl->mnlk", eye, eye).reshape(s * s, s * s) / F
+    return _check_products("exact_mapping", f"gamma={g:.6g}", Kv, Kinv, target)
 
 
 def _validate_drift(H, backend, dt, seed):
@@ -448,34 +446,33 @@ def _validate_drift(H, backend, dt, seed):
     )
 
 
-def _validate_moments(F, gamma, n_traj, seed):
-    """Sphere second moments against 2(1+F*gamma)/F * delta."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    Z = sample_sphere_batch(F, gamma, rng, n_traj)
-    target = 2.0 * (1.0 + F * gamma) / F
-    checks = (
-        (Z[:, n] * np.conj(Z[:, m]), target if n == m else 0.0)
-        for n in range(F)
-        for m in range(F)
-    )
-    return _check_means("moments", f"gamma={gamma:.6g}", checks, n_traj)
+def _validate_moments(Z, gamma):
+    """Second moments z_n conj(z_m) of a sphere sample Z (n, F) against 2(1+F*gamma)/F * delta."""
+    F = Z.shape[1]
+    target = 2.0 * (1.0 + F * gamma) / F * np.eye(F)
+    return _check_products("moments", f"gamma={gamma:.6g}", Z, Z.conj(), target)
 
 
 def run_validations(cfg, H):
-    """Run the enabled validation suites for a config."""
+    """Run the enabled validation suites for a config.
+
+    The exact-mapping and moments checks share one sphere sample, drawn
+    from the exact-mapping stream (seed + 101).
+    """
     results = []
     F = H.shape[0]
     g = cfg.method.gamma
     if g is None or g <= -1.0 / F:
         g = gamma_wigner(F)
+    if cfg.validate_exact_mapping or cfg.validate_moments:
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed + 101)))
+        Z = sample_sphere_batch(F, g, rng, cfg.validate_n_traj)
     if cfg.validate_exact_mapping:
-        results.append(
-            _validate_exact_mapping(H, g, cfg.validate_n_traj, cfg.seed + 101)
-        )
+        results.append(_validate_exact_mapping(Z, g))
     if cfg.validate_drift:
         results.append(_validate_drift(H, cfg.backend, cfg.dt, cfg.seed + 202))
     if cfg.validate_moments:
-        results.append(_validate_moments(F, g, cfg.validate_n_traj, cfg.seed + 303))
+        results.append(_validate_moments(Z, g))
     return results
 
 

@@ -38,6 +38,16 @@ def _check_step(dt):
         raise ValueError(f"dt must be positive and finite, got {dt!r}")
 
 
+def _check_grid(times, name):
+    """times as a float array, which must be finite, nonempty, nonnegative, increasing."""
+    times = np.asarray(times, dtype=np.float64)
+    if not np.all(np.isfinite(times)):
+        raise ValueError(f"{name} must be finite")
+    if times.size < 1 or times[0] < 0 or np.any(np.diff(times) <= 0):
+        raise ValueError(f"{name} must be nonempty, nonnegative, strictly increasing")
+    return times
+
+
 def propagate_exact(point, H, t):
     """Apply the unitary exp(-i H t) to every frame of the point."""
     H = require_hermitian(H)
@@ -141,11 +151,7 @@ def propagate_segment(point, H, times, backend="exact", dt=1e-3):
     The exact backend evaluates exp(-i H t_k) from t = 0 for every grid
     time; the rk4 backend steps between grid times with step <= dt.
     """
-    times = np.asarray(times, dtype=np.float64)
-    if not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite")
-    if times.size < 1 or np.any(np.diff(times) <= 0):
-        raise ValueError("times must be a nonempty strictly increasing grid")
+    times = _check_grid(times, "times")
     _check_step(dt)
     H = require_hermitian(H)
     walk = grid_march(H, times, backend, dt)

@@ -57,7 +57,7 @@ from .kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries, 
 # The time-march in dynamics owns the propagators and the rk4 steps;
 # _rk4_arrays and propagator_from_decomposition are imported here only
 # because perfbench/spans.py wraps these names in this module.
-from .dynamics import _check_step, _rk4_arrays, grid_march  # noqa: F401
+from .dynamics import _check_grid, _check_step, _rk4_arrays, grid_march  # noqa: F401
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
 
 N_BLOCKS = 100
@@ -238,11 +238,7 @@ def _prepare(req):
             raise ValueError(f"{name} index {idx} outside 1..{F}")
     if req.n_traj < 1:
         raise ValueError("n_traj must be at least 1")
-    t_grid = np.asarray(req.t_grid, dtype=np.float64)
-    if not np.all(np.isfinite(t_grid)):
-        raise ValueError("t_grid must be finite")
-    if t_grid.size < 1 or t_grid[0] < 0 or np.any(np.diff(t_grid) <= 0):
-        raise ValueError("t_grid must be nonempty, nonnegative, strictly increasing")
+    t_grid = _check_grid(req.t_grid, "t_grid")
     if req.backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {req.backend!r}")
     _check_step(req.dt)

@@ -6,12 +6,16 @@ import pytest
 from cpsmap.cli import (
     ConfigError,
     ExperimentConfig,
+    _check_products,
+    _validate_exact_mapping,
+    _validate_moments,
     convergence_study,
     load_config,
     main,
     parse_config_text,
     run_experiment,
 )
+from cpsmap.cps import gamma_wigner, sample_sphere_batch
 from cpsmap.estimators import MethodSpec
 from cpsmap.models import ModelSpec, build_hamiltonian, save_hamiltonian
 
@@ -126,6 +130,11 @@ def test_experiment_config_validation():
         ExperimentConfig(ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], n_times=1)
     with pytest.raises(ConfigError, match="t_max"):
         ExperimentConfig(ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], t_max=0.0)
+    for n in (0, 1):
+        with pytest.raises(ConfigError, match="validate.n_traj"):
+            ExperimentConfig(
+                ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], validate_n_traj=n
+            )
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -245,6 +254,51 @@ def test_main_validation_failure_exit_code(tmp_path, capsys):
     code = main(["validate", str(path)])
     assert code == 2
     assert "validation drift: FAIL" in capsys.readouterr().out
+
+
+def sphere_sample(F, gamma, n=20000, seed=5):
+    return sample_sphere_batch(F, gamma, np.random.default_rng(seed), n)
+
+
+def test_exact_mapping_validation_fails_on_the_wrong_sphere():
+    Z = sphere_sample(3, 0.0)
+    assert _validate_exact_mapping(Z, 0.0).passed
+    bad = _validate_exact_mapping(Z, 1.0)
+    assert not bad.passed
+    assert "worst |dev|/SE" in bad.detail
+
+
+def test_moments_validation_fails_at_the_wrong_gamma():
+    Z = sphere_sample(3, gamma_wigner(3))
+    assert _validate_moments(Z, gamma_wigner(3)).passed
+    bad = _validate_moments(Z, 0.0)
+    assert not bad.passed
+    assert "worst |dev|/SE" in bad.detail
+
+
+def test_check_products_matches_per_product_mean_and_std():
+    # reference: one np.mean and np.std(ddof=1) per column pair
+    rng = np.random.default_rng(11)
+    A = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
+    B = rng.normal(size=(500, 2)) + 0.5
+    target = np.full((3, 2), 0.1)
+    worst = max(
+        abs(np.mean(A[:, i] * B[:, j]) - 0.1) / (np.std(A[:, i] * B[:, j], ddof=1) / np.sqrt(500))
+        for i in range(3)
+        for j in range(2)
+    )
+    got = _check_products("x", "label", A, B, target)
+    assert got.detail == f"label, worst |dev|/SE = {worst:.2f} (limit 5)"
+    assert got.passed == (worst <= 5.0)
+
+
+def test_zero_variance_product_that_misses_fails():
+    # at F = 1 every |z|^2 is 2(1 + gamma): the one moment has zero variance
+    Z = sphere_sample(1, 0.5)
+    assert _validate_moments(Z, 0.5).passed
+    bad = _validate_moments(Z, 0.4)
+    assert not bad.passed
+    assert "zero-variance deviation" in bad.detail
 
 
 def test_main_converge_bad_sizes(tmp_path, capsys):

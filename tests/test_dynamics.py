@@ -149,6 +149,8 @@ def test_segment_grid_validation():
     for backend in ("exact", "rk4"):
         with pytest.raises(ValueError, match="times"):
             propagate_segment(pt, RABI, [0.0, math.nan], backend=backend)
+        with pytest.raises(ValueError, match="nonnegative"):
+            propagate_segment(pt, RABI, [-1.0, 0.5], backend=backend)
     with pytest.raises(ValueError, match="dt"):
         propagate_segment(pt, RABI, [0.0, 1.0], backend="rk4", dt=math.nan)
     with pytest.raises(ValueError, match="t must be finite"):
