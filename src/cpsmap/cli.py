@@ -4,8 +4,9 @@ Drives the estimator families end to end from a small key-value config:
 build a Hamiltonian, estimate the requested correlation functions on a
 time grid, compare against the dense exact reference, and emit plottable
 CSV plus a run manifest.  Also hosts the validation suites (exact
-mapping condition, trajectory invariant drift, sphere-moment oracles)
-and the Monte Carlo convergence study.
+mapping condition, the worst invariant drift over the sphere read off
+the propagation maps, sphere-moment oracles) and the Monte Carlo
+convergence study.
 
 Config format: one `key = value` per line, '#' comments, dotted section
 prefixes.  Recognized keys:
@@ -43,8 +44,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cps import gamma_wigner, sample_sphere, sample_sphere_batch
-from .dynamics import invariant_drift, propagate_segment
+from .cps import gamma_wigner, sample_sphere_batch
+from .dynamics import grid_march
 from .estimators import MethodSpec, TCFRequest, estimate_tcf
 from .kernels import inverse_kernel_coefficients, kernel_entries
 from .models import ModelSpec, build_hamiltonian
@@ -80,8 +81,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.n_times < 2:
             raise ConfigError("tcf.n_times: must be at least 2")
-        if self.t_max <= 0:
-            raise ConfigError("tcf.t_max: must be positive")
+        if not (math.isfinite(self.t_max) and self.t_max > 0):
+            raise ConfigError(f"tcf.t_max: must be positive and finite, got {self.t_max!r}")
+        if self.threads < 1:
+            raise ConfigError(f"tcf.threads: must be at least 1, got {self.threads!r}")
         if self.validate_n_traj < 2:
             raise ConfigError("validate.n_traj: must be at least 2")
 
@@ -374,7 +377,7 @@ def _version_string():
         )
         if desc.returncode == 0 and desc.stdout.strip():
             return f"{__version__}+g{desc.stdout.strip()}"
-    except OSError:
+    except (OSError, subprocess.SubprocessError):
         pass
     return __version__
 
@@ -426,18 +429,21 @@ def _validate_exact_mapping(Z, g):
     return _check_products("exact_mapping", f"gamma={g:.6g}", Kv, Kinv, target)
 
 
-def _validate_drift(H, backend, dt, seed):
-    """Constraint and energy drift of propagated trajectories to t=10."""
-    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
-    g = gamma_wigner(H.shape[0])
+def _validate_drift(H, backend, dt):
+    """Worst constraint and energy drift over the Wigner sphere, to t=10.
+
+    Every trajectory is U z(0) with |z|^2 = 2s, s = 1 + F gamma, so over
+    the whole sphere the worst norm residual (1/2)| |U z|^2 - |z|^2 | is
+    s max|eig(U^dagger U - I)| and the worst energy drift is
+    s max|eig(U^dagger H U - H)|, read off the maps of 10 grid times.
+    """
+    F = H.shape[0]
+    s = 1.0 + F * gamma_wigner(F)
     tol = 1e-10 if backend == "exact" else 1e-6
-    times = np.linspace(0.0, 10.0, 11)[1:]
-    worst = 0.0
-    for _ in range(16):
-        point = sample_sphere(H.shape[0], g, rng)
-        seg = propagate_segment(point, H, times, backend=backend, dt=dt)
-        rep = invariant_drift(seg)
-        worst = max(worst, rep.max_drift)
+    U = grid_march(H, np.linspace(0.0, 10.0, 11)[1:], backend, dt)
+    Ud = np.conj(np.swapaxes(U, -1, -2))
+    dev = np.concatenate([Ud @ U - np.eye(F), Ud @ H @ U - H])
+    worst = s * float(np.max(np.abs(np.linalg.eigvalsh(dev))))
     ok = worst <= tol
     return ValidationResult(
         "drift",
@@ -470,7 +476,7 @@ def run_validations(cfg, H):
     if cfg.validate_exact_mapping:
         results.append(_validate_exact_mapping(Z, g))
     if cfg.validate_drift:
-        results.append(_validate_drift(H, cfg.backend, cfg.dt, cfg.seed + 202))
+        results.append(_validate_drift(H, cfg.backend, cfg.dt))
     if cfg.validate_moments:
         results.append(_validate_moments(Z, g))
     return results

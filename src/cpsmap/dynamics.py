@@ -9,10 +9,12 @@ and the equations of motion carry the sign factors explicitly:
     dx_n^(k)/dt = s_k dH_C/dp_n^(k),   dp_n^(k)/dt = -s_k dH_C/dx_n^(k).
 
 Because H_C itself contains one factor of s_k per frame, the signs
-square away and every frame obeys dz/dt = -i H z; the exact backend
-exploits that by applying exp(-i H t) directly, while the rk4 backend
-integrates the sign-factor equations as written so their equivalence
-is measured rather than assumed.
+square away and every frame obeys dz/dt = -i H z, the time-dependent
+Schroedinger equation.  The march is therefore linear: grid_march builds
+the map z(t_k) = U_k z(0) of each grid time once, on either backend, and
+every march applies the maps as Z @ U.T.  propagate_rk4 integrates a
+point's own frames with their signs, so the sign equivalence is measured
+rather than assumed.
 """
 
 import math
@@ -55,7 +57,7 @@ def propagate_exact(point, H, t):
         raise ValueError(f"H dimension {H.shape[0]} does not match point F={point.F}")
     if not math.isfinite(t):
         raise ValueError(f"t must be finite, got {t!r}")
-    (z,) = grid_march(H, [t])(point.z, point.signature.signs)
+    z = np.matmul(point.z, grid_march(H, [t])[0].T)
     return StiefelPoint(z.real, z.imag, point.signature)
 
 
@@ -101,38 +103,32 @@ def propagate_rk4(point, H, dt, steps):
 
 
 def grid_march(H, times, backend="exact", dt=1e-3):
-    """Return walk(Z, signs), which yields the frames Z (..., r, F) at each grid time.
+    """The maps U, shape (n_times, F, F), with z(t_k) = U_k z(0) for every frame.
 
-    The exact backend builds exp(-i H t) for every grid time once, here,
-    and applies it to the starting frames; the rk4 backend integrates the
-    sign-factor equations (frame signs s) between grid times with
-    ceil(span/dt) equal steps of at most dt.  Either way the march is a
-    complex-linear map of the starting frames.
+    The exact backend builds exp(-i H t_k) from t = 0 for each grid time;
+    the rk4 backend integrates the F basis frames (x = I, p = 0) between
+    grid times with ceil(span/dt) equal steps of at most dt, and U_k is
+    (x + i p).T.  The sign-factor equations give the same map for either
+    frame sign, since s * (s * h) is exact, so the basis frames carry +1.
     """
     if backend == "exact":
         dec = hermitian_eig(H)
-        props = [propagator_from_decomposition(dec, t).matrix for t in times]
-
-        def walk(Z, signs):
-            for U in props:
-                yield np.matmul(Z, U.T)
-
-    elif backend == "rk4":
-
-        def walk(Z, signs):
-            x, p = Z.real, Z.imag
-            prev = 0.0
-            for t in times:
-                span = t - prev
-                if span > 0:
-                    steps = max(1, int(np.ceil(span / dt)))
-                    x, p = _rk4_arrays(x, p, signs, H, span / steps, steps)
-                yield x + 1j * p
-                prev = t
-
-    else:
+        return np.array([propagator_from_decomposition(dec, t).matrix for t in times])
+    if backend != "rk4":
         raise ValueError(f"unknown backend {backend!r}")
-    return walk
+    _check_step(dt)
+    F = H.shape[0]
+    x, p = np.eye(F), np.zeros((F, F))
+    maps = []
+    prev = 0.0
+    for t in times:
+        span = t - prev
+        if span > 0:
+            steps = max(1, int(np.ceil(span / dt)))
+            x, p = _rk4_arrays(x, p, np.ones(F), H, span / steps, steps)
+        maps.append((x + 1j * p).T)
+        prev = t
+    return np.array(maps)
 
 
 @dataclass
@@ -148,15 +144,14 @@ class TrajectorySegment:
 def propagate_segment(point, H, times, backend="exact", dt=1e-3):
     """Propagate a point over a time grid with the chosen backend.
 
-    The exact backend evaluates exp(-i H t_k) from t = 0 for every grid
-    time; the rk4 backend steps between grid times with step <= dt.
+    The frames at grid time t_k are Z @ U_k.T, with the maps U of
+    grid_march; the rk4 backend builds them with steps <= dt.
     """
     times = _check_grid(times, "times")
     _check_step(dt)
     H = require_hermitian(H)
-    walk = grid_march(H, times, backend, dt)
-    sig = point.signature
-    points = [StiefelPoint(z.real, z.imag, sig) for z in walk(point.z, sig.signs)]
+    zs = [np.matmul(point.z, U.T) for U in grid_march(H, times, backend, dt)]
+    points = [StiefelPoint(z.real, z.imag, point.signature) for z in zs]
     return TrajectorySegment(times, points, backend, H)
 
 

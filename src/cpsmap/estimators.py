@@ -27,10 +27,10 @@ rounding and keeps every per-trajectory contribution nonnegative.
 Every family is a small plan (_Plan) run by one block driver (_drive):
 the plan's sampler draws a block of frames (nb, r, F) on one component
 of the phase space (a sphere, or the gdtwa two-frame Stiefel component)
-together with the density-side weights; the time-march of
-dynamics.grid_march carries the frames over the grid, by exact
-propagators or rk4; and the plan's evaluator turns the marched frames
-into the block's sums of the observable kernel or window at each time.
+together with the density-side weights; the maps U of dynamics.grid_march,
+built once per request by either backend, carry the frames to each grid
+time as Z @ U.T; and the plan's evaluator turns the marched frames into
+the block's sums of the observable kernel or window at each time.
 Plans are looked up by family in one table (_PLANS).  Every kernel
 entry, on the density or the observable side, comes from
 kernels.kernel_entries; every window is one batched function of the
@@ -54,9 +54,10 @@ import numpy as np
 from .cps import GammaWeight, gdtwa_signature, sample_sphere_batch
 from .kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries, kernel_trace
 
-# The time-march in dynamics owns the propagators and the rk4 steps;
-# _rk4_arrays and propagator_from_decomposition are imported here only
-# because perfbench/spans.py wraps these names in this module.
+# The maps of dynamics.grid_march own the propagators and the rk4 steps;
+# hermitian_eig, propagator_from_decomposition and _rk4_arrays are
+# imported here only because perfbench/spans.py wraps these names in
+# this module.
 from .dynamics import _check_grid, _check_step, _rk4_arrays, grid_march  # noqa: F401
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
 
@@ -162,8 +163,8 @@ class TCFRequest:
 
     rho_indices = (n, m) selects rho = |n><m|, obs_indices = (k, l)
     selects A = |k><l|, both 1-based.  backend is "exact" (matrix
-    exponential between grid times) or "rk4" (sign-factor equations of
-    motion with step <= dt).
+    exponential at each grid time) or "rk4" (the basis frames integrated
+    with step <= dt); see dynamics.grid_march.
     """
 
     hamiltonian: np.ndarray
@@ -238,6 +239,8 @@ def _prepare(req):
             raise ValueError(f"{name} index {idx} outside 1..{F}")
     if req.n_traj < 1:
         raise ValueError("n_traj must be at least 1")
+    if req.n_threads < 1:
+        raise ValueError(f"n_threads must be at least 1, got {req.n_threads!r}")
     t_grid = _check_grid(req.t_grid, "t_grid")
     if req.backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {req.backend!r}")
@@ -265,6 +268,8 @@ def _prepare(req):
                 raise ValueError("cmmcv component needs Tr Gamma > -1 for a real sphere radius")
     if fam == "dtwa" and F != 2:
         raise ValueError("dtwa is the F=2 method; use gdtwa for F >= 3")
+    if fam == "hill_ww" and F < 2:
+        raise ValueError("hill_ww needs F >= 2: the hill exponent B(F) is singular at F = 1")
     if fam == "triangle_f2_single" and F != 2:
         raise ValueError("triangle_f2_single is defined for F = 2 only")
     if fam == "cornered_simplex" and k != l:
@@ -286,33 +291,31 @@ class _Plan(NamedTuple):
 
     sample(rng, nb) draws a block's frames (nb, r, F) with the
     per-trajectory data its evaluator needs; evaluate(Zt, aux, ti)
-    returns the block's sums at grid time ti, shape (width,); signs are
-    the frame signs of the sign-factor equations (rk4 only).  measure is
-    None for the block-mean families and the phase space measure factor
-    of a ww plan.
+    returns the block's sums at grid time ti, shape (width,).  measure
+    is None for the block-mean families and the phase space measure
+    factor of a ww plan.
     """
 
     sample: Callable
     evaluate: Callable
-    signs: tuple = (1.0,)
     width: int = 1
     dtype: type = np.complex128
     measure: float = None
 
 
-def _drive(req, walk, n_times, plan):
-    """Sample, march and evaluate every block; returns the block sums and sizes.
+def _drive(req, U, plan):
+    """Sample, march by the maps U, evaluate every block; returns the block sums and sizes.
 
     Block b draws from its own Philox stream and writes only sums[b], so
     the result does not depend on the thread count.
     """
     sizes = _block_sizes(req.n_traj)
-    sums = np.zeros((N_BLOCKS, n_times, plan.width), dtype=plan.dtype)
+    sums = np.zeros((N_BLOCKS, len(U), plan.width), dtype=plan.dtype)
 
     def work(b):
         Z0, aux = plan.sample(_block_rng(req.seed, b), int(sizes[b]))
-        for ti, Zt in enumerate(walk(Z0, plan.signs)):
-            sums[b, ti] = plan.evaluate(Zt, aux, ti)
+        for ti, Ut in enumerate(U):
+            sums[b, ti] = plan.evaluate(np.matmul(Z0, Ut.T), aux, ti)
 
     blocks = [b for b in range(N_BLOCKS) if sizes[b] > 0]
     if req.n_threads > 1:
@@ -352,7 +355,7 @@ def _covariant_observable(l0, k0):
 # cc families
 
 
-def _cmm_plan(req, F, idx, walk):
+def _cmm_plan(req, F, idx, U):
     n0, m0, k0, l0 = idx
     g = req.method.gamma
     c1, c2 = inverse_kernel_coefficients(F, g)
@@ -363,7 +366,7 @@ def _cmm_plan(req, F, idx, walk):
     return _Plan(_sphere_density(F, g, n0, m0), evaluate)
 
 
-def _wmm_plan(req, F, idx, walk):
+def _wmm_plan(req, F, idx, U):
     n0, m0, k0, l0 = idx
     weight = req.method.weight
     tot = weight.abs_total()
@@ -377,16 +380,15 @@ def _wmm_plan(req, F, idx, walk):
     return _Plan(sample, _covariant_observable(l0, k0))
 
 
-def _cmmcv_plan(req, F, idx, walk):
+def _cmmcv_plan(req, F, idx, U):
     """cmmcv: self-dual Gamma-comb kernels, K = (1/2) z z^dagger - Gamma_c.
 
     Each trajectory carries one frame z on the sphere of its component c
     (squared radius 2(1 + Tr Gamma_c)), drawn with probability
-    |w_c| / sum|w|.  Both backends march z by a complex-linear map R, and
-    R K R^dagger = (1/2)(R z)(R z)^dagger - R Gamma_c R^dagger.  The last
-    term is shared by every trajectory of component c, so it is marched
-    once per request, as the eigenframes of Gamma_c weighted by its
-    eigenvalues.
+    |w_c| / sum|w|.  Both backends march z by the maps U_t, and
+    U K U^dagger = (1/2)(U z)(U z)^dagger - U Gamma_c U^dagger.  The last
+    term is shared by every trajectory of component c, so its (l, k)
+    entry is read off the maps once per request.
     """
     n0, m0, k0, l0 = idx
     comps = req.method.components
@@ -397,12 +399,7 @@ def _cmmcv_plan(req, F, idx, walk):
     comp_signs[comp_signs == 0] = 1.0
     gstack = np.stack([G for _, G in comps])
     shells = np.array([np.real(np.trace(G)) for G in gstack]) / F
-    marched = []
-    for G in gstack:
-        dec = hermitian_eig(G)
-        walked = walk(dec.eigenvectors.T, np.ones(F))
-        marched.append([kernel_entries(Vt, l0, k0, weights=dec.eigenvalues) for Vt in walked])
-    gamma_lk = np.array(marched).T  # (n_times, n_components)
+    gamma_lk = np.einsum("ta,cab,tb->tc", U[:, l0], gstack, U[:, k0].conj())
 
     def sample(rng, nb):
         ci = rng.choice(len(comps), size=nb, p=probs)
@@ -421,7 +418,7 @@ def _cmmcv_plan(req, F, idx, walk):
 # cx family
 
 
-def _cx_plan(req, F, idx, walk):
+def _cx_plan(req, F, idx, U):
     n0, m0, k0, l0 = idx
     g = req.method.gamma
 
@@ -455,7 +452,7 @@ def _triangle_population_sampler(rng, nb, F, focus):
     return np.sqrt(2.0 * e) * np.exp(1j * theta)
 
 
-def _triangle_sqc_plan(req, F, idx, walk):
+def _triangle_sqc_plan(req, F, idx, U):
     n0, m0, k0, l0 = idx
     third = req.method.obs_gamma == "third"
 
@@ -476,7 +473,7 @@ def _triangle_sqc_plan(req, F, idx, walk):
     return _Plan(sample, _covariant_observable(l0, k0))
 
 
-def _focused_plan(req, F, idx, walk):
+def _focused_plan(req, F, idx, U):
     """ehrenfest (gamma = 0) and lambda_point: the focused density kernel."""
     n0, m0, k0, l0 = idx
     g = 0.0 if req.method.family == "ehrenfest" else req.method.gamma
@@ -497,7 +494,7 @@ def _focused_plan(req, F, idx, walk):
     return _Plan(sample, _covariant_observable(l0, k0))
 
 
-def _discrete_plan(req, F, idx, walk):
+def _discrete_plan(req, F, idx, U):
     """dtwa and gdtwa: uniform draws from the discrete point sets."""
     n0, m0, k0, l0 = idx
     sig = gdtwa_signature(F)
@@ -527,14 +524,14 @@ def _discrete_plan(req, F, idx, walk):
     def evaluate(Zt, W, ti):
         return np.sum(W * kernel_entries(Zt, l0, k0, sig.gamma, 0.5 * signs))
 
-    return _Plan(sample, evaluate, signs)
+    return _Plan(sample, evaluate)
 
 
 # ---------------------------------------------------------------------------
 # ww families
 
 
-def _ww_plan(req, F, idx, walk):
+def _ww_plan(req, F, idx, U):
     """Window-window plan: per-trajectory numerators Qbar_{nn,mm} for every state m.
 
     The family supplies a frame sampler, an optional density window of
@@ -688,9 +685,9 @@ def estimate_tcf(req):
     if make_plan is None:
         raise ValueError(f"unknown method family {req.method.family!r}")
     H, F, t_grid, (n0, m0, k0, l0) = _prepare(req)
-    walk = grid_march(H, t_grid, req.backend, req.dt)
-    plan = make_plan(req, F, (n0, m0, k0, l0), walk)
-    out, sizes = _drive(req, walk, t_grid.size, plan)
+    U = grid_march(H, t_grid, req.backend, req.dt)
+    plan = make_plan(req, F, (n0, m0, k0, l0), U)
+    out, sizes = _drive(req, U, plan)
     if plan.measure is None:
         total = np.sum(out[:, :, 0], axis=0)
         se = _jackknife(out[:, :, 0], sizes[:, None], total, req.n_traj, sizes)

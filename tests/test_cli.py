@@ -1,21 +1,28 @@
 """Config parsing and the experiment runner end to end."""
 
+import math
+import subprocess
+
 import numpy as np
 import pytest
 
+from cpsmap import __version__
 from cpsmap.cli import (
     ConfigError,
     ExperimentConfig,
     _check_products,
+    _validate_drift,
     _validate_exact_mapping,
     _validate_moments,
+    _version_string,
     convergence_study,
     load_config,
     main,
     parse_config_text,
     run_experiment,
 )
-from cpsmap.cps import gamma_wigner, sample_sphere_batch
+from cpsmap.cps import gamma_wigner, sample_sphere, sample_sphere_batch
+from cpsmap.dynamics import invariant_drift, propagate_segment
 from cpsmap.estimators import MethodSpec
 from cpsmap.models import ModelSpec, build_hamiltonian, save_hamiltonian
 
@@ -135,6 +142,33 @@ def test_experiment_config_validation():
             ExperimentConfig(
                 ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], validate_n_traj=n
             )
+    for t_max in (math.nan, math.inf):
+        with pytest.raises(ConfigError, match="tcf.t_max"):
+            ExperimentConfig(
+                ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], t_max=t_max
+            )
+    for threads in (0, -4):
+        with pytest.raises(ConfigError, match="tcf.threads"):
+            ExperimentConfig(
+                ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], threads=threads
+            )
+
+
+def test_main_rejects_bad_threads_and_run_length(tmp_path, capsys):
+    path = write_config(tmp_path)
+    assert main(["run", str(path), "--threads", "-4", "--out", str(tmp_path / "o")]) == 1
+    assert "tcf.threads" in capsys.readouterr().err
+    path = write_config(tmp_path, BASE + "tcf.t_max = nan\n")
+    assert main(["validate", str(path)]) == 1
+    assert "tcf.t_max" in capsys.readouterr().err
+
+
+def test_version_falls_back_when_git_describe_times_out(monkeypatch):
+    def hang(*args, **kwargs):
+        raise subprocess.TimeoutExpired(args[0], kwargs.get("timeout"))
+
+    monkeypatch.setattr(subprocess, "run", hang)
+    assert _version_string() == __version__
 
 
 def test_run_experiment_outputs(tmp_path):
@@ -254,6 +288,28 @@ def test_main_validation_failure_exit_code(tmp_path, capsys):
     code = main(["validate", str(path)])
     assert code == 2
     assert "validation drift: FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("backend, dt", [("exact", 1e-3), ("rk4", 0.05)])
+def test_drift_validation_bounds_sampled_trajectories(backend, dt):
+    # the map-based drift is the worst case over the whole Wigner sphere
+    H = build_hamiltonian(ModelSpec.random(3, seed=4))
+    detail = _validate_drift(H, backend, dt).detail
+    reported = float(detail.split("drift ")[1].split(" ")[0])
+    F = H.shape[0]
+    g = gamma_wigner(F)
+    rng = np.random.default_rng(12)
+    times = np.linspace(0.0, 10.0, 11)[1:]
+    segments = [
+        propagate_segment(sample_sphere(F, g, rng), H, times, backend, dt) for _ in range(16)
+    ]
+    sampled = max(invariant_drift(seg).max_drift for seg in segments)
+    # reported carries 4 significant digits; a sampled drift also carries the
+    # rounding of its own norm and energy sums, a few ulp of s and s |H|
+    s = 1.0 + F * g
+    rounding = 8.0 * np.finfo(np.float64).eps * s * (1.0 + np.linalg.norm(H, 2))
+    assert sampled <= reported * (1.0 + 5e-4) + rounding, (sampled, reported)
+    assert reported <= (1e-10 if backend == "exact" else 1e-3)
 
 
 def sphere_sample(F, gamma, n=20000, seed=5):

@@ -14,7 +14,9 @@ from cpsmap.cps import (
     sample_stiefel,
 )
 from cpsmap.dynamics import (
+    _rk4_arrays,
     classical_energy,
+    grid_march,
     invariant_drift,
     propagate_exact,
     propagate_rk4,
@@ -110,6 +112,37 @@ def test_multiframe_signs_cancel_in_motion():
     assert np.max(np.abs(out.x - ref.x)) < 1e-10
     assert np.max(np.abs(out.p - ref.p)) < 1e-10
     assert check_constraints(out, tol=1e-9).passed
+
+
+# complex off-diagonals, so that U and U.T differ
+H3 = np.array([[0.5, 0.2 - 0.3j, 0.1j], [0.2 + 0.3j, -0.1, 0.4], [-0.1j, 0.4, 0.3]])
+
+
+def test_rk4_maps_match_direct_integration():
+    # Z @ U.T from the rk4 maps equals rk4 run on the frames themselves,
+    # for one-frame points and the signed two-frame gdtwa component
+    times = np.array([0.0, 0.35, 1.0, 1.7])
+    dt = 1e-2
+    maps = grid_march(H3, times, "rk4", dt)
+    rng = np.random.default_rng(9)
+    one = np.stack([sample_sphere(3, 0.4, rng).z for _ in range(5)])
+    sig = gdtwa_signature(3)
+    two = np.stack([sample_stiefel(sig, rng).z for _ in range(3)])
+    for Z, signs in ((one, (1.0,)), (two, sig.signs)):
+        x, p, prev = Z.real, Z.imag, 0.0
+        for t, U in zip(times, maps):
+            if t > prev:
+                steps = max(1, int(np.ceil((t - prev) / dt)))
+                x, p = _rk4_arrays(x, p, signs, H3, (t - prev) / steps, steps)
+            prev = t
+            assert np.max(np.abs(np.matmul(Z, U.T) - (x + 1j * p))) <= 1e-13
+
+
+def test_exact_maps_are_unitary():
+    maps = grid_march(H3, np.linspace(0.0, 10.0, 11))
+    assert maps.shape == (11, 3, 3)
+    gram = np.conj(np.swapaxes(maps, -1, -2)) @ maps
+    assert np.max(np.abs(gram - np.eye(3))) <= 1e-12
 
 
 def test_segment_exact_drift():

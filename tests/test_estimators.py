@@ -126,6 +126,11 @@ def test_dtwa_needs_two_levels():
         estimate_tcf(request(random_h(3), MethodSpec.dtwa()))
 
 
+def test_hill_ww_needs_two_levels():
+    with pytest.raises(ValueError, match="hill_ww needs F >= 2"):
+        estimate_tcf(request(np.array([[0.5]]), MethodSpec.hill_ww()))
+
+
 def test_f2_transform_needs_two_levels():
     with pytest.raises(ValueError, match="F = 2"):
         estimate_tcf(request(random_h(3), MethodSpec.triangle_f2_single()))
@@ -165,8 +170,13 @@ def test_cmm_gamma_domain():
         ("t_grid", lambda: request(RABI, MethodSpec.cmm(0.0), t_grid=[0.0, np.inf])),
         ("dt", lambda: request(RABI, MethodSpec.cmm(0.0), backend="rk4", dt=np.nan)),
         ("gamma", lambda: request(RABI, MethodSpec.cmm(np.nan))),
+        ("n_threads", lambda: request(RABI, MethodSpec.cmm(0.0), n_threads=0)),
+        ("n_threads", lambda: request(RABI, MethodSpec.cmm(0.0), n_threads=-4)),
     ],
-    ids=["hamiltonian-nan", "t_grid-nan", "t_grid-inf", "dt-nan", "gamma-nan"],
+    ids=[
+        "hamiltonian-nan", "t_grid-nan", "t_grid-inf", "dt-nan", "gamma-nan",
+        "n_threads-zero", "n_threads-negative",
+    ],
 )
 def test_non_finite_input_is_rejected_by_field(field, make):
     with pytest.raises(ValueError, match=field):
