@@ -506,10 +506,16 @@ def _exact_series(H, pair, t_grid):
 
 
 def _result_rows(cfg, H):
-    """Estimate every configured pair; yield CSV rows and the worst err/SE."""
+    """Estimate every configured pair: the CSV rows, the worst err/SE, the zero-variance count.
+
+    A point whose SE is at most 1e-12 max(1, |estimate|) is zero-variance:
+    its SE is rounding noise, so its error_over_se is NaN and it is left
+    out of the worst err/SE.
+    """
     t_grid = cfg.t_grid()
     rows = []
     worst = 0.0
+    zero_variance = 0
     for pair in cfg.pairs:
         (n, m), (k, l) = pair
         res = estimate_tcf(_request(cfg, H, pair, cfg.n_traj))
@@ -518,8 +524,10 @@ def _result_rows(cfg, H):
             est = res.estimates[ti]
             se = float(res.standard_errors[ti])
             err = abs(est - ref[ti])
-            ratio = err / se if se > 0 else math.nan
-            if se > 0:
+            floor = 1e-12 * max(1.0, abs(est))
+            zero_variance += se <= floor
+            ratio = err / se if se > floor else math.nan
+            if se > floor:
                 worst = max(worst, ratio)
             rows.append(
                 (
@@ -530,7 +538,7 @@ def _result_rows(cfg, H):
                     float(err), ratio,
                 )
             )
-    return rows, worst
+    return rows, worst, zero_variance
 
 
 _CSV_COLUMNS = (
@@ -583,14 +591,16 @@ def run_experiment(cfg):
     """Estimate all configured pairs, write results.csv and manifest.txt."""
     start = time.perf_counter()
     H = build_hamiltonian(cfg.model)
-    rows, worst = _result_rows(cfg, H)
+    rows, worst, zero_variance = _result_rows(cfg, H)
     validations = run_validations(cfg, H)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     results_path = cfg.out_dir / "results.csv"
     manifest_path = cfg.out_dir / "manifest.txt"
     _write_results(results_path, cfg, rows)
     wall = time.perf_counter() - start
-    _write_manifest(manifest_path, cfg, wall, validations)
+    _write_manifest(
+        manifest_path, cfg, wall, validations, [f"zero_variance_points: {zero_variance}"]
+    )
     return RunSummary(results_path, manifest_path, len(rows), worst, validations)
 
 

@@ -11,10 +11,11 @@ and the equations of motion carry the sign factors explicitly:
 Because H_C itself contains one factor of s_k per frame, the signs
 square away and every frame obeys dz/dt = -i H z, the time-dependent
 Schroedinger equation.  The march is therefore linear: grid_march builds
-the map z(t_k) = U_k z(0) of each grid time once, on either backend, and
-every march applies the maps as Z @ U.T.  propagate_rk4 integrates a
-point's own frames with their signs, so the sign equivalence is measured
-rather than assumed.
+the map z(t_k) = U_k z(0) of each grid time once, on either backend.  A
+point's frames march as Z @ U.T; the estimators carry a block's kernel as
+U M U^dagger, or march the frames a window reads with one gemm.
+propagate_rk4 integrates a point's own frames with their signs, so the
+sign equivalence is measured rather than assumed.
 """
 
 import math

@@ -27,15 +27,17 @@ rounding and keeps every per-trajectory contribution nonnegative.
 Every family is a small plan (_Plan) run by one block driver (_drive):
 the plan's sampler draws a block of frames (nb, r, F) on one component
 of the phase space (a sphere, or the gdtwa two-frame Stiefel component)
-together with the density-side weights; the maps U of dynamics.grid_march,
-built once per request by either backend, carry the frames to each grid
-time as Z @ U.T; and the plan's evaluator turns the marched frames into
-the block's sums of the observable kernel or window at each time.
-Plans are looked up by family in one table (_PLANS).  Every kernel
-entry, on the density or the observable side, comes from
-kernels.kernel_entries; every window is one batched function of the
-actions (..., F) in this module, and the single-point eval_window is a
-batch of one of the same functions.
+together with the density-side weights, and the maps U of
+dynamics.grid_march, built once per request by either backend, carry
+the block to every grid time at once: a covariant observable kernel (cc
+and xc), described by its frame weights and shift, as one F x F moment
+matrix per block carried as U M U^dagger; a window (cx and ww) by one
+gemm of the frames with the map rows it reads (per bounded chunk of
+grid times).  Plans are looked up by family in one table (_PLANS).
+Every density-side kernel entry comes from kernels.kernel_entries;
+every window is one batched function of the actions (..., F) in this
+module, and the single-point eval_window is a batch of one of the same
+functions.
 
 Trajectories are generated in 100 fixed blocks.  Block b draws from
 Generator(Philox(SeedSequence(seed, spawn_key=(b,)))), blocks double as
@@ -62,6 +64,8 @@ from .dynamics import _check_grid, _check_step, _rk4_arrays, grid_march  # noqa:
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
 
 N_BLOCKS = 100
+# Marched frame entries a window block holds at once (8 MB of complex).
+MARCH_ENTRIES = 1 << 19
 
 def hill_exponent(F):
     """Exponent B(F) of the hill window, 3/(7(F-1)) + 60/(7(F+13))."""
@@ -287,35 +291,98 @@ def _prepare(req):
 
 
 class _Plan(NamedTuple):
-    """One family's sampler and evaluator.
+    """One family's sampler and the data of its observable.
 
-    sample(rng, nb) draws a block's frames (nb, r, F) with the
-    per-trajectory data its evaluator needs; evaluate(Zt, aux, ti)
-    returns the block's sums at grid time ti, shape (width,).  measure
-    is None for the block-mean families and the phase space measure
-    factor of a ww plan.
+    sample(rng, nb) draws a block's frames Z0 (nb, r, F) and its density
+    side; rows are the map rows the observable reads.  A kernel plan
+    (window None) has the observable kernel sum_f w_f z_f z_f^dagger -
+    shift with (l, k) = rows and w_f = weights; its sample returns
+    (Z0, W, S) with density weights W (nb,) and shift coordinates S
+    (broadcastable to (nb, C)): trajectory i's shift at time t has
+    (l, k) entry sum_c S_ic shift_lk[t, c], and shift_lk defaults to the
+    one column delta_lk of a gamma*I shift.  A window plan's sample
+    returns (Z0, aux) with r = 1, and window(E, aux) turns the actions
+    E (nb, n_times, len(rows)) into the block's sums (n_times, width).
+    measure is None for the block-mean families and the phase space
+    measure factor of a ww plan.
     """
 
     sample: Callable
-    evaluate: Callable
+    rows: object
+    weights: object = 0.5
+    shift_lk: np.ndarray = None
+    window: Callable = None
     width: int = 1
     dtype: type = np.complex128
     measure: float = None
 
 
-def _drive(req, U, plan):
-    """Sample, march by the maps U, evaluate every block; returns the block sums and sizes.
+def _kernel_block(U, plan):
+    """Block sums of a covariant observable kernel at every grid time.
 
-    Block b draws from its own Philox stream and writes only sums[b], so
-    the result does not depend on the thread count.
+    Every frame obeys z(t) = U_t z(0), so the kernel is carried as
+    K(X_t) = U_t K(X_0) U_t^dagger, shift aside.  The block sum
+    sum_i W_i K_lk(X_i(t)) is therefore [U_t M U_t^dagger]_lk minus the
+    weighted shifts, with one F x F moment matrix
+    M = sum_i W_i sum_f w_f z_if z_if^dagger per block.
+    """
+    l0, k0 = plan.rows
+    F = U.shape[-1]
+    Ul, Ukc = U[:, l0], U[:, k0].conj()
+    shift_lk = plan.shift_lk
+    if shift_lk is None:
+        shift_lk = np.full((len(U), 1), float(l0 == k0))
+
+    def block(rng, nb):
+        Z0, W, S = plan.sample(rng, nb)
+        v = np.broadcast_to(W[:, None] * plan.weights, Z0.shape[:2]).reshape(-1)
+        A = Z0.reshape(-1, F)
+        M = A.T @ (v[:, None] * A.conj())
+        shifts = shift_lk @ np.sum(W[:, None] * S, axis=0)
+        return (np.einsum("ta,ab,tb->t", Ul, M, Ukc) - shifts)[:, None]
+
+    return block
+
+
+def _window_block(U, plan):
+    """Block sums of a window observable: the frames marched by one gemm per chunk of grid times.
+
+    A chunk holds at most MARCH_ENTRIES marched entries, so a block's
+    memory does not grow with the number of grid times; the usual grid
+    is one chunk.
+    """
+    n_times, F = len(U), U.shape[-1]
+    UT = np.ascontiguousarray(U[:, plan.rows, :].transpose(2, 0, 1).reshape(F, -1))
+    R = UT.shape[1] // n_times
+
+    def block(rng, nb):
+        Z0, aux = plan.sample(rng, nb)
+        Z0 = Z0.reshape(nb, F)
+        step = max(1, MARCH_ENTRIES // (nb * R))
+        parts = []
+        for lo in range(0, n_times, step):
+            Zt = (Z0 @ UT[:, lo * R:(lo + step) * R]).reshape(nb, -1, R)
+            parts.append(plan.window(0.5 * np.abs(Zt) ** 2, aux))
+        return np.concatenate(parts)
+
+    return block
+
+
+def _drive(req, U, plan):
+    """Sample and evaluate every block at every grid time; returns the block sums and sizes.
+
+    The maps U of grid_march carry each block to all grid times at once:
+    a kernel plan through its moment matrix, a window plan through a
+    gemm of its frames with the rows it reads.  Block b draws from its
+    own Philox stream and writes only sums[b], so the result does not
+    depend on the thread count.
     """
     sizes = _block_sizes(req.n_traj)
     sums = np.zeros((N_BLOCKS, len(U), plan.width), dtype=plan.dtype)
+    block = _kernel_block(U, plan) if plan.window is None else _window_block(U, plan)
 
     def work(b):
-        Z0, aux = plan.sample(_block_rng(req.seed, b), int(sizes[b]))
-        for ti, Ut in enumerate(U):
-            sums[b, ti] = plan.evaluate(np.matmul(Z0, Ut.T), aux, ti)
+        sums[b] = block(_block_rng(req.seed, b), int(sizes[b]))
 
     blocks = [b for b in range(N_BLOCKS) if sizes[b] > 0]
     if req.n_threads > 1:
@@ -328,7 +395,7 @@ def _drive(req, U, plan):
 
 
 # ---------------------------------------------------------------------------
-# covariant observable and the single-sphere density side
+# the single-sphere density side
 
 
 def _sphere_density(F, g, n0, m0):
@@ -341,16 +408,6 @@ def _sphere_density(F, g, n0, m0):
     return sample
 
 
-def _covariant_observable(l0, k0):
-    """Evaluator sum_n W_n K_lk(z_n) for aux = (W, gamma), gamma per trajectory or shared."""
-
-    def evaluate(Zt, aux, ti):
-        W, gamma = aux
-        return np.sum(W * kernel_entries(Zt, l0, k0, gamma))
-
-    return evaluate
-
-
 # ---------------------------------------------------------------------------
 # cc families
 
@@ -359,11 +416,8 @@ def _cmm_plan(req, F, idx, U):
     n0, m0, k0, l0 = idx
     g = req.method.gamma
     c1, c2 = inverse_kernel_coefficients(F, g)
-
-    def evaluate(Zt, W, ti):
-        return np.sum(W * kernel_entries(Zt, l0, k0, c2, c1))
-
-    return _Plan(_sphere_density(F, g, n0, m0), evaluate)
+    density = _sphere_density(F, g, n0, m0)
+    return _Plan(lambda rng, nb: (*density(rng, nb), c2), (l0, k0), weights=c1)
 
 
 def _wmm_plan(req, F, idx, U):
@@ -375,9 +429,9 @@ def _wmm_plan(req, F, idx, U):
         gam, sgn = weight.sample_batch(rng, nb)
         Z = sample_sphere_batch(F, gam, rng, nb)[:, None, :]
         W = kernel_entries(Z, m0, n0, gam) * (F * tot * sgn)
-        return Z, (W, gam)
+        return Z, W, gam[:, None]
 
-    return _Plan(sample, _covariant_observable(l0, k0))
+    return _Plan(sample, (l0, k0))
 
 
 def _cmmcv_plan(req, F, idx, U):
@@ -388,7 +442,8 @@ def _cmmcv_plan(req, F, idx, U):
     |w_c| / sum|w|.  Both backends march z by the maps U_t, and
     U K U^dagger = (1/2)(U z)(U z)^dagger - U Gamma_c U^dagger.  The last
     term is shared by every trajectory of component c, so its (l, k)
-    entry is read off the maps once per request.
+    entry is read off the maps once per request, and a trajectory's
+    shift coordinates pick its component.
     """
     n0, m0, k0, l0 = idx
     comps = req.method.components
@@ -400,18 +455,15 @@ def _cmmcv_plan(req, F, idx, U):
     gstack = np.stack([G for _, G in comps])
     shells = np.array([np.real(np.trace(G)) for G in gstack]) / F
     gamma_lk = np.einsum("ta,cab,tb->tc", U[:, l0], gstack, U[:, k0].conj())
+    pick = np.eye(len(comps))
 
     def sample(rng, nb):
         ci = rng.choice(len(comps), size=nb, p=probs)
         Z = sample_sphere_batch(F, shells[ci], rng, nb)[:, None, :]
         K_mn = kernel_entries(Z, m0, n0, Gamma=gstack[ci, m0, n0])
-        return Z, ((F * tot * comp_signs[ci]) * K_mn, ci)
+        return Z, (F * tot * comp_signs[ci]) * K_mn, pick[ci]
 
-    def evaluate(Zt, aux, ti):
-        W, ci = aux
-        return np.sum(W * kernel_entries(Zt, l0, k0, Gamma=gamma_lk[ti][ci]))
-
-    return _Plan(sample, evaluate)
+    return _Plan(sample, (l0, k0), shift_lk=gamma_lk)
 
 
 # ---------------------------------------------------------------------------
@@ -422,11 +474,10 @@ def _cx_plan(req, F, idx, U):
     n0, m0, k0, l0 = idx
     g = req.method.gamma
 
-    def evaluate(Zt, W, ti):
-        e = 0.5 * np.abs(Zt[:, 0, k0]) ** 2
-        return np.sum(W * _cornered_window(e, F, g))
+    def window(E, W):
+        return (W @ _cornered_window(E[:, :, 0], F, g))[:, None]
 
-    return _Plan(_sphere_density(F, g, n0, m0), evaluate)
+    return _Plan(_sphere_density(F, g, n0, m0), [k0], window=window)
 
 
 # ---------------------------------------------------------------------------
@@ -465,12 +516,12 @@ def _triangle_sqc_plan(req, F, idx, U):
             z = _triangle_population_sampler(rng, nb, F, np.where(pick, n0, m0))
             W = kernel_entries(z[:, None, :], m0, n0, weights=1.2)
         if third:
-            gobs = np.full(nb, 1.0 / 3.0)
+            gobs = 1.0 / 3.0
         else:
-            gobs = (np.sum(0.5 * np.abs(z) ** 2, axis=1) - 1.0) / F
-        return z[:, None, :], (W, gobs)
+            gobs = ((np.sum(0.5 * np.abs(z) ** 2, axis=1) - 1.0) / F)[:, None]
+        return z[:, None, :], W, gobs
 
-    return _Plan(sample, _covariant_observable(l0, k0))
+    return _Plan(sample, (l0, k0))
 
 
 def _focused_plan(req, F, idx, U):
@@ -487,26 +538,24 @@ def _focused_plan(req, F, idx, U):
             e[:, [n0, m0]] = (1.0 + 2.0 * g) / 2.0
         Z = (np.sqrt(2.0 * e) * np.exp(1j * theta))[:, None, :]
         if n0 == m0:
-            return Z, (np.ones(nb, dtype=np.complex128), g)
+            return Z, np.ones(nb, dtype=np.complex128), g
         W = kernel_entries(Z, m0, n0, weights=2.0) / (1.0 + 2.0 * g) ** 2
-        return Z, (W, g)
+        return Z, W, g
 
-    return _Plan(sample, _covariant_observable(l0, k0))
+    return _Plan(sample, (l0, k0))
 
 
 def _discrete_plan(req, F, idx, U):
     """dtwa and gdtwa: uniform draws from the discrete point sets."""
     n0, m0, k0, l0 = idx
     sig = gdtwa_signature(F)
-    signs = np.asarray(sig.signs, dtype=np.float64)
     set_n = gdtwa_points(F, n0 + 1)
     frames_n = set_n.frames
     if n0 == m0:
 
         def sample(rng, nb):
             pts = rng.integers(frames_n.shape[0], size=nb)
-            W = np.ones(nb, dtype=np.complex128)
-            return frames_n[pts], W
+            return frames_n[pts], np.ones(nb, dtype=np.complex128), sig.gamma
 
     else:
         set_m = gdtwa_points(F, m0 + 1)
@@ -518,13 +567,10 @@ def _discrete_plan(req, F, idx, U):
             pick = rng.random(nb) < 0.5
             pts = rng.integers(frames_n.shape[0], size=nb)
             Z = np.where(pick[:, None, None], frames_n[pts], frames_m[pts])
-            W = 2.0 * np.where(pick, kv_n[pts], kv_m[pts])
-            return Z, W
+            return Z, 2.0 * np.where(pick, kv_n[pts], kv_m[pts]), sig.gamma
 
-    def evaluate(Zt, W, ti):
-        return np.sum(W * kernel_entries(Zt, l0, k0, sig.gamma, 0.5 * signs))
-
-    return _Plan(sample, evaluate)
+    signs = np.asarray(sig.signs, dtype=np.float64)
+    return _Plan(sample, (l0, k0), weights=0.5 * signs)
 
 
 # ---------------------------------------------------------------------------
@@ -536,39 +582,47 @@ def _ww_plan(req, F, idx, U):
 
     The family supplies a frame sampler, an optional density window of
     the starting actions e0 and the observable windows of the actions e
-    at each time, (nb, F).  The block sums hold the per-state numerator
-    sums plus the smallest single numerator; estimate_tcf forms the ratio
-    to the summed denominator.
+    at every time, (nb, n_times, F).  The block sums hold the per-state
+    numerator sums plus the smallest single numerator at each time;
+    estimate_tcf forms the ratio to the summed denominator.  The
+    triangle_f2_single windows depend on the actions only through
+    e / (1 + 2 gamma) against the cut 1/2, so that plan draws the
+    gamma = 0 sphere and never reads gamma.
     """
     n0 = idx[0]
     fam = req.method.family
-    g = req.method.gamma
     rho = None
     if fam == "triangle_ww":
         draw = lambda rng, nb: _triangle_population_sampler(rng, nb, F, n0)[:, None, :]
         obs = lambda e, aux: _triangle_obs_windows(e)
         measure = 1.0
     else:
+        g = 0.0 if fam == "triangle_f2_single" else req.method.gamma
         draw = lambda rng, nb: sample_sphere_batch(F, g, rng, nb)[:, None, :]
         measure = float(F)
         if fam == "triangle_f2_single":
             rho = lambda e0: e0[:, n0]
-            obs = lambda e, e0_n: _f2_single_windows(e0_n, e, (1.0 + 2.0 * g) / 2.0)
+            obs = lambda e, e0_n: _f2_single_windows(e0_n, e, 0.5)
         else:
             rho = lambda e0: _hill_rho_window(e0, n0)
-            obs = lambda e, rho_w: rho_w[:, None] * _hill_obs_windows(e)
+            obs = lambda e, rho_w: rho_w * _hill_obs_windows(e)
 
     def sample(rng, nb):
         Z = draw(rng, nb)
         if rho is None:
             return Z, None
-        return Z, rho(0.5 * np.abs(Z[:, 0, :]) ** 2)
+        return Z, rho(0.5 * np.abs(Z[:, 0, :]) ** 2)[:, None, None]
 
-    def evaluate(Zt, aux, ti):
-        vals = obs(0.5 * np.abs(Zt[:, 0, :]) ** 2, aux)
-        return np.append(np.sum(vals, axis=0), vals.min())
+    def window(E, aux):
+        vals = obs(E, aux)
+        # The smallest numerator in two reductions: numpy is about 20x
+        # slower reducing axes (0, 2) of (nb, n_times, F) in one call.
+        low = np.min(vals, axis=0).min(axis=1, keepdims=True)
+        return np.concatenate([np.sum(vals, axis=0), low], axis=1)
 
-    return _Plan(sample, evaluate, width=F + 1, dtype=np.float64, measure=measure)
+    return _Plan(
+        sample, slice(None), window=window, width=F + 1, dtype=np.float64, measure=measure
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -592,11 +646,11 @@ def _triangle_obs_windows(e):
 def _f2_single_windows(e0_n, e, cut):
     """triangle_f2_single numerators of every state m: 2 - 2 cut^2 / min(e0_n, e_m)^2.
 
-    e0_n is the starting action of the initial state, one per row; the
-    value is zero unless both actions reach cut.
+    e0_n is the starting action of the initial state, broadcastable
+    against e; the value is zero unless both actions reach cut.
     """
-    passing = (e0_n[:, None] >= cut) & (e >= cut)
-    safe = np.where(passing, np.minimum(e0_n[:, None], e), 1.0)
+    passing = (e0_n >= cut) & (e >= cut)
+    safe = np.where(passing, np.minimum(e0_n, e), 1.0)
     return np.where(passing, 2.0 - 2.0 * cut**2 / safe**2, 0.0)
 
 
@@ -606,13 +660,19 @@ def _hill_rho_window(e, n0):
 
 
 def _hill_obs_windows(e):
-    """Hill observable windows of every state m, prod_{j != m} max(e_m - e_j, 0)^B(F)."""
-    F = e.shape[-1]
-    diffs = e[..., :, None] - e[..., None, :]
-    clipped = np.where(diffs >= 0.0, diffs, 0.0)
-    idx = np.arange(F)
-    clipped[..., idx, idx] = 1.0
-    return np.prod(clipped ** hill_exponent(F), axis=-1)
+    """Hill observable windows of every state m, prod_{j != m} max(e_m - e_j, 0)^B(F).
+
+    Only the state with the largest action can be nonzero, so the
+    product is formed once, at m = argmax e; a tie at the maximum gives
+    it a zero factor.
+    """
+    top = np.argmax(e, axis=-1)[..., None]
+    diffs = np.take_along_axis(e, top, axis=-1) - e
+    np.put_along_axis(diffs, top, 1.0, axis=-1)
+    out = np.zeros_like(e)
+    value = np.prod(diffs, axis=-1, keepdims=True) ** hill_exponent(e.shape[-1])
+    np.put_along_axis(out, top, value, axis=-1)
+    return out
 
 
 def _cornered_window(e_n, F, g):

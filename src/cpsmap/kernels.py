@@ -10,9 +10,11 @@ it in the exact-mapping identity
 
 over the uniform sphere.  kernel_entries is the one evaluator of
 sum_i w_i z_i z_i^dagger - shift over batches of frames and
-kernel_trace the one Tr[M K]; the estimators, the CLI mapping
-validation and the single-point eval_kernel, eval_inverse_kernel and
-dynamics.classical_energy (batches of one) all call them.
+kernel_trace the one Tr[M K]; the estimators' density side, the CLI
+mapping validation and the single-point eval_kernel,
+eval_inverse_kernel and dynamics.classical_energy (batches of one) all
+call them.  The estimators sum the observable kernel over a block as
+one moment matrix instead.
 classify_kernel reads the component signature off an arbitrary
 Hermitian matrix, point_from_kernel reconstructs the phase point, and
 gdtwa_points builds the 2^(2(F-1)) discrete kernel matrices used by the

@@ -392,3 +392,34 @@ def test_main_rk4_gdtwa_three_level(tmp_path):
     path = write_config(tmp_path, text)
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
     assert code == 0
+
+
+def test_run_flags_zero_variance_points(tmp_path):
+    # every ehrenfest population trajectory carries the same value, so the
+    # SE is rounding noise: err/SE is NaN and left out of the worst ratio
+    text = (
+        "model.kind = random\n"
+        "model.F = 3\n"
+        "model.seed = 4\n"
+        "method.family = ehrenfest\n"
+        "tcf.pairs = 1,1,2,2\n"
+        "tcf.t_max = 2\n"
+        "tcf.n_times = 5\n"
+        "tcf.n_traj = 4000\n"
+        "tcf.backend = rk4\n"
+        "tcf.dt = 0.01\n"
+        "validate.n_traj = 20000\n"
+    )
+    path = write_config(tmp_path, text)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
+    data = [
+        ln.split(",")
+        for ln in (tmp_path / "out" / "results.csv").read_text().splitlines()
+        if ln and not ln.startswith(("#", "n,"))
+    ]
+    assert len(data) == 5
+    assert all(row[-1] == "nan" for row in data)
+    assert all(float(row[7]) <= 1e-12 for row in data)
+    assert "zero_variance_points: 5" in (tmp_path / "out" / "manifest.txt").read_text()
+    summary = run_experiment(load_config(path, overrides={"out": tmp_path / "again"}))
+    assert summary.max_error_over_se == 0.0

@@ -7,15 +7,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpsmap import estimators
 from cpsmap.cps import GammaWeight, StiefelPoint, cmm_signature, gamma_wigner
+from cpsmap.dynamics import grid_march
 from cpsmap.estimators import (
+    _PLANS,
+    N_BLOCKS,
     MethodSpec,
     TCFRequest,
+    _block_rng,
+    _block_sizes,
+    _hill_obs_windows,
+    _prepare,
     estimate_tcf,
     eval_window,
     hill_exponent,
     intra_electron_check,
 )
+from cpsmap.kernels import kernel_entries
 from cpsmap.models import ModelSpec, build_hamiltonian
 from cpsmap.qcore import exact_tcf
 
@@ -304,6 +313,106 @@ def test_thread_count_does_not_change_results(case):
     assert np.array_equal(a.min_numerator, b.min_numerator, equal_nan=True)
 
 
+def per_trajectory_estimates(req):
+    """Oracle of the block driver: every block marched by Z0 @ U_t.T, one grid time at a time.
+
+    Kernel plans sum W_i (kernel_entries of the marched frames minus the
+    trajectory's shift) per time; window plans evaluate their window on
+    the actions of one time.  The reduction repeats estimate_tcf's.
+    """
+    H, F, t_grid, idx = _prepare(req)
+    U = grid_march(H, t_grid, req.backend, req.dt)
+    plan = _PLANS[req.method.family](req, F, idx, U)
+    l0, k0 = idx[3], idx[2]
+    shift_lk = plan.shift_lk
+    if shift_lk is None:
+        shift_lk = np.full((len(U), 1), float(l0 == k0))
+    sizes = _block_sizes(req.n_traj)
+    sums = np.zeros((N_BLOCKS, len(U), plan.width), dtype=plan.dtype)
+    for b in range(N_BLOCKS):
+        nb = int(sizes[b])
+        if nb == 0:
+            continue
+        drawn = plan.sample(_block_rng(req.seed, b), nb)
+        Z0 = drawn[0]
+        for ti, Ut in enumerate(U):
+            Zt = np.matmul(Z0, Ut.T)
+            if plan.window is None:
+                W, S = drawn[1], np.broadcast_to(drawn[2], (nb, shift_lk.shape[1]))
+                K = kernel_entries(Zt, l0, k0, weights=plan.weights) - S @ shift_lk[ti]
+                sums[b, ti] = np.sum(W * K)
+            else:
+                e = 0.5 * np.abs(Zt[:, 0, :]) ** 2
+                sums[b, ti] = plan.window(e[:, None, plan.rows], drawn[1])[0]
+    if plan.measure is None:
+        return np.sum(sums[:, :, 0], axis=0) / req.n_traj
+    num = np.sum(sums[:, :, :F], axis=0)
+    return num[:, idx[2]] / np.sum(num, axis=1)
+
+
+def signed_comb(F, g2=0.2):
+    """A two-node comb with a negative node at gamma = 0 that solves the exact mapping condition."""
+    w2 = 1.0 / (F * g2 * g2 + 2.0 * g2)
+    return GammaWeight.delta_comb([(0.0, 1.0 - w2), (g2, w2)])
+
+
+ORACLE_METHODS = {
+    "cmm": lambda F: MethodSpec.cmm(gamma_wigner(F)),
+    "wmm": lambda F: MethodSpec.wmm(signed_comb(F)),
+    "cmmcv": lambda F: MethodSpec.cmmcv(
+        [(0.7, np.diag(np.linspace(0.3, 0.1, F))), (0.3, gamma_wigner(F) * np.eye(F))]
+    ),
+    "cornered_simplex": lambda F: MethodSpec.cornered_simplex(0.5),
+    "triangle_sqc": lambda F: MethodSpec.triangle_sqc(),
+    "ehrenfest": lambda F: MethodSpec.ehrenfest(),
+    "lambda_point": lambda F: MethodSpec.lambda_point(0.5),
+    "dtwa": lambda F: MethodSpec.dtwa(),
+    "gdtwa": lambda F: MethodSpec.gdtwa(),
+    "triangle_ww": lambda F: MethodSpec.triangle_ww(),
+    "triangle_f2_single": lambda F: MethodSpec.triangle_f2_single(0.3),
+    "hill_ww": lambda F: MethodSpec.hill_ww(0.2),
+}
+ORACLE_PAIRS = {
+    "cornered_simplex": ((1, 1, 2, 2), (1, 2, 2, 2)),
+    "triangle_ww": ((1, 1, 2, 2), (2, 2, 2, 2)),
+    "triangle_f2_single": ((1, 1, 2, 2), (2, 2, 2, 2)),
+    "hill_ww": ((1, 1, 2, 2), (2, 2, 2, 2)),
+}
+# dtwa and triangle_f2_single are F = 2 methods.
+ORACLE_CASES = [
+    (family, F, backend)
+    for family in ORACLE_METHODS
+    for F in (2, 3)
+    for backend in ("exact", "rk4")
+    if F == 2 or family not in ("dtwa", "triangle_f2_single")
+]
+
+
+@pytest.mark.parametrize("family, F, backend", ORACLE_CASES)
+def test_driver_matches_per_trajectory_march(family, F, backend):
+    H = random_h(F, seed=17)
+    for nmkl in ORACLE_PAIRS.get(family, ((1, 1, 2, 2), (1, 2, 2, 1))):
+        req = request(
+            H, ORACLE_METHODS[family](F), nmkl=nmkl, n_traj=1500, seed=9,
+            t_grid=np.linspace(0.0, 1.0, 4), backend=backend, dt=1e-2,
+        )
+        got = estimate_tcf(req).estimates
+        want = per_trajectory_estimates(req)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, (nmkl, got, want)
+
+
+@pytest.mark.parametrize("family", ["cornered_simplex", "triangle_ww", "triangle_f2_single", "hill_ww"])
+def test_window_march_in_time_chunks_changes_nothing(family, monkeypatch):
+    req = request(random_h(2, seed=17), ORACLE_METHODS[family](2), nmkl=(1, 1, 2, 2), n_traj=3000)
+    whole = estimate_tcf(req)
+    monkeypatch.setattr(estimators, "MARCH_ENTRIES", 1)  # one grid time per gemm
+    chunked = estimate_tcf(req)
+    # a narrower gemm may round differently, so equal to float64 rounding
+    for field in ("estimates", "standard_errors", "normalization"):
+        assert np.allclose(getattr(whole, field), getattr(chunked, field), rtol=0, atol=1e-14)
+
+
 def test_single_trajectory_has_nan_se():
     res = estimate_tcf(request(RABI, MethodSpec.cmm(0.0), n_traj=1, t_grid=[0.0]))
     assert np.isnan(res.standard_errors).all()
@@ -465,6 +574,33 @@ def test_hill_obs_uses_fractional_exponent():
     e = [0.7, 0.2, 0.1]
     val = eval_window("hill_obs", point_with_actions(e), 1)
     assert val == pytest.approx((0.5**0.75) * (0.6**0.75))
+
+
+def hill_obs_product_form(e):
+    """Oracle: prod_{j != m} max(e_m - e_j, 0)^B(F) for every state m, factor by factor."""
+    F = e.shape[-1]
+    diffs = e[..., :, None] - e[..., None, :]
+    clipped = np.where(diffs >= 0.0, diffs, 0.0)
+    idx = np.arange(F)
+    clipped[..., idx, idx] = 1.0
+    return np.prod(clipped ** hill_exponent(F), axis=-1)
+
+
+@pytest.mark.parametrize("F", [2, 3, 5])
+def test_hill_obs_windows_match_product_form(F):
+    rng = np.random.default_rng(F)
+    e = rng.random((400, F)) * 2.0
+    tied = rng.random((50, F))
+    tied[:, 1] = tied[:, 0] = np.max(tied, axis=1) + 0.1  # two states share the largest action
+    e = np.concatenate([e, tied, np.full((1, F), 0.4)])
+    got = _hill_obs_windows(e)
+    want = hill_obs_product_form(e)
+    assert np.max(np.abs(got - want)) <= 1e-14
+    assert np.all(got[400:] == 0.0)
+    for row in (0, 1, 420):
+        pt = point_with_actions(e[row])
+        for n in range(1, F + 1):
+            assert abs(eval_window("hill_obs", pt, n) - want[row, n - 1]) <= 1e-14
 
 
 def test_cornered_window_normalization():
