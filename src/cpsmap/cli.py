@@ -44,12 +44,16 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cps import gamma_wigner, sample_sphere_batch
+from .cps import GammaWeight, gamma_wigner, sample_sphere_batch
 from .dynamics import grid_march
 from .estimators import MethodSpec, TCFRequest, estimate_tcf
 from .kernels import inverse_kernel_coefficients, kernel_entries
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf
+
+
+# Sample rows per chunk of the exact-mapping check (2 MB per kernel table).
+CHECK_ROWS = 8192
 
 
 class ConfigError(ValueError):
@@ -217,39 +221,31 @@ def _parse_pair_list(key, value):
     return pairs
 
 
-def _parse_weight(value, F):
-    from .cps import GammaWeight
-
-    value = value.strip()
-    if value == "triangle":
-        return GammaWeight.triangle(F)
+def _parse_colon_pairs(key, value, form):
+    """Parse an "a:b; a:b" list into float pairs; form names a and b in errors."""
     pairs = []
     for chunk in value.split(";"):
         chunk = chunk.strip()
         if not chunk:
             continue
         if ":" not in chunk:
-            raise ConfigError(f"method.weight: expected 'gamma:weight', got {chunk!r}")
-        g, w = chunk.split(":", 1)
-        pairs.append((_as_float("method.weight", g), _as_float("method.weight", w)))
+            raise ConfigError(f"{key}: expected '{form}', got {chunk!r}")
+        a, b = chunk.split(":", 1)
+        pairs.append((_as_float(key, a), _as_float(key, b)))
     if not pairs:
-        raise ConfigError("method.weight: empty weight list")
-    return GammaWeight.delta_comb(pairs)
+        raise ConfigError(f"{key}: empty '{form}' list")
+    return pairs
+
+
+def _parse_weight(value, F):
+    if value.strip() == "triangle":
+        return GammaWeight.triangle(F)
+    return GammaWeight.delta_comb(_parse_colon_pairs("method.weight", value, "gamma:weight"))
 
 
 def _parse_components(value, F):
-    comps = []
-    for chunk in value.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        if ":" not in chunk:
-            raise ConfigError(f"method.components: expected 'weight:gamma', got {chunk!r}")
-        w, g = chunk.split(":", 1)
-        comps.append(
-            (_as_float("method.components", w), _as_float("method.components", g) * np.eye(F))
-        )
-    return comps
+    pairs = _parse_colon_pairs("method.components", value, "weight:gamma")
+    return [(w, g * np.eye(F)) for w, g in pairs]
 
 
 # family -> (MethodSpec constructor, the config key it reads or None,
@@ -392,18 +388,23 @@ def _fmt(x):
 # validation suites
 
 
-def _check_products(name, label, A, B, target):
+def _check_products(name, label, chunks, target):
     """Pass when every sample mean of A[:, i] * B[:, j] is within 5 SE of target[i, j].
 
-    A (n, p) and B (n, q) hold one sample per row.  All the means come
-    from one A.T @ B and all the SEs (np.std with ddof=1, over sqrt(n))
-    from one |A|^2.T @ |B|^2.  A product whose variance is below the
+    chunks yields (A, B) pairs of row chunks of the samples A (n, p) and
+    B (n, q), one sample per row.  All the means come from A.T @ B and
+    all the SEs (np.std with ddof=1, over sqrt(n)) from |A|^2.T @ |B|^2,
+    each summed over the chunks.  A product whose variance is below the
     rounding level of those sums has zero variance; it fails at once
     when it misses its target by more than 1e-12.
     """
-    n = A.shape[0]
-    mean = (A.T @ B) / n
-    second = (np.abs(A) ** 2).T @ (np.abs(B) ** 2) / n
+    n, total, second = 0, 0.0, 0.0
+    for A, B in chunks:
+        n += A.shape[0]
+        total = total + A.T @ B
+        second = second + (np.abs(A) ** 2).T @ (np.abs(B) ** 2)
+    mean = total / n
+    second = second / n
     var = (second - np.abs(mean) ** 2) * (n / (n - 1))
     dev = np.abs(mean - target)
     zero = ~(var > n * np.finfo(np.float64).eps * second)
@@ -416,17 +417,24 @@ def _check_products(name, label, A, B, target):
 def _validate_exact_mapping(Z, g):
     """Monte Carlo check of F int dmu K_mn Kinv_lk = delta_mk delta_nl on the sphere at g.
 
-    Z is a sphere sample (n, F) at g; only its first min(F, 4) states are checked.
+    Z is a sphere sample (n, F) at g; only its first min(F, 4) states are
+    checked.  The (n, s^2) kernel tables are built CHECK_ROWS rows at a
+    time, so memory stays O(n F).
     """
     F = Z.shape[1]
     s = min(F, 4)
     c1, c2 = inverse_kernel_coefficients(F, g)
-    # Columns m*s + n of Kv and l*s + k of Kinv.
-    Kv = kernel_entries(Z[:, None, :s], gamma=g).reshape(-1, s * s)
-    Kinv = kernel_entries(Z[:, None, :s], gamma=c2, weights=c1).reshape(-1, s * s)
+
+    def chunks():
+        # Columns m*s + n of Kv and l*s + k of Kinv.
+        for lo in range(0, Z.shape[0], CHECK_ROWS):
+            Zc = Z[lo:lo + CHECK_ROWS, None, :s]
+            Kv = kernel_entries(Zc, gamma=g).reshape(-1, s * s)
+            yield Kv, kernel_entries(Zc, gamma=c2, weights=c1).reshape(-1, s * s)
+
     eye = np.eye(s)
     target = np.einsum("mk,nl->mnlk", eye, eye).reshape(s * s, s * s) / F
-    return _check_products("exact_mapping", f"gamma={g:.6g}", Kv, Kinv, target)
+    return _check_products("exact_mapping", f"gamma={g:.6g}", chunks(), target)
 
 
 def _validate_drift(H, backend, dt):
@@ -456,7 +464,7 @@ def _validate_moments(Z, gamma):
     """Second moments z_n conj(z_m) of a sphere sample Z (n, F) against 2(1+F*gamma)/F * delta."""
     F = Z.shape[1]
     target = 2.0 * (1.0 + F * gamma) / F * np.eye(F)
-    return _check_products("moments", f"gamma={gamma:.6g}", Z, Z.conj(), target)
+    return _check_products("moments", f"gamma={gamma:.6g}", [(Z, Z.conj())], target)
 
 
 def run_validations(cfg, H):
@@ -508,26 +516,27 @@ def _exact_series(H, pair, t_grid):
 def _result_rows(cfg, H):
     """Estimate every configured pair: the CSV rows, the worst err/SE, the zero-variance count.
 
-    A point whose SE is at most 1e-12 max(1, |estimate|) is zero-variance:
-    its SE is rounding noise, so its error_over_se is NaN and it is left
-    out of the worst err/SE.
+    All pairs are one estimate_tcf call, so each ensemble is sampled
+    once.  A point the result flags as zero-variance has an SE that is
+    rounding noise, so its error_over_se is NaN and it is left out of
+    the worst err/SE.
     """
     t_grid = cfg.t_grid()
     rows = []
     worst = 0.0
     zero_variance = 0
-    for pair in cfg.pairs:
+    results = estimate_tcf([_request(cfg, H, pair, cfg.n_traj) for pair in cfg.pairs])
+    for pair, res in zip(cfg.pairs, results):
         (n, m), (k, l) = pair
-        res = estimate_tcf(_request(cfg, H, pair, cfg.n_traj))
         ref = _exact_series(H, pair, t_grid)
         for ti, t in enumerate(t_grid):
             est = res.estimates[ti]
             se = float(res.standard_errors[ti])
             err = abs(est - ref[ti])
-            floor = 1e-12 * max(1.0, abs(est))
-            zero_variance += se <= floor
-            ratio = err / se if se > floor else math.nan
-            if se > floor:
+            zero = bool(res.zero_variance[ti])
+            zero_variance += zero
+            ratio = math.nan if zero else err / se
+            if not zero:
                 worst = max(worst, ratio)
             rows.append(
                 (

@@ -24,20 +24,25 @@ families divide by the summed-window denominator accumulated over the
 same trajectory set, which makes sum_m P(n->m, t) = 1 up to float
 rounding and keeps every per-trajectory contribution nonnegative.
 
-Every family is a small plan (_Plan) run by one block driver (_drive):
-the plan's sampler draws a block of frames (nb, r, F) on one component
-of the phase space (a sphere, or the gdtwa two-frame Stiefel component)
-together with the density-side weights, and the maps U of
-dynamics.grid_march, built once per request by either backend, carry
-the block to every grid time at once: a covariant observable kernel (cc
-and xc), described by its frame weights and shift, as one F x F moment
-matrix per block carried as U M U^dagger; a window (cx and ww) by one
-gemm of the frames with the map rows it reads (per bounded chunk of
-grid times).  Plans are looked up by family in one table (_PLANS).
-Every density-side kernel entry comes from kernels.kernel_entries;
-every window is one batched function of the actions (..., F) in this
-module, and the single-point eval_window is a batch of one of the same
-functions.
+Every family is a small plan (_Plan) run by one block driver (_drive).
+estimate_tcf takes one request or a list of requests that differ only
+in their index pairs, and splits the list into ensembles: the requests
+that draw the same frames (every request of a cc or cx family, the
+requests with one density side (n, m) of an xc or ww family).  Each
+ensemble is one plan: its sampler draws a block of frames (nb, r, F)
+once, on one component of the phase space (a sphere, or the gdtwa
+two-frame Stiefel component), together with the density-side weights
+of every density side it serves, and the maps U of
+dynamics.grid_march, built once per call by either backend, carry the
+block to every grid time at once: a covariant observable kernel (cc and
+xc), described by its frame weights and shift, as one F x F moment
+matrix per block and density side carried as U M U^dagger; a window (cx
+and ww) by one gemm of the frames with the map rows it reads (per
+bounded chunk of grid times).  Plans are looked up by family in one
+table (_PLANS).  Every density-side kernel entry comes from
+kernels.kernel_entries; every window is one batched function of the
+actions (..., F) in this module, and the single-point eval_window is a
+batch of one of the same functions.
 
 Trajectories are generated in 100 fixed blocks.  Block b draws from
 Generator(Philox(SeedSequence(seed, spawn_key=(b,)))), blocks double as
@@ -48,7 +53,7 @@ for a given (seed, n_traj) regardless of the worker thread count.
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -66,6 +71,8 @@ from .qcore import hermitian_eig, propagator_from_decomposition, require_hermiti
 N_BLOCKS = 100
 # Marched frame entries a window block holds at once (8 MB of complex).
 MARCH_ENTRIES = 1 << 19
+# A standard error at most this times max(1, |estimate|) is rounding noise.
+ZERO_VARIANCE_REL = 1e-12
 
 def hill_exponent(F):
     """Exponent B(F) of the hill window, 3/(7(F-1)) + 60/(7(F+13))."""
@@ -190,6 +197,9 @@ class TCFResult:
     normalization holds Cbar(t) (all ones for the constant-normalization
     families); min_numerator records the smallest per-trajectory
     numerator contribution seen by a ww estimate (nan otherwise).
+    zero_variance flags the times whose standard error is at most
+    ZERO_VARIANCE_REL max(1, |estimate|): every trajectory carried the
+    same value, so the SE there is rounding noise, not a spread.
     """
 
     t_grid: np.ndarray
@@ -198,6 +208,11 @@ class TCFResult:
     standard_errors: np.ndarray
     n_traj: int
     min_numerator: float = math.nan
+    zero_variance: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        floor = ZERO_VARIANCE_REL * np.maximum(1.0, np.abs(self.estimates))
+        self.zero_variance = self.standard_errors <= floor
 
 
 # ---------------------------------------------------------------------------
@@ -291,95 +306,133 @@ def _prepare(req):
 
 
 class _Plan(NamedTuple):
-    """One family's sampler and the data of its observable.
+    """One ensemble's sampler and the data of its requests' observables.
 
-    sample(rng, nb) draws a block's frames Z0 (nb, r, F) and its density
-    side; rows are the map rows the observable reads.  A kernel plan
-    (window None) has the observable kernel sum_f w_f z_f z_f^dagger -
-    shift with (l, k) = rows and w_f = weights; its sample returns
-    (Z0, W, S) with density weights W (nb,) and shift coordinates S
-    (broadcastable to (nb, C)): trajectory i's shift at time t has
-    (l, k) entry sum_c S_ic shift_lk[t, c], and shift_lk defaults to the
-    one column delta_lk of a gamma*I shift.  A window plan's sample
-    returns (Z0, aux) with r = 1, and window(E, aux) turns the actions
-    E (nb, n_times, len(rows)) into the block's sums (n_times, width).
-    measure is None for the block-mean families and the phase space
-    measure factor of a ww plan.
+    An ensemble is the requests of one call that draw the same frames;
+    idxs lists their 0-based (n, m, k, l) and _sides(idxs) their
+    distinct density sides (n, m).  sample(rng, nb) draws a block's
+    frames Z0 (nb, r, F) once for all of them.
+
+    A kernel plan (window None) gives request (n, m, k, l) the
+    observable kernel sum_f w_f z_f z_f^dagger - shift read at (l, k),
+    with w_f = weights.  Its sample returns (Z0, Ws, S): one density
+    weight vector W (nb,) per density side in Ws, and shift coordinates
+    S (broadcastable to (nb, C)).  Trajectory i's shift at time t has
+    (l, k) entry sum_c S_ic shift_lk(l, k)[t, c]; shift_lk None means
+    the one column delta_lk of a gamma*I shift.
+
+    A window plan's sample returns (Z0, aux) with r = 1.  rows lists
+    the sets of map rows it marches, and window(E, aux, j) turns the
+    actions E (nb, n_times, len(rows[j])) of row set j into that set's
+    block sums (n_times, w_j); the sets' sums stand side by side, width
+    columns in all.  columns[i] is request i's column; a ww plan
+    (columns None) holds the numerators of every state and, last, the
+    smallest numerator.  measure is None for the block-mean families and
+    the phase space measure factor of a ww plan.
     """
 
     sample: Callable
-    rows: object
     weights: object = 0.5
-    shift_lk: np.ndarray = None
+    shift_lk: Callable = None
+    rows: list = None
     window: Callable = None
     width: int = 1
+    columns: list = None
     dtype: type = np.complex128
     measure: float = None
 
 
-def _kernel_block(U, plan):
-    """Block sums of a covariant observable kernel at every grid time.
+def _sides(idxs):
+    """The distinct density sides (n, m) of an ensemble's requests, in request order."""
+    return list(dict.fromkeys(idx[:2] for idx in idxs))
+
+
+def _kernel_block(U, plan, idxs):
+    """Block sums of covariant observable kernels at every grid time, one column per request.
 
     Every frame obeys z(t) = U_t z(0), so the kernel is carried as
     K(X_t) = U_t K(X_0) U_t^dagger, shift aside.  The block sum
     sum_i W_i K_lk(X_i(t)) is therefore [U_t M U_t^dagger]_lk minus the
     weighted shifts, with one F x F moment matrix
-    M = sum_i W_i sum_f w_f z_if z_if^dagger per block.
+    M = sum_i W_i sum_f w_f z_if z_if^dagger per block and density side;
+    every request reads its own (l, k) entry off its side's M.
     """
-    l0, k0 = plan.rows
     F = U.shape[-1]
-    Ul, Ukc = U[:, l0], U[:, k0].conj()
-    shift_lk = plan.shift_lk
-    if shift_lk is None:
-        shift_lk = np.full((len(U), 1), float(l0 == k0))
+    sides = _sides(idxs)
+    reads = []
+    for n0, m0, k0, l0 in idxs:
+        if plan.shift_lk is None:
+            shift_lk = np.full((len(U), 1), float(l0 == k0))
+        else:
+            shift_lk = plan.shift_lk(l0, k0)
+        reads.append((sides.index((n0, m0)), U[:, l0], U[:, k0].conj(), shift_lk))
 
     def block(rng, nb):
-        Z0, W, S = plan.sample(rng, nb)
-        v = np.broadcast_to(W[:, None] * plan.weights, Z0.shape[:2]).reshape(-1)
+        Z0, Ws, S = plan.sample(rng, nb)
         A = Z0.reshape(-1, F)
-        M = A.T @ (v[:, None] * A.conj())
-        shifts = shift_lk @ np.sum(W[:, None] * S, axis=0)
-        return (np.einsum("ta,ab,tb->t", Ul, M, Ukc) - shifts)[:, None]
+        Ac = A.conj()
+        moments = []
+        for W in Ws:
+            v = np.broadcast_to(W[:, None] * plan.weights, Z0.shape[:2]).reshape(-1)
+            moments.append((A.T @ (v[:, None] * Ac), np.sum(W[:, None] * S, axis=0)))
+        # np.array(...).T, not np.stack: a block of one request pays no more than 1 us.
+        return np.array(
+            [
+                np.einsum("ta,ab,tb->t", Ul, moments[d][0], Ukc) - shift_lk @ moments[d][1]
+                for d, Ul, Ukc, shift_lk in reads
+            ]
+        ).T
 
     return block
 
 
 def _window_block(U, plan):
-    """Block sums of a window observable: the frames marched by one gemm per chunk of grid times.
+    """Block sums of a window observable: the frames marched by one gemm per row set and chunk of grid times.
 
     A chunk holds at most MARCH_ENTRIES marched entries, so a block's
     memory does not grow with the number of grid times; the usual grid
-    is one chunk.
+    is one chunk.  Each row set has its own gemm, as in a call that
+    reads only that set: one wider gemm rounds a column differently,
+    and every request of a list must equal its own call bitwise.
     """
     n_times, F = len(U), U.shape[-1]
-    UT = np.ascontiguousarray(U[:, plan.rows, :].transpose(2, 0, 1).reshape(F, -1))
-    R = UT.shape[1] // n_times
+    marches = [
+        np.ascontiguousarray(U[:, rows, :].transpose(2, 0, 1).reshape(F, -1)) for rows in plan.rows
+    ]
 
     def block(rng, nb):
         Z0, aux = plan.sample(rng, nb)
         Z0 = Z0.reshape(nb, F)
-        step = max(1, MARCH_ENTRIES // (nb * R))
-        parts = []
-        for lo in range(0, n_times, step):
-            Zt = (Z0 @ UT[:, lo * R:(lo + step) * R]).reshape(nb, -1, R)
-            parts.append(plan.window(0.5 * np.abs(Zt) ** 2, aux))
-        return np.concatenate(parts)
+        sums = []
+        for j, UT in enumerate(marches):
+            R = UT.shape[1] // n_times
+            step = max(1, MARCH_ENTRIES // (nb * R))
+            parts = []
+            for lo in range(0, n_times, step):
+                Zt = (Z0 @ UT[:, lo * R:(lo + step) * R]).reshape(nb, -1, R)
+                parts.append(plan.window(0.5 * np.abs(Zt) ** 2, aux, j))
+            sums.append(np.concatenate(parts))
+        return np.concatenate(sums, axis=1)
 
     return block
 
 
-def _drive(req, U, plan):
-    """Sample and evaluate every block at every grid time; returns the block sums and sizes.
+def _drive(req, U, plan, idxs):
+    """Sample and evaluate every block of one ensemble at every grid time; returns the block sums and sizes.
 
     The maps U of grid_march carry each block to all grid times at once:
-    a kernel plan through its moment matrix, a window plan through a
-    gemm of its frames with the rows it reads.  Block b draws from its
-    own Philox stream and writes only sums[b], so the result does not
+    a kernel plan through its moment matrices, a window plan through a
+    gemm of its frames with the rows it reads.  Each block is drawn once
+    for every request of the ensemble.  Block b draws from its own
+    Philox stream and writes only sums[b], so the result does not
     depend on the thread count.
     """
     sizes = _block_sizes(req.n_traj)
-    sums = np.zeros((N_BLOCKS, len(U), plan.width), dtype=plan.dtype)
-    block = _kernel_block(U, plan) if plan.window is None else _window_block(U, plan)
+    if plan.window is None:
+        block, width = _kernel_block(U, plan, idxs), len(idxs)
+    else:
+        block, width = _window_block(U, plan), plan.width
+    sums = np.zeros((N_BLOCKS, len(U), width), dtype=plan.dtype)
 
     def work(b):
         sums[b] = block(_block_rng(req.seed, b), int(sizes[b]))
@@ -394,16 +447,49 @@ def _drive(req, U, plan):
     return sums, sizes
 
 
+def _reduce(req, plan, idxs, t_grid, out, sizes):
+    """Each request's TCFResult from its ensemble's block sums.
+
+    The cc/cx/xc families reduce to the block mean of the request's
+    column; a ww plan (one with a measure) to the ratio of the observed
+    state's numerator to the summed denominator over the same
+    trajectories.
+    """
+    n = req.n_traj
+    if plan.measure is None:
+        results = []
+        for c in range(len(idxs)) if plan.columns is None else plan.columns:
+            col = np.ascontiguousarray(out[:, :, c])
+            total = np.sum(col, axis=0)
+            se = _jackknife(col, sizes[:, None], total, n, sizes)
+            results.append(TCFResult(t_grid, total / n, np.ones(t_grid.size), se, n))
+        return results
+    F = out.shape[2] - 1
+    sums = np.ascontiguousarray(out[:, :, :F])
+    num_total = np.sum(sums, axis=0)
+    den_total = np.sum(num_total, axis=1)
+    den_blocks = np.sum(sums, axis=2)
+    normalization = plan.measure * den_total / n
+    min_num = float(np.nanmin(out[sizes > 0, :, F]))
+    results = []
+    for k0 in (idx[2] for idx in idxs):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            estimates = (num_total[:, k0] / den_total).astype(np.complex128)
+        se = _jackknife(sums[:, :, k0], den_blocks, num_total[:, k0], den_total, sizes)
+        results.append(TCFResult(t_grid, estimates, normalization.copy(), se, n, min_num))
+    return results
+
+
 # ---------------------------------------------------------------------------
 # the single-sphere density side
 
 
-def _sphere_density(F, g, n0, m0):
-    """Sampler of the sphere at g with density weight F K_mn(z)."""
+def _sphere_density(F, g, sides):
+    """Sampler of the sphere at g with the density weights F K_mn(z) of every side (n, m)."""
 
     def sample(rng, nb):
         Z = sample_sphere_batch(F, g, rng, nb)[:, None, :]
-        return Z, F * kernel_entries(Z, m0, n0, g)
+        return Z, [F * kernel_entries(Z, m0, n0, g) for n0, m0 in sides]
 
     return sample
 
@@ -412,29 +498,28 @@ def _sphere_density(F, g, n0, m0):
 # cc families
 
 
-def _cmm_plan(req, F, idx, U):
-    n0, m0, k0, l0 = idx
+def _cmm_plan(req, F, idxs, U):
     g = req.method.gamma
     c1, c2 = inverse_kernel_coefficients(F, g)
-    density = _sphere_density(F, g, n0, m0)
-    return _Plan(lambda rng, nb: (*density(rng, nb), c2), (l0, k0), weights=c1)
+    density = _sphere_density(F, g, _sides(idxs))
+    return _Plan(lambda rng, nb: (*density(rng, nb), c2), weights=c1)
 
 
-def _wmm_plan(req, F, idx, U):
-    n0, m0, k0, l0 = idx
+def _wmm_plan(req, F, idxs, U):
     weight = req.method.weight
     tot = weight.abs_total()
+    sides = _sides(idxs)
 
     def sample(rng, nb):
         gam, sgn = weight.sample_batch(rng, nb)
         Z = sample_sphere_batch(F, gam, rng, nb)[:, None, :]
-        W = kernel_entries(Z, m0, n0, gam) * (F * tot * sgn)
-        return Z, W, gam[:, None]
+        Ws = [kernel_entries(Z, m0, n0, gam) * (F * tot * sgn) for n0, m0 in sides]
+        return Z, Ws, gam[:, None]
 
-    return _Plan(sample, (l0, k0))
+    return _Plan(sample)
 
 
-def _cmmcv_plan(req, F, idx, U):
+def _cmmcv_plan(req, F, idxs, U):
     """cmmcv: self-dual Gamma-comb kernels, K = (1/2) z z^dagger - Gamma_c.
 
     Each trajectory carries one frame z on the sphere of its component c
@@ -445,8 +530,8 @@ def _cmmcv_plan(req, F, idx, U):
     entry is read off the maps once per request, and a trajectory's
     shift coordinates pick its component.
     """
-    n0, m0, k0, l0 = idx
     comps = req.method.components
+    sides = _sides(idxs)
     weights = np.array([w for w, _ in comps])
     tot = float(np.sum(np.abs(weights)))
     probs = np.abs(weights) / tot
@@ -454,30 +539,42 @@ def _cmmcv_plan(req, F, idx, U):
     comp_signs[comp_signs == 0] = 1.0
     gstack = np.stack([G for _, G in comps])
     shells = np.array([np.real(np.trace(G)) for G in gstack]) / F
-    gamma_lk = np.einsum("ta,cab,tb->tc", U[:, l0], gstack, U[:, k0].conj())
     pick = np.eye(len(comps))
 
     def sample(rng, nb):
         ci = rng.choice(len(comps), size=nb, p=probs)
         Z = sample_sphere_batch(F, shells[ci], rng, nb)[:, None, :]
-        K_mn = kernel_entries(Z, m0, n0, Gamma=gstack[ci, m0, n0])
-        return Z, (F * tot * comp_signs[ci]) * K_mn, pick[ci]
+        Ws = [
+            (F * tot * comp_signs[ci]) * kernel_entries(Z, m0, n0, Gamma=gstack[ci, m0, n0])
+            for n0, m0 in sides
+        ]
+        return Z, Ws, pick[ci]
 
-    return _Plan(sample, (l0, k0), shift_lk=gamma_lk)
+    def gamma_lk(l0, k0):
+        return np.einsum("ta,cab,tb->tc", U[:, l0], gstack, U[:, k0].conj())
+
+    return _Plan(sample, shift_lk=gamma_lk)
 
 
 # ---------------------------------------------------------------------------
 # cx family
 
 
-def _cx_plan(req, F, idx, U):
-    n0, m0, k0, l0 = idx
+def _cx_plan(req, F, idxs, U):
+    """cornered_simplex: row set j is the observed state ks[j], with one column per density side."""
     g = req.method.gamma
+    sides = _sides(idxs)
+    ks = list(dict.fromkeys(idx[2] for idx in idxs))
 
-    def window(E, W):
-        return (W @ _cornered_window(E[:, :, 0], F, g))[:, None]
+    def window(E, Ws, j):
+        cw = _cornered_window(E[:, :, 0], F, g)
+        return np.stack([W @ cw for W in Ws], axis=1)
 
-    return _Plan(_sphere_density(F, g, n0, m0), [k0], window=window)
+    columns = [ks.index(idx[2]) * len(sides) + sides.index(idx[:2]) for idx in idxs]
+    return _Plan(
+        _sphere_density(F, g, sides), rows=[[k0] for k0 in ks], window=window,
+        width=len(ks) * len(sides), columns=columns,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -503,8 +600,8 @@ def _triangle_population_sampler(rng, nb, F, focus):
     return np.sqrt(2.0 * e) * np.exp(1j * theta)
 
 
-def _triangle_sqc_plan(req, F, idx, U):
-    n0, m0, k0, l0 = idx
+def _triangle_sqc_plan(req, F, idxs, U):
+    n0, m0 = idxs[0][:2]
     third = req.method.obs_gamma == "third"
 
     def sample(rng, nb):
@@ -519,14 +616,14 @@ def _triangle_sqc_plan(req, F, idx, U):
             gobs = 1.0 / 3.0
         else:
             gobs = ((np.sum(0.5 * np.abs(z) ** 2, axis=1) - 1.0) / F)[:, None]
-        return z[:, None, :], W, gobs
+        return z[:, None, :], [W], gobs
 
-    return _Plan(sample, (l0, k0))
+    return _Plan(sample)
 
 
-def _focused_plan(req, F, idx, U):
+def _focused_plan(req, F, idxs, U):
     """ehrenfest (gamma = 0) and lambda_point: the focused density kernel."""
-    n0, m0, k0, l0 = idx
+    n0, m0 = idxs[0][:2]
     g = 0.0 if req.method.family == "ehrenfest" else req.method.gamma
 
     def sample(rng, nb):
@@ -538,16 +635,16 @@ def _focused_plan(req, F, idx, U):
             e[:, [n0, m0]] = (1.0 + 2.0 * g) / 2.0
         Z = (np.sqrt(2.0 * e) * np.exp(1j * theta))[:, None, :]
         if n0 == m0:
-            return Z, np.ones(nb, dtype=np.complex128), g
+            return Z, [np.ones(nb, dtype=np.complex128)], g
         W = kernel_entries(Z, m0, n0, weights=2.0) / (1.0 + 2.0 * g) ** 2
-        return Z, W, g
+        return Z, [W], g
 
-    return _Plan(sample, (l0, k0))
+    return _Plan(sample)
 
 
-def _discrete_plan(req, F, idx, U):
+def _discrete_plan(req, F, idxs, U):
     """dtwa and gdtwa: uniform draws from the discrete point sets."""
-    n0, m0, k0, l0 = idx
+    n0, m0 = idxs[0][:2]
     sig = gdtwa_signature(F)
     set_n = gdtwa_points(F, n0 + 1)
     frames_n = set_n.frames
@@ -555,7 +652,7 @@ def _discrete_plan(req, F, idx, U):
 
         def sample(rng, nb):
             pts = rng.integers(frames_n.shape[0], size=nb)
-            return frames_n[pts], np.ones(nb, dtype=np.complex128), sig.gamma
+            return frames_n[pts], [np.ones(nb, dtype=np.complex128)], sig.gamma
 
     else:
         set_m = gdtwa_points(F, m0 + 1)
@@ -567,17 +664,17 @@ def _discrete_plan(req, F, idx, U):
             pick = rng.random(nb) < 0.5
             pts = rng.integers(frames_n.shape[0], size=nb)
             Z = np.where(pick[:, None, None], frames_n[pts], frames_m[pts])
-            return Z, 2.0 * np.where(pick, kv_n[pts], kv_m[pts]), sig.gamma
+            return Z, [2.0 * np.where(pick, kv_n[pts], kv_m[pts])], sig.gamma
 
     signs = np.asarray(sig.signs, dtype=np.float64)
-    return _Plan(sample, (l0, k0), weights=0.5 * signs)
+    return _Plan(sample, weights=0.5 * signs)
 
 
 # ---------------------------------------------------------------------------
 # ww families
 
 
-def _ww_plan(req, F, idx, U):
+def _ww_plan(req, F, idxs, U):
     """Window-window plan: per-trajectory numerators Qbar_{nn,mm} for every state m.
 
     The family supplies a frame sampler, an optional density window of
@@ -589,7 +686,7 @@ def _ww_plan(req, F, idx, U):
     e / (1 + 2 gamma) against the cut 1/2, so that plan draws the
     gamma = 0 sphere and never reads gamma.
     """
-    n0 = idx[0]
+    n0 = idxs[0][0]
     fam = req.method.family
     rho = None
     if fam == "triangle_ww":
@@ -613,7 +710,7 @@ def _ww_plan(req, F, idx, U):
             return Z, None
         return Z, rho(0.5 * np.abs(Z[:, 0, :]) ** 2)[:, None, None]
 
-    def window(E, aux):
+    def window(E, aux, j):
         vals = obs(E, aux)
         # The smallest numerator in two reductions: numpy is about 20x
         # slower reducing axes (0, 2) of (nb, n_times, F) in one call.
@@ -621,7 +718,7 @@ def _ww_plan(req, F, idx, U):
         return np.concatenate([np.sum(vals, axis=0), low], axis=1)
 
     return _Plan(
-        sample, slice(None), window=window, width=F + 1, dtype=np.float64, measure=measure
+        sample, rows=[slice(None)], window=window, width=F + 1, dtype=np.float64, measure=measure
     )
 
 
@@ -734,34 +831,75 @@ _PLANS = {
 }
 
 
-def estimate_tcf(req):
-    """Estimate a TCF: the family's plan, the block driver, then the reduction.
+# Plans whose frames do not depend on the density side: all of a call's
+# requests are one ensemble.  Every other plan samples from its density
+# side (n, m), so its ensembles are the requests sharing one.
+_SHARED_FRAMES = {_cmm_plan, _wmm_plan, _cmmcv_plan, _cx_plan}
 
-    The cc/cx/xc families reduce to the block mean; a ww plan (one with a
-    measure) to the ratio of the observed state's numerator to the summed
-    denominator over the same trajectories.
+
+def _same(a, b):
+    """Equal values: arrays element by element, dataclasses field by field, sequences item by item."""
+    if a is b:
+        return True
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    if is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a)
+        )
+    if isinstance(a, (tuple, list)):
+        return isinstance(b, (tuple, list)) and len(a) == len(b) and all(map(_same, a, b))
+    return bool(a == b)
+
+
+def _check_shared(reqs):
+    """Raise unless the requests agree on every field but their index pairs."""
+    for f in fields(TCFRequest):
+        if f.name in ("rho_indices", "obs_indices"):
+            continue
+        first = getattr(reqs[0], f.name)
+        if not all(_same(first, getattr(req, f.name)) for req in reqs[1:]):
+            raise ValueError(
+                f"requests differ in {f.name}; a list of requests may differ "
+                "only in rho_indices and obs_indices"
+            )
+
+
+def estimate_tcf(requests):
+    """Estimate TCFs: the maps, one plan and block driver run per ensemble, then the reduction.
+
+    requests is one TCFRequest, which returns one TCFResult, or a list of
+    requests that agree on every field but rho_indices and obs_indices,
+    which returns their results in request order.  The maps are built
+    once per call, and each ensemble (the requests that draw the same
+    frames) is sampled and carried once for all its requests.  Every
+    result is bitwise equal to that request's own call.
     """
-    make_plan = _PLANS.get(req.method.family)
-    if make_plan is None:
-        raise ValueError(f"unknown method family {req.method.family!r}")
-    H, F, t_grid, (n0, m0, k0, l0) = _prepare(req)
+    single = isinstance(requests, TCFRequest)
+    reqs = [requests] if single else list(requests)
+    if not reqs:
+        raise ValueError("estimate_tcf needs at least one request")
+    for req in reqs:
+        if req.method.family not in _PLANS:
+            raise ValueError(f"unknown method family {req.method.family!r}")
+    prepared = [_prepare(req) for req in reqs]
+    _check_shared(reqs)
+    req = reqs[0]
+    make_plan = _PLANS[req.method.family]
+    H, F, t_grid, _ = prepared[0]
     U = grid_march(H, t_grid, req.backend, req.dt)
-    plan = make_plan(req, F, (n0, m0, k0, l0), U)
-    out, sizes = _drive(req, U, plan)
-    if plan.measure is None:
-        total = np.sum(out[:, :, 0], axis=0)
-        se = _jackknife(out[:, :, 0], sizes[:, None], total, req.n_traj, sizes)
-        return TCFResult(t_grid, total / req.n_traj, np.ones(t_grid.size), se, req.n_traj)
-    sums = np.ascontiguousarray(out[:, :, :F])
-    num_total = np.sum(sums, axis=0)
-    den_total = np.sum(num_total, axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        estimates = (num_total[:, k0] / den_total).astype(np.complex128)
-    den_blocks = np.sum(sums, axis=2)
-    se = _jackknife(sums[:, :, k0], den_blocks, num_total[:, k0], den_total, sizes)
-    normalization = plan.measure * den_total / req.n_traj
-    min_num = float(np.nanmin(out[sizes > 0, :, F]))
-    return TCFResult(t_grid, estimates, normalization, se, req.n_traj, min_num)
+    ensembles = {}
+    for i, (_, _, _, idx) in enumerate(prepared):
+        key = () if make_plan in _SHARED_FRAMES else idx[:2]
+        ensembles.setdefault(key, []).append(i)
+    results = [None] * len(reqs)
+    for members in ensembles.values():
+        idxs = [prepared[i][3] for i in members]
+        plan = make_plan(req, F, idxs, U)
+        out, sizes = _drive(req, U, plan, idxs)
+        for i, res in zip(members, _reduce(req, plan, idxs, t_grid, out, sizes)):
+            results[i] = res
+    return results[0] if single else results
 
 
 # ---------------------------------------------------------------------------

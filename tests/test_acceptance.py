@@ -296,19 +296,20 @@ def test_trajectory_invariants():
 def _ww_population_runs(name, F, n_traj, seed):
     H = build_hamiltonian(ModelSpec.random(F, seed=42))
     t_grid = np.linspace(0.0, 10.0, 21)
-    out = []
-    for m in range(1, F + 1):
-        req = TCFRequest(
+    method = _method_for(name, F)
+    reqs = [
+        TCFRequest(
             hamiltonian=H,
             rho_indices=(1, 1),
             obs_indices=(m, m),
             t_grid=t_grid,
             n_traj=n_traj,
             seed=seed,
-            method=_method_for(name, F),
+            method=method,
         )
-        out.append(estimate_tcf(req))
-    return out
+        for m in range(1, F + 1)
+    ]
+    return estimate_tcf(reqs)
 
 
 def test_ww_positivity_and_normalization():

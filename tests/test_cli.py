@@ -123,6 +123,22 @@ def test_load_config_wmm_weight_string(tmp_path):
     assert cfg.method.weight.kind == "delta_comb"
 
 
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        ("method.family = cmmcv\nmethod.components = ;", "method.components"),
+        ("method.family = cmmcv\nmethod.components = 0.5", "method.components"),
+        ("method.family = cmmcv\nmethod.components = a:0", "method.components"),
+        ("method.family = wmm\nmethod.weight = ;", "method.weight"),
+        ("method.family = wmm\nmethod.weight = 0:1; 0.5", "method.weight"),
+    ],
+)
+def test_load_config_names_the_bad_list_key(tmp_path, line, key):
+    text = f"model.kind = two_level\n{line}\n"
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        load_config(write_config(tmp_path, text))
+
+
 def test_load_config_model_file(tmp_path):
     H = build_hamiltonian(ModelSpec.ladder(3))
     hpath = tmp_path / "h.txt"
@@ -343,7 +359,7 @@ def test_check_products_matches_per_product_mean_and_std():
         for i in range(3)
         for j in range(2)
     )
-    got = _check_products("x", "label", A, B, target)
+    got = _check_products("x", "label", [(A, B)], target)
     assert got.detail == f"label, worst |dev|/SE = {worst:.2f} (limit 5)"
     assert got.passed == (worst <= 5.0)
 

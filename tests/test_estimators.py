@@ -1,5 +1,6 @@
 """Monte Carlo TCF estimators across all method families."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -322,11 +323,12 @@ def per_trajectory_estimates(req):
     """
     H, F, t_grid, idx = _prepare(req)
     U = grid_march(H, t_grid, req.backend, req.dt)
-    plan = _PLANS[req.method.family](req, F, idx, U)
+    plan = _PLANS[req.method.family](req, F, [idx], U)
     l0, k0 = idx[3], idx[2]
-    shift_lk = plan.shift_lk
-    if shift_lk is None:
+    if plan.shift_lk is None:
         shift_lk = np.full((len(U), 1), float(l0 == k0))
+    else:
+        shift_lk = plan.shift_lk(l0, k0)
     sizes = _block_sizes(req.n_traj)
     sums = np.zeros((N_BLOCKS, len(U), plan.width), dtype=plan.dtype)
     for b in range(N_BLOCKS):
@@ -338,12 +340,12 @@ def per_trajectory_estimates(req):
         for ti, Ut in enumerate(U):
             Zt = np.matmul(Z0, Ut.T)
             if plan.window is None:
-                W, S = drawn[1], np.broadcast_to(drawn[2], (nb, shift_lk.shape[1]))
+                W, S = drawn[1][0], np.broadcast_to(drawn[2], (nb, shift_lk.shape[1]))
                 K = kernel_entries(Zt, l0, k0, weights=plan.weights) - S @ shift_lk[ti]
                 sums[b, ti] = np.sum(W * K)
             else:
                 e = 0.5 * np.abs(Zt[:, 0, :]) ** 2
-                sums[b, ti] = plan.window(e[:, None, plan.rows], drawn[1])[0]
+                sums[b, ti] = plan.window(e[:, None, plan.rows[0]], drawn[1], 0)[0]
     if plan.measure is None:
         return np.sum(sums[:, :, 0], axis=0) / req.n_traj
     num = np.sum(sums[:, :, :F], axis=0)
@@ -411,6 +413,87 @@ def test_window_march_in_time_chunks_changes_nothing(family, monkeypatch):
     # a narrower gemm may round differently, so equal to float64 rounding
     for field in ("estimates", "standard_errors", "normalization"):
         assert np.allclose(getattr(whole, field), getattr(chunked, field), rtol=0, atol=1e-14)
+
+
+# Index lists that mix density sides, off-diagonal pairs and a repeated pair.
+LIST_PAIRS = {
+    "kernel": [(1, 1, 2, 2), (1, 2, 2, 1), (2, 1, 1, 2), (1, 1, 2, 2), (2, 2, 1, 1), (1, 2, 1, 1)],
+    "cornered_simplex": [(1, 1, 2, 2), (1, 2, 2, 2), (2, 1, 1, 1), (1, 1, 2, 2), (2, 2, 1, 1)],
+    "ww": [(1, 1, 2, 2), (2, 2, 2, 2), (1, 1, 1, 1), (1, 1, 2, 2), (2, 2, 1, 1)],
+}
+LIST_EXTRA_F3 = {"kernel": [(1, 3, 3, 2)], "cornered_simplex": [(3, 1, 3, 3)], "ww": [(3, 3, 1, 1)]}
+WW_FAMILIES = ("triangle_ww", "triangle_f2_single", "hill_ww")
+
+
+def list_pairs(family, F):
+    kind = family if family == "cornered_simplex" else "ww" if family in WW_FAMILIES else "kernel"
+    return LIST_PAIRS[kind] + (LIST_EXTRA_F3[kind] if F == 3 else [])
+
+
+@pytest.mark.parametrize("family, F, backend", ORACLE_CASES)
+def test_request_list_equals_single_calls_bitwise(family, F, backend):
+    H = random_h(F, seed=17)
+    kw = dict(n_traj=1500, seed=9, t_grid=np.linspace(0.0, 1.0, 4), backend=backend, dt=1e-2)
+    pairs = list_pairs(family, F)
+    singles = [estimate_tcf(request(H, ORACLE_METHODS[family](F), nmkl=p, **kw)) for p in pairs]
+    method = ORACLE_METHODS[family](F)
+    for threads in (1, 3):
+        grouped = estimate_tcf(
+            [request(H, method, nmkl=p, n_threads=threads, **kw) for p in pairs]
+        )
+        assert len(grouped) == len(pairs)
+        for p, got, want in zip(pairs, grouped, singles):
+            for field in ("estimates", "standard_errors", "normalization", "zero_variance"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (p, field)
+            assert np.float64(got.min_numerator).tobytes() == np.float64(want.min_numerator).tobytes()
+
+
+LIST_FIELD_CHANGES = {
+    "hamiltonian": random_h(2, seed=22),
+    "t_grid": np.linspace(0.0, 3.0, 5),
+    "n_traj": 2000,
+    "seed": 6,
+    "method": MethodSpec.cmm(0.1),
+    "backend": "rk4",
+    "dt": 2e-3,
+    "n_threads": 2,
+}
+
+
+@pytest.mark.parametrize("field", list(LIST_FIELD_CHANGES))
+def test_request_list_must_share_every_field_but_the_indices(field):
+    first = request(random_h(2, seed=21), MethodSpec.cmm(gamma_wigner(2)), n_traj=1000)
+    other = dataclasses.replace(
+        first, rho_indices=(1, 2), obs_indices=(2, 1), **{field: LIST_FIELD_CHANGES[field]}
+    )
+    with pytest.raises(ValueError, match=f"differ in {field}"):
+        estimate_tcf([first, other])
+
+
+def test_request_list_accepts_equal_methods_and_rejects_empty():
+    # every request gets its own MethodSpec object with equal values
+    H = random_h(2, seed=21)
+    reqs = [
+        request(H, MethodSpec.cmmcv(CMMCV_COMB), nmkl=p, n_traj=1000)
+        for p in ((1, 1, 2, 2), (1, 2, 2, 1))
+    ]
+    assert len(estimate_tcf(reqs)) == 2
+    with pytest.raises(ValueError, match="at least one request"):
+        estimate_tcf([])
+
+
+def test_result_flags_zero_variance_points():
+    # the perfbench rk4_xc request: at t = 0 every trajectory carries the
+    # same value, so the SE there (1.7e-18) is rounding noise
+    H = build_hamiltonian(ModelSpec.random(3, seed=3002))
+    req = request(
+        H, MethodSpec.gdtwa(), nmkl=(1, 2, 2, 1), n_traj=5000, seed=3002,
+        t_grid=np.linspace(0.0, 1.0, 21), backend="rk4", dt=1e-2,
+    )
+    res = estimate_tcf(req)
+    assert res.standard_errors[0] <= 1e-12
+    assert res.zero_variance[0]
+    assert not np.any(res.zero_variance[1:])
 
 
 def test_single_trajectory_has_nan_se():
