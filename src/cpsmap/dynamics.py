@@ -11,11 +11,13 @@ and the equations of motion carry the sign factors explicitly:
 Because H_C itself contains one factor of s_k per frame, the signs
 square away and every frame obeys dz/dt = -i H z, the time-dependent
 Schroedinger equation.  The march is therefore linear: grid_march builds
-the map z(t_k) = U_k z(0) of each grid time once, on either backend.  A
+the map z(t_k) = U_k z(0) of each grid time once, on either backend.  On
+rk4 one step is the same F x F map for every frame, so each grid segment
+raises one step's increment to the segment's step count by squaring.  A
 point's frames march as Z @ U.T; the estimators carry a block's kernel as
 U M U^dagger, or march the frames a window reads with one gemm.
-propagate_rk4 integrates a point's own frames with their signs, so the
-sign equivalence is measured rather than assumed.
+propagate_rk4 integrates a point's own frames with their signs, step by
+step, so the sign equivalence is measured rather than assumed.
 """
 
 import math
@@ -62,8 +64,8 @@ def propagate_exact(point, H, t):
     return StiefelPoint(z.real, z.imag, point.signature)
 
 
-def _rk4_arrays(x, p, signs, H, dt, steps):
-    """Integrate the sign-factor equations of motion with classic rk4.
+def _rk4_increment(x, p, signs, H, dt):
+    """One classic rk4 step of the sign-factor equations of motion: (dx, dp).
 
     x, p have shape (..., r, F); signs has shape (r,).  The H_C
     gradients are dH_C/dx_n^(k) = s_k Re[(H z_k)_n] and
@@ -77,16 +79,59 @@ def _rk4_arrays(x, p, signs, H, dt, steps):
         gp = s * hz.imag
         return s * gp, -s * gx
 
+    k1x, k1p = rhs(x, p)
+    k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+    k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+    k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
+    return (
+        (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
+        (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
+    )
+
+
+def _rk4_arrays(x, p, signs, H, dt, steps):
+    """Integrate the sign-factor equations of motion with classic rk4, step by step."""
     x = x.copy()
     p = p.copy()
     for _ in range(steps):
-        k1x, k1p = rhs(x, p)
-        k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-        k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-        k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
-        x += (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-        p += (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+        dx, dp = _rk4_increment(x, p, signs, H, dt)
+        x += dx
+        p += dp
     return x, p
+
+
+def _rk4_maps(H, times, dt):
+    """The rk4 maps of grid_march, shape (n_times, F, F).
+
+    Each grid segment takes steps = ceil(span/dt) equal rk4 steps of
+    h = span/steps.  One step takes a row frame z to z + z @ D, where
+    D = dx + i dp is the step's increment of the identity frames: the
+    equations are linear and, with the signs squared away, complex
+    linear.  One batched _rk4_increment gives every segment's D, and
+    each segment raises its own to its step count by binary powering,
+    composing increments as (I + A)(I + B) = I + (A + B + A @ B).  I + D
+    is never formed: its rounding would drop the low bits of an O(h)
+    increment at every step.
+    """
+    F = H.shape[0]
+    spans = np.diff(np.asarray(times, dtype=np.float64), prepend=0.0)
+    steps = [max(1, int(np.ceil(span / dt))) if span > 0 else 1 for span in spans]
+    eye = np.broadcast_to(np.eye(F), (spans.size, F, F))
+    dx, dp = _rk4_increment(eye, np.zeros_like(eye), np.ones(F), H, (spans / steps)[:, None, None])
+    Z = np.eye(F, dtype=np.complex128)
+    maps = []
+    for span, n, base in zip(spans, steps, dx + 1j * dp):
+        if span > 0:
+            total = None
+            while n:
+                if n & 1:
+                    total = base if total is None else total + base + total @ base
+                n >>= 1
+                if n:
+                    base = base + base + base @ base
+            Z = Z + Z @ total
+        maps.append(Z.T)
+    return np.array(maps)
 
 
 def propagate_rk4(point, H, dt, steps):
@@ -106,11 +151,13 @@ def propagate_rk4(point, H, dt, steps):
 def grid_march(H, times, backend="exact", dt=1e-3):
     """The maps U, shape (n_times, F, F), with z(t_k) = U_k z(0) for every frame.
 
-    The exact backend builds exp(-i H t_k) from t = 0 for each grid time;
-    the rk4 backend integrates the F basis frames (x = I, p = 0) between
-    grid times with ceil(span/dt) equal steps of at most dt, and U_k is
-    (x + i p).T.  The sign-factor equations give the same map for either
-    frame sign, since s * (s * h) is exact, so the basis frames carry +1.
+    The exact backend builds exp(-i H t_k) from t = 0 for each grid time.
+    The rk4 backend takes ceil(span/dt) equal rk4 steps of at most dt
+    between grid times; one step is the same F x F map for every frame,
+    so each segment forms its steps' product once (_rk4_maps) and applies
+    it to the basis frames Z (x = I, p = 0) as Z + Z @ A, with U_k = Z.T.
+    The sign-factor equations give the same map for either frame sign,
+    since s * (s * h) is exact, so the basis frames carry +1.
     """
     if backend == "exact":
         dec = hermitian_eig(H)
@@ -118,18 +165,7 @@ def grid_march(H, times, backend="exact", dt=1e-3):
     if backend != "rk4":
         raise ValueError(f"unknown backend {backend!r}")
     _check_step(dt)
-    F = H.shape[0]
-    x, p = np.eye(F), np.zeros((F, F))
-    maps = []
-    prev = 0.0
-    for t in times:
-        span = t - prev
-        if span > 0:
-            steps = max(1, int(np.ceil(span / dt)))
-            x, p = _rk4_arrays(x, p, np.ones(F), H, span / steps, steps)
-        maps.append((x + 1j * p).T)
-        prev = t
-    return np.array(maps)
+    return _rk4_maps(H, times, dt)
 
 
 @dataclass

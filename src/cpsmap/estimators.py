@@ -73,6 +73,8 @@ N_BLOCKS = 100
 MARCH_ENTRIES = 1 << 19
 # A standard error at most this times max(1, |estimate|) is rounding noise.
 ZERO_VARIANCE_REL = 1e-12
+# The largest miss of the exact mapping identity a cmmcv comb may have.
+EXACT_MAPPING_TOL = 1e-8
 
 def hill_exponent(F):
     """Exponent B(F) of the hill window, 3/(7(F-1)) + 60/(7(F+13))."""
@@ -285,6 +287,15 @@ def _prepare(req):
                 raise ValueError(f"cmmcv Gamma dimension {G.shape[0]} does not match F={F}")
             if np.real(np.trace(G)) <= -1.0:
                 raise ValueError("cmmcv component needs Tr Gamma > -1 for a real sphere radius")
+        miss = np.abs(_cmmcv_mapping_tensor(method.components, F) - _pair_deltas(F)[1])
+        worst = np.unravel_index(np.argmax(miss), miss.shape)
+        if not miss[worst] <= EXACT_MAPPING_TOL:
+            where = ", ".join(str(i + 1) for i in worst)
+            raise ValueError(
+                "cmmcv comb violates the exact mapping condition: "
+                f"F sum_c w_c E_c[K_mn K_lk] misses delta_mk delta_nl by {miss[worst]:.3e} "
+                f"at (m, n, l, k) = ({where}), tolerance {EXACT_MAPPING_TOL:.0e}"
+            )
     if fam == "dtwa" and F != 2:
         raise ValueError("dtwa is the F=2 method; use gdtwa for F >= 3")
     if fam == "hill_ww" and F < 2:
@@ -299,6 +310,34 @@ def _prepare(req):
             "correlation functions only (n = m and k = l)"
         )
     return H, F, t_grid, (n - 1, m - 1, k - 1, l - 1)
+
+
+def _pair_deltas(F):
+    """delta_mn delta_lk and delta_mk delta_nl as tensors indexed [m, n, l, k]."""
+    I = np.eye(F)
+    return np.multiply.outer(I, I), np.einsum("mk,nl->mnlk", I, I)
+
+
+def _cmmcv_mapping_tensor(components, F):
+    """F sum_c w_c E_c[K_mn K_lk] of a cmmcv comb, indexed [m, n, l, k], in closed form.
+
+    K = (1/2) z z^dagger - Gamma_c with z uniform on the sphere of
+    squared radius R^2 = 2(1 + Tr Gamma_c), where
+    E[z_a z_b*] = (R^2/F) delta_ab and
+    E[z_a z_b* z_c z_d*] = R^4/(F(F+1)) (delta_ab delta_cd + delta_ad delta_cb).
+    The comb is exact when this is delta_mk delta_nl.
+    """
+    I = np.eye(F)
+    same, cross = _pair_deltas(F)
+    T = np.zeros((F, F, F, F), dtype=np.complex128)
+    for w, G in components:
+        R2 = 2.0 * (1.0 + np.real(np.trace(G)))
+        T += w * (
+            R2 * R2 / (4.0 * F * (F + 1)) * (same + cross)
+            - R2 / (2.0 * F) * (np.multiply.outer(I, G) + np.multiply.outer(G, I))
+            + np.multiply.outer(G, G)
+        )
+    return F * T
 
 
 # ---------------------------------------------------------------------------

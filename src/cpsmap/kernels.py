@@ -194,28 +194,44 @@ def _group_eigenvalues(lam, degeneracy_tol):
 
 
 def _classify(lam, degeneracy_tol):
-    """Signature data from an ascending spectrum.
+    """Group an ascending spectrum into its component's classes.
 
-    Returns (signature, frame_indices) where frame_indices point into
-    lam in the signature's frame order.
+    Returns (chosen, frame_indices): the maximally degenerate class of
+    indices, whose eigenvalue is -gamma, and the indices of the frame
+    eigenvalues in the signature's frame order.
     """
-    F = lam.size
     classes = _group_eigenvalues(lam, degeneracy_tol)
-    counts = [len(c) for c in classes]
-    d_max = max(counts)
+    d_max = max(len(c) for c in classes)
     # Maximal-degeneracy class; ties resolve toward the smallest
     # |eigenvalue| (then toward the smaller eigenvalue, for determinism).
-    candidates = [c for c in classes if len(c) == d_max]
-    rep = lambda c: float(np.mean(lam[c]))
-    chosen = min(candidates, key=lambda c: (abs(rep(c)), rep(c)))
-    gamma = -rep(chosen)
+    reps = [float(np.mean(lam[c])) for c in classes]
+    candidates = [j for j, c in enumerate(classes) if len(c) == d_max]
+    best = min(candidates, key=lambda j: (abs(reps[j]), reps[j]))
+    chosen = classes[best]
+    gamma = -reps[best]
     frame_idx = [i for c in classes if c is not chosen for i in c]
     frame_idx.sort(key=lambda i: (-abs(lam[i] + gamma), -lam[i]))
-    r = F - d_max
-    eigenvalues = tuple(float(lam[i]) for i in frame_idx) + (-gamma,) * d_max
-    signs = tuple(1 if lam[i] + gamma > 0 else -1 for i in frame_idx)
-    sig = StiefelSignature(F, eigenvalues, r, gamma, signs, degeneracy_tol)
-    return sig, frame_idx
+    return chosen, frame_idx
+
+
+def _signatures(lams, chosen, frame_idx, degeneracy_tol):
+    """One signature per spectrum of lams (npts, F), all grouped as _classify grouped one.
+
+    Each spectrum sets its own gamma and frame eigenvalues; bitwise
+    equal spectra share one (immutable) signature.  Also returns the
+    squared frame radii 2|lambda_i + gamma|, (npts, r).
+    """
+    gammas = -np.mean(lams[:, chosen], axis=1)
+    shifted = lams[:, frame_idx] + gammas[:, None]
+    built = {}
+    for lam, g, sh in zip(lams, gammas.tolist(), shifted):
+        key = lam.tobytes()
+        if key not in built:
+            built[key] = StiefelSignature(
+                lam.size, (*lam[frame_idx].tolist(), *(-g,) * len(chosen)), len(frame_idx), g,
+                tuple(np.where(sh > 0, 1, -1).tolist()), degeneracy_tol,
+            )
+    return [built[lam.tobytes()] for lam in lams], 2.0 * np.abs(shifted)
 
 
 def classify_kernel(K, degeneracy_tol=DEGENERACY_TOL):
@@ -226,9 +242,22 @@ def classify_kernel(K, degeneracy_tol=DEGENERACY_TOL):
     absolute eigenvalue); the frame eigenvalues come back descending by
     |lambda + gamma| with their signs.
     """
-    dec = hermitian_eig(K)
-    sig, _ = _classify(dec.eigenvalues, degeneracy_tol)
-    return sig
+    lam = hermitian_eig(K).eigenvalues
+    return _signatures(lam[None], *_classify(lam, degeneracy_tol), degeneracy_tol)[0][0]
+
+
+def _points_from_eigensystems(lams, vecs, degeneracy_tol):
+    """The phase points of a stack of kernels with one common spectrum.
+
+    lams (npts, F) and vecs (npts, F, F) are the kernels' eigensystems.
+    The spectrum is classified once, on the first kernel; each point
+    takes its gamma and frame radii from its own eigenvalues.  Frame i
+    is sqrt(2|lambda_i + gamma|) times the corresponding eigenvector.
+    """
+    chosen, frame_idx = _classify(lams[0], degeneracy_tol)
+    sigs, radii_sq = _signatures(lams, chosen, frame_idx, degeneracy_tol)
+    Z = np.sqrt(radii_sq)[..., None] * np.swapaxes(vecs[:, :, frame_idx], -1, -2)
+    return [StiefelPoint(x, p, sig) for x, p, sig in zip(Z.real, Z.imag, sigs)]
 
 
 def point_from_kernel(K, degeneracy_tol=DEGENERACY_TOL):
@@ -239,12 +268,7 @@ def point_from_kernel(K, degeneracy_tol=DEGENERACY_TOL):
     evaluating the covariant kernel at the result reproduces K.
     """
     dec = hermitian_eig(K)
-    sig, frame_idx = _classify(dec.eigenvalues, degeneracy_tol)
-    scales = np.sqrt(sig.frame_radii_sq())
-    Z = np.zeros((sig.r, sig.F), dtype=np.complex128)
-    for row, (i, s) in enumerate(zip(frame_idx, scales)):
-        Z[row] = s * dec.eigenvectors[:, i]
-    return StiefelPoint(Z.real, Z.imag, sig)
+    return _points_from_eigensystems(dec.eigenvalues[None], dec.eigenvectors[None], degeneracy_tol)[0]
 
 
 @dataclass
@@ -275,23 +299,21 @@ def gdtwa_points(F, n):
     Each kernel matrix has entry (n, n) = 1, entries
     (i, n) = (delta_i + i*sigma_i)/2 for i != n, the conjugates across
     the diagonal, and zeros elsewhere; the common spectrum is
-    {(1 +- sqrt(2F-1))/2, 0, ..., 0}.
+    {(1 +- sqrt(2F-1))/2, 0, ..., 0}.  The kernels are diagonalized as
+    one stack.
     """
     if not 1 <= n <= F:
         raise ValueError(f"state index {n} outside 1..{F}")
     n0 = n - 1
     others = [i for i in range(F) if i != n0]
-    indices = []
-    kernel_values = []
-    points = []
-    for deltas in itertools.product((1, -1), repeat=F - 1):
-        for sigmas in itertools.product((1, -1), repeat=F - 1):
-            K = np.zeros((F, F), dtype=np.complex128)
-            K[n0, n0] = 1.0
-            for i, d, s in zip(others, deltas, sigmas):
-                K[i, n0] = 0.5 * (d + 1j * s)
-                K[n0, i] = 0.5 * (d - 1j * s)
-            indices.append((deltas, sigmas))
-            kernel_values.append(K)
-            points.append(point_from_kernel(K))
-    return DiscretePointSet(F, n, indices, kernel_values, points)
+    # product over 2(F-1) signs runs the deltas outer and the sigmas inner
+    signs = list(itertools.product((1, -1), repeat=2 * (F - 1)))
+    indices = [(s[: F - 1], s[F - 1 :]) for s in signs]
+    ds, ss = np.array(signs, dtype=np.float64).reshape(len(signs), 2, F - 1).transpose(1, 0, 2)
+    K = np.zeros((len(indices), F, F), dtype=np.complex128)
+    K[:, n0, n0] = 1.0
+    K[:, others, n0] = 0.5 * (ds + 1j * ss)
+    K[:, n0, others] = 0.5 * (ds - 1j * ss)
+    dec = hermitian_eig(K)
+    points = _points_from_eigensystems(dec.eigenvalues, dec.eigenvectors, DEGENERACY_TOL)
+    return DiscretePointSet(F, n, indices, list(K), points)

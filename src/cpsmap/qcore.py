@@ -51,29 +51,39 @@ def require_hermitian(H, tol=HERMITIAN_TOL, name="matrix"):
         entry pair (0-based) and the measured maximum asymmetry.
     """
     H = np.asarray(H, dtype=np.complex128)
-    if H.ndim != 2 or H.shape[0] != H.shape[1]:
+    if H.ndim != 2:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if H.shape[0] < 1:
+    return _require_hermitian_stack(H, tol, name)
+
+
+def _require_hermitian_stack(H, tol, name):
+    """require_hermitian for a complex128 stack (..., F, F); the message names the matrix."""
+    if H.ndim < 2 or H.shape[-2] != H.shape[-1]:
+        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+    if H.shape[-1] < 1:
         raise ValueError("matrix dimension must be at least 1")
     if not np.all(np.isfinite(H)):
         raise ValueError(f"{name} has non-finite entries")
-    asym = np.abs(H - H.conj().T)
-    i, j = np.unravel_index(np.argmax(asym), asym.shape)
-    if asym[i, j] > tol:
+    asym = np.abs(H - np.swapaxes(H.conj(), -1, -2))
+    worst = np.unravel_index(np.argmax(asym), asym.shape)
+    if asym[worst] > tol:
+        *lead, i, j = worst
+        where = f"{name}[{', '.join(str(a) for a in lead)}]" if lead else name
         raise NonHermitianError(
-            f"{name} is not Hermitian: entries ({i}, {j}) and ({j}, {i}) differ, "
-            f"max asymmetry {asym[i, j]:.3e} exceeds {tol:.3e}"
+            f"{where} is not Hermitian: entries ({i}, {j}) and ({j}, {i}) differ, "
+            f"max asymmetry {asym[worst]:.3e} exceeds {tol:.3e}"
         )
     return H
 
 
 @dataclass
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix.
+    """Eigensystem of a Hermitian matrix, or of each matrix of a stack.
 
-    eigenvalues are ascending; eigenvectors are the columns of a
-    unitary matrix, with the phase of each column fixed so that its
-    first component of largest absolute value is real and nonnegative.
+    eigenvalues are ascending along the last axis; eigenvectors are the
+    columns of a unitary matrix, with the phase of each column fixed so
+    that its first component of largest absolute value is real and
+    nonnegative.
     """
 
     eigenvalues: np.ndarray
@@ -81,12 +91,12 @@ class SpectralDecomposition:
 
     @property
     def dim(self):
-        return self.eigenvalues.shape[0]
+        return self.eigenvalues.shape[-1]
 
     def reconstruct(self):
         """Return sum_i lambda_i v_i v_i^dagger."""
         V = self.eigenvectors
-        return (V * self.eigenvalues[None, :]) @ V.conj().T
+        return (V * self.eigenvalues[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
 @dataclass
@@ -102,13 +112,16 @@ class UnitaryPropagator:
 
 
 def _fix_phases(V):
-    """Rotate each column so its first max-modulus component is real >= 0."""
-    lead_idx = np.argmax(np.abs(V), axis=0)
-    lead = V[lead_idx, np.arange(V.shape[1])]
+    """Rotate each column so its first max-modulus component is real >= 0.
+
+    V is one matrix of columns or a stack (..., F, F) of them.
+    """
+    lead_idx = np.argmax(np.abs(V), axis=-2)
+    lead = np.take_along_axis(V, lead_idx[..., None, :], axis=-2)
     mod = np.abs(lead)
     # Columns are unit vectors, so the leading modulus is strictly positive.
     phase = lead / mod
-    return V * phase.conj()[None, :]
+    return V * phase.conj()
 
 
 def hermitian_eig(H, tol=HERMITIAN_TOL):
@@ -117,9 +130,10 @@ def hermitian_eig(H, tol=HERMITIAN_TOL):
     Parameters
     ----------
     H : array_like
-        Hermitian matrix.
+        Hermitian matrix, or a stack (..., F, F) of them, each
+        diagonalized as if on its own.
     tol : float
-        Hermiticity tolerance passed to ``require_hermitian``.
+        Hermiticity tolerance of the ``require_hermitian`` checks.
 
     Returns
     -------
@@ -129,7 +143,7 @@ def hermitian_eig(H, tol=HERMITIAN_TOL):
         the reconstruction is contractual there, not the individual
         vectors.
     """
-    H = require_hermitian(H, tol)
+    H = _require_hermitian_stack(np.asarray(H, dtype=np.complex128), tol, "matrix")
     lam, V = np.linalg.eigh(H)
     return SpectralDecomposition(lam, _fix_phases(V))
 

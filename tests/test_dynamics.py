@@ -22,6 +22,7 @@ from cpsmap.dynamics import (
     propagate_rk4,
     propagate_segment,
 )
+from cpsmap.models import ModelSpec, build_hamiltonian
 
 RABI = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -136,6 +137,71 @@ def test_rk4_maps_match_direct_integration():
                 x, p = _rk4_arrays(x, p, signs, H3, (t - prev) / steps, steps)
             prev = t
             assert np.max(np.abs(np.matmul(Z, U.T) - (x + 1j * p))) <= 1e-13
+
+
+def stage_by_stage_rk4(x, p, signs, H, dt, steps):
+    """Classic rk4 on the sign-factor equations, one stage at a time (the reference loop)."""
+    s = np.asarray(signs, dtype=np.float64)[..., :, None]
+
+    def rhs(x, p):
+        hz = (x + 1j * p) @ H.T
+        return s * (s * hz.imag), -s * (s * hz.real)
+
+    x = x.copy()
+    p = p.copy()
+    for _ in range(steps):
+        k1x, k1p = rhs(x, p)
+        k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+        k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+        k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
+        x += (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        p += (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    return x, p
+
+
+def basis_frame_maps(H, times, dt):
+    """The rk4 maps from the basis frames integrated step by step between grid times."""
+    F = H.shape[0]
+    x, p, prev, maps = np.eye(F), np.zeros((F, F)), 0.0, []
+    for t in times:
+        if t > prev:
+            steps = max(1, int(np.ceil((t - prev) / dt)))
+            x, p = stage_by_stage_rk4(x, p, np.ones(F), H, (t - prev) / steps, steps)
+        maps.append((x + 1j * p).T)
+        prev = t
+    return np.array(maps)
+
+
+@pytest.mark.parametrize("F", [3, 8])
+def test_rk4_maps_match_stage_by_stage_basis_frames(F):
+    # 10 000 steps of 1e-3: the powered segment maps keep the low bits
+    # of every step's increment, so they track the step-by-step march
+    H = build_hamiltonian(ModelSpec.random(F, seed=80 + F))
+    times = np.linspace(0.0, 10.0, 21)
+    maps = grid_march(H, times, "rk4", 1e-3)
+    assert np.max(np.abs(maps - basis_frame_maps(H, times, 1e-3))) <= 1e-12
+    eye = np.eye(F)
+    assert max(np.max(np.abs(U.conj().T @ U - eye)) for U in maps) <= 1e-13
+
+
+def test_rk4_maps_on_step_counts_that_are_not_powers_of_two():
+    dt = 0.25
+    times = np.array([0.0, 0.25, 2.0, 5.25])
+    spans = np.diff(times)
+    assert [int(np.ceil(s / dt)) for s in spans] == [1, 7, 13]
+    maps = grid_march(H3, times, "rk4", dt)
+    assert np.max(np.abs(maps - basis_frame_maps(H3, times, dt))) <= 1e-14
+
+
+def test_propagate_rk4_is_the_stage_by_stage_loop_bitwise():
+    rng = np.random.default_rng(12)
+    one = sample_sphere(3, 0.4, rng)
+    two = sample_stiefel(gdtwa_signature(3), rng)
+    for pt in (one, two):
+        out = propagate_rk4(pt, H3, 1e-2, 37)
+        x, p = stage_by_stage_rk4(pt.x, pt.p, pt.signature.signs, H3, 1e-2, 37)
+        assert out.x.tobytes() == x.tobytes()
+        assert out.p.tobytes() == p.tobytes()
 
 
 def test_exact_maps_are_unitary():

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpsmap import estimators
-from cpsmap.cps import GammaWeight, StiefelPoint, cmm_signature, gamma_wigner
+from cpsmap.cps import GammaWeight, StiefelPoint, cmm_signature, gamma_wigner, sample_sphere_batch
 from cpsmap.dynamics import grid_march
 from cpsmap.estimators import (
     _PLANS,
@@ -46,6 +46,22 @@ def two_delta_comb(F=2):
     g2 = (a2 - 1.0) / 2.0
     w2 = 2.0 / (a2**2 - 1.0)
     return GammaWeight.delta_comb([(0.0, 1.0 - w2), (g2, w2)])
+
+
+def exact_cmmcv_comb(F):
+    """A signed three-sphere cmmcv comb with non-scalar Gammas that is exact.
+
+    Gamma_c = g_c I + h_c A with A traceless.  The weights (1.5, -0.6,
+    0.1) sum to 1 and, with h = (1, 2, -3), give sum_c w_c h_c = 0 and
+    sum_c w_c h_c^2 = 0; the g_c solve sum_c w_c (F g_c^2 + 2 g_c) = 1.
+    """
+    A = np.diag(np.linspace(0.1, -0.1, F))
+    g2 = (math.sqrt(1.0 + 5.0 * F / 6.0) - 1.0) / F
+    return [
+        (1.5, gamma_wigner(F) * np.eye(F) + A),
+        (-0.6, g2 * np.eye(F) + 2.0 * A),
+        (0.1, -3.0 * A),
+    ]
 
 
 def request(H, method, nmkl=(1, 1, 1, 1), n_traj=40000, seed=5, t_grid=None, **kw):
@@ -284,7 +300,7 @@ def test_same_seed_is_bitwise_reproducible():
 
 
 SHORT_RK4 = dict(t_grid=[0.0, 0.1], backend="rk4", dt=1e-2)
-CMMCV_COMB = [(0.7, np.diag([0.3, 0.1])), (0.3, gamma_wigner(2) * np.eye(2))]
+CMMCV_COMB = exact_cmmcv_comb(2)
 THREAD_CASES = {
     "hill_ww": (2, MethodSpec.hill_ww(0.0), dict(n_traj=8000)),
     "cmmcv-exact": (2, MethodSpec.cmmcv(CMMCV_COMB), dict(nmkl=(1, 2, 2, 1), n_traj=3000)),
@@ -361,9 +377,7 @@ def signed_comb(F, g2=0.2):
 ORACLE_METHODS = {
     "cmm": lambda F: MethodSpec.cmm(gamma_wigner(F)),
     "wmm": lambda F: MethodSpec.wmm(signed_comb(F)),
-    "cmmcv": lambda F: MethodSpec.cmmcv(
-        [(0.7, np.diag(np.linspace(0.3, 0.1, F))), (0.3, gamma_wigner(F) * np.eye(F))]
-    ),
+    "cmmcv": lambda F: MethodSpec.cmmcv(exact_cmmcv_comb(F)),
     "cornered_simplex": lambda F: MethodSpec.cornered_simplex(0.5),
     "triangle_sqc": lambda F: MethodSpec.triangle_sqc(),
     "ehrenfest": lambda F: MethodSpec.ehrenfest(),
@@ -617,10 +631,41 @@ def test_cmmcv_two_component_comb():
 def test_cmmcv_rk4_backend_agrees():
     H = random_h(2, seed=45)
     t_grid = np.linspace(0.0, 2.0, 3)
-    comps = [(1.0, np.diag([0.3, 0.1]))]
+    comps = exact_cmmcv_comb(2)
     a = estimate_tcf(request(H, MethodSpec.cmmcv(comps), t_grid=t_grid, n_traj=5000))
     b = estimate_tcf(request(H, MethodSpec.cmmcv(comps), t_grid=t_grid, n_traj=5000, backend="rk4"))
     assert np.max(np.abs(a.estimates - b.estimates)) < 1e-8
+
+
+@pytest.mark.parametrize("F", [2, 3, 5])
+def test_cmmcv_exact_combs_pass_the_mapping_check(F):
+    for comps in ([(1.0, gamma_wigner(F) * np.eye(F))], exact_cmmcv_comb(F)):
+        _prepare(request(random_h(F), MethodSpec.cmmcv(comps), nmkl=(1, 2, 2, 1)))
+
+
+def test_cmmcv_rejects_a_comb_that_breaks_the_exact_mapping():
+    # gamma_W I plus a small off-diagonal Hermitian part biases the
+    # estimate by many standard errors; the closed form names the worst entry
+    F = 3
+    off = np.zeros((F, F), dtype=complex)
+    off[0, 1], off[1, 0] = 0.05 + 0.02j, 0.05 - 0.02j
+    comps = [(1.0, gamma_wigner(F) * np.eye(F) + off)]
+    with pytest.raises(ValueError, match=r"exact mapping condition.*\(m, n, l, k\) = \(\d, \d, \d, \d\)"):
+        estimate_tcf(request(random_h(F), MethodSpec.cmmcv(comps), nmkl=(1, 2, 2, 1)))
+
+
+def test_cmmcv_mapping_tensor_matches_monte_carlo():
+    F = 3
+    off = np.zeros((F, F), dtype=complex)
+    off[0, 1], off[1, 0] = 0.1 - 0.05j, 0.1 + 0.05j
+    G = gamma_wigner(F) * np.eye(F) + off
+    n = 200_000
+    Z = sample_sphere_batch(F, np.real(np.trace(G)) / F, np.random.default_rng(17), n)
+    K = 0.5 * Z[:, :, None] * np.conj(Z[:, None, :]) - G
+    mc = F * np.einsum("imn,ilk->mnlk", K, K) / n
+    closed = estimators._cmmcv_mapping_tensor([(1.0, G)], F)
+    assert np.max(np.abs(mc - closed)) < 2e-2
+    assert np.max(np.abs(closed - estimators._pair_deltas(F)[1])) > 0.05
 
 
 def test_cmmcv_gamma_trace_domain():

@@ -228,6 +228,21 @@ def test_gdtwa_points_roundtrip():
         assert np.max(np.abs(back - K)) < 1e-10
 
 
+@pytest.mark.parametrize("F", [2, 3, 4, 5])
+def test_gdtwa_points_equal_one_point_from_kernel_per_kernel(F):
+    # one batched eigensolve and one classification give each kernel's
+    # own point bit for bit, with gamma read off its own eigenvalues
+    for n in range(1, F + 1):
+        ps = gdtwa_points(F, n)
+        assert len(ps.points) == len(ps.kernel_values) == len(ps.indices) == 4 ** (F - 1)
+        for K, pt in zip(ps.kernel_values, ps.points):
+            one = point_from_kernel(K)
+            assert pt.signature == one.signature
+            assert pt.x.tobytes() == one.x.tobytes()
+            assert pt.p.tobytes() == one.p.tobytes()
+        assert ps.frames.shape == (4 ** (F - 1), gdtwa_signature(F).r, F)
+
+
 def test_gdtwa_points_rejects_bad_state():
     with pytest.raises(ValueError):
         gdtwa_points(2, 3)
