@@ -9,9 +9,13 @@ frame column i carries a sign s_i and a squared radius 2|lambda_i +
 gamma|.  The familiar single-sphere phase space is the r = 1 case,
 where the constraint reads sum_n (x_n^2 + p_n^2)/2 = 1 + F*gamma.
 
-This module holds the component metadata (signatures), point
-containers, the gamma-axis quasi-probability weights, and the Monte
-Carlo samplers.  States are numbered 1..F in public interfaces.
+This module holds the component metadata (StiefelSignature), the point
+container (StiefelPoint), the gamma-axis quasi-probability weights
+(GammaWeight), and the Monte Carlo samplers (sample_sphere_batch, with
+sample_sphere and sample_stiefel for one point).  A point's frames Z
+(r, F) meet their constraints when the Gram matrix conj(Z) Z^T is
+diag(2|lambda_i + gamma|).  States are numbered 1..F in public
+interfaces.
 
 Measure convention: integrals over one component are F times the
 expectation under the uniform probability measure, i.e. the measure of
@@ -142,27 +146,6 @@ class StiefelPoint:
     def actions(self):
         """Per-state actions e_n = (x_n^2 + p_n^2)/2 of each frame, (r, F)."""
         return 0.5 * (self.x**2 + self.p**2)
-
-
-@dataclass
-class ActionAngle:
-    """Action-angle coordinates of a single-frame point.
-
-    actions e_n are nonnegative and sum to 1 + F*gamma on the sphere
-    at gamma; angles lie in [0, 2*pi).
-    """
-
-    actions: np.ndarray
-    angles: np.ndarray
-
-
-def action_angle(point):
-    """Action-angle coordinates of an r = 1 point."""
-    if point.r != 1:
-        raise ValueError("action-angle coordinates are defined for r = 1 points")
-    z = point.z[0]
-    angles = np.mod(np.angle(z), 2.0 * np.pi)
-    return ActionAngle(0.5 * np.abs(z) ** 2, angles)
 
 
 # ---------------------------------------------------------------------------
@@ -311,18 +294,6 @@ class GammaWeight:
         return draws, signs
 
 
-def sample_gamma(weight, rng):
-    """Draw one (gamma, sign_weight, magnitude) triple from a weight.
-
-    gamma comes from |w| / int|w|; sign_weight is the sign of w there;
-    magnitude is int|w|, the correction that makes signed averages
-    reproduce the signed integral.
-    """
-    weight.validate()
-    g, s = weight.sample_batch(rng, 1)
-    return float(g[0]), int(s[0]), weight.abs_total()
-
-
 # ---------------------------------------------------------------------------
 # point samplers
 
@@ -377,57 +348,3 @@ def sample_stiefel(signature, rng):
     scales = np.sqrt(signature.frame_radii_sq())
     Z = (Q * scales[None, :]).T  # frames as rows
     return StiefelPoint(Z.real, Z.imag, signature)
-
-
-def measure_norm(F, gamma):
-    """Total measure Omega(gamma) of the sphere component at gamma.
-
-    Closed form: 2 pi^F / (F-1)! * (2(1 + F*gamma))^(F-1).
-    """
-    if gamma <= -1.0 / F:
-        raise ValueError(f"gamma={gamma} must exceed -1/F = {-1.0 / F}")
-    return 2.0 * math.pi**F / math.factorial(F - 1) * (2.0 * (1.0 + F * gamma)) ** (F - 1)
-
-
-@dataclass
-class ConstraintReport:
-    """Residuals of the frame constraints at one point.
-
-    norm_residuals[i] = |sum_n (x_in^2 + p_in^2)/2 - |lambda_i + gamma||
-    cross_residuals[(i, j)] = |z_i^dagger z_j| for i < j, split into the
-    symmetric (real) and antisymmetric (imag) parts.
-    """
-
-    norm_residuals: np.ndarray
-    cross_residuals: dict
-    tol: float
-
-    @property
-    def max_residual(self):
-        worst = float(np.max(self.norm_residuals)) if self.norm_residuals.size else 0.0
-        for re, im in self.cross_residuals.values():
-            worst = max(worst, re, im)
-        return worst
-
-    @property
-    def passed(self):
-        return self.max_residual < self.tol
-
-
-def check_constraints(point, tol=1e-10):
-    """Measure every frame constraint residual of a point.
-
-    Frame i must have squared norm 2|lambda_i + gamma| and distinct
-    frames must be orthogonal in the complex sense (both the symmetric
-    and the antisymmetric real pairing vanish).
-    """
-    z = point.z
-    radii_sq = point.signature.frame_radii_sq()
-    norms = np.sum(np.abs(z) ** 2, axis=1)
-    norm_res = np.abs(0.5 * norms - 0.5 * radii_sq)
-    cross = {}
-    for i in range(point.r):
-        for j in range(i + 1, point.r):
-            ip = z[i].conj() @ z[j]
-            cross[(i, j)] = (abs(ip.real), abs(ip.imag))
-    return ConstraintReport(norm_res, cross, tol)

@@ -4,38 +4,32 @@ The classical Hamiltonian of a point with frames z_i and signs s_i is
 
     H_C(X) = sum_i s_i * (1/2) z_i^dagger H z_i - gamma * Tr H,
 
-and the equations of motion carry the sign factors explicitly:
+which kernels.kernel_trace evaluates as Tr[H K(X)], and the equations
+of motion carry the sign factors explicitly:
 
     dx_n^(k)/dt = s_k dH_C/dp_n^(k),   dp_n^(k)/dt = -s_k dH_C/dx_n^(k).
 
 Because H_C itself contains one factor of s_k per frame, the signs
 square away and every frame obeys dz/dt = -i H z, the time-dependent
-Schroedinger equation.  The march is therefore linear: grid_march builds
-the map z(t_k) = U_k z(0) of each grid time once, on either backend.  On
-rk4 one step is the same F x F map for every frame, so each grid segment
-raises one step's increment to the segment's step count by squaring.  A
-point's frames march as Z @ U.T; the estimators carry a block's kernel as
-U M U^dagger, or march the frames a window reads with one gemm.
-propagate_rk4 integrates a point's own frames with their signs, step by
-step, so the sign equivalence is measured rather than assumed.
+Schroedinger equation.  The march is therefore linear: grid_march, the
+one propagation entry point, builds the map z(t_k) = U_k z(0) of each
+grid time once, on either backend.  On rk4 one step is the same F x F
+map for every frame, so each grid segment raises one step's increment
+to the segment's step count by squaring.  A point's frames march as
+Z @ U.T; the estimators carry a block's kernel as U M U^dagger, or
+march the frames a window reads with one gemm.  The invariants are read
+off the maps: U^dagger U - I for the frame norms and cross-frame
+products, U^dagger H U - H for H_C.  propagate_rk4 integrates a point's
+own frames with their signs, step by step, so the sign equivalence is
+measured rather than assumed.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .cps import check_constraints, StiefelPoint
-from .kernels import kernel_trace
+from .cps import StiefelPoint
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian
-
-
-def classical_energy(point, H):
-    """H_C(X) = sum_i s_i (1/2) z_i^dagger H z_i - gamma Tr H = Tr[H K(X)]."""
-    H = require_hermitian(H)
-    sig = point.signature
-    weights = 0.5 * np.asarray(sig.signs, dtype=np.float64)
-    return float(np.real(kernel_trace(point.z, H, sig.gamma, weights)))
 
 
 def _check_step(dt):
@@ -51,17 +45,6 @@ def _check_grid(times, name):
     if times.size < 1 or times[0] < 0 or np.any(np.diff(times) <= 0):
         raise ValueError(f"{name} must be nonempty, nonnegative, strictly increasing")
     return times
-
-
-def propagate_exact(point, H, t):
-    """Apply the unitary exp(-i H t) to every frame of the point."""
-    H = require_hermitian(H)
-    if H.shape[0] != point.F:
-        raise ValueError(f"H dimension {H.shape[0]} does not match point F={point.F}")
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t!r}")
-    z = np.matmul(point.z, grid_march(H, [t])[0].T)
-    return StiefelPoint(z.real, z.imag, point.signature)
 
 
 def _rk4_increment(x, p, signs, H, dt):
@@ -151,83 +134,21 @@ def propagate_rk4(point, H, dt, steps):
 def grid_march(H, times, backend="exact", dt=1e-3):
     """The maps U, shape (n_times, F, F), with z(t_k) = U_k z(0) for every frame.
 
-    The exact backend builds exp(-i H t_k) from t = 0 for each grid time.
-    The rk4 backend takes ceil(span/dt) equal rk4 steps of at most dt
-    between grid times; one step is the same F x F map for every frame,
-    so each segment forms its steps' product once (_rk4_maps) and applies
-    it to the basis frames Z (x = I, p = 0) as Z + Z @ A, with U_k = Z.T.
-    The sign-factor equations give the same map for either frame sign,
-    since s * (s * h) is exact, so the basis frames carry +1.
+    The exact backend builds exp(-i H t_k) for every grid time from one
+    decomposition of H.  The rk4 backend takes ceil(span/dt) equal rk4
+    steps of at most dt between grid times; one step is the same F x F
+    map for every frame, so each segment forms its steps' product once
+    (_rk4_maps) and applies it to the basis frames Z (x = I, p = 0) as
+    Z + Z @ A, with U_k = Z.T.  The sign-factor equations give the same
+    map for either frame sign, since s * (s * h) is exact, so the basis
+    frames carry +1.  Both backends check H, times (finite, nonempty,
+    nonnegative, strictly increasing) and dt, naming the field at fault.
     """
-    if backend == "exact":
-        dec = hermitian_eig(H)
-        return np.array([propagator_from_decomposition(dec, t).matrix for t in times])
-    if backend != "rk4":
+    if backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {backend!r}")
-    _check_step(dt)
-    return _rk4_maps(H, times, dt)
-
-
-@dataclass
-class TrajectorySegment:
-    """A propagated trajectory sampled on a time grid."""
-
-    times: np.ndarray
-    points: list
-    backend: str
-    hamiltonian: np.ndarray
-
-
-def propagate_segment(point, H, times, backend="exact", dt=1e-3):
-    """Propagate a point over a time grid with the chosen backend.
-
-    The frames at grid time t_k are Z @ U_k.T, with the maps U of
-    grid_march; the rk4 backend builds them with steps <= dt.
-    """
+    H = require_hermitian(H, name="H")
     times = _check_grid(times, "times")
     _check_step(dt)
-    H = require_hermitian(H)
-    zs = [np.matmul(point.z, U.T) for U in grid_march(H, times, backend, dt)]
-    points = [StiefelPoint(z.real, z.imag, point.signature) for z in zs]
-    return TrajectorySegment(times, points, backend, H)
-
-
-@dataclass
-class DriftReport:
-    """Worst-case invariant drift along a trajectory segment."""
-
-    max_norm_residual: float
-    max_cross_residual: float
-    max_energy_drift: float
-    tol: float
-
-    @property
-    def max_drift(self):
-        return max(self.max_norm_residual, self.max_cross_residual, self.max_energy_drift)
-
-    @property
-    def passed(self):
-        return self.max_drift < self.tol
-
-
-def invariant_drift(segment, tol=None):
-    """Measure constraint and energy drift over a segment.
-
-    Reports the maxima over time of the frame-norm residuals, the
-    cross-frame orthogonality residuals, and |H_C(t) - H_C(0)|.  The
-    default tolerance is 1e-8 for the exact backend and 1e-6 for rk4.
-    """
-    if tol is None:
-        tol = 1e-8 if segment.backend == "exact" else 1e-6
-    e0 = classical_energy(segment.points[0], segment.hamiltonian)
-    worst_norm = 0.0
-    worst_cross = 0.0
-    worst_energy = 0.0
-    for pt in segment.points:
-        rep = check_constraints(pt, tol)
-        if rep.norm_residuals.size:
-            worst_norm = max(worst_norm, float(np.max(rep.norm_residuals)))
-        for re, im in rep.cross_residuals.values():
-            worst_cross = max(worst_cross, re, im)
-        worst_energy = max(worst_energy, abs(classical_energy(pt, segment.hamiltonian) - e0))
-    return DriftReport(worst_norm, worst_cross, worst_energy, tol)
+    if backend == "exact":
+        return propagator_from_decomposition(hermitian_eig(H), times)
+    return _rk4_maps(H, times, dt)

@@ -41,8 +41,7 @@ and ww) by one gemm of the frames with the map rows it reads (per
 bounded chunk of grid times).  Plans are looked up by family in one
 table (_PLANS).  Every density-side kernel entry comes from
 kernels.kernel_entries; every window is one batched function of the
-actions (..., F) in this module, and the single-point eval_window is a
-batch of one of the same functions.
+actions (..., F) in this module.
 
 Trajectories are generated in 100 fixed blocks.  Block b draws from
 Generator(Philox(SeedSequence(seed, spawn_key=(b,)))), blocks double as
@@ -817,37 +816,6 @@ def _cornered_window(e_n, F, g):
     The normalization is F (F gamma / (1 + F gamma))^(F-1).
     """
     return (1.0 / (F * (F * g / (1.0 + F * g)) ** (F - 1))) * (e_n >= 1.0)
-
-
-_WINDOWS = {
-    "triangle": _triangle_rho_window,
-    "hill_obs": lambda e, n0: _hill_obs_windows(e)[..., n0],
-    "hill_rho": _hill_rho_window,
-}
-
-
-def eval_window(kind, point, n):
-    """Evaluate one window function at an r=1 point for state n (1-based).
-
-    kinds: triangle (the density-side triangle window), hill_obs and
-    hill_rho (the hill pair), cornered (the normalized cornered-simplex
-    window, using the point's sphere parameter).  The point's actions
-    are a batch of one for the estimators' window functions.
-    """
-    if point.r != 1:
-        raise ValueError("windows are defined on single-frame points")
-    F = point.F
-    if not 1 <= n <= F:
-        raise ValueError(f"state index {n} outside 1..{F}")
-    e = point.actions()
-    if kind == "cornered":
-        g = point.signature.gamma
-        if g <= 0:
-            raise ValueError("cornered window needs a gamma > 0 sphere")
-        return float(_cornered_window(e[:, n - 1], F, g)[0])
-    if kind not in _WINDOWS:
-        raise ValueError(f"unknown window kind {kind!r}")
-    return float(_WINDOWS[kind](e, n - 1)[0])
 
 
 # ---------------------------------------------------------------------------

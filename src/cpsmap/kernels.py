@@ -9,12 +9,13 @@ it in the exact-mapping identity
     F * E[ K_mn(X) Kinv_lk(X) ] = delta_mk delta_nl
 
 over the uniform sphere.  kernel_entries is the one evaluator of
-sum_i w_i z_i z_i^dagger - shift over batches of frames and
-kernel_trace the one Tr[M K]; the estimators' density side, the CLI
-mapping validation and the single-point eval_kernel,
-eval_inverse_kernel and dynamics.classical_energy (batches of one) all
-call them.  The estimators sum the observable kernel over a block as
-one moment matrix instead.
+sum_i w_i z_i z_i^dagger - shift over batches of frames (a single point
+is a batch of one) and kernel_trace the one Tr[M K], which at M = H is
+the classical Hamiltonian H_C; inverse_kernel_coefficients gives the
+inverse kernel's weight and shift on the sphere at gamma.  The
+estimators' density side and the CLI mapping validation call them; the
+estimators sum the observable kernel over a block as one moment matrix
+instead.
 classify_kernel reads the component signature off an arbitrary
 Hermitian matrix, point_from_kernel reconstructs the phase point, and
 gdtwa_points builds the 2^(2(F-1)) discrete kernel matrices used by the
@@ -28,60 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cps import (
-    DEGENERACY_TOL,
-    StiefelPoint,
-    StiefelSignature,
-    gdtwa_signature,
-)
-from .qcore import hermitian_eig, require_hermitian
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """Which kernel to evaluate.
-
-    kinds:
-      cps_covariant(gamma)       K = (1/2) z z^dagger - gamma*I  (r = 1)
-      cps_inverse(gamma)         the paired inverse kernel        (r = 1)
-      cmmcv(Gamma)               K = (1/2) z z^dagger - Gamma     (r = 1)
-      gdtwa                      covariant kernel on the discrete-sampling
-                                 component (single sphere for F = 2,
-                                 two frames with signs (+1, -1) for F >= 3)
-      stiefel_covariant(sig)     K = sum_i (s_i/2) z_i z_i^dagger - gamma*I
-    """
-
-    kind: str
-    F: int
-    gamma: float = None
-    Gamma: np.ndarray = None
-    signature: StiefelSignature = None
-
-    @staticmethod
-    def cps_covariant(F, gamma):
-        return KernelSpec(kind="cps_covariant", F=F, gamma=float(gamma))
-
-    @staticmethod
-    def cps_inverse(F, gamma):
-        return KernelSpec(kind="cps_inverse", F=F, gamma=float(gamma))
-
-    @staticmethod
-    def cmmcv(Gamma):
-        Gamma = require_hermitian(Gamma)
-        return KernelSpec(kind="cmmcv", F=Gamma.shape[0], Gamma=Gamma)
-
-    @staticmethod
-    def gdtwa(F):
-        return KernelSpec(kind="gdtwa", F=F, signature=gdtwa_signature(F))
-
-    @staticmethod
-    def stiefel_covariant(signature):
-        return KernelSpec(
-            kind="stiefel_covariant",
-            F=signature.F,
-            gamma=signature.gamma,
-            signature=signature,
-        )
+from .cps import DEGENERACY_TOL, StiefelPoint, StiefelSignature
+from .qcore import hermitian_eig
 
 
 def _frame_sum(terms):
@@ -123,57 +72,10 @@ def kernel_trace(Z, M, gamma=0.0, weights=0.5):
     return _frame_sum(weights * quad) - gamma * np.trace(M)
 
 
-def eval_kernel(spec, point):
-    """Evaluate a kernel at a phase point; returns a Hermitian matrix.
-
-    Covariant kinds contract the point's frames with the sign factors;
-    the single-frame kinds insist on r = 1 input.
-    """
-    if point.F != spec.F:
-        raise ValueError(f"point dimension {point.F} does not match spec F={spec.F}")
-    if spec.kind == "cps_inverse":
-        return eval_inverse_kernel(spec.gamma, point)
-    if spec.kind in ("cps_covariant", "cmmcv"):
-        if point.r != 1:
-            raise ValueError(f"single-sphere kernel needs r=1, point has r={point.r}")
-        return kernel_entries(point.z, gamma=spec.gamma, Gamma=spec.Gamma)
-    if spec.kind in ("gdtwa", "stiefel_covariant"):
-        sig = spec.signature
-        if point.r != sig.r:
-            raise ValueError(f"point has r={point.r}, spec expects r={sig.r}")
-        weights = 0.5 * np.asarray(sig.signs, dtype=np.float64)
-        return kernel_entries(point.z, gamma=sig.gamma, weights=weights)
-    raise ValueError(f"unknown kernel kind {spec.kind!r}")
-
-
 def inverse_kernel_coefficients(F, gamma):
     """(c1, c2) of the inverse kernel c1 z z^dagger - c2 I on the sphere at gamma."""
     shell = 1.0 + F * gamma
     return (1.0 + F) / (2.0 * shell**2), (1.0 - gamma) / shell
-
-
-def eval_inverse_kernel(gamma, point):
-    """Inverse kernel entries on the sphere at gamma.
-
-    [Kinv]_mn = (1+F)/(2(1+F*gamma)^2) * z_m conj(z_n)
-                - (1-gamma)/(1+F*gamma) * delta_mn
-
-    The point must satisfy the sphere constraint at gamma to 1e-8.
-    """
-    F = point.F
-    if gamma <= -1.0 / F:
-        raise ValueError(f"gamma={gamma} must exceed -1/F = {-1.0 / F}")
-    if point.r != 1:
-        raise ValueError(f"inverse kernel needs r=1, point has r={point.r}")
-    shell = 1.0 + F * gamma
-    violation = abs(0.5 * float(np.sum(np.abs(point.z) ** 2)) - shell)
-    if violation > 1e-8:
-        raise ValueError(
-            f"point violates the sphere constraint at gamma={gamma}: "
-            f"residual {violation:.3e}"
-        )
-    c1, c2 = inverse_kernel_coefficients(F, gamma)
-    return kernel_entries(point.z, gamma=c2, weights=c1)
 
 
 def _group_eigenvalues(lam, degeneracy_tol):

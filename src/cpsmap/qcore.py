@@ -1,10 +1,11 @@
 """Dense complex linear algebra for small finite-state systems.
 
 Everything downstream rests on three operations: a Hermitian
-eigensolver with a deterministic eigenvector phase convention, unitary
-propagators assembled from the spectral decomposition, and the exact
-quantum time correlation function used as the reference that every
-trajectory estimator is checked against.
+eigensolver with a deterministic eigenvector phase convention, the
+unitary propagators exp(-i H t) of a grid of times, assembled from the
+spectral decomposition, and the exact quantum time correlation function
+used as the reference that every trajectory estimator is checked
+against.
 
 Hermitian matrices are plain complex ndarrays; ``require_hermitian``
 enforces the symmetry contract at the boundary.  hbar = 1 throughout,
@@ -99,18 +100,6 @@ class SpectralDecomposition:
         return (V * self.eigenvalues[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
-@dataclass
-class UnitaryPropagator:
-    """exp(-i H t) together with the time it propagates over."""
-
-    matrix: np.ndarray
-    time: float
-
-    @property
-    def dim(self):
-        return self.matrix.shape[0]
-
-
 def _fix_phases(V):
     """Rotate each column so its first max-modulus component is real >= 0.
 
@@ -148,28 +137,15 @@ def hermitian_eig(H, tol=HERMITIAN_TOL):
     return SpectralDecomposition(lam, _fix_phases(V))
 
 
-def propagator_from_decomposition(dec, t):
-    """Unitary exp(-i H t) from a precomputed decomposition of H."""
-    V = dec.eigenvectors
-    U = (V * np.exp(-1j * dec.eigenvalues * t)[None, :]) @ V.conj().T
-    return UnitaryPropagator(U, float(t))
+def propagator_from_decomposition(dec, times):
+    """exp(-i H t) for every t of times, shape np.shape(times) + (F, F), from a decomposition of H.
 
-
-def propagator(H, t):
-    """exp(-i H t) for Hermitian H, built spectrally.
-
-    Parameters
-    ----------
-    H : array_like
-        Hermitian generator.
-    t : float
-        Propagation time.
-
-    Returns
-    -------
-    UnitaryPropagator
+    All times are built by one broadcast; each matrix has the bits of
+    its own single-time build.
     """
-    return propagator_from_decomposition(hermitian_eig(H), t)
+    V = dec.eigenvectors
+    phases = np.exp(-1j * dec.eigenvalues * np.asarray(times, dtype=np.float64)[..., None])
+    return (V * phases[..., None, :]) @ V.conj().T
 
 
 def exact_tcf(rho, A, H, t_grid):

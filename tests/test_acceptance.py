@@ -12,31 +12,15 @@ import time
 import numpy as np
 
 from cpsmap.cli import ExperimentConfig, convergence_study, run_experiment
-from cpsmap.cps import (
-    GammaWeight,
-    StiefelPoint,
-    cmm_signature,
-    gamma_wigner,
-    sample_sphere,
-)
+from cpsmap.cps import GammaWeight, gamma_wigner, sample_sphere
 from cpsmap.estimators import (
     MethodSpec,
     TCFRequest,
     estimate_tcf,
     intra_electron_check,
 )
-from cpsmap.kernels import (
-    KernelSpec,
-    eval_inverse_kernel,
-    eval_kernel,
-    gdtwa_points,
-)
-from cpsmap.dynamics import (
-    invariant_drift,
-    propagate_exact,
-    propagate_rk4,
-    propagate_segment,
-)
+from cpsmap.kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries
+from cpsmap.dynamics import grid_march, propagate_rk4
 from cpsmap.models import ModelSpec, build_hamiltonian
 from cpsmap.qcore import exact_tcf, hermitian_eig
 
@@ -108,13 +92,9 @@ def test_exact_mapping_condition():
                 s2i += (X.imag**2).sum(axis=0)
 
             # the vectorized kernels match the library evaluators
-            pt = StiefelPoint(
-                first_z.real[None, :],
-                first_z.imag[None, :],
-                cmm_signature(F, gamma),
-            )
-            K_lib = eval_kernel(KernelSpec.cps_covariant(F, gamma), pt)
-            Ki_lib = eval_inverse_kernel(gamma, pt)
+            lib_c1, lib_c2 = inverse_kernel_coefficients(F, gamma)
+            K_lib = kernel_entries(first_z[None, :], gamma=gamma)
+            Ki_lib = kernel_entries(first_z[None, :], gamma=lib_c2, weights=lib_c1)
             zz0 = np.outer(first_z, first_z.conj())
             assert np.max(np.abs(K_lib - (0.5 * zz0 - gamma * eye))) < 1e-12
             assert np.max(np.abs(Ki_lib - (c1 * zz0 - c2 * eye))) < 1e-12
@@ -221,7 +201,7 @@ def test_kernel_spectra():
         rng = np.random.default_rng(F)
         for gamma in (0.0, gamma_wigner(F), 1.0, 2.5):
             pt = sample_sphere(F, gamma, rng)
-            K = eval_kernel(KernelSpec.cps_covariant(F, gamma), pt)
+            K = kernel_entries(pt.z, gamma=gamma)
             lam = hermitian_eig(K).eigenvalues
             expect = np.sort(np.array([-gamma] * (F - 1) + [1.0 + (F - 1) * gamma]))
             worst = max(worst, float(np.max(np.abs(lam - expect))))
@@ -242,46 +222,42 @@ def test_kernel_covariance():
     for F in (2, 3, 4):
         for _ in range(100):
             gamma = rng.uniform(-1.0 / F + 0.05, 2.5)
-            spec = KernelSpec.cps_covariant(F, gamma)
             pt = sample_sphere(F, gamma, rng)
             G = rng.standard_normal((F, F)) + 1j * rng.standard_normal((F, F))
             Q, R = np.linalg.qr(G)
             g = Q * (np.diag(R) / np.abs(np.diag(R)))[None, :]
-            K = eval_kernel(spec, pt)
-            zg = (g @ pt.z[0])[None, :]
-            Kg = eval_kernel(spec, StiefelPoint(zg.real, zg.imag, pt.signature))
+            K = kernel_entries(pt.z, gamma=gamma)
+            Kg = kernel_entries((g @ pt.z[0])[None, :], gamma=gamma)
             worst = max(worst, float(np.max(np.abs(Kg - g @ K @ g.conj().T))))
     _report(4, "kernel covariance", worst < 1e-9, f"max deviation {worst:.1e}")
 
 
 def test_trajectory_invariants():
     """Exact and rk4 backends hold the invariants; rk4 is 4th order."""
+    # a single-frame trajectory's drift, read off the maps: the norm and
+    # H_C residuals are the quadratic forms of U^dagger U - I and
+    # U^dagger H U - H at its starting frame
     H3 = build_hamiltonian(ModelSpec.random(3, seed=42))
-    seg = propagate_segment(
-        sample_sphere(3, 0.6, np.random.default_rng(5)),
-        H3,
-        np.linspace(0.5, 10.0, 20),
-        backend="exact",
-    )
-    exact_drift = invariant_drift(seg).max_drift
-
     rabi = np.array([[0.0, 1.0], [1.0, 0.0]])
-    seg = propagate_segment(
-        sample_sphere(2, 0.0, np.random.default_rng(6)),
-        rabi,
-        np.linspace(0.5, 10.0, 20),
-        backend="rk4",
-        dt=1e-3,
-    )
-    rk4_drift = invariant_drift(seg).max_drift
+    drifts = []
+    for H, z, backend in (
+        (H3, sample_sphere(3, 0.6, np.random.default_rng(5)).z[0], "exact"),
+        (rabi, sample_sphere(2, 0.0, np.random.default_rng(6)).z[0], "rk4"),
+    ):
+        U = grid_march(H, np.linspace(0.5, 10.0, 20), backend, 1e-3)
+        Ud = np.conj(np.swapaxes(U, -1, -2))
+        norm = z.conj() @ (Ud @ U - np.eye(z.size)) @ z
+        energy = 0.5 * z.conj() @ (Ud @ H @ U - H) @ z
+        drifts.append(max(np.max(np.abs(norm)), np.max(np.abs(energy))))
+    exact_drift, rk4_drift = drifts
 
     pt = sample_sphere(2, 0.5, np.random.default_rng(3))
     Hq = np.array([[0.3, 0.8 - 0.2j], [0.8 + 0.2j, -0.5]])
-    ref = propagate_exact(pt, Hq, 1.0)
+    ref = pt.z @ grid_march(Hq, [1.0])[0].T
 
     def err(dt):
         out = propagate_rk4(pt, Hq, dt, round(1.0 / dt))
-        return max(np.max(np.abs(out.x - ref.x)), np.max(np.abs(out.p - ref.p)))
+        return max(np.max(np.abs(out.x - ref.real)), np.max(np.abs(out.p - ref.imag)))
 
     ratio = err(0.05) / err(0.025)
     ok = exact_drift < 1e-10 and rk4_drift < 1e-6 and 14.0 <= ratio <= 18.0

@@ -22,8 +22,9 @@ from cpsmap.cli import (
     run_experiment,
 )
 from cpsmap.cps import gamma_wigner, sample_sphere, sample_sphere_batch
-from cpsmap.dynamics import invariant_drift, propagate_segment
+from cpsmap.dynamics import grid_march
 from cpsmap.estimators import MethodSpec
+from cpsmap.kernels import kernel_trace
 from cpsmap.models import ModelSpec, build_hamiltonian, save_hamiltonian
 
 BASE = """
@@ -316,13 +317,15 @@ def test_drift_validation_bounds_sampled_trajectories(backend, dt):
     g = gamma_wigner(F)
     rng = np.random.default_rng(12)
     times = np.linspace(0.0, 10.0, 11)[1:]
-    segments = [
-        propagate_segment(sample_sphere(F, g, rng), H, times, backend, dt) for _ in range(16)
-    ]
-    sampled = max(invariant_drift(seg).max_drift for seg in segments)
+    Z = np.concatenate([sample_sphere(F, g, rng).z for _ in range(16)])
+    Zt = Z @ np.swapaxes(grid_march(H, times, backend, dt), -1, -2)
+    # each trajectory's norm residual (1/2)|z(t)|^2 - s and its H_C drift from t = 0
+    s = 1.0 + F * g
+    norm = np.abs(0.5 * np.sum(np.abs(Zt) ** 2, axis=-1) - s)
+    energy = np.abs(kernel_trace(Zt[..., None, :], H, g).real - kernel_trace(Z[:, None, :], H, g).real)
+    sampled = max(np.max(norm), np.max(energy))
     # reported carries 4 significant digits; a sampled drift also carries the
     # rounding of its own norm and energy sums, a few ulp of s and s |H|
-    s = 1.0 + F * g
     rounding = 8.0 * np.finfo(np.float64).eps * s * (1.0 + np.linalg.norm(H, 2))
     assert sampled <= reported * (1.0 + 5e-4) + rounding, (sampled, reported)
     assert reported <= (1e-10 if backend == "exact" else 1e-3)

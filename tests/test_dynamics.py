@@ -1,28 +1,15 @@
-"""Trajectory propagation and invariant checks."""
+"""Trajectory propagation, the grid_march maps, and the invariants read off them."""
 
 import math
 
 import numpy as np
 import pytest
 
-from cpsmap.cps import (
-    StiefelPoint,
-    check_constraints,
-    cmm_signature,
-    gdtwa_signature,
-    sample_sphere,
-    sample_stiefel,
-)
-from cpsmap.dynamics import (
-    _rk4_arrays,
-    classical_energy,
-    grid_march,
-    invariant_drift,
-    propagate_exact,
-    propagate_rk4,
-    propagate_segment,
-)
+from cpsmap.cps import StiefelPoint, cmm_signature, gdtwa_signature, sample_sphere, sample_stiefel
+from cpsmap.dynamics import _rk4_arrays, grid_march, propagate_rk4
+from cpsmap.kernels import kernel_trace
 from cpsmap.models import ModelSpec, build_hamiltonian
+from cpsmap.qcore import NonHermitianError
 
 RABI = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -36,52 +23,48 @@ def test_classical_energy_single_frame():
     pt = pole_point(0.5)
     H = np.diag([2.0, -1.0]).astype(complex)
     # 1/2 |z_1|^2 * 2 - gamma * Tr H = 2*2 - 0.5*1
-    assert classical_energy(pt, H) == pytest.approx(4.0 - 0.5)
+    assert kernel_trace(pt.z, H, 0.5).real == pytest.approx(4.0 - 0.5)
 
 
 def test_exact_rotation_on_rabi():
     pt = pole_point()
-    out = propagate_exact(pt, RABI, math.pi / 2.0)
+    z = pt.z @ grid_march(RABI, [math.pi / 2.0])[0].T
     # exp(-i sigma_x pi/2) = -i sigma_x moves all action to state 2
-    assert np.allclose(out.actions(), [[0.0, 1.0]], atol=1e-12)
-    assert np.allclose(out.z[0], [0.0, -1j * math.sqrt(2.0)], atol=1e-12)
+    assert np.allclose(0.5 * np.abs(z) ** 2, [[0.0, 1.0]], atol=1e-12)
+    assert np.allclose(z[0], [0.0, -1j * math.sqrt(2.0)], atol=1e-12)
 
 
 def test_exact_preserves_constraints_and_energy():
     rng = np.random.default_rng(1)
     pt = sample_sphere(3, 0.8, rng)
     H = np.array([[0.5, 0.2, 0.0], [0.2, -0.1, 0.4], [0.0, 0.4, 0.3]], dtype=complex)
-    e0 = classical_energy(pt, H)
-    for t in (0.5, 2.0, 10.0):
-        out = propagate_exact(pt, H, t)
-        assert check_constraints(out, tol=1e-10).passed
-        assert abs(classical_energy(out, H) - e0) < 1e-12
-
-
-def test_exact_dimension_mismatch():
-    with pytest.raises(ValueError, match="dimension"):
-        propagate_exact(pole_point(), np.eye(3), 1.0)
+    U = grid_march(H, [0.5, 2.0, 10.0])
+    Ud = np.conj(np.swapaxes(U, -1, -2))
+    z = pt.z[0]
+    # |z(t)|^2 - |z|^2 off U^dagger U - I, H_C(t) - H_C(0) off U^dagger H U - H
+    assert np.max(np.abs(z.conj() @ (Ud @ U - np.eye(3)) @ z)) < 1e-10
+    assert np.max(np.abs(0.5 * z.conj() @ (Ud @ H @ U - H) @ z)) < 1e-12
 
 
 def test_rk4_matches_exact_at_small_step():
     rng = np.random.default_rng(2)
     pt = sample_sphere(2, 0.5, rng)
     H = np.array([[0.3, 0.8 - 0.2j], [0.8 + 0.2j, -0.5]])
-    ref = propagate_exact(pt, H, 1.0)
+    ref = pt.z @ grid_march(H, [1.0])[0].T
     out = propagate_rk4(pt, H, 1e-3, 1000)
-    assert np.max(np.abs(out.x - ref.x)) < 1e-12
-    assert np.max(np.abs(out.p - ref.p)) < 1e-12
+    assert np.max(np.abs(out.x - ref.real)) < 1e-12
+    assert np.max(np.abs(out.p - ref.imag)) < 1e-12
 
 
 def test_rk4_fourth_order_convergence():
     rng = np.random.default_rng(3)
     pt = sample_sphere(2, 0.5, rng)
     H = np.array([[0.3, 0.8 - 0.2j], [0.8 + 0.2j, -0.5]])
-    ref = propagate_exact(pt, H, 1.0)
+    ref = pt.z @ grid_march(H, [1.0])[0].T
 
     def err(dt):
         out = propagate_rk4(pt, H, dt, round(1.0 / dt))
-        return max(np.max(np.abs(out.x - ref.x)), np.max(np.abs(out.p - ref.p)))
+        return max(np.max(np.abs(out.x - ref.real)), np.max(np.abs(out.p - ref.imag)))
 
     ratio = err(0.05) / err(0.025)
     assert 13.0 < ratio < 19.0
@@ -108,11 +91,13 @@ def test_multiframe_signs_cancel_in_motion():
     assert sig.signs == (1, -1)
     pt = sample_stiefel(sig, np.random.default_rng(4))
     H = np.array([[0.5, 0.2, 0.0], [0.2, -0.1, 0.4], [0.0, 0.4, 0.3]], dtype=complex)
-    ref = propagate_exact(pt, H, 2.0)
+    ref = pt.z @ grid_march(H, [2.0])[0].T
     out = propagate_rk4(pt, H, 1e-3, 2000)
-    assert np.max(np.abs(out.x - ref.x)) < 1e-10
-    assert np.max(np.abs(out.p - ref.p)) < 1e-10
-    assert check_constraints(out, tol=1e-9).passed
+    assert np.max(np.abs(out.x - ref.real)) < 1e-10
+    assert np.max(np.abs(out.p - ref.imag)) < 1e-10
+    # frame constraints: the Gram matrix z_i^dagger z_j is diag(2|lambda_i + gamma|)
+    gram = np.conj(out.z) @ out.z.T
+    assert np.max(np.abs(gram - np.diag(sig.frame_radii_sq()))) < 1e-9
 
 
 # complex off-diagonals, so that U and U.T differ
@@ -214,19 +199,22 @@ def test_exact_maps_are_unitary():
 def test_segment_exact_drift():
     pt = sample_sphere(3, 0.6, np.random.default_rng(5))
     H = np.array([[0.5, 0.2, 0.0], [0.2, -0.1, 0.4], [0.0, 0.4, 0.3]], dtype=complex)
-    seg = propagate_segment(pt, H, np.linspace(0.5, 10.0, 20), backend="exact")
-    rep = invariant_drift(seg)
-    assert rep.passed
-    assert rep.max_drift < 1e-10
-    assert rep.tol == pytest.approx(1e-8)
+    U = grid_march(H, np.linspace(0.5, 10.0, 20))
+    Ud = np.conj(np.swapaxes(U, -1, -2))
+    # frame-norm and cross-frame drift z_i^dagger (U^dagger U - I) z_j, and the
+    # H_C drift sum_i (s_i/2) z_i^dagger (U^dagger H U - H) z_i, per grid time
+    gram = np.conj(pt.z) @ (Ud @ U - np.eye(3)) @ pt.z.T
+    energy = 0.5 * (np.conj(pt.z) @ (Ud @ H @ U - H) @ pt.z.T).diagonal(0, -2, -1)
+    assert max(np.max(np.abs(gram)), np.max(np.abs(energy))) < 1e-10
 
 
 def test_segment_rk4_drift():
     pt = sample_sphere(2, 0.0, np.random.default_rng(6))
-    seg = propagate_segment(pt, RABI, np.linspace(0.5, 10.0, 20), backend="rk4", dt=1e-3)
-    rep = invariant_drift(seg)
-    assert rep.passed
-    assert rep.max_drift < 1e-6
+    U = grid_march(RABI, np.linspace(0.5, 10.0, 20), "rk4", 1e-3)
+    Ud = np.conj(np.swapaxes(U, -1, -2))
+    gram = np.conj(pt.z) @ (Ud @ U - np.eye(2)) @ pt.z.T
+    energy = 0.5 * (np.conj(pt.z) @ (Ud @ RABI @ U - RABI) @ pt.z.T).diagonal(0, -2, -1)
+    assert max(np.max(np.abs(gram)), np.max(np.abs(energy))) < 1e-6
 
 
 def test_segment_multiframe_drift():
@@ -234,38 +222,56 @@ def test_segment_multiframe_drift():
     pt = sample_stiefel(sig, np.random.default_rng(7))
     H = np.diag([0.1, 0.4, 0.9, 1.6]).astype(complex)
     H[0, 1] = H[1, 0] = 0.3
-    seg = propagate_segment(pt, H, np.linspace(1.0, 10.0, 10), backend="rk4", dt=1e-3)
-    rep = invariant_drift(seg)
-    assert rep.passed, (rep.max_norm_residual, rep.max_cross_residual, rep.max_energy_drift)
+    U = grid_march(H, np.linspace(1.0, 10.0, 10), "rk4", 1e-3)
+    Ud = np.conj(np.swapaxes(U, -1, -2))
+    gram = np.conj(pt.z) @ (Ud @ U - np.eye(4)) @ pt.z.T
+    signs = np.asarray(sig.signs, dtype=np.float64)
+    energy = 0.5 * (np.conj(pt.z) @ (Ud @ H @ U - H) @ pt.z.T).diagonal(0, -2, -1) @ signs
+    assert max(np.max(np.abs(gram)), np.max(np.abs(energy))) < 1e-6, (gram, energy)
 
 
 def test_segment_grid_validation():
-    pt = pole_point()
     with pytest.raises(ValueError, match="increasing"):
-        propagate_segment(pt, RABI, [1.0, 0.5])
+        grid_march(RABI, [1.0, 0.5])
     with pytest.raises(ValueError, match="increasing"):
-        propagate_segment(pt, RABI, [])
+        grid_march(RABI, [])
     for backend in ("exact", "rk4"):
         with pytest.raises(ValueError, match="times"):
-            propagate_segment(pt, RABI, [0.0, math.nan], backend=backend)
+            grid_march(RABI, [0.0, math.nan], backend=backend)
         with pytest.raises(ValueError, match="nonnegative"):
-            propagate_segment(pt, RABI, [-1.0, 0.5], backend=backend)
+            grid_march(RABI, [-1.0, 0.5], backend=backend)
     with pytest.raises(ValueError, match="dt"):
-        propagate_segment(pt, RABI, [0.0, 1.0], backend="rk4", dt=math.nan)
-    with pytest.raises(ValueError, match="t must be finite"):
-        propagate_exact(pt, RABI, math.nan)
+        grid_march(RABI, [0.0, 1.0], backend="rk4", dt=math.nan)
+    with pytest.raises(ValueError, match="times must be finite"):
+        grid_march(RABI, [math.nan])
+
+
+def test_grid_march_validates_its_inputs():
+    # rk4 once returned U(0.5) == U(1.0) for reversed times and the identity
+    # map for a NaN time, and took a non-Hermitian H; the exact backend
+    # returned NaN maps for a NaN time
+    for backend in ("exact", "rk4"):
+        with pytest.raises(ValueError, match="times must be nonempty, nonnegative, strictly increasing"):
+            grid_march(RABI, [1.0, 0.5], backend)
+        with pytest.raises(ValueError, match="times must be finite"):
+            grid_march(RABI, [math.nan], backend)
+        with pytest.raises(NonHermitianError, match="H is not Hermitian"):
+            grid_march(np.array([[0.0, 1.0], [0.0, 0.0]]), [1.0], backend)
+        with pytest.raises(ValueError, match="H has non-finite entries"):
+            grid_march(np.array([[math.inf, 0.0], [0.0, 0.0]]), [1.0], backend)
+        with pytest.raises(ValueError, match="dt must be positive"):
+            grid_march(RABI, [1.0], backend, dt=-1e-3)
 
 
 def test_segment_unknown_backend():
     with pytest.raises(ValueError, match="backend"):
-        propagate_segment(pole_point(), RABI, [1.0], backend="verlet")
+        grid_march(RABI, [1.0], backend="verlet")
 
 
 def test_segment_rk4_respects_grid_offsets():
     # grid times are hit exactly: compare against exact at each grid time
     pt = sample_sphere(2, 0.3, np.random.default_rng(8))
     times = np.array([0.7, 1.9, 3.1])
-    seg = propagate_segment(pt, RABI, times, backend="rk4", dt=1e-3)
-    for t, got in zip(times, seg.points):
-        ref = propagate_exact(pt, RABI, t)
-        assert np.max(np.abs(got.z - ref.z)) < 1e-10
+    for t, U in zip(times, grid_march(RABI, times, "rk4", 1e-3)):
+        ref = pt.z @ grid_march(RABI, [t])[0].T
+        assert np.max(np.abs(pt.z @ U.T - ref)) < 1e-10

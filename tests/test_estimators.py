@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpsmap import estimators
-from cpsmap.cps import GammaWeight, StiefelPoint, cmm_signature, gamma_wigner, sample_sphere_batch
+from cpsmap.cps import GammaWeight, gamma_wigner, sample_sphere_batch
 from cpsmap.dynamics import grid_march
 from cpsmap.estimators import (
     _PLANS,
@@ -18,10 +18,12 @@ from cpsmap.estimators import (
     TCFRequest,
     _block_rng,
     _block_sizes,
+    _cornered_window,
     _hill_obs_windows,
+    _hill_rho_window,
     _prepare,
+    _triangle_rho_window,
     estimate_tcf,
-    eval_window,
     hill_exponent,
     intra_electron_check,
 )
@@ -676,31 +678,23 @@ def test_cmmcv_gamma_trace_domain():
 # -- window functions -------------------------------------------------
 
 
-def point_with_actions(actions, gamma=None):
-    actions = np.asarray(actions, dtype=float)
-    F = actions.size
-    if gamma is None:
-        gamma = (np.sum(actions) - 1.0) / F
-    z = np.sqrt(2.0 * actions).astype(complex)
-    return StiefelPoint(z.real[None, :], z.imag[None, :], cmm_signature(F, gamma))
+# The window functions take actions e of shape (..., F); state n is index n - 1.
 
 
 def test_triangle_window_examples():
-    assert eval_window("triangle", point_with_actions([1.5, 0.2]), 1) == 1.0
-    assert eval_window("triangle", point_with_actions([1.5, 0.6]), 1) == 0.0
-    assert eval_window("triangle", point_with_actions([0.9, 0.2]), 1) == 0.0
+    e = np.array([[1.5, 0.2], [1.5, 0.6], [0.9, 0.2]])
+    assert _triangle_rho_window(e, 0).tolist() == [1.0, 0.0, 0.0]
 
 
 def test_hill_window_examples():
-    assert eval_window("hill_obs", point_with_actions([0.8, 0.2]), 1) == pytest.approx(0.6)
-    assert eval_window("hill_obs", point_with_actions([0.2, 0.8]), 1) == 0.0
-    assert eval_window("hill_rho", point_with_actions([0.8, 0.2]), 1) == 1.0
-    assert eval_window("hill_rho", point_with_actions([0.2, 0.8]), 1) == 0.0
+    e = np.array([[0.8, 0.2], [0.2, 0.8]])
+    assert _hill_obs_windows(e)[0, 0] == pytest.approx(0.6)
+    assert _hill_obs_windows(e)[1, 0] == 0.0
+    assert _hill_rho_window(e, 0).tolist() == [1.0, 0.0]
 
 
 def test_hill_obs_uses_fractional_exponent():
-    e = [0.7, 0.2, 0.1]
-    val = eval_window("hill_obs", point_with_actions(e), 1)
+    val = _hill_obs_windows(np.array([0.7, 0.2, 0.1]))[0]
     assert val == pytest.approx((0.5**0.75) * (0.6**0.75))
 
 
@@ -726,31 +720,16 @@ def test_hill_obs_windows_match_product_form(F):
     assert np.max(np.abs(got - want)) <= 1e-14
     assert np.all(got[400:] == 0.0)
     for row in (0, 1, 420):
-        pt = point_with_actions(e[row])
-        for n in range(1, F + 1):
-            assert abs(eval_window("hill_obs", pt, n) - want[row, n - 1]) <= 1e-14
+        assert np.max(np.abs(_hill_obs_windows(e[row]) - want[row])) <= 1e-14
 
 
 def test_cornered_window_normalization():
     # gamma = 1, F = 2: N = F (F/(1+F))^(F-1) evaluated at F*gamma/(1+F*gamma)
-    pt = point_with_actions([2.0, 1.0], gamma=1.0)
-    assert eval_window("cornered", pt, 1) == pytest.approx(0.75)
-    assert eval_window("cornered", pt, 2) == pytest.approx(0.75)
-    below = point_with_actions([0.5, 2.5], gamma=1.0)
-    assert eval_window("cornered", below, 1) == 0.0
-
-
-def test_cornered_window_needs_positive_gamma():
-    with pytest.raises(ValueError, match="gamma > 0"):
-        eval_window("cornered", point_with_actions([0.6, 0.4], gamma=0.0), 1)
-
-
-def test_window_rejects_unknown_kind_and_bad_state():
-    pt = point_with_actions([0.6, 0.4])
-    with pytest.raises(ValueError, match="unknown window kind"):
-        eval_window("gauss", pt, 1)
-    with pytest.raises(ValueError, match="outside"):
-        eval_window("triangle", pt, 3)
+    e = np.array([2.0, 1.0])
+    assert _cornered_window(e[0], 2, 1.0) == pytest.approx(0.75)
+    assert _cornered_window(e[1], 2, 1.0) == pytest.approx(0.75)
+    below = np.array([0.5, 2.5])
+    assert _cornered_window(below[0], 2, 1.0) == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -759,13 +738,10 @@ def test_window_rejects_unknown_kind_and_bad_state():
     e2=st.floats(min_value=0.0, max_value=3.0),
 )
 def test_window_values_stay_in_range(e1, e2):
-    if e1 + e2 < 0.6:
-        e1 += 0.6  # keep the sphere parameter admissible
-    pt = point_with_actions([e1, e2])
-    for kind in ("triangle", "hill_rho"):
-        v = eval_window(kind, pt, 1)
+    e = np.array([e1, e2])
+    for v in (_triangle_rho_window(e, 0), _hill_rho_window(e, 0)):
         assert 0.0 <= v <= 1.0
-    assert eval_window("hill_obs", pt, 1) >= 0.0
+    assert _hill_obs_windows(e)[0] >= 0.0
 
 
 # -- intra-electron correlation ---------------------------------------

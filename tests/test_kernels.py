@@ -5,28 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from cpsmap.cps import (
-    cmm_signature,
-    gdtwa_signature,
-    sample_sphere,
-    sample_sphere_batch,
-    sample_stiefel,
-    StiefelPoint,
-)
+from cpsmap.cps import gdtwa_signature, sample_sphere, sample_sphere_batch, sample_stiefel
 from cpsmap.kernels import (
     DiscretePointSet,
-    KernelSpec,
     classify_kernel,
-    eval_inverse_kernel,
-    eval_kernel,
     gdtwa_points,
+    inverse_kernel_coefficients,
+    kernel_entries,
     point_from_kernel,
 )
-
-
-def point_at(F, gamma, z):
-    z = np.asarray(z, dtype=complex)
-    return StiefelPoint(z.real[None, :], z.imag[None, :], cmm_signature(F, gamma))
 
 
 def haar_unitary(F, rng):
@@ -36,14 +23,12 @@ def haar_unitary(F, rng):
 
 
 def test_covariant_kernel_pole_point():
-    pt = point_at(2, 0.0, [math.sqrt(2.0), 0.0])
-    K = eval_kernel(KernelSpec.cps_covariant(2, 0.0), pt)
+    K = kernel_entries(np.array([[math.sqrt(2.0), 0.0]]), gamma=0.0)
     assert np.allclose(K, [[1.0, 0.0], [0.0, 0.0]], atol=1e-14)
 
 
 def test_covariant_kernel_gamma_one_pole():
-    pt = point_at(2, 1.0, [math.sqrt(6.0), 0.0])
-    K = eval_kernel(KernelSpec.cps_covariant(2, 1.0), pt)
+    K = kernel_entries(np.array([[math.sqrt(6.0), 0.0]]), gamma=1.0)
     assert np.allclose(K, [[2.0, 0.0], [0.0, -1.0]], atol=1e-14)
     lam = np.linalg.eigvalsh(K)
     assert np.allclose(sorted(lam), [-1.0, 2.0], atol=1e-12)
@@ -54,7 +39,7 @@ def test_covariant_kernel_unit_trace():
     for _ in range(200):
         gamma = rng.uniform(-0.4, 2.0)
         pt = sample_sphere(2, gamma, rng)
-        K = eval_kernel(KernelSpec.cps_covariant(2, gamma), pt)
+        K = kernel_entries(pt.z, gamma=gamma)
         assert abs(np.trace(K).real - 1.0) < 1e-12
         assert abs(np.trace(K).imag) < 1e-12
 
@@ -62,35 +47,23 @@ def test_covariant_kernel_unit_trace():
 @pytest.mark.parametrize("F,gamma", [(2, 0.0), (3, 0.5)])
 def test_covariant_kernel_spectrum(F, gamma):
     pt = sample_sphere(F, gamma, np.random.default_rng(2))
-    K = eval_kernel(KernelSpec.cps_covariant(F, gamma), pt)
+    K = kernel_entries(pt.z, gamma=gamma)
     lam = np.sort(np.linalg.eigvalsh(K))
     expect = np.sort([1.0 + (F - 1) * gamma] + [-gamma] * (F - 1))
     assert np.max(np.abs(lam - expect)) < 1e-12
 
 
 def test_inverse_kernel_gamma_one_pole():
-    pt = point_at(2, 1.0, [math.sqrt(6.0), 0.0])
-    Ki = eval_inverse_kernel(1.0, pt)
+    c1, c2 = inverse_kernel_coefficients(2, 1.0)
+    Ki = kernel_entries(np.array([[math.sqrt(6.0), 0.0]]), gamma=c2, weights=c1)
     assert np.allclose(Ki, np.diag([1.0, 0.0]), atol=1e-14)
 
 
 def test_inverse_kernel_gamma_zero_pole():
     # (1+F)/2 * |z1|^2 - 1 = 3/2 * 2 - 1 = 2 on the gamma=0 pole point
-    pt = point_at(2, 0.0, [math.sqrt(2.0), 0.0])
-    Ki = eval_inverse_kernel(0.0, pt)
+    c1, c2 = inverse_kernel_coefficients(2, 0.0)
+    Ki = kernel_entries(np.array([[math.sqrt(2.0), 0.0]]), gamma=c2, weights=c1)
     assert np.allclose(Ki, np.diag([2.0, -1.0]), atol=1e-14)
-
-
-def test_inverse_kernel_rejects_off_shell_point():
-    pt = point_at(2, 0.0, [math.sqrt(2.0), 0.0])
-    with pytest.raises(ValueError, match="constraint"):
-        eval_inverse_kernel(0.5, pt)  # point sits on the gamma=0 shell
-
-
-def test_inverse_kernel_rejects_bad_gamma():
-    pt = point_at(2, 0.0, [math.sqrt(2.0), 0.0])
-    with pytest.raises(ValueError, match="exceed"):
-        eval_inverse_kernel(-0.5, pt)
 
 
 def test_exact_mapping_montecarlo_single_pair():
@@ -113,9 +86,8 @@ def test_exact_mapping_montecarlo_single_pair():
 
 def test_cmmcv_kernel_entries():
     Gamma = np.array([[0.2, 0.1], [0.1, 0.3]])
-    pt = point_at(2, 0.0, [1.0, 1.0j])
-    K = eval_kernel(KernelSpec.cmmcv(Gamma), pt)
     z = np.array([1.0, 1.0j])
+    K = kernel_entries(z[None, :], Gamma=Gamma)
     assert np.allclose(K, 0.5 * np.outer(z, z.conj()) - Gamma, atol=1e-14)
 
 
@@ -123,35 +95,24 @@ def test_covariance_under_unitaries():
     # K(g.X) = g K(X) g^dagger for the covariant kernels
     rng = np.random.default_rng(3)
     for F in (2, 3, 4):
-        spec = KernelSpec.cps_covariant(F, 0.7)
         for _ in range(25):
             pt = sample_sphere(F, 0.7, rng)
             g = haar_unitary(F, rng)
-            K = eval_kernel(spec, pt)
-            zg = (g @ pt.z[0])[None, :]
-            ptg = StiefelPoint(zg.real, zg.imag, pt.signature)
-            Kg = eval_kernel(spec, ptg)
+            K = kernel_entries(pt.z, gamma=0.7)
+            Kg = kernel_entries((g @ pt.z[0])[None, :], gamma=0.7)
             assert np.max(np.abs(Kg - g @ K @ g.conj().T)) < 1e-9
 
 
 def test_covariance_multiframe():
     rng = np.random.default_rng(4)
     sig = gdtwa_signature(3)
-    spec = KernelSpec.stiefel_covariant(sig)
+    weights = 0.5 * np.asarray(sig.signs, dtype=np.float64)
     for _ in range(25):
         pt = sample_stiefel(sig, rng)
         g = haar_unitary(3, rng)
-        K = eval_kernel(spec, pt)
-        zg = pt.z @ g.T
-        ptg = StiefelPoint(zg.real, zg.imag, sig)
-        Kg = eval_kernel(spec, ptg)
+        K = kernel_entries(pt.z, gamma=sig.gamma, weights=weights)
+        Kg = kernel_entries(pt.z @ g.T, gamma=sig.gamma, weights=weights)
         assert np.max(np.abs(Kg - g @ K @ g.conj().T)) < 1e-9
-
-
-def test_eval_kernel_frame_count_mismatch():
-    pt = sample_stiefel(gdtwa_signature(3), np.random.default_rng(0))
-    with pytest.raises(ValueError, match="r=1"):
-        eval_kernel(KernelSpec.cps_covariant(3, 0.0), pt)
 
 
 def test_classify_projector():
@@ -182,7 +143,7 @@ def test_point_from_kernel_roundtrip_cmm():
     K = np.diag([2.0, -1.0]).astype(complex)
     pt = point_from_kernel(K)
     assert pt.r == 1
-    back = eval_kernel(KernelSpec.stiefel_covariant(pt.signature), pt)
+    back = kernel_entries(pt.z, gamma=pt.signature.gamma, weights=0.5 * np.asarray(pt.signature.signs))
     assert np.max(np.abs(back - K)) < 1e-10
     assert abs(np.sum(pt.actions()) - 3.0) < 1e-12  # 1 + F*gamma at gamma=1
 
@@ -191,9 +152,9 @@ def test_point_from_kernel_roundtrip_random_covariant():
     rng = np.random.default_rng(9)
     for F, gamma in [(2, 0.0), (3, 0.8), (4, 0.25)]:
         pt0 = sample_sphere(F, gamma, rng)
-        K = eval_kernel(KernelSpec.cps_covariant(F, gamma), pt0)
+        K = kernel_entries(pt0.z, gamma=gamma)
         pt = point_from_kernel(K)
-        back = eval_kernel(KernelSpec.stiefel_covariant(pt.signature), pt)
+        back = kernel_entries(pt.z, gamma=pt.signature.gamma, weights=0.5 * np.asarray(pt.signature.signs))
         assert np.max(np.abs(back - K)) < 1e-10
 
 
@@ -224,7 +185,7 @@ def test_gdtwa_points_three_level():
 def test_gdtwa_points_roundtrip():
     ps = gdtwa_points(3, 1)
     for K, pt in zip(ps.kernel_values, ps.points):
-        back = eval_kernel(KernelSpec.stiefel_covariant(pt.signature), pt)
+        back = kernel_entries(pt.z, gamma=pt.signature.gamma, weights=0.5 * np.asarray(pt.signature.signs))
         assert np.max(np.abs(back - K)) < 1e-10
 
 

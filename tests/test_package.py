@@ -2,6 +2,7 @@
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import cpsmap
@@ -26,3 +27,15 @@ def test_every_name_the_benchmark_tracer_wraps_exists():
         if not hasattr(importlib.import_module(module), attr)
     ]
     assert spans.WRAPPED and missing == []
+
+
+def test_readme_library_example_runs_as_written():
+    # the README's python block is executed verbatim, so a renamed or
+    # removed name breaks this test before it breaks a reader
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", text, flags=re.DOTALL)
+    assert len(blocks) == 1
+    namespace = {}
+    exec(compile(blocks[0], "README.md", "exec"), namespace)
+    assert namespace["res"].estimates.shape == (21,)
+    assert [r.estimates.shape for r in (namespace["p11"], namespace["p12"], namespace["coh"])] == [(21,)] * 3

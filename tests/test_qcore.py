@@ -9,7 +9,6 @@ from cpsmap.qcore import (
     SpectralDecomposition,
     exact_tcf,
     hermitian_eig,
-    propagator,
     propagator_from_decomposition,
     require_hermitian,
 )
@@ -90,19 +89,19 @@ def test_require_hermitian_takes_one_matrix_only():
 
 def test_propagator_zero_time_is_identity():
     H = random_hermitian(3, seed=1)
-    U = propagator(H, 0.0).matrix
+    U = propagator_from_decomposition(hermitian_eig(H), 0.0)
     assert np.max(np.abs(U - np.eye(3))) < 1e-14
 
 
 def test_propagator_diagonal_case():
     H = np.diag([1.0, -1.0]).astype(complex)
-    U = propagator(H, np.pi).matrix
+    U = propagator_from_decomposition(hermitian_eig(H), np.pi)
     assert np.max(np.abs(U + np.eye(2))) < 1e-12
 
 
 def test_propagator_offdiagonal_case():
     H = np.array([[0.0, 1.0], [1.0, 0.0]])
-    U = propagator(H, np.pi / 2).matrix
+    U = propagator_from_decomposition(hermitian_eig(H), np.pi / 2)
     assert abs(abs(U[0, 1]) ** 2 - 1.0) < 1e-12
 
 
@@ -110,7 +109,7 @@ def test_propagator_offdiagonal_case():
 def test_propagator_matches_expm(t):
     # independent oracle: dense matrix exponential
     H = random_hermitian(4, seed=17)
-    U = propagator(H, t).matrix
+    U = propagator_from_decomposition(hermitian_eig(H), t)
     ref = scipy.linalg.expm(-1j * H * t)
     assert np.max(np.abs(U - ref)) < 1e-11
 
@@ -118,11 +117,15 @@ def test_propagator_matches_expm(t):
 def test_propagator_unitary_and_composes():
     H = random_hermitian(5, seed=3, scale=2.0)
     dec = hermitian_eig(H)
-    U1 = propagator_from_decomposition(dec, 1.3).matrix
-    U2 = propagator_from_decomposition(dec, 0.9).matrix
-    U12 = propagator_from_decomposition(dec, 2.2).matrix
+    U1 = propagator_from_decomposition(dec, 1.3)
+    U2 = propagator_from_decomposition(dec, 0.9)
+    U12 = propagator_from_decomposition(dec, 2.2)
     assert np.max(np.abs(U1 @ U1.conj().T - np.eye(5))) < 1e-12
     assert np.max(np.abs(U1 @ U2 - U12)) < 1e-12
+    # a grid of times is one broadcast with the bits of each single-time build
+    stack = propagator_from_decomposition(dec, np.array([1.3, 0.9, 2.2]))
+    assert stack.shape == (3, 5, 5)
+    assert stack.tobytes() == np.array([U1, U2, U12]).tobytes()
 
 
 def test_exact_tcf_rabi():
