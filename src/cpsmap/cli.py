@@ -6,7 +6,8 @@ time grid, compare against the dense exact reference, and emit plottable
 CSV plus a run manifest.  Also hosts the validation suites (exact
 mapping condition, the worst invariant drift over the sphere read off
 the propagation maps, sphere-moment oracles) and the Monte Carlo
-convergence study.
+convergence study.  The exact-mapping and moment checks stream one
+sphere sample in seeded chunks on the run's tcf.threads workers.
 
 Config format: one `key = value` per line, '#' comments, dotted section
 prefixes.  Recognized keys:
@@ -46,13 +47,13 @@ import numpy as np
 from . import __version__
 from .cps import GammaWeight, gamma_wigner, sample_sphere_batch
 from .dynamics import grid_march
-from .estimators import MethodSpec, TCFRequest, estimate_tcf
+from .estimators import MethodSpec, TCFRequest, _block_rng, _run_blocks, estimate_tcf
 from .kernels import inverse_kernel_coefficients, kernel_entries
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf
 
 
-# Sample rows per chunk of the exact-mapping check (2 MB per kernel table).
+# Sample rows per chunk of the statistical validations (2 MB per kernel table).
 CHECK_ROWS = 8192
 
 
@@ -388,21 +389,22 @@ def _fmt(x):
 # validation suites
 
 
-def _check_products(name, label, chunks, target):
+def _product_sums(A, B):
+    """(n, A.T @ B, |A|^2.T @ |B|^2) of the samples A (n, p) and B (n, q), one sample per row."""
+    return A.shape[0], A.T @ B, (np.abs(A) ** 2).T @ (np.abs(B) ** 2)
+
+
+def _check_products(name, label, parts, target):
     """Pass when every sample mean of A[:, i] * B[:, j] is within 5 SE of target[i, j].
 
-    chunks yields (A, B) pairs of row chunks of the samples A (n, p) and
-    B (n, q), one sample per row.  All the means come from A.T @ B and
-    all the SEs (np.std with ddof=1, over sqrt(n)) from |A|^2.T @ |B|^2,
-    each summed over the chunks.  A product whose variance is below the
-    rounding level of those sums has zero variance; it fails at once
-    when it misses its target by more than 1e-12.
+    parts holds the _product_sums of each row chunk of the samples A and
+    B, summed in order.  All the means come from the summed A.T @ B and
+    all the SEs (np.std with ddof=1, over sqrt(n)) from the summed
+    |A|^2.T @ |B|^2.  A product whose variance is below the rounding
+    level of those sums has zero variance; it fails at once when it
+    misses its target by more than 1e-12.
     """
-    n, total, second = 0, 0.0, 0.0
-    for A, B in chunks:
-        n += A.shape[0]
-        total = total + A.T @ B
-        second = second + (np.abs(A) ** 2).T @ (np.abs(B) ** 2)
+    n, total, second = (sum(col) for col in zip(*parts))
     mean = total / n
     second = second / n
     var = (second - np.abs(mean) ** 2) * (n / (n - 1))
@@ -414,27 +416,27 @@ def _check_products(name, label, chunks, target):
     return ValidationResult(name, worst <= 5.0, f"{label}, worst |dev|/SE = {worst:.2f} (limit 5)")
 
 
-def _validate_exact_mapping(Z, g):
+def _mapping_sums(Z, g):
+    """_product_sums of Kv (columns m*s + n) and Kinv (columns l*s + k) on a sphere sample Z (n, F) at g.
+
+    Only the first s = min(F, 4) states enter.
+    """
+    s = min(Z.shape[1], 4)
+    c1, c2 = inverse_kernel_coefficients(Z.shape[1], g)
+    Zs = Z[:, None, :s]
+    Kv = kernel_entries(Zs, gamma=g).reshape(-1, s * s)
+    return _product_sums(Kv, kernel_entries(Zs, gamma=c2, weights=c1).reshape(-1, s * s))
+
+
+def _validate_exact_mapping(parts, F, g):
     """Monte Carlo check of F int dmu K_mn Kinv_lk = delta_mk delta_nl on the sphere at g.
 
-    Z is a sphere sample (n, F) at g; only its first min(F, 4) states are
-    checked.  The (n, s^2) kernel tables are built CHECK_ROWS rows at a
-    time, so memory stays O(n F).
+    parts holds the _mapping_sums of each chunk of a sphere sample.
     """
-    F = Z.shape[1]
     s = min(F, 4)
-    c1, c2 = inverse_kernel_coefficients(F, g)
-
-    def chunks():
-        # Columns m*s + n of Kv and l*s + k of Kinv.
-        for lo in range(0, Z.shape[0], CHECK_ROWS):
-            Zc = Z[lo:lo + CHECK_ROWS, None, :s]
-            Kv = kernel_entries(Zc, gamma=g).reshape(-1, s * s)
-            yield Kv, kernel_entries(Zc, gamma=c2, weights=c1).reshape(-1, s * s)
-
     eye = np.eye(s)
     target = np.einsum("mk,nl->mnlk", eye, eye).reshape(s * s, s * s) / F
-    return _check_products("exact_mapping", f"gamma={g:.6g}", chunks(), target)
+    return _check_products("exact_mapping", f"gamma={g:.6g}", parts, target)
 
 
 def _validate_drift(H, backend, dt):
@@ -460,33 +462,48 @@ def _validate_drift(H, backend, dt):
     )
 
 
-def _validate_moments(Z, gamma):
-    """Second moments z_n conj(z_m) of a sphere sample Z (n, F) against 2(1+F*gamma)/F * delta."""
-    F = Z.shape[1]
+def _validate_moments(parts, F, gamma):
+    """Second moments z_n conj(z_m) on the sphere at gamma against 2(1+F*gamma)/F * delta.
+
+    parts holds the _product_sums(Z, conj(Z)) of each chunk of a sphere
+    sample Z.
+    """
     target = 2.0 * (1.0 + F * gamma) / F * np.eye(F)
-    return _check_products("moments", f"gamma={gamma:.6g}", [(Z, Z.conj())], target)
+    return _check_products("moments", f"gamma={gamma:.6g}", parts, target)
 
 
 def run_validations(cfg, H):
     """Run the enabled validation suites for a config.
 
-    The exact-mapping and moments checks share one sphere sample, drawn
-    from the exact-mapping stream (seed + 101).
+    The exact-mapping and moments checks read one sphere sample of
+    validate.n_traj rows in a single pass of CHECK_ROWS-row chunks.
+    Chunk c draws from its own stream, _block_rng(seed + 101, c), and
+    returns its partial sums for both checks; the chunks run on
+    tcf.threads workers and their sums are added in chunk order, so
+    every result is bitwise the same at any thread count, and memory
+    stays O(CHECK_ROWS F) per worker.
     """
     results = []
     F = H.shape[0]
     g = cfg.method.gamma
     if g is None or g <= -1.0 / F:
         g = gamma_wigner(F)
+    n = cfg.validate_n_traj
+
+    def chunk(c):
+        rng = _block_rng(cfg.seed + 101, c)
+        Z = sample_sphere_batch(F, g, rng, min(CHECK_ROWS, n - c * CHECK_ROWS))
+        mapping = _mapping_sums(Z, g) if cfg.validate_exact_mapping else None
+        return mapping, _product_sums(Z, Z.conj())
+
     if cfg.validate_exact_mapping or cfg.validate_moments:
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(cfg.seed + 101)))
-        Z = sample_sphere_batch(F, g, rng, cfg.validate_n_traj)
+        mapping, moments = zip(*_run_blocks(chunk, range(-(-n // CHECK_ROWS)), cfg.threads))
     if cfg.validate_exact_mapping:
-        results.append(_validate_exact_mapping(Z, g))
+        results.append(_validate_exact_mapping(mapping, F, g))
     if cfg.validate_drift:
         results.append(_validate_drift(H, cfg.backend, cfg.dt))
     if cfg.validate_moments:
-        results.append(_validate_moments(Z, g))
+        results.append(_validate_moments(moments, F, g))
     return results
 
 
@@ -502,14 +519,14 @@ def _request(cfg, H, pair, n_traj):
     )
 
 
-def _exact_series(H, pair, t_grid):
-    """exact_tcf for rho = |n><m| and A = |k><l|."""
-    (n, m), (k, l) = pair
+def _exact_series(H, pairs, t_grid):
+    """exact_tcf for rho = |n><m| and A = |k><l| of every pair, one row per pair."""
     F = H.shape[0]
-    rho = np.zeros((F, F), dtype=np.complex128)
-    rho[n - 1, m - 1] = 1.0
-    A = np.zeros((F, F), dtype=np.complex128)
-    A[k - 1, l - 1] = 1.0
+    rho = np.zeros((len(pairs), F, F), dtype=np.complex128)
+    A = np.zeros_like(rho)
+    for i, ((n, m), (k, l)) in enumerate(pairs):
+        rho[i, n - 1, m - 1] = 1.0
+        A[i, k - 1, l - 1] = 1.0
     return exact_tcf(rho, A, H, t_grid)
 
 
@@ -517,18 +534,17 @@ def _result_rows(cfg, H):
     """Estimate every configured pair: the CSV rows, the worst err/SE, the zero-variance count.
 
     All pairs are one estimate_tcf call, so each ensemble is sampled
-    once.  A point the result flags as zero-variance has an SE that is
-    rounding noise, so its error_over_se is NaN and it is left out of
-    the worst err/SE.
+    once, and one exact_tcf call, so H is diagonalized once.  A point
+    the result flags as zero-variance has an SE that is rounding noise,
+    so its error_over_se is NaN and it is left out of the worst err/SE.
     """
     t_grid = cfg.t_grid()
     rows = []
     worst = 0.0
     zero_variance = 0
     results = estimate_tcf([_request(cfg, H, pair, cfg.n_traj) for pair in cfg.pairs])
-    for pair, res in zip(cfg.pairs, results):
-        (n, m), (k, l) = pair
-        ref = _exact_series(H, pair, t_grid)
+    refs = _exact_series(H, cfg.pairs, t_grid)
+    for ((n, m), (k, l)), res, ref in zip(cfg.pairs, results, refs):
         for ti, t in enumerate(t_grid):
             est = res.estimates[ti]
             se = float(res.standard_errors[ti])
@@ -623,7 +639,7 @@ def convergence_study(cfg, n_traj_list):
         raise ConfigError("convergence study needs at least 3 ensemble sizes")
     H = build_hamiltonian(cfg.model)
     (n, m), (k, l) = cfg.pairs[0]
-    ref = _exact_series(H, cfg.pairs[0], cfg.t_grid())
+    ref = _exact_series(H, cfg.pairs[:1], cfg.t_grid())[0]
     max_errors = []
     for N in n_traj_list:
         res = estimate_tcf(_request(cfg, H, cfg.pairs[0], int(N)))

@@ -174,9 +174,10 @@ class TCFRequest:
     """One correlation function to estimate.
 
     rho_indices = (n, m) selects rho = |n><m|, obs_indices = (k, l)
-    selects A = |k><l|, both 1-based.  backend is "exact" (matrix
-    exponential at each grid time) or "rk4" (the basis frames integrated
-    with step <= dt); see dynamics.grid_march.
+    selects A = |k><l|, both 1-based.  backend is "exact" (every grid
+    time's exp(-i H t) in one broadcast of the decomposition of H) or
+    "rk4" (each grid segment's map as one rk4 step map of step <= dt,
+    raised to the segment's step count); see dynamics.grid_march.
     """
 
     hamiltonian: np.ndarray
@@ -228,6 +229,14 @@ def _block_sizes(n_traj):
 def _block_rng(seed, block):
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+def _run_blocks(work, blocks, n_threads):
+    """[work(b) for b in blocks], on a pool of n_threads workers when n_threads > 1."""
+    if n_threads > 1:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(work, blocks))
+    return [work(b) for b in blocks]
 
 
 def _jackknife(num_blocks, den_blocks, num_total, den_total, sizes):
@@ -408,11 +417,15 @@ def _kernel_block(U, plan, idxs):
     def block(rng, nb):
         Z0, Ws, S = plan.sample(rng, nb)
         A = Z0.reshape(-1, F)
-        Ac = A.conj()
         moments = []
         for W in Ws:
             v = np.broadcast_to(W[:, None] * plan.weights, Z0.shape[:2]).reshape(-1)
-            moments.append((A.T @ (v[:, None] * Ac), np.sum(W[:, None] * S, axis=0)))
+            # v * conj(A) in place: one temporary the size of A at a time (see
+            # sample_sphere_batch).
+            vAc = A.conj()
+            np.multiply(v[:, None], vAc, out=vAc)
+            moments.append((A.T @ vAc, np.sum(W[:, None] * S, axis=0)))
+            del vAc
         # np.array(...).T, not np.stack: a block of one request pays no more than 1 us.
         return np.array(
             [
@@ -475,13 +488,7 @@ def _drive(req, U, plan, idxs):
     def work(b):
         sums[b] = block(_block_rng(req.seed, b), int(sizes[b]))
 
-    blocks = [b for b in range(N_BLOCKS) if sizes[b] > 0]
-    if req.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=req.n_threads) as pool:
-            list(pool.map(work, blocks))
-    else:
-        for b in blocks:
-            work(b)
+    _run_blocks(work, [b for b in range(N_BLOCKS) if sizes[b] > 0], req.n_threads)
     return sums, sizes
 
 

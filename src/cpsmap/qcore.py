@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Maximum allowed asymmetry |H - H^dagger| on input matrices.
+# Maximum allowed asymmetry |H - H^dagger| on input matrices, per unit of
+# max(1, max|H_ij|).
 HERMITIAN_TOL = 1e-12
 # Unitarity / spectral reconstruction contract.
 ORTHO_TOL = 1e-10
@@ -34,7 +35,8 @@ def require_hermitian(H, tol=HERMITIAN_TOL, name="matrix"):
     H : array_like
         Matrix to validate.
     tol : float
-        Largest tolerated absolute asymmetry ``max|H - H^dagger|``.
+        Largest tolerated asymmetry relative to the matrix scale:
+        ``max|H - H^dagger| <= tol * max(1, max|H_ij|)``.
     name : str
         What the matrix is, for the error messages.
 
@@ -48,8 +50,9 @@ def require_hermitian(H, tol=HERMITIAN_TOL, name="matrix"):
     ValueError
         If an entry is NaN or infinite.
     NonHermitianError
-        If the asymmetry exceeds ``tol``; the message names the worst
-        entry pair (0-based) and the measured maximum asymmetry.
+        If the asymmetry exceeds the scaled tolerance; the message names
+        the worst entry pair (0-based), the measured maximum asymmetry
+        and the scaled tolerance.
     """
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2:
@@ -58,7 +61,7 @@ def require_hermitian(H, tol=HERMITIAN_TOL, name="matrix"):
 
 
 def _require_hermitian_stack(H, tol, name):
-    """require_hermitian for a complex128 stack (..., F, F); the message names the matrix."""
+    """require_hermitian for a complex128 stack (..., F, F), each matrix on its own scale."""
     if H.ndim < 2 or H.shape[-2] != H.shape[-1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
     if H.shape[-1] < 1:
@@ -66,13 +69,16 @@ def _require_hermitian_stack(H, tol, name):
     if not np.all(np.isfinite(H)):
         raise ValueError(f"{name} has non-finite entries")
     asym = np.abs(H - np.swapaxes(H.conj(), -1, -2))
-    worst = np.unravel_index(np.argmax(asym), asym.shape)
-    if asym[worst] > tol:
-        *lead, i, j = worst
+    limit = tol * np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
+    over = np.max(asym, axis=(-2, -1)) > limit
+    if np.any(over):
+        lead = tuple(np.argwhere(over)[0])
+        i, j = np.unravel_index(np.argmax(asym[lead]), asym.shape[-2:])
         where = f"{name}[{', '.join(str(a) for a in lead)}]" if lead else name
         raise NonHermitianError(
             f"{where} is not Hermitian: entries ({i}, {j}) and ({j}, {i}) differ, "
-            f"max asymmetry {asym[worst]:.3e} exceeds {tol:.3e}"
+            f"max asymmetry {asym[lead][i, j]:.3e} exceeds "
+            f"{tol:.3g} * max(1, max|entry|) = {limit[lead]:.3e}"
         )
     return H
 
@@ -159,7 +165,9 @@ def exact_tcf(rho, A, H, t_grid):
     Parameters
     ----------
     rho, A : array_like
-        Density-like and observable-like matrices, same dimension as H.
+        Density-like and observable-like matrices, same dimension as H;
+        or two stacks (p, F, F) of them, one series per pair, all from
+        one decomposition of H.
     H : array_like
         Hermitian generator of the dynamics.
     t_grid : array_like
@@ -168,15 +176,16 @@ def exact_tcf(rho, A, H, t_grid):
     Returns
     -------
     ndarray
-        Complex series, one value per entry of t_grid.
+        Complex series, one value per entry of t_grid: shape (n_times,)
+        for one pair, (p, n_times) for stacks, each row bitwise equal to
+        its own single-pair call.
     """
     rho = np.asarray(rho, dtype=np.complex128)
     A = np.asarray(A, dtype=np.complex128)
     dec = hermitian_eig(H)
-    if rho.shape != (dec.dim, dec.dim) or A.shape != (dec.dim, dec.dim):
-        raise ValueError(
-            f"dimension mismatch: rho {rho.shape}, A {A.shape}, H dim {dec.dim}"
-        )
+    F = dec.dim
+    if rho.shape != A.shape or rho.ndim not in (2, 3) or rho.shape[-2:] != (F, F):
+        raise ValueError(f"dimension mismatch: rho {rho.shape}, A {A.shape}, H dim {F}")
     V = dec.eigenvectors
     lam = dec.eigenvalues
     rho_e = V.conj().T @ rho @ V
@@ -184,7 +193,7 @@ def exact_tcf(rho, A, H, t_grid):
     t = np.atleast_1d(np.asarray(t_grid, dtype=np.float64))
     # In the eigenbasis the trace collapses onto pair phases:
     # Tr[rho U^dag A U](t) = sum_ab rho_e[a,b] A_e[b,a] exp(i (lam_b - lam_a) t).
-    coef = rho_e * A_e.T
+    coef = rho_e * np.swapaxes(A_e, -1, -2)
     gap = lam[None, :] - lam[:, None]
-    series = np.einsum("ab,tab->t", coef, np.exp(1j * t[:, None, None] * gap[None]))
+    series = np.einsum("...ab,tab->...t", coef, np.exp(1j * t[:, None, None] * gap[None]))
     return series

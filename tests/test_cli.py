@@ -6,11 +6,14 @@ import subprocess
 import numpy as np
 import pytest
 
-from cpsmap import __version__
+from cpsmap import __version__, cli
 from cpsmap.cli import (
+    CHECK_ROWS,
     ConfigError,
     ExperimentConfig,
     _check_products,
+    _mapping_sums,
+    _product_sums,
     _validate_drift,
     _validate_exact_mapping,
     _validate_moments,
@@ -20,11 +23,12 @@ from cpsmap.cli import (
     main,
     parse_config_text,
     run_experiment,
+    run_validations,
 )
 from cpsmap.cps import gamma_wigner, sample_sphere, sample_sphere_batch
 from cpsmap.dynamics import grid_march
-from cpsmap.estimators import MethodSpec
-from cpsmap.kernels import kernel_trace
+from cpsmap.estimators import MethodSpec, _block_rng
+from cpsmap.kernels import inverse_kernel_coefficients, kernel_entries, kernel_trace
 from cpsmap.models import ModelSpec, build_hamiltonian, save_hamiltonian
 
 BASE = """
@@ -216,6 +220,13 @@ def test_run_experiment_deterministic_across_threads(tmp_path):
     s2 = run_experiment(cfg2)
     assert s1.results_path.read_bytes() == s2.results_path.read_bytes()
 
+    def validation_lines(summary):
+        lines = summary.manifest_path.read_text().splitlines()
+        return [ln for ln in lines if ln.startswith("validation ")]
+
+    assert len(validation_lines(s1)) == 3
+    assert validation_lines(s1) == validation_lines(s2)
+
 
 def test_run_experiment_seed_changes_results(tmp_path):
     base = write_config(tmp_path)
@@ -298,6 +309,16 @@ def test_main_validate_subcommand(tmp_path, capsys):
     assert "validation moments: pass" in capsys.readouterr().out
 
 
+def test_main_validate_is_the_same_at_any_thread_count(tmp_path, capsys):
+    path = write_config(tmp_path)
+    printed = []
+    for threads in ("1", "2"):
+        assert main(["validate", str(path), "--threads", threads]) == 0
+        printed.append(capsys.readouterr().out)
+    assert printed[0].count("validation ") == 3
+    assert printed[0] == printed[1]
+
+
 def test_main_validation_failure_exit_code(tmp_path, capsys):
     # a coarse rk4 step drifts far beyond the invariant tolerance
     text = BASE + "tcf.backend = rk4\ntcf.dt = 0.5\nvalidate.exact_mapping = false\nvalidate.moments = false\n"
@@ -335,43 +356,90 @@ def sphere_sample(F, gamma, n=20000, seed=5):
     return sample_sphere_batch(F, gamma, np.random.default_rng(seed), n)
 
 
+def chunk_sums(sums, Z):
+    return [sums(Z[lo:lo + CHECK_ROWS]) for lo in range(0, len(Z), CHECK_ROWS)]
+
+
+def moment_sums(Z):
+    return chunk_sums(lambda c: _product_sums(c, c.conj()), Z)
+
+
 def test_exact_mapping_validation_fails_on_the_wrong_sphere():
     Z = sphere_sample(3, 0.0)
-    assert _validate_exact_mapping(Z, 0.0).passed
-    bad = _validate_exact_mapping(Z, 1.0)
+    assert _validate_exact_mapping(chunk_sums(lambda c: _mapping_sums(c, 0.0), Z), 3, 0.0).passed
+    bad = _validate_exact_mapping(chunk_sums(lambda c: _mapping_sums(c, 1.0), Z), 3, 1.0)
     assert not bad.passed
     assert "worst |dev|/SE" in bad.detail
 
 
 def test_moments_validation_fails_at_the_wrong_gamma():
     Z = sphere_sample(3, gamma_wigner(3))
-    assert _validate_moments(Z, gamma_wigner(3)).passed
-    bad = _validate_moments(Z, 0.0)
+    assert _validate_moments(moment_sums(Z), 3, gamma_wigner(3)).passed
+    bad = _validate_moments(moment_sums(Z), 3, 0.0)
     assert not bad.passed
     assert "worst |dev|/SE" in bad.detail
 
 
+def one_pass_worst(A, B, target):
+    # one np.mean and np.std(ddof=1) per column pair
+    return max(
+        abs(np.mean(A[:, i] * B[:, j]) - target[i, j])
+        / (np.std(A[:, i] * B[:, j], ddof=1) / np.sqrt(len(A)))
+        for i in range(A.shape[1])
+        for j in range(B.shape[1])
+    )
+
+
 def test_check_products_matches_per_product_mean_and_std():
-    # reference: one np.mean and np.std(ddof=1) per column pair
     rng = np.random.default_rng(11)
     A = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
     B = rng.normal(size=(500, 2)) + 0.5
     target = np.full((3, 2), 0.1)
-    worst = max(
-        abs(np.mean(A[:, i] * B[:, j]) - 0.1) / (np.std(A[:, i] * B[:, j], ddof=1) / np.sqrt(500))
-        for i in range(3)
-        for j in range(2)
-    )
-    got = _check_products("x", "label", [(A, B)], target)
+    worst = one_pass_worst(A, B, target)
+    got = _check_products("x", "label", [_product_sums(A, B)], target)
     assert got.detail == f"label, worst |dev|/SE = {worst:.2f} (limit 5)"
     assert got.passed == (worst <= 5.0)
+
+
+def test_validation_chunks_match_a_one_pass_reference(tmp_path, monkeypatch):
+    # 20 001 rows: two full chunks and a last partial one
+    text = BASE.replace("validate.n_traj = 20000", "validate.n_traj = 20001")
+    cfg = load_config(write_config(tmp_path, text), overrides={"threads": 2})
+    F, g = 2, gamma_wigner(2)
+    seen = {}
+
+    def spy(name, label, parts, target):
+        seen[name] = list(parts)
+        return _check_products(name, label, seen[name], target)
+
+    monkeypatch.setattr(cli, "_check_products", spy)
+    got = {v.name: v.detail for v in run_validations(cfg, build_hamiltonian(cfg.model))}
+    sizes = (CHECK_ROWS, CHECK_ROWS, 20001 - 2 * CHECK_ROWS)
+    chunks = [sample_sphere_batch(F, g, _block_rng(7 + 101, c), n) for c, n in enumerate(sizes)]
+    # chunk c's partial sums come from its own stream, in chunk order
+    for c, Zc in enumerate(chunks):
+        want = _product_sums(Zc, Zc.conj())
+        assert [np.asarray(x).tobytes() for x in seen["moments"][c]] == [
+            np.asarray(x).tobytes() for x in want
+        ]
+    assert sum(part[0] for part in seen["exact_mapping"]) == 20001
+
+    Z = np.concatenate(chunks)
+    worst = one_pass_worst(Z, Z.conj(), 2.0 * (1.0 + F * g) / F * np.eye(F))
+    assert got["moments"] == f"gamma={g:.6g}, worst |dev|/SE = {worst:.2f} (limit 5)"
+    c1, c2 = inverse_kernel_coefficients(F, g)
+    Kv = kernel_entries(Z[:, None, :], gamma=g).reshape(-1, F * F)
+    Kinv = kernel_entries(Z[:, None, :], gamma=c2, weights=c1).reshape(-1, F * F)
+    target = np.einsum("mk,nl->mnlk", np.eye(F), np.eye(F)).reshape(F * F, F * F) / F
+    worst = one_pass_worst(Kv, Kinv, target)
+    assert got["exact_mapping"] == f"gamma={g:.6g}, worst |dev|/SE = {worst:.2f} (limit 5)"
 
 
 def test_zero_variance_product_that_misses_fails():
     # at F = 1 every |z|^2 is 2(1 + gamma): the one moment has zero variance
     Z = sphere_sample(1, 0.5)
-    assert _validate_moments(Z, 0.5).passed
-    bad = _validate_moments(Z, 0.4)
+    assert _validate_moments(moment_sums(Z), 1, 0.5).passed
+    bad = _validate_moments(moment_sums(Z), 1, 0.4)
     assert not bad.passed
     assert "zero-variance deviation" in bad.detail
 

@@ -165,6 +165,18 @@ def test_sphere_constraint_exact():
         assert abs(np.sum(pt.actions()) - (1.0 + F * gamma)) < 1e-12
 
 
+@pytest.mark.parametrize("F", [1, 3, 8])
+def test_sphere_batch_keeps_the_bits_of_the_one_line_draw(F):
+    # reference: the draw as one expression, with its temporaries
+    for gamma in (0.25, np.linspace(0.0, 1.0, 500)):
+        rng = np.random.default_rng(F)
+        w = rng.standard_normal((500, F)) + 1j * rng.standard_normal((500, F))
+        norms = np.linalg.norm(w, axis=1, keepdims=True)
+        want = w * (np.sqrt(2.0 * (1.0 + F * gamma))[..., None] / norms)
+        got = sample_sphere_batch(F, gamma, np.random.default_rng(F), 500)
+        assert got.tobytes() == want.tobytes()
+
+
 def test_sphere_rejects_gamma_below_range():
     with pytest.raises(ValueError, match="exceed"):
         sample_sphere_batch(2, -0.6, np.random.default_rng(0), 4)

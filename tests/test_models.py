@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cpsmap.models import ModelSpec, build_hamiltonian, load_hamiltonian, save_hamiltonian
+from cpsmap.qcore import HERMITIAN_TOL, NonHermitianError, require_hermitian
 
 
 def test_two_level():
@@ -78,6 +79,26 @@ def test_file_rejects_non_hermitian(tmp_path):
     path.write_text("2\n0 0 1 0\n1.00000000005 0 0 0\n")
     with pytest.raises(ValueError, match="not Hermitian"):
         load_hamiltonian(path)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e6])
+@pytest.mark.parametrize("rel", [0.5, 2.0])
+def test_file_and_core_share_the_scaled_hermitian_tolerance(tmp_path, scale, rel):
+    # an asymmetry of rel tolerances at the matrix's own scale max(1, max|H_ij|)
+    H = scale * np.array([[1.0, 2.0], [2.0, -1.0]], dtype=complex)
+    H[1, 0] += rel * HERMITIAN_TOL * max(1.0, 2.0 * scale)
+    path = tmp_path / "h.txt"
+    rows = (" ".join("%.17g %.17g" % (v.real, v.imag) for v in row) for row in H)
+    path.write_text("2\n" + "\n".join(rows) + "\n")
+
+    def accepts(check, arg):
+        try:
+            check(arg)
+        except NonHermitianError:
+            return False
+        return True
+
+    assert accepts(require_hermitian, H) == accepts(load_hamiltonian, path) == (rel < 1.0)
 
 
 def test_file_rejects_non_finite_entry(tmp_path):

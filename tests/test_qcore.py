@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpsmap.qcore import (
+    HERMITIAN_TOL,
     NonHermitianError,
     SpectralDecomposition,
     exact_tcf,
@@ -29,6 +32,42 @@ def test_require_hermitian_accepts_and_casts():
 def test_require_hermitian_rejects_asymmetry():
     with pytest.raises(NonHermitianError, match="asymmetry"):
         require_hermitian([[0.0, 1.0], [0.0, 0.0]])
+
+
+def passes_hermitian_check(H):
+    try:
+        require_hermitian(H)
+    except NonHermitianError:
+        return False
+    return True
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    F=st.integers(2, 5),
+    rel=st.sampled_from([0.0, 0.25, 0.5, 2.0, 4.0, 1e3]),
+    k=st.integers(-6, 6),
+)
+def test_hermitian_tolerance_is_scale_relative(seed, F, rel, k):
+    # max|H_ij| = 1e6 and an asymmetry of rel tolerances: every copy
+    # 10^k H keeps max|H_ij| >= 1, so it passes or fails as H does
+    H = random_hermitian(F, seed)
+    H *= 1e6 / np.max(np.abs(H))
+    H[F - 1, 0] += rel * HERMITIAN_TOL * 1e6
+    assert passes_hermitian_check(10.0**k * H) == passes_hermitian_check(H) == (rel < 1.0)
+
+
+def test_hermitian_tolerance_scales_each_matrix_of_a_stack():
+    Hs = np.stack([random_hermitian(3, seed=s) for s in range(3)])
+    Hs[0] *= 1e9
+    Hs[0, 0, 1] += 1e-4  # 1e-13 of the matrix's own scale
+    Hs[2] *= 1e-3
+    Hs[2, 0, 1] += 2e-12  # beyond the absolute floor of a matrix below 1
+    with pytest.raises(NonHermitianError, match=r"matrix\[2\] .* = 1\.000e-12"):
+        hermitian_eig(Hs)
+    Hs[2, 0, 1] -= 2e-12
+    hermitian_eig(Hs)
 
 
 def test_require_hermitian_rejects_nonsquare():
@@ -165,6 +204,21 @@ def test_exact_tcf_dimension_mismatch():
     H = random_hermitian(3, seed=2)
     with pytest.raises(ValueError, match="dimension"):
         exact_tcf(np.eye(2), np.eye(3), H, [0.0])
+    with pytest.raises(ValueError, match="dimension"):
+        exact_tcf(np.zeros((2, 3, 3)), np.zeros((3, 3, 3)), H, [0.0])
+
+
+@pytest.mark.parametrize("F", [1, 2, 3, 8])
+def test_exact_tcf_of_stacks_equals_each_pair_on_its_own(F):
+    H = random_hermitian(F, seed=40 + F, scale=2.0)
+    rng = np.random.default_rng(F)
+    rho = rng.normal(size=(5, F, F)) + 1j * rng.normal(size=(5, F, F))
+    A = rng.normal(size=(5, F, F)) + 1j * rng.normal(size=(5, F, F))
+    t_grid = np.linspace(0.0, 10.0, 21)
+    series = exact_tcf(rho, A, H, t_grid)
+    assert series.shape == (5, 21)
+    for i in range(5):
+        assert series[i].tobytes() == exact_tcf(rho[i], A[i], H, t_grid).tobytes()
 
 
 def test_reconstruct_roundtrip_through_dataclass():
