@@ -22,7 +22,7 @@ prefixes.  Recognized keys:
                     triangle_f2_single | hill_ww
   method.gamma      sphere parameter where the family takes one
   method.obs_gamma  shell | third    (triangle_sqc)
-  method.weight     "triangle" or "gamma:weight; gamma:weight; ..."  (wmm)
+  method.weight     "gamma:weight; gamma:weight; ..."  (wmm)
   method.components "weight:gamma; ..." with Gamma = gamma*I  (cmmcv)
   tcf.pairs         "n,m,k,l; n,m,k,l; ..."   (default "1,1,1,1")
   tcf.t_max, tcf.n_times, tcf.n_traj, tcf.seed, tcf.backend, tcf.dt
@@ -47,7 +47,7 @@ import numpy as np
 from . import __version__
 from .cps import GammaWeight, gamma_wigner, sample_sphere_batch
 from .dynamics import grid_march
-from .estimators import MethodSpec, TCFRequest, _block_rng, _run_blocks, estimate_tcf
+from .estimators import MethodSpec, TCFRequest, _block_keys, _run_blocks, _Streams, estimate_tcf
 from .kernels import inverse_kernel_coefficients, kernel_entries
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf
@@ -90,6 +90,8 @@ class ExperimentConfig:
             raise ConfigError(f"tcf.t_max: must be positive and finite, got {self.t_max!r}")
         if self.threads < 1:
             raise ConfigError(f"tcf.threads: must be at least 1, got {self.threads!r}")
+        if self.seed < 0:
+            raise ConfigError(f"tcf.seed: must be non-negative, got {self.seed!r}")
         if self.validate_n_traj < 2:
             raise ConfigError("validate.n_traj: must be at least 2")
 
@@ -239,8 +241,6 @@ def _parse_colon_pairs(key, value, form):
 
 
 def _parse_weight(value, F):
-    if value.strip() == "triangle":
-        return GammaWeight.triangle(F)
     return GammaWeight.delta_comb(_parse_colon_pairs("method.weight", value, "gamma:weight"))
 
 
@@ -477,7 +477,8 @@ def run_validations(cfg, H):
 
     The exact-mapping and moments checks read one sphere sample of
     validate.n_traj rows in a single pass of CHECK_ROWS-row chunks.
-    Chunk c draws from its own stream, _block_rng(seed + 101, c), and
+    Chunk c draws from its own stream, SeedSequence(seed + 101,
+    spawn_key=(c,)) keyed by estimators._block_keys, and
     returns its partial sums for both checks; the chunks run on
     tcf.threads workers and their sums are added in chunk order, so
     every result is bitwise the same at any thread count, and memory
@@ -489,15 +490,15 @@ def run_validations(cfg, H):
     if g is None or g <= -1.0 / F:
         g = gamma_wigner(F)
     n = cfg.validate_n_traj
+    streams = _Streams(_block_keys(cfg.seed + 101, -(-n // CHECK_ROWS)))
 
     def chunk(c):
-        rng = _block_rng(cfg.seed + 101, c)
-        Z = sample_sphere_batch(F, g, rng, min(CHECK_ROWS, n - c * CHECK_ROWS))
+        Z = sample_sphere_batch(F, g, streams[c], min(CHECK_ROWS, n - c * CHECK_ROWS))
         mapping = _mapping_sums(Z, g) if cfg.validate_exact_mapping else None
         return mapping, _product_sums(Z, Z.conj())
 
     if cfg.validate_exact_mapping or cfg.validate_moments:
-        mapping, moments = zip(*_run_blocks(chunk, range(-(-n // CHECK_ROWS)), cfg.threads))
+        mapping, moments = zip(*_run_blocks(chunk, range(len(streams)), cfg.threads))
     if cfg.validate_exact_mapping:
         results.append(_validate_exact_mapping(mapping, F, g))
     if cfg.validate_drift:

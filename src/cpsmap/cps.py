@@ -11,9 +11,10 @@ where the constraint reads sum_n (x_n^2 + p_n^2)/2 = 1 + F*gamma.
 
 This module holds the component metadata (StiefelSignature), the point
 container (StiefelPoint), the gamma-axis quasi-probability weights
-(GammaWeight), and the Monte Carlo samplers (sample_sphere_batch, with
-sample_sphere and sample_stiefel for one point).  A point's frames Z
-(r, F) meet their constraints when the Gram matrix conj(Z) Z^T is
+(GammaWeight), and the Monte Carlo samplers (sample_sphere_batch, that
+is sphere_normals then onto_sphere, with sample_sphere and
+sample_stiefel for one point).  A point's frames Z (r, F) meet their
+constraints when the Gram matrix conj(Z) Z^T is
 diag(2|lambda_i + gamma|).  States are numbered 1..F in public
 interfaces.
 
@@ -303,17 +304,27 @@ def sample_sphere_batch(F, gamma, rng, size):
 
     gamma is one sphere parameter for every row or an array of one per row.
     """
+    w = np.empty((size, F), dtype=np.complex128)
+    sphere_normals(rng, w)
+    return onto_sphere(w, F, gamma)
+
+
+def sphere_normals(rng, w):
+    """Fill complex rows w (rows, F), which may be a slice, with normals: all real parts, then all imaginary."""
+    w.real = rng.standard_normal(w.shape)
+    w.imag = rng.standard_normal(w.shape)
+
+
+def onto_sphere(w, F, gamma):
+    """Scale normal rows w (rows, F) onto the sphere at gamma (one, or one per row) in place; returns w."""
     gamma = np.asarray(gamma, dtype=np.float64)
     bad = gamma[~(gamma > -1.0 / F)]
     if bad.size:
         raise ValueError(f"gamma={float(bad[0])} must exceed -1/F = {-1.0 / F}")
     # Built in place (the bits of x + 1j*y, np.linalg.norm and w * scale),
-    # so a draw holds at most two (size, F) arrays at once: the estimator's
+    # so a draw holds at most two (rows, F) arrays at once: the estimator's
     # blocks then reuse freed heap instead of having it trimmed and paged in
     # again, which cost up to a third of a block's time.
-    w = np.empty((size, F), dtype=np.complex128)
-    w.real = rng.standard_normal((size, F))
-    w.imag = rng.standard_normal((size, F))
     sq = np.conj(w)
     sq *= w
     norms = np.sqrt(np.add.reduce(sq.real, axis=1, keepdims=True))

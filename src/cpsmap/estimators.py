@@ -43,21 +43,32 @@ table (_PLANS).  Every density-side kernel entry comes from
 kernels.kernel_entries; every window is one batched function of the
 actions (..., F) in this module.
 
-Trajectories are generated in 100 fixed blocks.  Block b draws from
-Generator(Philox(SeedSequence(seed, spawn_key=(b,)))), blocks double as
-jackknife resampling units for the standard errors, and the reduction
-over blocks runs in a fixed order, so results are bitwise reproducible
-for a given (seed, n_traj) regardless of the worker thread count.
+Trajectories are generated in 100 fixed blocks, which double as
+jackknife resampling units for the standard errors.  Block b draws from
+the stream Generator(Philox(SeedSequence(seed, spawn_key=(b,)))): the
+keys of all blocks come from one vectorized pass of SeedSequence's hash
+(_block_keys), and each worker thread re-keys one Philox generator per
+block (_Streams).  The driver samples and carries blocks in groups: a
+group is a run of consecutive blocks of equal size with at most
+GROUP_ROWS rows in all (a larger block is a group of one), drawn block
+by block from the blocks' own streams and then transformed, carried and
+reduced per block as one stacked array.  Every per-block sum is bitwise
+what the block alone gives, the groups depend on n_traj alone, and the
+reduction over blocks runs in a fixed order, so results are bitwise
+reproducible for a given (seed, n_traj) regardless of the worker thread
+count.
 """
 
+import itertools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cps import GammaWeight, gdtwa_signature, sample_sphere_batch
+from .cps import GammaWeight, gdtwa_signature, onto_sphere, sample_sphere_batch, sphere_normals
 from .kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries, kernel_trace
 
 # The maps of dynamics.grid_march own the propagators and the rk4 steps;
@@ -68,6 +79,8 @@ from .dynamics import _check_grid, _check_step, _rk4_arrays, grid_march  # noqa:
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
 
 N_BLOCKS = 100
+# Rows of consecutive equal blocks sampled and carried together as one group.
+GROUP_ROWS = 1024
 # Marched frame entries a window block holds at once (8 MB of complex).
 MARCH_ENTRIES = 1 << 19
 # A standard error at most this times max(1, |estimate|) is rounding noise.
@@ -226,9 +239,102 @@ def _block_sizes(n_traj):
     return np.array([base + (1 if b < extra else 0) for b in range(N_BLOCKS)])
 
 
-def _block_rng(seed, block):
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(block,))
-    return np.random.Generator(np.random.Philox(ss))
+def _groups(sizes):
+    """Runs (lo, hi) of consecutive nonempty blocks of equal size and at most GROUP_ROWS rows in all.
+
+    A block of GROUP_ROWS rows or more is a group of its own.
+    """
+    groups = []
+    for b in np.flatnonzero(sizes).tolist():
+        lo = groups[-1][0] if groups else b
+        if groups and sizes[lo] == sizes[b] and (b + 1 - lo) * sizes[b] <= GROUP_ROWS:
+            groups[-1] = (lo, b + 1)
+        else:
+            groups.append((b, b + 1))
+    return groups
+
+
+def _check_seed(seed):
+    """seed as an int; a ValueError unless it is a non-negative integer (bool excluded)."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    return int(seed)
+
+
+# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), which its
+# stream-compatibility policy freezes.
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _block_keys(seed, n=N_BLOCKS):
+    """Philox keys (n, 2) of the streams 0..n-1 of seed, in one vectorized pass.
+
+    Row b is SeedSequence(seed, spawn_key=(b,)).generate_state(2,
+    np.uint64).  The pool hashes the seed's 32-bit words, zero-padded to
+    the pool size 4 as for every spawned sequence, and last the spawn
+    key b, the one word that differs between streams, here a uint32
+    array over b.  Python ints and uint32 arrays both wrap at 32 bits.
+    """
+    seed = _check_seed(seed)
+    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words)) + [np.arange(n, dtype=np.uint32)]
+    consts = {_MULT_A: _INIT_A, _MULT_B: _INIT_B}
+
+    def hashed(value, mult=_MULT_A):
+        const = consts[mult]
+        consts[mult] = const * mult & _MASK32
+        value = (value ^ const) * consts[mult] & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        out = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
+        return out ^ out >> 16
+
+    pool = [hashed(w) for w in words[:4]]
+    for src, dst in itertools.permutations(range(4), 2):
+        pool[dst] = mix(pool[dst], hashed(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashed(w))
+    state = [hashed(v, _MULT_B).astype(np.uint64) for v in pool]
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+
+
+_FRESH = np.zeros(4, dtype=np.uint64)
+
+
+class _Streams:
+    """Block streams from their Philox keys (_block_keys): item b is block b's stream.
+
+    Item b is the calling thread's one Philox generator, re-keyed to the
+    fresh stream of key b: counter 0, empty buffer, no half-used word.
+    A slice holds the streams of a run of blocks, with the same per-thread
+    generators; iterating re-keys the one generator block after block, so
+    a block's draws must all be taken before the next block's.
+    """
+
+    def __init__(self, keys, local=None):
+        self.keys, self._local = keys, local or threading.local()
+
+    def __len__(self):
+        return len(self.keys)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self.keys)))
+
+    def __getitem__(self, b):
+        if isinstance(b, slice):
+            return _Streams(self.keys[b], self._local)
+        gen = getattr(self._local, "gen", None)
+        if gen is None:
+            gen = self._local.gen = np.random.Generator(np.random.Philox(0))
+        gen.bit_generator.state = {
+            "bit_generator": "Philox", "state": {"counter": _FRESH, "key": self.keys[b]},
+            "buffer": _FRESH, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }
+        return gen
 
 
 def _run_blocks(work, blocks, n_threads):
@@ -270,6 +376,7 @@ def _prepare(req):
         raise ValueError("n_traj must be at least 1")
     if req.n_threads < 1:
         raise ValueError(f"n_threads must be at least 1, got {req.n_threads!r}")
+    _check_seed(req.seed)
     t_grid = _check_grid(req.t_grid, "t_grid")
     if req.backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {req.backend!r}")
@@ -357,25 +464,27 @@ class _Plan(NamedTuple):
 
     An ensemble is the requests of one call that draw the same frames;
     idxs lists their 0-based (n, m, k, l) and _sides(idxs) their
-    distinct density sides (n, m).  sample(rng, nb) draws a block's
-    frames Z0 (nb, r, F) once for all of them.
+    distinct density sides (n, m).  sample(rngs, nb) draws a group of
+    len(rngs) blocks of nb trajectories, each block from its own stream
+    of rngs in block order, and returns the group's frames Z0
+    (len(rngs) * nb, r, F), block after block, once for all requests.
 
     A kernel plan (window None) gives request (n, m, k, l) the
     observable kernel sum_f w_f z_f z_f^dagger - shift read at (l, k),
     with w_f = weights.  Its sample returns (Z0, Ws, S): one density
-    weight vector W (nb,) per density side in Ws, and shift coordinates
-    S (broadcastable to (nb, C)).  Trajectory i's shift at time t has
+    weight vector W per density side in Ws, and shift coordinates S
+    (broadcastable to (rows, C)).  Trajectory i's shift at time t has
     (l, k) entry sum_c S_ic shift_lk(l, k)[t, c]; shift_lk None means
     the one column delta_lk of a gamma*I shift.
 
     A window plan's sample returns (Z0, aux) with r = 1.  rows lists
     the sets of map rows it marches, and window(E, aux, j) turns the
-    actions E (nb, n_times, len(rows[j])) of row set j into that set's
-    block sums (n_times, w_j); the sets' sums stand side by side, width
-    columns in all.  columns[i] is request i's column; a ww plan
-    (columns None) holds the numerators of every state and, last, the
-    smallest numerator.  measure is None for the block-mean families and
-    the phase space measure factor of a ww plan.
+    actions E (blocks, nb, n_times, len(rows[j])) of row set j into that
+    set's block sums (blocks, n_times, w_j); the sets' sums stand side
+    by side, width columns in all.  columns[i] is request i's column; a
+    ww plan (columns None) holds the numerators of every state and,
+    last, the smallest numerator.  measure is None for the block-mean
+    families and the phase space measure factor of a ww plan.
     """
 
     sample: Callable
@@ -394,15 +503,35 @@ def _sides(idxs):
     return list(dict.fromkeys(idx[:2] for idx in idxs))
 
 
-def _kernel_block(U, plan, idxs):
+def _draw_group(rngs, nb, draw=None, F=None):
+    """Draw a group block by block, each block from its own stream in block order.
+
+    draw(rng, nb) returns a tuple of nb-row arrays, which come back
+    concatenated item by item over the group.  With F given, each block
+    then draws its sphere normals into one (rows, F) array, returned
+    last, so a group of one block is drawn as one block always was.
+    """
+    w = None if F is None else np.empty((len(rngs) * nb, F), dtype=np.complex128)
+    parts = []
+    for i, rng in enumerate(rngs):
+        if draw is not None:
+            parts.append(draw(rng, nb))
+        if w is not None:
+            sphere_normals(rng, w[i * nb:(i + 1) * nb])
+    items = [np.concatenate(p) for p in zip(*parts)]
+    return items if w is None else items + [w]
+
+
+def _kernel_group(U, plan, idxs):
     """Block sums of covariant observable kernels at every grid time, one column per request.
 
     Every frame obeys z(t) = U_t z(0), so the kernel is carried as
     K(X_t) = U_t K(X_0) U_t^dagger, shift aside.  The block sum
     sum_i W_i K_lk(X_i(t)) is therefore [U_t M U_t^dagger]_lk minus the
     weighted shifts, with one F x F moment matrix
-    M = sum_i W_i sum_f w_f z_if z_if^dagger per block and density side;
-    every request reads its own (l, k) entry off its side's M.
+    M = sum_i W_i sum_f w_f z_if z_if^dagger per block and density side,
+    formed for a group of blocks as one stacked matmul; every request
+    reads its own (l, k) entry off its side's M.
     """
     F = U.shape[-1]
     sides = _sides(idxs)
@@ -414,35 +543,39 @@ def _kernel_block(U, plan, idxs):
             shift_lk = plan.shift_lk(l0, k0)
         reads.append((sides.index((n0, m0)), U[:, l0], U[:, k0].conj(), shift_lk))
 
-    def block(rng, nb):
-        Z0, Ws, S = plan.sample(rng, nb)
-        A = Z0.reshape(-1, F)
+    def group(rngs, nb):
+        Z0, Ws, S = plan.sample(rngs, nb)
+        nblk = len(rngs)
+        A = Z0.reshape(nblk, -1, F)
         moments = []
         for W in Ws:
-            v = np.broadcast_to(W[:, None] * plan.weights, Z0.shape[:2]).reshape(-1)
+            v = np.broadcast_to(W[:, None] * plan.weights, Z0.shape[:2]).reshape(nblk, -1, 1)
             # v * conj(A) in place: one temporary the size of A at a time (see
-            # sample_sphere_batch).
+            # cps.onto_sphere).
             vAc = A.conj()
-            np.multiply(v[:, None], vAc, out=vAc)
-            moments.append((A.T @ vAc, np.sum(W[:, None] * S, axis=0)))
+            np.multiply(v, vAc, out=vAc)
+            shifts = np.sum((W[:, None] * S).reshape(nblk, nb, -1), axis=1)
+            moments.append((A.transpose(0, 2, 1) @ vAc, shifts[..., None]))
             del vAc
-        # np.array(...).T, not np.stack: a block of one request pays no more than 1 us.
-        return np.array(
+        return np.stack(
             [
-                np.einsum("ta,ab,tb->t", Ul, moments[d][0], Ukc) - shift_lk @ moments[d][1]
+                np.einsum("ta,xab,tb->xt", Ul, moments[d][0], Ukc) - (shift_lk @ moments[d][1])[..., 0]
                 for d, Ul, Ukc, shift_lk in reads
-            ]
-        ).T
+            ],
+            axis=-1,
+        )
 
-    return block
+    return group
 
 
-def _window_block(U, plan):
-    """Block sums of a window observable: the frames marched by one gemm per row set and chunk of grid times.
+def _window_group(U, plan):
+    """Block sums of a window observable: a group's frames marched by one stacked matmul per row set and chunk of grid times.
 
-    A chunk holds at most MARCH_ENTRIES marched entries, so a block's
+    The stacked matmul makes each block's own BLAS call: a block of one
+    row is a gemv, which rounds differently from the rows of a gemm.  A
+    chunk holds at most MARCH_ENTRIES marched entries, so a group's
     memory does not grow with the number of grid times; the usual grid
-    is one chunk.  Each row set has its own gemm, as in a call that
+    is one chunk.  Each row set has its own march, as in a call that
     reads only that set: one wider gemm rounds a column differently,
     and every request of a list must equal its own call bitwise.
     """
@@ -451,44 +584,47 @@ def _window_block(U, plan):
         np.ascontiguousarray(U[:, rows, :].transpose(2, 0, 1).reshape(F, -1)) for rows in plan.rows
     ]
 
-    def block(rng, nb):
-        Z0, aux = plan.sample(rng, nb)
-        Z0 = Z0.reshape(nb, F)
+    def group(rngs, nb):
+        Z0, aux = plan.sample(rngs, nb)
+        Z0 = Z0.reshape(len(rngs), nb, F)
         sums = []
         for j, UT in enumerate(marches):
             R = UT.shape[1] // n_times
-            step = max(1, MARCH_ENTRIES // (nb * R))
+            step = max(1, MARCH_ENTRIES // (Z0[..., 0].size * R))
             parts = []
             for lo in range(0, n_times, step):
-                Zt = (Z0 @ UT[:, lo * R:(lo + step) * R]).reshape(nb, -1, R)
+                Zt = (Z0 @ UT[:, lo * R:(lo + step) * R]).reshape(*Z0.shape[:2], -1, R)
                 parts.append(plan.window(0.5 * np.abs(Zt) ** 2, aux, j))
-            sums.append(np.concatenate(parts))
-        return np.concatenate(sums, axis=1)
+            sums.append(np.concatenate(parts, axis=1))
+        return np.concatenate(sums, axis=2)
 
-    return block
+    return group
 
 
 def _drive(req, U, plan, idxs):
     """Sample and evaluate every block of one ensemble at every grid time; returns the block sums and sizes.
 
-    The maps U of grid_march carry each block to all grid times at once:
-    a kernel plan through its moment matrices, a window plan through a
-    gemm of its frames with the rows it reads.  Each block is drawn once
-    for every request of the ensemble.  Block b draws from its own
-    Philox stream and writes only sums[b], so the result does not
-    depend on the thread count.
+    The maps U of grid_march carry each group of blocks to all grid
+    times at once: a kernel plan through its moment matrices, a window
+    plan through a march of its frames by the rows it reads.  Each
+    block is drawn once for every request of the ensemble, from its own
+    Philox stream, and the groups, fixed by n_traj alone, write only
+    their own rows of sums, so the result does not depend on the thread
+    count.
     """
     sizes = _block_sizes(req.n_traj)
     if plan.window is None:
-        block, width = _kernel_block(U, plan, idxs), len(idxs)
+        group, width = _kernel_group(U, plan, idxs), len(idxs)
     else:
-        block, width = _window_block(U, plan), plan.width
+        group, width = _window_group(U, plan), plan.width
     sums = np.zeros((N_BLOCKS, len(U), width), dtype=plan.dtype)
+    streams = _Streams(_block_keys(req.seed))
 
-    def work(b):
-        sums[b] = block(_block_rng(req.seed, b), int(sizes[b]))
+    def work(span):
+        lo, hi = span
+        sums[lo:hi] = group(streams[lo:hi], int(sizes[lo]))
 
-    _run_blocks(work, [b for b in range(N_BLOCKS) if sizes[b] > 0], req.n_threads)
+    _run_blocks(work, _groups(sizes), req.n_threads)
     return sums, sizes
 
 
@@ -532,8 +668,9 @@ def _reduce(req, plan, idxs, t_grid, out, sizes):
 def _sphere_density(F, g, sides):
     """Sampler of the sphere at g with the density weights F K_mn(z) of every side (n, m)."""
 
-    def sample(rng, nb):
-        Z = sample_sphere_batch(F, g, rng, nb)[:, None, :]
+    def sample(rngs, nb):
+        (w,) = _draw_group(rngs, nb, F=F)
+        Z = onto_sphere(w, F, g)[:, None, :]
         return Z, [F * kernel_entries(Z, m0, n0, g) for n0, m0 in sides]
 
     return sample
@@ -547,7 +684,7 @@ def _cmm_plan(req, F, idxs, U):
     g = req.method.gamma
     c1, c2 = inverse_kernel_coefficients(F, g)
     density = _sphere_density(F, g, _sides(idxs))
-    return _Plan(lambda rng, nb: (*density(rng, nb), c2), weights=c1)
+    return _Plan(lambda rngs, nb: (*density(rngs, nb), c2), weights=c1)
 
 
 def _wmm_plan(req, F, idxs, U):
@@ -555,9 +692,9 @@ def _wmm_plan(req, F, idxs, U):
     tot = weight.abs_total()
     sides = _sides(idxs)
 
-    def sample(rng, nb):
-        gam, sgn = weight.sample_batch(rng, nb)
-        Z = sample_sphere_batch(F, gam, rng, nb)[:, None, :]
+    def sample(rngs, nb):
+        gam, sgn, w = _draw_group(rngs, nb, weight.sample_batch, F)
+        Z = onto_sphere(w, F, gam)[:, None, :]
         Ws = [kernel_entries(Z, m0, n0, gam) * (F * tot * sgn) for n0, m0 in sides]
         return Z, Ws, gam[:, None]
 
@@ -586,9 +723,9 @@ def _cmmcv_plan(req, F, idxs, U):
     shells = np.array([np.real(np.trace(G)) for G in gstack]) / F
     pick = np.eye(len(comps))
 
-    def sample(rng, nb):
-        ci = rng.choice(len(comps), size=nb, p=probs)
-        Z = sample_sphere_batch(F, shells[ci], rng, nb)[:, None, :]
+    def sample(rngs, nb):
+        ci, w = _draw_group(rngs, nb, lambda rng, nb: (rng.choice(len(comps), size=nb, p=probs),), F)
+        Z = onto_sphere(w, F, shells[ci])[:, None, :]
         Ws = [
             (F * tot * comp_signs[ci]) * kernel_entries(Z, m0, n0, Gamma=gstack[ci, m0, n0])
             for n0, m0 in sides
@@ -612,8 +749,8 @@ def _cx_plan(req, F, idxs, U):
     ks = list(dict.fromkeys(idx[2] for idx in idxs))
 
     def window(E, Ws, j):
-        cw = _cornered_window(E[:, :, 0], F, g)
-        return np.stack([W @ cw for W in Ws], axis=1)
+        cw = _cornered_window(E[..., 0], F, g)
+        return np.stack([(W.reshape(E.shape[0], 1, -1) @ cw)[:, 0] for W in Ws], axis=-1)
 
     columns = [ks.index(idx[2]) * len(sides) + sides.index(idx[:2]) for idx in idxs]
     return _Plan(
@@ -626,18 +763,28 @@ def _cx_plan(req, F, idxs, U):
 # xc families
 
 
-def _triangle_population_sampler(rng, nb, F, focus):
-    """Actions for the triangle density kernel focused on one state per row.
+def _triangle_draws(F, pick=False):
+    """A block's draws for the triangle population sampler, after a pick draw if asked."""
+
+    def draw(rng, nb):
+        picks = (rng.random(nb),) if pick else ()
+        return (*picks, rng.random(nb), rng.random((nb, F - 1)), rng.random((nb, F)))
+
+    return draw
+
+
+def _triangle_population(u, spect, theta, focus):
+    """Frames for the triangle density kernel focused on one state per row, from uniform draws.
 
     focus is a state index, shared or one per row.  The focus action has
     density proportional to (2 - e) on [1, 2], the spectators are uniform
     on [0, 2 - e_focus] in state order, angles are uniform.
     """
+    nb, F = theta.shape
     focus = np.broadcast_to(focus, (nb,))
-    u = rng.random(nb)
     e_focus = 2.0 - np.sqrt(1.0 - u)
-    spect = rng.random((nb, F - 1)) * (2.0 - e_focus)[:, None]
-    theta = rng.random((nb, F)) * (2.0 * np.pi)
+    spect = spect * (2.0 - e_focus)[:, None]
+    theta = theta * (2.0 * np.pi)
     e = np.empty((nb, F))
     e[np.arange(nb), focus] = e_focus
     cols = np.arange(F - 1)[None, :]
@@ -649,13 +796,13 @@ def _triangle_sqc_plan(req, F, idxs, U):
     n0, m0 = idxs[0][:2]
     third = req.method.obs_gamma == "third"
 
-    def sample(rng, nb):
+    def sample(rngs, nb):
         if n0 == m0:
-            z = _triangle_population_sampler(rng, nb, F, n0)
-            W = np.ones(nb, dtype=np.complex128)
+            z = _triangle_population(*_draw_group(rngs, nb, _triangle_draws(F)), n0)
+            W = np.ones(len(z), dtype=np.complex128)
         else:
-            pick = rng.random(nb) < 0.5
-            z = _triangle_population_sampler(rng, nb, F, np.where(pick, n0, m0))
+            u_pick, *draws = _draw_group(rngs, nb, _triangle_draws(F, pick=True))
+            z = _triangle_population(*draws, np.where(u_pick < 0.5, n0, m0))
             W = kernel_entries(z[:, None, :], m0, n0, weights=1.2)
         if third:
             gobs = 1.0 / 3.0
@@ -671,16 +818,17 @@ def _focused_plan(req, F, idxs, U):
     n0, m0 = idxs[0][:2]
     g = 0.0 if req.method.family == "ehrenfest" else req.method.gamma
 
-    def sample(rng, nb):
-        theta = rng.random((nb, F)) * (2.0 * np.pi)
-        e = np.full((nb, F), g)
+    def sample(rngs, nb):
+        (theta,) = _draw_group(rngs, nb, lambda rng, nb: (rng.random((nb, F)),))
+        theta = theta * (2.0 * np.pi)
+        e = np.full(theta.shape, g)
         if n0 == m0:
             e[:, n0] = 1.0 + g
         else:
             e[:, [n0, m0]] = (1.0 + 2.0 * g) / 2.0
         Z = (np.sqrt(2.0 * e) * np.exp(1j * theta))[:, None, :]
         if n0 == m0:
-            return Z, [np.ones(nb, dtype=np.complex128)], g
+            return Z, [np.ones(len(Z), dtype=np.complex128)], g
         W = kernel_entries(Z, m0, n0, weights=2.0) / (1.0 + 2.0 * g) ** 2
         return Z, [W], g
 
@@ -693,11 +841,12 @@ def _discrete_plan(req, F, idxs, U):
     sig = gdtwa_signature(F)
     set_n = gdtwa_points(F, n0 + 1)
     frames_n = set_n.frames
+    npts = frames_n.shape[0]
     if n0 == m0:
 
-        def sample(rng, nb):
-            pts = rng.integers(frames_n.shape[0], size=nb)
-            return frames_n[pts], [np.ones(nb, dtype=np.complex128)], sig.gamma
+        def sample(rngs, nb):
+            (pts,) = _draw_group(rngs, nb, lambda rng, nb: (rng.integers(npts, size=nb),))
+            return frames_n[pts], [np.ones(len(pts), dtype=np.complex128)], sig.gamma
 
     else:
         set_m = gdtwa_points(F, m0 + 1)
@@ -705,9 +854,12 @@ def _discrete_plan(req, F, idxs, U):
         kv_n = np.array([K[m0, n0] for K in set_n.kernel_values])
         kv_m = np.array([K[m0, n0] for K in set_m.kernel_values])
 
-        def sample(rng, nb):
-            pick = rng.random(nb) < 0.5
-            pts = rng.integers(frames_n.shape[0], size=nb)
+        def draw(rng, nb):
+            return rng.random(nb), rng.integers(npts, size=nb)
+
+        def sample(rngs, nb):
+            u_pick, pts = _draw_group(rngs, nb, draw)
+            pick = u_pick < 0.5
             Z = np.where(pick[:, None, None], frames_n[pts], frames_m[pts])
             return Z, [2.0 * np.where(pick, kv_n[pts], kv_m[pts])], sig.gamma
 
@@ -724,9 +876,9 @@ def _ww_plan(req, F, idxs, U):
 
     The family supplies a frame sampler, an optional density window of
     the starting actions e0 and the observable windows of the actions e
-    at every time, (nb, n_times, F).  The block sums hold the per-state
-    numerator sums plus the smallest single numerator at each time;
-    estimate_tcf forms the ratio to the summed denominator.  The
+    at every time, (blocks, nb, n_times, F).  The block sums hold the
+    per-state numerator sums plus the smallest single numerator at each
+    time; estimate_tcf forms the ratio to the summed denominator.  The
     triangle_f2_single windows depend on the actions only through
     e / (1 + 2 gamma) against the cut 1/2, so that plan draws the
     gamma = 0 sphere and never reads gamma.
@@ -735,12 +887,12 @@ def _ww_plan(req, F, idxs, U):
     fam = req.method.family
     rho = None
     if fam == "triangle_ww":
-        draw = lambda rng, nb: _triangle_population_sampler(rng, nb, F, n0)[:, None, :]
+        draw = lambda rngs, nb: _triangle_population(*_draw_group(rngs, nb, _triangle_draws(F)), n0)
         obs = lambda e, aux: _triangle_obs_windows(e)
         measure = 1.0
     else:
         g = 0.0 if fam == "triangle_f2_single" else req.method.gamma
-        draw = lambda rng, nb: sample_sphere_batch(F, g, rng, nb)[:, None, :]
+        draw = lambda rngs, nb: onto_sphere(_draw_group(rngs, nb, F=F)[0], F, g)
         measure = float(F)
         if fam == "triangle_f2_single":
             rho = lambda e0: e0[:, n0]
@@ -749,18 +901,18 @@ def _ww_plan(req, F, idxs, U):
             rho = lambda e0: _hill_rho_window(e0, n0)
             obs = lambda e, rho_w: rho_w * _hill_obs_windows(e)
 
-    def sample(rng, nb):
-        Z = draw(rng, nb)
+    def sample(rngs, nb):
+        z = draw(rngs, nb)
         if rho is None:
-            return Z, None
-        return Z, rho(0.5 * np.abs(Z[:, 0, :]) ** 2)[:, None, None]
+            return z[:, None, :], None
+        return z[:, None, :], rho(0.5 * np.abs(z) ** 2).reshape(len(rngs), nb, 1, 1)
 
     def window(E, aux, j):
         vals = obs(E, aux)
         # The smallest numerator in two reductions: numpy is about 20x
-        # slower reducing axes (0, 2) of (nb, n_times, F) in one call.
-        low = np.min(vals, axis=0).min(axis=1, keepdims=True)
-        return np.concatenate([np.sum(vals, axis=0), low], axis=1)
+        # slower reducing the trajectory and state axes in one call.
+        low = np.min(vals, axis=1).min(axis=-1, keepdims=True)
+        return np.concatenate([np.sum(vals, axis=1), low], axis=-1)
 
     return _Plan(
         sample, rows=[slice(None)], window=window, width=F + 1, dtype=np.float64, measure=measure
@@ -947,7 +1099,7 @@ def intra_electron_check(weight, H, rho, A, n_traj, seed):
     A = np.asarray(A, dtype=np.complex128)
     lhs = float(np.real(0.5 * np.trace(rho @ (A @ H + H @ A))))
     tot = weight.abs_total()
-    rng = _block_rng(seed, 0)
+    rng = _Streams(_block_keys(seed, 1))[0]
     gam, sgn = weight.sample_batch(rng, n_traj)
     Z = sample_sphere_batch(F, gam, rng, n_traj)[:, None, :]
     traces = [kernel_trace(Z, M, gam) for M in (rho, A, H)]

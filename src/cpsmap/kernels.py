@@ -24,6 +24,7 @@ discrete-sampling estimators.
 States are numbered 1..F in public interfaces.
 """
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -173,7 +174,7 @@ def point_from_kernel(K, degeneracy_tol=DEGENERACY_TOL):
     return _points_from_eigensystems(dec.eigenvalues[None], dec.eigenvectors[None], degeneracy_tol)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class DiscretePointSet:
     """The discrete phase points of one initial state.
 
@@ -181,22 +182,21 @@ class DiscretePointSet:
     2^(2(F-1)) sign choices over the other states; kernel_values[a] is
     the kernel matrix at that point and points[a] the reconstructed
     phase point.  frames stacks the point frames as one
-    (npoints, r, F) complex array for vectorized use.
+    (npoints, r, F) complex array for vectorized use.  gdtwa_points
+    caches the sets, so their arrays are read-only.
     """
 
     F: int
     state: int
-    indices: list
-    kernel_values: list
-    points: list
-
-    @property
-    def frames(self):
-        return np.stack([pt.z for pt in self.points])
+    indices: tuple
+    kernel_values: tuple
+    points: tuple
+    frames: np.ndarray
 
 
+@functools.lru_cache(maxsize=64)
 def gdtwa_points(F, n):
-    """Build the discrete point set of initial state n (1-based).
+    """Build the discrete point set of initial state n (1-based), cached per (F, n).
 
     Each kernel matrix has entry (n, n) = 1, entries
     (i, n) = (delta_i + i*sigma_i)/2 for i != n, the conjugates across
@@ -210,12 +210,15 @@ def gdtwa_points(F, n):
     others = [i for i in range(F) if i != n0]
     # product over 2(F-1) signs runs the deltas outer and the sigmas inner
     signs = list(itertools.product((1, -1), repeat=2 * (F - 1)))
-    indices = [(s[: F - 1], s[F - 1 :]) for s in signs]
+    indices = tuple((s[: F - 1], s[F - 1 :]) for s in signs)
     ds, ss = np.array(signs, dtype=np.float64).reshape(len(signs), 2, F - 1).transpose(1, 0, 2)
     K = np.zeros((len(indices), F, F), dtype=np.complex128)
     K[:, n0, n0] = 1.0
     K[:, others, n0] = 0.5 * (ds + 1j * ss)
     K[:, n0, others] = 0.5 * (ds - 1j * ss)
     dec = hermitian_eig(K)
-    points = _points_from_eigensystems(dec.eigenvalues, dec.eigenvectors, DEGENERACY_TOL)
-    return DiscretePointSet(F, n, indices, list(K), points)
+    points = tuple(_points_from_eigensystems(dec.eigenvalues, dec.eigenvectors, DEGENERACY_TOL))
+    frames = np.stack([pt.z for pt in points])
+    for a in (K, frames, *(pt.x for pt in points), *(pt.p for pt in points)):
+        a.flags.writeable = False
+    return DiscretePointSet(F, n, indices, tuple(K), points, frames)

@@ -27,7 +27,7 @@ from cpsmap.cli import (
 )
 from cpsmap.cps import gamma_wigner, sample_sphere, sample_sphere_batch
 from cpsmap.dynamics import grid_march
-from cpsmap.estimators import MethodSpec, _block_rng
+from cpsmap.estimators import MethodSpec
 from cpsmap.kernels import inverse_kernel_coefficients, kernel_entries, kernel_trace
 from cpsmap.models import ModelSpec, build_hamiltonian, save_hamiltonian
 
@@ -117,6 +117,16 @@ def test_load_config_overrides(tmp_path):
     assert cfg.out_dir == tmp_path / "o"
 
 
+def test_load_config_rejects_a_negative_seed(tmp_path, capsys):
+    path = write_config(tmp_path, BASE.replace("tcf.seed = 7", "tcf.seed = -3"))
+    with pytest.raises(ConfigError, match="^tcf.seed: "):
+        load_config(path)
+    with pytest.raises(ConfigError, match="^tcf.seed: "):
+        load_config(write_config(tmp_path), overrides={"seed": -1})
+    assert main(["run", str(write_config(tmp_path)), "--seed", "-1", "--out", str(tmp_path / "o")]) == 1
+    assert "tcf.seed" in capsys.readouterr().err
+
+
 def test_load_config_wmm_weight_string(tmp_path):
     text = (
         "model.kind = two_level\n"
@@ -136,6 +146,7 @@ def test_load_config_wmm_weight_string(tmp_path):
         ("method.family = cmmcv\nmethod.components = a:0", "method.components"),
         ("method.family = wmm\nmethod.weight = ;", "method.weight"),
         ("method.family = wmm\nmethod.weight = 0:1; 0.5", "method.weight"),
+        ("method.family = wmm\nmethod.weight = triangle", "method.weight"),
     ],
 )
 def test_load_config_names_the_bad_list_key(tmp_path, line, key):
@@ -415,7 +426,11 @@ def test_validation_chunks_match_a_one_pass_reference(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "_check_products", spy)
     got = {v.name: v.detail for v in run_validations(cfg, build_hamiltonian(cfg.model))}
     sizes = (CHECK_ROWS, CHECK_ROWS, 20001 - 2 * CHECK_ROWS)
-    chunks = [sample_sphere_batch(F, g, _block_rng(7 + 101, c), n) for c, n in enumerate(sizes)]
+    streams = [
+        np.random.Generator(np.random.Philox(np.random.SeedSequence(7 + 101, spawn_key=(c,))))
+        for c in range(len(sizes))
+    ]
+    chunks = [sample_sphere_batch(F, g, rng, n) for rng, n in zip(streams, sizes)]
     # chunk c's partial sums come from its own stream, in chunk order
     for c, Zc in enumerate(chunks):
         want = _product_sums(Zc, Zc.conj())

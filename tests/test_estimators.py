@@ -1,6 +1,7 @@
 """Monte Carlo TCF estimators across all method families."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,15 +14,18 @@ from cpsmap.cps import GammaWeight, gamma_wigner, sample_sphere_batch
 from cpsmap.dynamics import grid_march
 from cpsmap.estimators import (
     _PLANS,
+    GROUP_ROWS,
     N_BLOCKS,
     MethodSpec,
     TCFRequest,
-    _block_rng,
+    _block_keys,
     _block_sizes,
     _cornered_window,
+    _groups,
     _hill_obs_windows,
     _hill_rho_window,
     _prepare,
+    _Streams,
     _triangle_rho_window,
     estimate_tcf,
     hill_exponent,
@@ -147,6 +151,12 @@ def test_backend_validation():
 def test_n_traj_validation():
     with pytest.raises(ValueError, match="n_traj"):
         estimate_tcf(request(RABI, MethodSpec.cmm(0.0), n_traj=0))
+
+
+@pytest.mark.parametrize("seed", [-1, -(2**70), 1.5, True, "3", None])
+def test_bad_seed_is_rejected_by_field(seed):
+    with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+        estimate_tcf(request(RABI, MethodSpec.cmm(0.0), seed=seed))
 
 
 def test_dtwa_needs_two_levels():
@@ -320,16 +330,80 @@ THREAD_CASES = {
 }
 
 
+# n_traj values with blocks of mixed sizes, of one trajectory, and empty.
+GROUPING_N_TRAJ = (5037, 150, 7)
+
+
 @pytest.mark.parametrize("case", list(THREAD_CASES))
 def test_thread_count_does_not_change_results(case):
     F, method, kw = THREAD_CASES[case]
     H = random_h(F, seed=21)
-    a = estimate_tcf(request(H, method, **kw))
-    b = estimate_tcf(request(H, method, n_threads=4, **kw))
-    assert np.array_equal(a.estimates, b.estimates)
-    assert np.array_equal(a.normalization, b.normalization)
-    assert np.array_equal(a.standard_errors, b.standard_errors)
-    assert np.array_equal(a.min_numerator, b.min_numerator, equal_nan=True)
+    for n_traj in (kw["n_traj"], *GROUPING_N_TRAJ):
+        run = {**kw, "n_traj": n_traj}
+        a = estimate_tcf(request(H, method, **run))
+        for n_threads in (2, 4):
+            b = estimate_tcf(request(H, method, n_threads=n_threads, **run))
+            assert np.array_equal(a.estimates, b.estimates, equal_nan=True)
+            assert np.array_equal(a.normalization, b.normalization, equal_nan=True)
+            assert np.array_equal(a.standard_errors, b.standard_errors, equal_nan=True)
+            assert np.array_equal(a.min_numerator, b.min_numerator, equal_nan=True)
+
+
+def fresh_stream(seed, b):
+    """Block b's stream built from scratch, as every block stream is defined."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
+def test_block_keys_equal_the_spawned_seed_sequences(seed):
+    want = [
+        np.random.SeedSequence(seed, spawn_key=(b,)).generate_state(2, np.uint64)
+        for b in range(N_BLOCKS)
+    ]
+    got = _block_keys(seed)
+    assert got.dtype == np.uint64
+    assert np.array_equal(got, want)
+
+
+STREAM_DRAWS = (
+    lambda rng: rng.random(5),
+    lambda rng: rng.integers(7, size=5),
+    lambda rng: rng.standard_normal((3, 2)),
+    lambda rng: rng.choice(3, size=6, p=[0.2, 0.5, 0.3]),
+)
+
+
+def test_rekeyed_stream_equals_a_fresh_stream():
+    seed = 8911
+    streams = _Streams(_block_keys(seed, 4))
+    for b in range(len(streams)):
+        got, want = streams[b], fresh_stream(seed, b)
+        for draw in STREAM_DRAWS:
+            assert np.array_equal(draw(got), draw(want))
+        # end the block mid-buffer, with half a 64-bit word kept, before the next re-key
+        got.random(1)
+        while not got.bit_generator.state["has_uint32"]:
+            got.integers(7, size=1, dtype=np.uint32)
+        assert got.bit_generator.state["buffer_pos"] not in (0, 4)
+    # the streams of a run of blocks, in block order, through one generator
+    drawn = [[draw(rng) for draw in STREAM_DRAWS] for rng in streams[1:4]]
+    for b, block in enumerate(drawn, start=1):
+        want = fresh_stream(seed, b)
+        for got, draw in zip(block, STREAM_DRAWS):
+            assert np.array_equal(got, draw(want))
+
+
+@pytest.mark.parametrize("n_traj", [7, 150, 5037, 200_000])
+def test_groups_are_runs_of_equal_blocks_within_group_rows(n_traj):
+    sizes = _block_sizes(n_traj)
+    groups = _groups(sizes)
+    assert [b for lo, hi in groups for b in range(lo, hi)] == list(np.flatnonzero(sizes))
+    for lo, hi in groups:
+        assert len(set(sizes[lo:hi].tolist())) == 1
+        assert hi - lo == 1 or np.sum(sizes[lo:hi]) <= GROUP_ROWS
+    # a group stops only at a new block size or where one more block would pass GROUP_ROWS
+    for (lo, hi), (nxt, _) in zip(groups, groups[1:]):
+        assert sizes[nxt] != sizes[lo] or (hi - lo + 1) * sizes[lo] > GROUP_ROWS
 
 
 def per_trajectory_estimates(req):
@@ -353,7 +427,7 @@ def per_trajectory_estimates(req):
         nb = int(sizes[b])
         if nb == 0:
             continue
-        drawn = plan.sample(_block_rng(req.seed, b), nb)
+        drawn = plan.sample([fresh_stream(req.seed, b)], nb)
         Z0 = drawn[0]
         for ti, Ut in enumerate(U):
             Zt = np.matmul(Z0, Ut.T)
@@ -363,7 +437,7 @@ def per_trajectory_estimates(req):
                 sums[b, ti] = np.sum(W * K)
             else:
                 e = 0.5 * np.abs(Zt[:, 0, :]) ** 2
-                sums[b, ti] = plan.window(e[:, None, plan.rows[0]], drawn[1], 0)[0]
+                sums[b, ti] = plan.window(e[None, :, None, plan.rows[0]], drawn[1], 0)[0, 0]
     if plan.measure is None:
         return np.sum(sums[:, :, 0], axis=0) / req.n_traj
     num = np.sum(sums[:, :, :F], axis=0)
@@ -409,9 +483,11 @@ ORACLE_CASES = [
 @pytest.mark.parametrize("family, F, backend", ORACLE_CASES)
 def test_driver_matches_per_trajectory_march(family, F, backend):
     H = random_h(F, seed=17)
-    for nmkl in ORACLE_PAIRS.get(family, ((1, 1, 2, 2), (1, 2, 2, 1))):
+    for nmkl, n_traj in itertools.product(
+        ORACLE_PAIRS.get(family, ((1, 1, 2, 2), (1, 2, 2, 1))), (1500, *GROUPING_N_TRAJ)
+    ):
         req = request(
-            H, ORACLE_METHODS[family](F), nmkl=nmkl, n_traj=1500, seed=9,
+            H, ORACLE_METHODS[family](F), nmkl=nmkl, n_traj=n_traj, seed=9,
             t_grid=np.linspace(0.0, 1.0, 4), backend=backend, dt=1e-2,
         )
         got = estimate_tcf(req).estimates

@@ -204,6 +204,15 @@ def test_gdtwa_points_equal_one_point_from_kernel_per_kernel(F):
         assert ps.frames.shape == (4 ** (F - 1), gdtwa_signature(F).r, F)
 
 
+def test_gdtwa_points_are_cached_and_read_only():
+    ps = gdtwa_points(3, 2)
+    assert gdtwa_points(3, 2) is ps
+    arrays = (ps.frames, *ps.kernel_values, *(pt.x for pt in ps.points), *(pt.p for pt in ps.points))
+    assert not any(a.flags.writeable for a in arrays)
+    with pytest.raises(ValueError, match="read-only"):
+        ps.frames[0, 0, 0] = 0.0
+
+
 def test_gdtwa_points_rejects_bad_state():
     with pytest.raises(ValueError):
         gdtwa_points(2, 3)
