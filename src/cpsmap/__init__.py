@@ -11,7 +11,7 @@ matrix-exponential reference.
 The top level carries the names of the README's library example;
 every other name is imported from its module (cpsmap.cps,
 cpsmap.kernels, cpsmap.dynamics, cpsmap.estimators, cpsmap.models,
-cpsmap.qcore).
+cpsmap.qcore, cpsmap.streams).
 """
 
 from .cps import gamma_wigner

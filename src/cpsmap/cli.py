@@ -47,10 +47,11 @@ import numpy as np
 from . import __version__
 from .cps import GammaWeight, gamma_wigner, sample_sphere_batch
 from .dynamics import grid_march
-from .estimators import MethodSpec, TCFRequest, _block_keys, _run_blocks, _Streams, estimate_tcf
+from .estimators import MethodSpec, TCFRequest, _run_blocks, estimate_tcf
 from .kernels import inverse_kernel_coefficients, kernel_entries
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf
+from .streams import BlockStreams, block_keys
 
 
 # Sample rows per chunk of the statistical validations (2 MB per kernel table).
@@ -478,7 +479,7 @@ def run_validations(cfg, H):
     The exact-mapping and moments checks read one sphere sample of
     validate.n_traj rows in a single pass of CHECK_ROWS-row chunks.
     Chunk c draws from its own stream, SeedSequence(seed + 101,
-    spawn_key=(c,)) keyed by estimators._block_keys, and
+    spawn_key=(c,)) served by cpsmap.streams, and
     returns its partial sums for both checks; the chunks run on
     tcf.threads workers and their sums are added in chunk order, so
     every result is bitwise the same at any thread count, and memory
@@ -490,7 +491,7 @@ def run_validations(cfg, H):
     if g is None or g <= -1.0 / F:
         g = gamma_wigner(F)
     n = cfg.validate_n_traj
-    streams = _Streams(_block_keys(cfg.seed + 101, -(-n // CHECK_ROWS)))
+    streams = BlockStreams(block_keys(cfg.seed + 101, -(-n // CHECK_ROWS)))
 
     def chunk(c):
         Z = sample_sphere_batch(F, g, streams[c], min(CHECK_ROWS, n - c * CHECK_ROWS))

@@ -309,23 +309,27 @@ def sample_sphere_batch(F, gamma, rng, size):
     return onto_sphere(w, F, gamma)
 
 
-def sphere_normals(rng, w):
-    """Fill complex rows w (rows, F), which may be a slice, with normals: all real parts, then all imaginary."""
-    w.real = rng.standard_normal(w.shape)
-    w.imag = rng.standard_normal(w.shape)
+def sphere_normals(rng, w, scratch=None):
+    """Fill complex rows w (rows, F), maybe a slice, with normals: all real parts, then all imaginary.
+
+    scratch, a float (rows, F) array or None, holds each draw on its way.
+    """
+    w.real = rng.standard_normal(w.shape, out=scratch)
+    w.imag = rng.standard_normal(w.shape, out=scratch)
 
 
-def onto_sphere(w, F, gamma):
-    """Scale normal rows w (rows, F) onto the sphere at gamma (one, or one per row) in place; returns w."""
+def onto_sphere(w, F, gamma, scratch=None):
+    """Scale normal rows w (rows, F) onto the sphere at gamma (one, or one per row) in place; returns w.
+
+    scratch, a complex array shaped like w or None, holds |w|^2 on its way.
+    """
     gamma = np.asarray(gamma, dtype=np.float64)
     bad = gamma[~(gamma > -1.0 / F)]
     if bad.size:
         raise ValueError(f"gamma={float(bad[0])} must exceed -1/F = {-1.0 / F}")
     # Built in place (the bits of x + 1j*y, np.linalg.norm and w * scale),
-    # so a draw holds at most two (rows, F) arrays at once: the estimator's
-    # blocks then reuse freed heap instead of having it trimmed and paged in
-    # again, which cost up to a third of a block's time.
-    sq = np.conj(w)
+    # so a draw holds at most two (rows, F) arrays at once.
+    sq = np.conjugate(w, out=scratch)
     sq *= w
     norms = np.sqrt(np.add.reduce(sq.real, axis=1, keepdims=True))
     # A zero draw has probability zero; guard against it anyway.

@@ -45,23 +45,21 @@ actions (..., F) in this module.
 
 Trajectories are generated in 100 fixed blocks, which double as
 jackknife resampling units for the standard errors.  Block b draws from
-the stream Generator(Philox(SeedSequence(seed, spawn_key=(b,)))): the
-keys of all blocks come from one vectorized pass of SeedSequence's hash
-(_block_keys), and each worker thread re-keys one Philox generator per
-block (_Streams).  The driver samples and carries blocks in groups: a
-group is a run of consecutive blocks of equal size with at most
-GROUP_ROWS rows in all (a larger block is a group of one), drawn block
-by block from the blocks' own streams and then transformed, carried and
-reduced per block as one stacked array.  Every per-block sum is bitwise
+the stream Generator(Philox(SeedSequence(seed, spawn_key=(b,)))), which
+cpsmap.streams keys for all blocks at once and serves each worker
+thread from one re-keyed Philox generator.  The driver samples and
+carries blocks in groups: a group is a run of consecutive blocks of
+equal size with at most GROUP_ROWS rows in all (a larger block is a
+group of one), drawn block by block from the blocks' own streams and
+then transformed, carried and reduced per block as one stacked array,
+in scratch arrays that each worker keeps from group to group.  Every per-block sum is bitwise
 what the block alone gives, the groups depend on n_traj alone, and the
 reduction over blocks runs in a fixed order, so results are bitwise
 reproducible for a given (seed, n_traj) regardless of the worker thread
 count.
 """
 
-import itertools
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
@@ -77,6 +75,7 @@ from .kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries, 
 # this module.
 from .dynamics import _check_grid, _check_step, _rk4_arrays, grid_march  # noqa: F401
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
+from .streams import BlockStreams, block_keys, check_seed
 
 N_BLOCKS = 100
 # Rows of consecutive equal blocks sampled and carried together as one group.
@@ -231,7 +230,7 @@ class TCFResult:
 
 
 # ---------------------------------------------------------------------------
-# blocks, RNG streams, jackknife
+# blocks, groups, jackknife
 
 
 def _block_sizes(n_traj):
@@ -252,89 +251,6 @@ def _groups(sizes):
         else:
             groups.append((b, b + 1))
     return groups
-
-
-def _check_seed(seed):
-    """seed as an int; a ValueError unless it is a non-negative integer (bool excluded)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
-    return int(seed)
-
-
-# NumPy's SeedSequence hash (numpy/random/bit_generator.pyx), which its
-# stream-compatibility policy freezes.
-_MASK32 = 0xFFFFFFFF
-_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _block_keys(seed, n=N_BLOCKS):
-    """Philox keys (n, 2) of the streams 0..n-1 of seed, in one vectorized pass.
-
-    Row b is SeedSequence(seed, spawn_key=(b,)).generate_state(2,
-    np.uint64).  The pool hashes the seed's 32-bit words, zero-padded to
-    the pool size 4 as for every spawned sequence, and last the spawn
-    key b, the one word that differs between streams, here a uint32
-    array over b.  Python ints and uint32 arrays both wrap at 32 bits.
-    """
-    seed = _check_seed(seed)
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words)) + [np.arange(n, dtype=np.uint32)]
-    consts = {_MULT_A: _INIT_A, _MULT_B: _INIT_B}
-
-    def hashed(value, mult=_MULT_A):
-        const = consts[mult]
-        consts[mult] = const * mult & _MASK32
-        value = (value ^ const) * consts[mult] & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        out = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
-        return out ^ out >> 16
-
-    pool = [hashed(w) for w in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], hashed(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashed(w))
-    state = [hashed(v, _MULT_B).astype(np.uint64) for v in pool]
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
-
-
-_FRESH = np.zeros(4, dtype=np.uint64)
-
-
-class _Streams:
-    """Block streams from their Philox keys (_block_keys): item b is block b's stream.
-
-    Item b is the calling thread's one Philox generator, re-keyed to the
-    fresh stream of key b: counter 0, empty buffer, no half-used word.
-    A slice holds the streams of a run of blocks, with the same per-thread
-    generators; iterating re-keys the one generator block after block, so
-    a block's draws must all be taken before the next block's.
-    """
-
-    def __init__(self, keys, local=None):
-        self.keys, self._local = keys, local or threading.local()
-
-    def __len__(self):
-        return len(self.keys)
-
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self.keys)))
-
-    def __getitem__(self, b):
-        if isinstance(b, slice):
-            return _Streams(self.keys[b], self._local)
-        gen = getattr(self._local, "gen", None)
-        if gen is None:
-            gen = self._local.gen = np.random.Generator(np.random.Philox(0))
-        gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": _FRESH, "key": self.keys[b]},
-            "buffer": _FRESH, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-        }
-        return gen
 
 
 def _run_blocks(work, blocks, n_threads):
@@ -376,7 +292,7 @@ def _prepare(req):
         raise ValueError("n_traj must be at least 1")
     if req.n_threads < 1:
         raise ValueError(f"n_threads must be at least 1, got {req.n_threads!r}")
-    _check_seed(req.seed)
+    check_seed(req.seed)
     t_grid = _check_grid(req.t_grid, "t_grid")
     if req.backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {req.backend!r}")
@@ -508,18 +424,23 @@ def _draw_group(rngs, nb, draw=None, F=None):
 
     draw(rng, nb) returns a tuple of nb-row arrays, which come back
     concatenated item by item over the group.  With F given, each block
-    then draws its sphere normals into one (rows, F) array, returned
-    last, so a group of one block is drawn as one block always was.
+    then draws its sphere normals into the rows of one scratch array,
+    which comes back last (see _onto_sphere).
     """
-    w = None if F is None else np.empty((len(rngs) * nb, F), dtype=np.complex128)
+    w = None if F is None else rngs.scratch("frames", (len(rngs) * nb, F))
     parts = []
     for i, rng in enumerate(rngs):
         if draw is not None:
             parts.append(draw(rng, nb))
         if w is not None:
-            sphere_normals(rng, w[i * nb:(i + 1) * nb])
+            sphere_normals(rng, w[i * nb:(i + 1) * nb], rngs.scratch("normals", (nb, F), np.float64))
     items = [np.concatenate(p) for p in zip(*parts)]
     return items if w is None else items + [w]
+
+
+def _onto_sphere(rngs, w, F, gamma):
+    """The group's normals w scaled onto the sphere at gamma in place, with a scratch |w|^2."""
+    return onto_sphere(w, F, gamma, rngs.scratch("temp", w.shape))
 
 
 def _kernel_group(U, plan, idxs):
@@ -550,13 +471,11 @@ def _kernel_group(U, plan, idxs):
         moments = []
         for W in Ws:
             v = np.broadcast_to(W[:, None] * plan.weights, Z0.shape[:2]).reshape(nblk, -1, 1)
-            # v * conj(A) in place: one temporary the size of A at a time (see
-            # cps.onto_sphere).
-            vAc = A.conj()
+            # v * conj(A) in place, in a scratch array (see BlockStreams.scratch)
+            vAc = np.conjugate(A, out=rngs.scratch("temp", A.shape))
             np.multiply(v, vAc, out=vAc)
             shifts = np.sum((W[:, None] * S).reshape(nblk, nb, -1), axis=1)
             moments.append((A.transpose(0, 2, 1) @ vAc, shifts[..., None]))
-            del vAc
         return np.stack(
             [
                 np.einsum("ta,xab,tb->xt", Ul, moments[d][0], Ukc) - (shift_lk @ moments[d][1])[..., 0]
@@ -618,7 +537,7 @@ def _drive(req, U, plan, idxs):
     else:
         group, width = _window_group(U, plan), plan.width
     sums = np.zeros((N_BLOCKS, len(U), width), dtype=plan.dtype)
-    streams = _Streams(_block_keys(req.seed))
+    streams = BlockStreams(block_keys(req.seed, N_BLOCKS))
 
     def work(span):
         lo, hi = span
@@ -670,7 +589,7 @@ def _sphere_density(F, g, sides):
 
     def sample(rngs, nb):
         (w,) = _draw_group(rngs, nb, F=F)
-        Z = onto_sphere(w, F, g)[:, None, :]
+        Z = _onto_sphere(rngs, w, F, g)[:, None, :]
         return Z, [F * kernel_entries(Z, m0, n0, g) for n0, m0 in sides]
 
     return sample
@@ -694,7 +613,7 @@ def _wmm_plan(req, F, idxs, U):
 
     def sample(rngs, nb):
         gam, sgn, w = _draw_group(rngs, nb, weight.sample_batch, F)
-        Z = onto_sphere(w, F, gam)[:, None, :]
+        Z = _onto_sphere(rngs, w, F, gam)[:, None, :]
         Ws = [kernel_entries(Z, m0, n0, gam) * (F * tot * sgn) for n0, m0 in sides]
         return Z, Ws, gam[:, None]
 
@@ -725,7 +644,7 @@ def _cmmcv_plan(req, F, idxs, U):
 
     def sample(rngs, nb):
         ci, w = _draw_group(rngs, nb, lambda rng, nb: (rng.choice(len(comps), size=nb, p=probs),), F)
-        Z = onto_sphere(w, F, shells[ci])[:, None, :]
+        Z = _onto_sphere(rngs, w, F, shells[ci])[:, None, :]
         Ws = [
             (F * tot * comp_signs[ci]) * kernel_entries(Z, m0, n0, Gamma=gstack[ci, m0, n0])
             for n0, m0 in sides
@@ -892,7 +811,7 @@ def _ww_plan(req, F, idxs, U):
         measure = 1.0
     else:
         g = 0.0 if fam == "triangle_f2_single" else req.method.gamma
-        draw = lambda rngs, nb: onto_sphere(_draw_group(rngs, nb, F=F)[0], F, g)
+        draw = lambda rngs, nb: _onto_sphere(rngs, _draw_group(rngs, nb, F=F)[0], F, g)
         measure = float(F)
         if fam == "triangle_f2_single":
             rho = lambda e0: e0[:, n0]
@@ -1099,7 +1018,7 @@ def intra_electron_check(weight, H, rho, A, n_traj, seed):
     A = np.asarray(A, dtype=np.complex128)
     lhs = float(np.real(0.5 * np.trace(rho @ (A @ H + H @ A))))
     tot = weight.abs_total()
-    rng = _Streams(_block_keys(seed, 1))[0]
+    rng = BlockStreams(block_keys(seed, 1))[0]
     gam, sgn = weight.sample_batch(rng, n_traj)
     Z = sample_sphere_batch(F, gam, rng, n_traj)[:, None, :]
     traces = [kernel_trace(Z, M, gam) for M in (rho, A, H)]

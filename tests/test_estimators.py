@@ -18,14 +18,12 @@ from cpsmap.estimators import (
     N_BLOCKS,
     MethodSpec,
     TCFRequest,
-    _block_keys,
     _block_sizes,
     _cornered_window,
     _groups,
     _hill_obs_windows,
     _hill_rho_window,
     _prepare,
-    _Streams,
     _triangle_rho_window,
     estimate_tcf,
     hill_exponent,
@@ -34,6 +32,7 @@ from cpsmap.estimators import (
 from cpsmap.kernels import kernel_entries
 from cpsmap.models import ModelSpec, build_hamiltonian
 from cpsmap.qcore import exact_tcf
+from cpsmap.streams import BlockStreams
 
 RABI = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -343,54 +342,10 @@ def test_thread_count_does_not_change_results(case):
         a = estimate_tcf(request(H, method, **run))
         for n_threads in (2, 4):
             b = estimate_tcf(request(H, method, n_threads=n_threads, **run))
-            assert np.array_equal(a.estimates, b.estimates, equal_nan=True)
-            assert np.array_equal(a.normalization, b.normalization, equal_nan=True)
-            assert np.array_equal(a.standard_errors, b.standard_errors, equal_nan=True)
+            assert np.array_equal(a.estimates, b.estimates)
+            assert np.array_equal(a.normalization, b.normalization)
+            assert np.array_equal(a.standard_errors, b.standard_errors)
             assert np.array_equal(a.min_numerator, b.min_numerator, equal_nan=True)
-
-
-def fresh_stream(seed, b):
-    """Block b's stream built from scratch, as every block stream is defined."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=(b,))))
-
-
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30])
-def test_block_keys_equal_the_spawned_seed_sequences(seed):
-    want = [
-        np.random.SeedSequence(seed, spawn_key=(b,)).generate_state(2, np.uint64)
-        for b in range(N_BLOCKS)
-    ]
-    got = _block_keys(seed)
-    assert got.dtype == np.uint64
-    assert np.array_equal(got, want)
-
-
-STREAM_DRAWS = (
-    lambda rng: rng.random(5),
-    lambda rng: rng.integers(7, size=5),
-    lambda rng: rng.standard_normal((3, 2)),
-    lambda rng: rng.choice(3, size=6, p=[0.2, 0.5, 0.3]),
-)
-
-
-def test_rekeyed_stream_equals_a_fresh_stream():
-    seed = 8911
-    streams = _Streams(_block_keys(seed, 4))
-    for b in range(len(streams)):
-        got, want = streams[b], fresh_stream(seed, b)
-        for draw in STREAM_DRAWS:
-            assert np.array_equal(draw(got), draw(want))
-        # end the block mid-buffer, with half a 64-bit word kept, before the next re-key
-        got.random(1)
-        while not got.bit_generator.state["has_uint32"]:
-            got.integers(7, size=1, dtype=np.uint32)
-        assert got.bit_generator.state["buffer_pos"] not in (0, 4)
-    # the streams of a run of blocks, in block order, through one generator
-    drawn = [[draw(rng) for draw in STREAM_DRAWS] for rng in streams[1:4]]
-    for b, block in enumerate(drawn, start=1):
-        want = fresh_stream(seed, b)
-        for got, draw in zip(block, STREAM_DRAWS):
-            assert np.array_equal(got, draw(want))
 
 
 @pytest.mark.parametrize("n_traj", [7, 150, 5037, 200_000])
@@ -427,7 +382,8 @@ def per_trajectory_estimates(req):
         nb = int(sizes[b])
         if nb == 0:
             continue
-        drawn = plan.sample([fresh_stream(req.seed, b)], nb)
+        key = np.random.SeedSequence(req.seed, spawn_key=(b,)).generate_state(2, np.uint64)
+        drawn = plan.sample(BlockStreams(key[None]), nb)
         Z0 = drawn[0]
         for ti, Ut in enumerate(U):
             Zt = np.matmul(Z0, Ut.T)
