@@ -52,11 +52,11 @@ carries blocks in groups: a group is a run of consecutive blocks of
 equal size with at most GROUP_ROWS rows in all (a larger block is a
 group of one), drawn block by block from the blocks' own streams and
 then transformed, carried and reduced per block as one stacked array,
-in scratch arrays that each worker keeps from group to group.  Every per-block sum is bitwise
-what the block alone gives, the groups depend on n_traj alone, and the
-reduction over blocks runs in a fixed order, so results are bitwise
-reproducible for a given (seed, n_traj) regardless of the worker thread
-count.
+in scratch arrays that each worker keeps from group to group.  Every
+per-block sum is bitwise what the block alone gives, the groups depend
+on n_traj alone, and the reduction over blocks runs in a fixed order, so
+results are bitwise reproducible for a given (seed, n_traj) regardless
+of the worker thread count.
 """
 
 import math
@@ -509,7 +509,7 @@ def _window_group(U, plan):
         sums = []
         for j, UT in enumerate(marches):
             R = UT.shape[1] // n_times
-            step = max(1, MARCH_ENTRIES // (Z0[..., 0].size * R))
+            step = max(1, MARCH_ENTRIES // (len(rngs) * nb * R))
             parts = []
             for lo in range(0, n_times, step):
                 Zt = (Z0 @ UT[:, lo * R:(lo + step) * R]).reshape(*Z0.shape[:2], -1, R)
