@@ -45,17 +45,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .cps import GammaWeight, gamma_wigner, sample_sphere_batch
+# sample_sphere_batch is imported only because perfbench/spans.py wraps it here.
+from .cps import GammaWeight, gamma_wigner, onto_sphere, sample_sphere_batch, sphere_normals  # noqa: F401
 from .dynamics import grid_march
-from .estimators import MethodSpec, TCFRequest, _run_blocks, estimate_tcf
-from .kernels import inverse_kernel_coefficients, kernel_entries
+from .estimators import POOL_ROWS, MethodSpec, TCFRequest, _run_blocks, estimate_tcf
+from .kernels import inverse_kernel_coefficients
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf
 from .streams import BlockStreams, block_keys
-
-
-# Sample rows per chunk of the statistical validations (2 MB per kernel table).
-CHECK_ROWS = 8192
 
 
 class ConfigError(ValueError):
@@ -106,6 +103,9 @@ class ValidationResult:
     passed: bool
     detail: str
 
+    def __str__(self):
+        return f"validation {self.name}: {'pass' if self.passed else 'FAIL'} ({self.detail})"
+
 
 @dataclass
 class RunSummary:
@@ -114,6 +114,7 @@ class RunSummary:
     n_rows: int
     max_error_over_se: float
     validations: list = field(default_factory=list)
+    nan_points: int = 0
 
     @property
     def exit_code(self):
@@ -150,10 +151,6 @@ def parse_config_text(text):
     return out
 
 
-def _take(entries, key, default=None):
-    return entries.pop(key, default)
-
-
 def _as_float(key, value):
     try:
         return float(value)
@@ -178,28 +175,28 @@ def _as_bool(key, value):
 
 
 def _build_model(entries):
-    kind = _take(entries, "model.kind")
+    kind = entries.pop("model.kind", None)
     if kind is None:
         raise ConfigError("model.kind: required")
     if kind == "two_level":
-        delta = _as_float("model.delta", _take(entries, "model.delta", "1"))
-        eps = _as_float("model.epsilon", _take(entries, "model.epsilon", "0"))
+        delta = _as_float("model.delta", entries.pop("model.delta", "1"))
+        eps = _as_float("model.epsilon", entries.pop("model.epsilon", "0"))
         spec = ModelSpec.two_level(delta, eps)
         text = f"two_level(delta={delta}, epsilon={eps})"
     elif kind == "random":
-        F = _as_int("model.F", _take(entries, "model.F", "2"))
-        seed = _as_int("model.seed", _take(entries, "model.seed", "0"))
-        scale = _as_float("model.scale", _take(entries, "model.scale", "1"))
+        F = _as_int("model.F", entries.pop("model.F", "2"))
+        seed = _as_int("model.seed", entries.pop("model.seed", "0"))
+        scale = _as_float("model.scale", entries.pop("model.scale", "1"))
         spec = ModelSpec.random(F, seed, scale)
         text = f"random(F={F}, seed={seed}, scale={scale})"
     elif kind == "ladder":
-        F = _as_int("model.F", _take(entries, "model.F", "2"))
-        gap = _as_float("model.gap", _take(entries, "model.gap", "1"))
-        coupling = _as_float("model.coupling", _take(entries, "model.coupling", "0.1"))
+        F = _as_int("model.F", entries.pop("model.F", "2"))
+        gap = _as_float("model.gap", entries.pop("model.gap", "1"))
+        coupling = _as_float("model.coupling", entries.pop("model.coupling", "0.1"))
         spec = ModelSpec.ladder(F, gap, coupling)
         text = f"ladder(F={F}, gap={gap}, coupling={coupling})"
     elif kind == "file":
-        path = _take(entries, "model.path")
+        path = entries.pop("model.path", None)
         if path is None:
             raise ConfigError("model.path: required for model.kind = file")
         spec = ModelSpec.from_file(path)
@@ -276,11 +273,11 @@ _PARAM_PARSERS = {
 
 
 def _build_method(entries, F):
-    family = _take(entries, "method.family")
+    family = entries.pop("method.family", None)
     if family is None:
         raise ConfigError("method.family: required")
     # Every method key is consumed, whether or not the family reads it.
-    given = {key: _take(entries, key) for key in _PARAM_PARSERS}
+    given = {key: entries.pop(key, None) for key in _PARAM_PARSERS}
     if family not in _METHODS:
         raise ConfigError(f"method.family: unknown family {family!r}")
     make, key, default = _METHODS[family]
@@ -297,6 +294,22 @@ def _build_method(entries, F):
         raise
     except ValueError as exc:
         raise ConfigError(f"method.family: {exc}") from exc
+
+
+# scalar config key -> (parser, default); tcf.x sets the field x, validate.x validate_x
+_SCALAR_KEYS = {
+    "tcf.t_max": (_as_float, "10"),
+    "tcf.n_times": (_as_int, "21"),
+    "tcf.n_traj": (_as_int, "10000"),
+    "tcf.seed": (_as_int, "0"),
+    "tcf.backend": (lambda key, value: value, "exact"),
+    "tcf.dt": (_as_float, "1e-3"),
+    "tcf.threads": (_as_int, "1"),
+    "validate.exact_mapping": (_as_bool, "true"),
+    "validate.drift": (_as_bool, "true"),
+    "validate.moments": (_as_bool, "true"),
+    "validate.n_traj": (_as_int, "200000"),
+}
 
 
 def load_config(path, overrides=None):
@@ -318,39 +331,20 @@ def load_config(path, overrides=None):
     F = H.shape[0]
     method_spec, method_text = _build_method(entries, F)
 
-    pairs = _parse_pair_list("tcf.pairs", _take(entries, "tcf.pairs", "1,1,1,1"))
-    cfg_kwargs = dict(
-        model=model_spec,
-        method=method_spec,
-        pairs=pairs,
-        t_max=_as_float("tcf.t_max", _take(entries, "tcf.t_max", "10")),
-        n_times=_as_int("tcf.n_times", _take(entries, "tcf.n_times", "21")),
-        n_traj=_as_int("tcf.n_traj", _take(entries, "tcf.n_traj", "10000")),
-        seed=_as_int("tcf.seed", _take(entries, "tcf.seed", "0")),
-        backend=_take(entries, "tcf.backend", "exact"),
-        dt=_as_float("tcf.dt", _take(entries, "tcf.dt", "1e-3")),
-        threads=_as_int("tcf.threads", _take(entries, "tcf.threads", "1")),
-        validate_exact_mapping=_as_bool(
-            "validate.exact_mapping", _take(entries, "validate.exact_mapping", "true")
-        ),
-        validate_drift=_as_bool("validate.drift", _take(entries, "validate.drift", "true")),
-        validate_moments=_as_bool(
-            "validate.moments", _take(entries, "validate.moments", "true")
-        ),
-        validate_n_traj=_as_int(
-            "validate.n_traj", _take(entries, "validate.n_traj", "200000")
-        ),
-        method_text=method_text,
-        model_text=model_text,
+    pairs = _parse_pair_list("tcf.pairs", entries.pop("tcf.pairs", "1,1,1,1"))
+    cfg_kwargs = {
+        key.replace("tcf.", "").replace(".", "_"): parse(key, entries.pop(key, default))
+        for key, (parse, default) in _SCALAR_KEYS.items()
+    }
+    cfg_kwargs.update(
+        model=model_spec, method=method_spec, pairs=pairs,
+        method_text=method_text, model_text=model_text,
     )
     if entries:
         stray = ", ".join(sorted(entries))
         raise ConfigError(f"unknown config key(s): {stray}")
 
-    if "seed" in overrides:
-        cfg_kwargs["seed"] = int(overrides["seed"])
-    if "threads" in overrides:
-        cfg_kwargs["threads"] = int(overrides["threads"])
+    cfg_kwargs.update({key: int(overrides[key]) for key in ("seed", "threads") if key in overrides})
     cfg = ExperimentConfig(**cfg_kwargs)
     if "out" in overrides:
         cfg.out_dir = Path(overrides["out"])
@@ -417,16 +411,33 @@ def _check_products(name, label, parts, target):
     return ValidationResult(name, worst <= 5.0, f"{label}, worst |dev|/SE = {worst:.2f} (limit 5)")
 
 
-def _mapping_sums(Z, g):
+def _mapping_sums(Z, g, scratch=None):
     """_product_sums of Kv (columns m*s + n) and Kinv (columns l*s + k) on a sphere sample Z (n, F) at g.
 
-    Only the first s = min(F, 4) states enter.
+    Only the first s = min(F, 4) states enter.  Off the diagonal, Kv and
+    Kinv are 1/2 and c1 times z_m conj(z_n); on it, a_m/2 - g and
+    c1 a_m - c2 with a_m = |z_m|^2.  So every sum is a scaled entry of
+    V V^T or |V|^2 (|V|^2)^T, V one table of those entries, and no terms
+    cancel.  Temporaries come from scratch (BlockStreams.scratch) or are fresh.
     """
-    s = min(Z.shape[1], 4)
-    c1, c2 = inverse_kernel_coefficients(Z.shape[1], g)
-    Zs = Z[:, None, :s]
-    Kv = kernel_entries(Zs, gamma=g).reshape(-1, s * s)
-    return _product_sums(Kv, kernel_entries(Zs, gamma=c2, weights=c1).reshape(-1, s * s))
+    scratch = scratch or BlockStreams(None).scratch
+    n, F = Z.shape
+    s = min(F, 4)
+    c1, c2 = inverse_kernel_coefficients(F, g)
+    Zs = Z[:, :s].T
+    V = scratch("entries", (s * s + s, n))
+    # conj(z) waits in the rows that Kinv's diagonal fills next
+    np.multiply(Zs[:, None], np.conjugate(Zs, out=V[s * s:])[None], out=V[:s * s].reshape(s, s, n))
+    diag = V[:s * s:s + 1]
+    V[s * s:] = c1 * diag.real - c2
+    diag[...] = 0.5 * diag.real - g
+    W = np.abs(V, out=scratch("squares", V.shape, np.float64))
+    W *= W
+    # Kv is V's rows 0..s^2-1 and Kinv the same with its diagonal from rows s^2.., scaled
+    kinv, wv, wi = np.arange(s * s), np.full(s * s, 0.5), np.full(s * s, c1)
+    kinv[::s + 1], wv[::s + 1], wi[::s + 1] = s * s + np.arange(s), 1.0, 1.0
+    first = wv[:, None] * (V @ V.T)[:s * s, kinv] * wi
+    return n, first, wv[:, None] ** 2 * (W @ W.T)[:s * s, kinv] * wi**2
 
 
 def _validate_exact_mapping(parts, F, g):
@@ -477,13 +488,13 @@ def run_validations(cfg, H):
     """Run the enabled validation suites for a config.
 
     The exact-mapping and moments checks read one sphere sample of
-    validate.n_traj rows in a single pass of CHECK_ROWS-row chunks.
+    validate.n_traj rows in a single pass of POOL_ROWS-row chunks.
     Chunk c draws from its own stream, SeedSequence(seed + 101,
-    spawn_key=(c,)) served by cpsmap.streams, and
-    returns its partial sums for both checks; the chunks run on
-    tcf.threads workers and their sums are added in chunk order, so
-    every result is bitwise the same at any thread count, and memory
-    stays O(CHECK_ROWS F) per worker.
+    spawn_key=(c,)) served by cpsmap.streams, and returns its partial
+    sums for both checks, from temporaries in its worker's scratch
+    arrays; the chunks run on tcf.threads workers and their sums are
+    added in chunk order, so every result is bitwise the same at any
+    thread count.
     """
     results = []
     F = H.shape[0]
@@ -491,12 +502,15 @@ def run_validations(cfg, H):
     if g is None or g <= -1.0 / F:
         g = gamma_wigner(F)
     n = cfg.validate_n_traj
-    streams = BlockStreams(block_keys(cfg.seed + 101, -(-n // CHECK_ROWS)))
+    streams = BlockStreams(block_keys(cfg.seed + 101, -(-n // POOL_ROWS)))
 
     def chunk(c):
-        Z = sample_sphere_batch(F, g, streams[c], min(CHECK_ROWS, n - c * CHECK_ROWS))
-        mapping = _mapping_sums(Z, g) if cfg.validate_exact_mapping else None
-        return mapping, _product_sums(Z, Z.conj())
+        shape, scratch = (min(POOL_ROWS, n - c * POOL_ROWS), F), streams.scratch
+        Z = scratch("sample", shape)
+        sphere_normals(streams[c], Z, scratch("normals", shape, np.float64))
+        onto_sphere(Z, F, g, scratch("temp", shape))
+        mapping = _mapping_sums(Z, g, scratch) if cfg.validate_exact_mapping else None
+        return mapping, _product_sums(Z, np.conjugate(Z, out=scratch("temp", shape)))
 
     if cfg.validate_exact_mapping or cfg.validate_moments:
         mapping, moments = zip(*_run_blocks(chunk, range(len(streams)), cfg.threads))
@@ -533,17 +547,16 @@ def _exact_series(H, pairs, t_grid):
 
 
 def _result_rows(cfg, H):
-    """Estimate every configured pair: the CSV rows, the worst err/SE, the zero-variance count.
+    """Estimate every configured pair: the CSV rows, the worst err/SE, the zero-variance and NaN counts.
 
     All pairs are one estimate_tcf call, so each ensemble is sampled
     once, and one exact_tcf call, so H is diagonalized once.  A point
     the result flags as zero-variance has an SE that is rounding noise,
-    so its error_over_se is NaN and it is left out of the worst err/SE.
+    so its error_over_se is NaN and it is left out of the worst err/SE,
+    as is a counted point whose estimate or SE is NaN.
     """
-    t_grid = cfg.t_grid()
-    rows = []
-    worst = 0.0
-    zero_variance = 0
+    t_grid, rows, worst = cfg.t_grid(), [], 0.0
+    zero_variance = nan_points = 0
     results = estimate_tcf([_request(cfg, H, pair, cfg.n_traj) for pair in cfg.pairs])
     refs = _exact_series(H, cfg.pairs, t_grid)
     for ((n, m), (k, l)), res, ref in zip(cfg.pairs, results, refs):
@@ -553,19 +566,15 @@ def _result_rows(cfg, H):
             err = abs(est - ref[ti])
             zero = bool(res.zero_variance[ti])
             zero_variance += zero
+            nan_points += bool(np.isnan(est) or math.isnan(se))
             ratio = math.nan if zero else err / se
             if not zero:
                 worst = max(worst, ratio)
-            rows.append(
-                (
-                    n, m, k, l, float(t),
-                    float(est.real), float(est.imag), se,
-                    float(res.normalization[ti]),
-                    float(ref[ti].real), float(ref[ti].imag),
-                    float(err), ratio,
-                )
-            )
-    return rows, worst, zero_variance
+            rows.append((
+                n, m, k, l, float(t), float(est.real), float(est.imag), se,
+                float(res.normalization[ti]), float(ref[ti].real), float(ref[ti].imag), float(err), ratio,
+            ))
+    return rows, worst, zero_variance, nan_points
 
 
 _CSV_COLUMNS = (
@@ -585,12 +594,8 @@ def _write_results(path, cfg, rows):
         f"# columns: {_CSV_COLUMNS}",
         _CSV_COLUMNS,
     ]
-    for row in rows:
-        n, m, k, l, t, er, ei, se, cb, xr, xi, err, ratio = row
-        lines.append(
-            f"{n},{m},{k},{l},{_fmt(t)},{_fmt(er)},{_fmt(ei)},{_fmt(se)},"
-            f"{_fmt(cb)},{_fmt(xr)},{_fmt(xi)},{_fmt(err)},{_fmt(ratio)}"
-        )
+    # n, m, k, l as integers, then t through error_over_se
+    lines += [",".join([*map(str, row[:4]), *map(_fmt, row[4:])]) for row in rows]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -608,9 +613,7 @@ def _write_manifest(path, cfg, wall_time, validations, extra=()):
         f"n_times: {cfg.n_times}",
         f"wall_time_s: {wall_time:.3f}",
     ]
-    for v in validations:
-        lines.append(f"validation {v.name}: {'pass' if v.passed else 'FAIL'} ({v.detail})")
-    lines.extend(extra)
+    lines += [*map(str, validations), *extra]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -618,17 +621,16 @@ def run_experiment(cfg):
     """Estimate all configured pairs, write results.csv and manifest.txt."""
     start = time.perf_counter()
     H = build_hamiltonian(cfg.model)
-    rows, worst, zero_variance = _result_rows(cfg, H)
+    rows, worst, zero_variance, nan_points = _result_rows(cfg, H)
     validations = run_validations(cfg, H)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     results_path = cfg.out_dir / "results.csv"
     manifest_path = cfg.out_dir / "manifest.txt"
     _write_results(results_path, cfg, rows)
     wall = time.perf_counter() - start
-    _write_manifest(
-        manifest_path, cfg, wall, validations, [f"zero_variance_points: {zero_variance}"]
-    )
-    return RunSummary(results_path, manifest_path, len(rows), worst, validations)
+    counts = [f"zero_variance_points: {zero_variance}", f"nan_points: {nan_points}"]
+    _write_manifest(manifest_path, cfg, wall, validations, counts)
+    return RunSummary(results_path, manifest_path, len(rows), worst, validations, nan_points)
 
 
 def convergence_study(cfg, n_traj_list):
@@ -660,8 +662,7 @@ def convergence_study(cfg, n_traj_list):
         f"# slope: {_fmt(slope)}",
         "n_traj,max_error",
     ]
-    for N, err in zip(n_traj_list, max_errors):
-        lines.append(f"{int(N)},{_fmt(err)}")
+    lines += [f"{int(N)},{_fmt(err)}" for N, err in zip(n_traj_list, max_errors)]
     path.write_text("\n".join(lines) + "\n")
     return ConvergenceReport(list(n_traj_list), max_errors, slope, path)
 
@@ -703,22 +704,14 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if args.out is not None:
-        overrides["out"] = args.out
+    overrides = {key: val for key in ("seed", "threads", "out") if (val := getattr(args, key)) is not None}
     try:
         cfg = load_config(args.config, overrides)
         if args.command == "run":
             summary = run_experiment(cfg)
             for v in summary.validations:
-                print(f"validation {v.name}: {'pass' if v.passed else 'FAIL'} ({v.detail})")
-            se_note = ""
-            if cfg.n_traj == 1:
-                se_note = " (SE unavailable: single sample)"
+                print(v)
+            se_note = " (SE unavailable: single sample)" if cfg.n_traj == 1 else ""
             print(
                 f"wrote {summary.results_path} ({summary.n_rows} rows){se_note}; "
                 f"manifest {summary.manifest_path}"
@@ -736,10 +729,7 @@ def main(argv=None):
         # validate
         H = build_hamiltonian(cfg.model)
         validations = run_validations(cfg, H)
-        for v in validations:
-            print(f"validation {v.name}: {'pass' if v.passed else 'FAIL'} ({v.detail})")
-        if not validations:
-            print("no validations enabled")
+        print("\n".join(map(str, validations)) or "no validations enabled")
         return 0 if all(v.passed for v in validations) else 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -49,14 +49,15 @@ the stream Generator(Philox(SeedSequence(seed, spawn_key=(b,)))), which
 cpsmap.streams keys for all blocks at once and serves each worker
 thread from one re-keyed Philox generator.  The driver samples and
 carries blocks in groups: a group is a run of consecutive blocks of
-equal size with at most GROUP_ROWS rows in all (a larger block is a
-group of one), drawn block by block from the blocks' own streams and
-then transformed, carried and reduced per block as one stacked array,
-in scratch arrays that each worker keeps from group to group.  Every
-per-block sum is bitwise what the block alone gives, the groups depend
-on n_traj alone, and the reduction over blocks runs in a fixed order, so
-results are bitwise reproducible for a given (seed, n_traj) regardless
-of the worker thread count.
+equal size with at most GROUP_ROWS rows in all, or POOL_ROWS when a
+pool of workers runs them (a larger block is a group of one), drawn
+block by block from the blocks' own streams and then transformed,
+carried and reduced per block as one stacked array, in scratch arrays
+that each worker keeps from group to group.  Every per-block sum is
+bitwise what the block alone gives, whatever group it is in, and the
+reduction over blocks runs in a fixed order, so results are bitwise
+reproducible for a given (seed, n_traj) regardless of the worker thread
+count.
 """
 
 import math
@@ -78,8 +79,11 @@ from .qcore import hermitian_eig, propagator_from_decomposition, require_hermiti
 from .streams import BlockStreams, block_keys, check_seed
 
 N_BLOCKS = 100
-# Rows of consecutive equal blocks sampled and carried together as one group.
+# Rows of consecutive equal blocks sampled and carried as one group on one
+# thread; a pool's groups (and the CLI validation chunks) hold POOL_ROWS, so
+# fewer calls that hold the GIL are made.
 GROUP_ROWS = 1024
+POOL_ROWS = 8192
 # Marched frame entries a window block holds at once (8 MB of complex).
 MARCH_ENTRIES = 1 << 19
 # A standard error at most this times max(1, |estimate|) is rounding noise.
@@ -238,15 +242,15 @@ def _block_sizes(n_traj):
     return np.array([base + (1 if b < extra else 0) for b in range(N_BLOCKS)])
 
 
-def _groups(sizes):
-    """Runs (lo, hi) of consecutive nonempty blocks of equal size and at most GROUP_ROWS rows in all.
+def _groups(sizes, max_rows):
+    """Runs (lo, hi) of consecutive nonempty blocks of equal size and at most max_rows rows in all.
 
-    A block of GROUP_ROWS rows or more is a group of its own.
+    A block of max_rows rows or more is a group of its own.
     """
     groups = []
     for b in np.flatnonzero(sizes).tolist():
         lo = groups[-1][0] if groups else b
-        if groups and sizes[lo] == sizes[b] and (b + 1 - lo) * sizes[b] <= GROUP_ROWS:
+        if groups and sizes[lo] == sizes[b] and (b + 1 - lo) * sizes[b] <= max_rows:
             groups[-1] = (lo, b + 1)
         else:
             groups.append((b, b + 1))
@@ -527,9 +531,9 @@ def _drive(req, U, plan, idxs):
     times at once: a kernel plan through its moment matrices, a window
     plan through a march of its frames by the rows it reads.  Each
     block is drawn once for every request of the ensemble, from its own
-    Philox stream, and the groups, fixed by n_traj alone, write only
-    their own rows of sums, so the result does not depend on the thread
-    count.
+    Philox stream, and the groups write only their own rows of sums,
+    bitwise the same in any group, so the result does not depend on the
+    thread count.
     """
     sizes = _block_sizes(req.n_traj)
     if plan.window is None:
@@ -543,7 +547,8 @@ def _drive(req, U, plan, idxs):
         lo, hi = span
         sums[lo:hi] = group(streams[lo:hi], int(sizes[lo]))
 
-    _run_blocks(work, _groups(sizes), req.n_threads)
+    max_rows = GROUP_ROWS if req.n_threads == 1 else POOL_ROWS
+    _run_blocks(work, _groups(sizes, max_rows), req.n_threads)
     return sums, sizes
 
 

@@ -13,9 +13,9 @@ sum_i w_i z_i z_i^dagger - shift over batches of frames (a single point
 is a batch of one) and kernel_trace the one Tr[M K], which at M = H is
 the classical Hamiltonian H_C; inverse_kernel_coefficients gives the
 inverse kernel's weight and shift on the sphere at gamma.  The
-estimators' density side and the CLI mapping validation call them; the
-estimators sum the observable kernel over a block as one moment matrix
-instead.
+estimators' density side calls them; the estimators sum the observable
+kernel over a block as one moment matrix, and the CLI mapping check its
+kernels' product sums from one table of their entries, instead.
 classify_kernel reads the component signature off an arbitrary
 Hermitian matrix, point_from_kernel reconstructs the phase point, and
 gdtwa_points builds the 2^(2(F-1)) discrete kernel matrices used by the

@@ -8,7 +8,6 @@ import pytest
 
 from cpsmap import __version__, cli
 from cpsmap.cli import (
-    CHECK_ROWS,
     ConfigError,
     ExperimentConfig,
     _check_products,
@@ -27,9 +26,10 @@ from cpsmap.cli import (
 )
 from cpsmap.cps import gamma_wigner, sample_sphere, sample_sphere_batch
 from cpsmap.dynamics import grid_march
-from cpsmap.estimators import MethodSpec
+from cpsmap.estimators import POOL_ROWS as CHECK_ROWS, MethodSpec
 from cpsmap.kernels import inverse_kernel_coefficients, kernel_entries, kernel_trace
 from cpsmap.models import ModelSpec, build_hamiltonian, save_hamiltonian
+from cpsmap.streams import BlockStreams
 
 BASE = """
 model.kind = two_level
@@ -383,6 +383,26 @@ def test_exact_mapping_validation_fails_on_the_wrong_sphere():
     assert "worst |dev|/SE" in bad.detail
 
 
+@pytest.mark.parametrize("F", range(1, 7))
+def test_mapping_sums_match_the_kernel_table_reference(F):
+    # s = min(F, 4) < F for F > 4; a 1-row chunk and a partial chunk share
+    # one thread's scratch arrays, so the second reshapes them
+    s = min(F, 4)
+    scratch = BlockStreams(np.zeros((1, 2), np.uint64)).scratch
+    for g in (0.0, gamma_wigner(F), 1.0, -0.5 / F):
+        c1, c2 = inverse_kernel_coefficients(F, g)
+        for rows in (1, 20001 - 2 * CHECK_ROWS):
+            Z = sphere_sample(F, g, rows, seed=F * rows)
+            Kv = kernel_entries(Z[:, None, :s], gamma=g).reshape(-1, s * s)
+            Kinv = kernel_entries(Z[:, None, :s], gamma=c2, weights=c1).reshape(-1, s * s)
+            want = _product_sums(Kv, Kinv)
+            got = _mapping_sums(Z, g, scratch)
+            assert got[0] == want[0] == rows
+            # each sum against the sum of its terms' magnitudes
+            assert np.all(np.abs(got[1] - want[1]) <= 1e-12 * (np.abs(Kv).T @ np.abs(Kinv)))
+            assert np.all(np.abs(got[2] - want[2]) <= 1e-12 * want[2])
+
+
 def test_moments_validation_fails_at_the_wrong_gamma():
     Z = sphere_sample(3, gamma_wigner(3))
     assert _validate_moments(moment_sums(Z), 3, gamma_wigner(3)).passed
@@ -525,3 +545,31 @@ def test_run_flags_zero_variance_points(tmp_path):
     assert "zero_variance_points: 5" in (tmp_path / "out" / "manifest.txt").read_text()
     summary = run_experiment(load_config(path, overrides={"out": tmp_path / "again"}))
     assert summary.max_error_over_se == 0.0
+
+
+def test_run_counts_nan_points(tmp_path):
+    # two triangle_ww trajectories whose summed window vanishes at t = 2:
+    # that estimate is 0/0, and the manifest says so
+    text = (
+        "model.kind = random\n"
+        "model.F = 3\n"
+        "model.seed = 4\n"
+        "method.family = triangle_ww\n"
+        "tcf.pairs = 1,1,2,2\n"
+        "tcf.t_max = 2\n"
+        "tcf.n_times = 5\n"
+        "tcf.n_traj = 2\n"
+        "tcf.seed = 0\n"
+        "validate.n_traj = 2000\n"
+    )
+    summary = run_experiment(load_config(write_config(tmp_path, text), overrides={"out": tmp_path / "out"}))
+    data = [
+        ln.split(",")
+        for ln in summary.results_path.read_text().splitlines()
+        if ln and not ln.startswith(("#", "n,"))
+    ]
+    nan_rows = [row for row in data if "nan" in (row[5], row[6], row[7])]
+    assert [row[4] for row in nan_rows] == ["2.0"]
+    assert summary.nan_points == 1
+    assert math.isfinite(summary.max_error_over_se)
+    assert "nan_points: 1" in summary.manifest_path.read_text()

@@ -16,6 +16,7 @@ from cpsmap.estimators import (
     _PLANS,
     GROUP_ROWS,
     N_BLOCKS,
+    POOL_ROWS,
     MethodSpec,
     TCFRequest,
     _block_sizes,
@@ -331,13 +332,15 @@ THREAD_CASES = {
 
 # n_traj values with blocks of mixed sizes, of one trajectory, and empty.
 GROUPING_N_TRAJ = (5037, 150, 7)
+# Blocks of 1200 rows: groups of one on one thread, of six in a pool.
+LARGE_BLOCK_CASES = {"cmm": (120_000,), "triangle_ww": (120_000,)}
 
 
 @pytest.mark.parametrize("case", list(THREAD_CASES))
 def test_thread_count_does_not_change_results(case):
     F, method, kw = THREAD_CASES[case]
     H = random_h(F, seed=21)
-    for n_traj in (kw["n_traj"], *GROUPING_N_TRAJ):
+    for n_traj in (kw["n_traj"], *GROUPING_N_TRAJ, *LARGE_BLOCK_CASES.get(case, ())):
         run = {**kw, "n_traj": n_traj}
         a = estimate_tcf(request(H, method, **run))
         for n_threads in (2, 4):
@@ -348,17 +351,25 @@ def test_thread_count_does_not_change_results(case):
             assert np.array_equal(a.min_numerator, b.min_numerator, equal_nan=True)
 
 
-@pytest.mark.parametrize("n_traj", [7, 150, 5037, 200_000])
-def test_groups_are_runs_of_equal_blocks_within_group_rows(n_traj):
+GROUPS_N_TRAJ = (7, 150, 5037, 120_000, 200_000)
+
+
+# the one-thread cap keeps the ids [n_traj]; the pool's cap is [n_traj-pool]
+@pytest.mark.parametrize(
+    "n_traj, max_rows",
+    [(n, GROUP_ROWS) for n in GROUPS_N_TRAJ] + [(n, POOL_ROWS) for n in GROUPS_N_TRAJ],
+    ids=[str(n) for n in GROUPS_N_TRAJ] + [f"{n}-pool" for n in GROUPS_N_TRAJ],
+)
+def test_groups_are_runs_of_equal_blocks_within_group_rows(n_traj, max_rows):
     sizes = _block_sizes(n_traj)
-    groups = _groups(sizes)
+    groups = _groups(sizes, max_rows)
     assert [b for lo, hi in groups for b in range(lo, hi)] == list(np.flatnonzero(sizes))
     for lo, hi in groups:
         assert len(set(sizes[lo:hi].tolist())) == 1
-        assert hi - lo == 1 or np.sum(sizes[lo:hi]) <= GROUP_ROWS
-    # a group stops only at a new block size or where one more block would pass GROUP_ROWS
+        assert hi - lo == 1 or np.sum(sizes[lo:hi]) <= max_rows
+    # a group stops only at a new block size or where one more block would pass max_rows
     for (lo, hi), (nxt, _) in zip(groups, groups[1:]):
-        assert sizes[nxt] != sizes[lo] or (hi - lo + 1) * sizes[lo] > GROUP_ROWS
+        assert sizes[nxt] != sizes[lo] or (hi - lo + 1) * sizes[lo] > max_rows
 
 
 def per_trajectory_estimates(req):
