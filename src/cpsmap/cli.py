@@ -159,10 +159,16 @@ def _as_float(key, value):
 
 
 def _as_int(key, value):
+    """value as an int; an exponent form such as 1e4 must be a finite whole number."""
     try:
-        return int(float(value)) if "e" in value.lower() else int(value)
+        if "e" not in value.lower():
+            return int(value)
+        x = float(value)
+        if x.is_integer():
+            return int(x)
     except ValueError:
-        raise ConfigError(f"{key}: not an integer: {value!r}") from None
+        pass
+    raise ConfigError(f"{key}: not an integer: {value!r}")
 
 
 def _as_bool(key, value):
@@ -284,16 +290,20 @@ def _build_method(entries, F):
     raw = given.get(key)
     if key is not None and raw is None and default is None:
         raise ConfigError(f"{key}: required for {family}")
+    if key is None:
+        return make(), f"{family}()"
     try:
-        if key is None:
-            return make(), f"{family}()"
         arg = default(F) if raw is None else _PARAM_PARSERS[key](raw, F)
-        shown = arg if key == "method.gamma" or raw is None else raw
-        return make(arg), f"{family}({key.split('.')[1]}={shown})"
     except ConfigError:
         raise
     except ValueError as exc:
+        raise ConfigError(f"{key}: {exc}") from exc
+    try:
+        spec = make(arg)
+    except ValueError as exc:
         raise ConfigError(f"method.family: {exc}") from exc
+    shown = arg if key == "method.gamma" or raw is None else raw
+    return spec, f"{family}({key.split('.')[1]}={shown})"
 
 
 # scalar config key -> (parser, default); tcf.x sets the field x, validate.x validate_x
@@ -719,8 +729,8 @@ def main(argv=None):
             return summary.exit_code
         if args.command == "converge":
             try:
-                sizes = [int(float(tok)) for tok in args.n.split(",") if tok.strip()]
-            except ValueError:
+                sizes = [_as_int("--n", tok.strip()) for tok in args.n.split(",") if tok.strip()]
+            except ConfigError:
                 print(f"usage error: --n: not a number list: {args.n!r}", file=sys.stderr)
                 return 1
             report = convergence_study(cfg, sizes)

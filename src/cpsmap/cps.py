@@ -9,14 +9,14 @@ frame column i carries a sign s_i and a squared radius 2|lambda_i +
 gamma|.  The familiar single-sphere phase space is the r = 1 case,
 where the constraint reads sum_n (x_n^2 + p_n^2)/2 = 1 + F*gamma.
 
-This module holds the component metadata (StiefelSignature), the point
-container (StiefelPoint), the gamma-axis quasi-probability weights
-(GammaWeight), and the Monte Carlo samplers (sample_sphere_batch, that
-is sphere_normals then onto_sphere, with sample_sphere and
-sample_stiefel for one point).  A point's frames Z (r, F) meet their
-constraints when the Gram matrix conj(Z) Z^T is
-diag(2|lambda_i + gamma|).  States are numbered 1..F in public
-interfaces.
+A phase point is a complex frame array Z (..., r, F) together with its
+component's StiefelSignature; its frames meet their constraints when
+the Gram matrix conj(Z) Z^T is diag(2|lambda_i + gamma|).  This module
+holds the signatures, the gamma-axis quasi-probability weights
+(GammaWeight, a signed comb of point masses), and the Monte Carlo
+samplers: sample_sphere_batch (sphere_normals then onto_sphere) for the
+sphere, and sample_stiefel for any component.  States are numbered
+1..F in public interfaces.
 
 Measure convention: integrals over one component are F times the
 expectation under the uniform probability measure, i.e. the measure of
@@ -24,13 +24,9 @@ a whole component is F.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-# Default relative tolerance for grouping kernel eigenvalues into
-# degenerate classes (relative to the spectral range).
-DEGENERACY_TOL = 1e-8
 
 
 def gamma_wigner(F):
@@ -53,7 +49,6 @@ class StiefelSignature:
     r: int
     gamma: float
     signs: tuple
-    degeneracy_tol: float = DEGENERACY_TOL
 
     def __post_init__(self):
         if len(self.eigenvalues) != self.F:
@@ -107,149 +102,52 @@ def gdtwa_signature(F):
     return StiefelSignature(F, eigenvalues, 2, 0.0, (1, -1))
 
 
-@dataclass
-class StiefelPoint:
-    """An r-frame phase point.
-
-    x and p are (r, F) real arrays holding the frame coordinates and
-    momenta; z = x + i p gives the complex frames row by row.  The
-    r = 1 case is the ordinary sphere point (x, p).
-    """
-
-    x: np.ndarray
-    p: np.ndarray
-    signature: StiefelSignature
-
-    def __post_init__(self):
-        self.x = np.atleast_2d(np.asarray(self.x, dtype=np.float64))
-        self.p = np.atleast_2d(np.asarray(self.p, dtype=np.float64))
-        if self.x.shape != self.p.shape:
-            raise ValueError("x and p must have identical shapes")
-        if self.x.shape != (self.signature.r, self.signature.F):
-            raise ValueError(
-                f"frame array shape {self.x.shape} does not match signature "
-                f"(r={self.signature.r}, F={self.signature.F})"
-            )
-
-    @property
-    def F(self):
-        return self.signature.F
-
-    @property
-    def r(self):
-        return self.signature.r
-
-    @property
-    def z(self):
-        """Complex frames, shape (r, F)."""
-        return self.x + 1j * self.p
-
-    def actions(self):
-        """Per-state actions e_n = (x_n^2 + p_n^2)/2 of each frame, (r, F)."""
-        return 0.5 * (self.x**2 + self.p**2)
-
-
 # ---------------------------------------------------------------------------
 # gamma-axis quasi-probability weights
 
 
 @dataclass(frozen=True)
 class GammaWeight:
-    """Signed, normalized distribution over sphere parameters gamma.
+    """Signed, normalized comb of point masses (gamma_i, w_i) over sphere parameters.
 
-    kinds:
-      single      a point mass at one gamma
-      delta_comb  point masses (gamma_i, w_i); the w_i may be negative
-      triangle    the polynomial weight N_TW (1+F*gamma)^(F-1) / (F-1)!
-                  on [0, 1 - 1/F], with N_TW = F*F!/(F^F - 1)
-      table       a tabulated density, linearly interpolated
-
-    Signed weights are handled by importance sampling: draws come from
-    |w| / int|w| and carry sign(w) plus the magnitude int|w| as a
-    multiplicative correction.
+    The w_i may be negative.  Signed weights are handled by importance
+    sampling: draws come from |w| / sum|w| and carry sign(w) plus the
+    magnitude sum|w| as a multiplicative correction.
     """
 
-    kind: str
-    F: int = 0
-    pairs: tuple = ()
-    gammas: np.ndarray = field(default=None, repr=False)
-    values: np.ndarray = field(default=None, repr=False)
+    pairs: tuple
 
-    # -- constructors -------------------------------------------------
+    def __post_init__(self):
+        if not self.pairs:
+            raise ValueError("empty comb")
+        for g, w in self.pairs:
+            if not (math.isfinite(g) and math.isfinite(w)):
+                raise ValueError(f"comb entry (gamma, w) = ({g!r}, {w!r}) is not finite")
 
     @staticmethod
     def single(gamma):
-        return GammaWeight(kind="single", pairs=((float(gamma), 1.0),))
+        return GammaWeight(((float(gamma), 1.0),))
 
     @staticmethod
     def delta_comb(pairs):
-        pairs = tuple((float(g), float(w)) for g, w in pairs)
-        if not pairs:
-            raise ValueError("empty comb")
-        return GammaWeight(kind="delta_comb", pairs=pairs)
-
-    @staticmethod
-    def triangle(F):
-        if F < 2:
-            raise ValueError("triangle weight needs F >= 2")
-        return GammaWeight(kind="triangle", F=int(F))
-
-    @staticmethod
-    def table(gammas, values):
-        gammas = np.asarray(gammas, dtype=np.float64)
-        values = np.asarray(values, dtype=np.float64)
-        if gammas.ndim != 1 or gammas.shape != values.shape or gammas.size < 2:
-            raise ValueError("table needs matching 1-d gamma and value arrays")
-        if np.any(np.diff(gammas) <= 0):
-            raise ValueError("table gammas must be strictly increasing")
-        return GammaWeight(kind="table", gammas=gammas, values=values)
-
-    # -- integrals ----------------------------------------------------
+        return GammaWeight(tuple((float(g), float(w)) for g, w in pairs))
 
     @property
     def support(self):
-        if self.kind in ("single", "delta_comb"):
-            gs = [g for g, _ in self.pairs]
-            return (min(gs), max(gs))
-        if self.kind == "triangle":
-            return (0.0, 1.0 - 1.0 / self.F)
-        return (float(self.gammas[0]), float(self.gammas[-1]))
-
-    def _quad_nodes(self):
-        """Quadrature nodes and signed weights for the continuous kinds."""
-        if self.kind == "triangle":
-            # Gauss-Legendre is exact here: the density is polynomial.
-            lo, hi = self.support
-            xs, ws = np.polynomial.legendre.leggauss(64)
-            g = 0.5 * (hi - lo) * xs + 0.5 * (hi + lo)
-            ntw = self.F * math.factorial(self.F) / (self.F**self.F - 1.0)
-            dens = ntw * (1.0 + self.F * g) ** (self.F - 1) / math.factorial(self.F - 1)
-            return g, dens * ws * 0.5 * (hi - lo)
-        # table: trapezoid weights on the grid
-        g = self.gammas
-        w = np.zeros_like(g)
-        dg = np.diff(g)
-        w[:-1] += 0.5 * dg
-        w[1:] += 0.5 * dg
-        return g, self.values * w
+        gs = [g for g, _ in self.pairs]
+        return (min(gs), max(gs))
 
     def moment(self, fn):
-        """Signed integral of w(gamma) * fn(gamma) over the support."""
-        if self.kind in ("single", "delta_comb"):
-            return float(sum(w * fn(g) for g, w in self.pairs))
-        g, w = self._quad_nodes()
-        return float(np.sum(w * fn(g)))
+        """Signed sum of w_i * fn(gamma_i)."""
+        return float(sum(w * fn(g) for g, w in self.pairs))
 
     def total_weight(self):
-        """Signed normalization integral (must be 1 for a valid weight)."""
-        return self.moment(lambda g: np.ones_like(np.asarray(g, dtype=float)))
+        """Signed normalization sum (must be 1 for a valid weight)."""
+        return float(sum(w for _, w in self.pairs))
 
     def abs_total(self):
-        """int |w|, the importance-sampling magnitude."""
-        if self.kind in ("single", "delta_comb"):
-            return float(sum(abs(w) for _, w in self.pairs))
-        g, w = self._quad_nodes()
-        return float(np.sum(np.abs(w)))
+        """sum |w|, the importance-sampling magnitude."""
+        return float(sum(abs(w) for _, w in self.pairs))
 
     def validate(self, tol=1e-8):
         total = self.total_weight()
@@ -258,41 +156,15 @@ class GammaWeight:
                 f"gamma weight is not normalized: integral {total!r} differs "
                 f"from 1 by more than {tol}"
             )
-        lo = self.support[0]
-        # All kinds live on (-1/F, inf); F is only known for triangle,
-        # so the generic check is that gammas stay finite.
-        if not np.isfinite(lo):
-            raise ValueError("unbounded support")
         return self
 
-    # -- sampling -----------------------------------------------------
-
     def sample_batch(self, rng, size):
-        """Draw (gammas, signs) of shape (size,) from |w| / int|w|."""
-        if self.kind in ("single", "delta_comb"):
-            gs = np.array([g for g, _ in self.pairs])
-            ws = np.array([w for _, w in self.pairs])
-            probs = np.abs(ws) / np.sum(np.abs(ws))
-            idx = rng.choice(len(gs), size=size, p=probs)
-            return gs[idx], np.sign(ws[idx]).astype(np.float64)
-        if self.kind == "triangle":
-            # Inverse CDF of the polynomial density.
-            u = rng.random(size)
-            F = self.F
-            g = ((1.0 + u * (F**F - 1.0)) ** (1.0 / F) - 1.0) / F
-            return g, np.ones(size)
-        # table: linear-interpolated inverse CDF on |values|
-        g = self.gammas
-        absv = np.abs(self.values)
-        cdf = np.concatenate([[0.0], np.cumsum(0.5 * (absv[1:] + absv[:-1]) * np.diff(g))])
-        if cdf[-1] <= 0:
-            raise ValueError("table weight vanishes everywhere")
-        cdf /= cdf[-1]
-        u = rng.random(size)
-        draws = np.interp(u, cdf, g)
-        signs = np.sign(np.interp(draws, g, self.values))
-        signs[signs == 0] = 1.0
-        return draws, signs
+        """Draw (gammas, signs) of shape (size,) from |w| / sum|w|."""
+        gs = np.array([g for g, _ in self.pairs])
+        ws = np.array([w for _, w in self.pairs])
+        probs = np.abs(ws) / np.sum(np.abs(ws))
+        idx = rng.choice(len(gs), size=size, p=probs)
+        return gs[idx], np.sign(ws[idx]).astype(np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -338,37 +210,21 @@ def onto_sphere(w, F, gamma, scratch=None):
     return w
 
 
-def sample_sphere(F, gamma, rng):
-    """One uniform point on the constraint sphere at gamma.
-
-    The point is uniform on the (2F-1)-sphere of radius
-    sqrt(2(1 + F*gamma)); its actions satisfy
-    sum_n e_n = 1 + F*gamma identically.
-    """
-    z = sample_sphere_batch(F, gamma, rng, 1)[0]
-    return StiefelPoint(z.real[None, :], z.imag[None, :], cmm_signature(F, gamma))
 
 
-def sample_stiefel(signature, rng):
-    """One Haar-uniform r-frame point for the given signature.
+def sample_stiefel(signature, rng, size):
+    """size Haar-uniform points of the signature's component, as (size, r, F) complex frames.
 
-    Draws an F x r complex standard Gaussian matrix, orthonormalizes it
-    by modified Gram-Schmidt (the positive column norms make the
-    implicit R factor's diagonal positive, which is what guarantees
-    Haar uniformity), then scales column i to squared norm
-    2|lambda_i + gamma|.
+    Each point is the QR factor Q of an F x r complex standard Gaussian
+    matrix, its columns rephased so that R has a positive diagonal (which
+    is what makes Q Haar-uniform), with column i scaled to squared norm
+    2|lambda_i + gamma| and the columns taken as frame rows.
     """
     F, r = signature.F, signature.r
     if r < 1:
         raise ValueError("sampling needs a signature with r >= 1")
-    if r > F:
-        raise ValueError(f"r={r} exceeds F={F}")
-    G = rng.standard_normal((F, r)) + 1j * rng.standard_normal((F, r))
-    Q = G.astype(np.complex128)
-    for i in range(r):
-        for j in range(i):
-            Q[:, i] -= (Q[:, j].conj() @ Q[:, i]) * Q[:, j]
-        Q[:, i] /= np.linalg.norm(Q[:, i])
-    scales = np.sqrt(signature.frame_radii_sq())
-    Z = (Q * scales[None, :]).T  # frames as rows
-    return StiefelPoint(Z.real, Z.imag, signature)
+    G = rng.standard_normal((size, F, r)) + 1j * rng.standard_normal((size, F, r))
+    Q, R = np.linalg.qr(G)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    Q = Q * (d / np.abs(d))[:, None, :]
+    return np.swapaxes(Q, -1, -2) * np.sqrt(signature.frame_radii_sq())[:, None]

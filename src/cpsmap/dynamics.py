@@ -19,8 +19,8 @@ to the segment's step count by squaring.  A point's frames march as
 Z @ U.T; the estimators carry a block's kernel as U M U^dagger, or
 march the frames a window reads with one gemm.  The invariants are read
 off the maps: U^dagger U - I for the frame norms and cross-frame
-products, U^dagger H U - H for H_C.  propagate_rk4 integrates a point's
-own frames with their signs, step by step, so the sign equivalence is
+products, U^dagger H U - H for H_C.  _rk4_arrays integrates frames
+(x, p) with their signs, step by step, so the sign equivalence can be
 measured rather than assumed.
 """
 
@@ -28,7 +28,6 @@ import math
 
 import numpy as np
 
-from .cps import StiefelPoint
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian
 
 
@@ -115,20 +114,6 @@ def _rk4_maps(H, times, dt):
             Z = Z + Z @ total
         maps.append(Z.T)
     return np.array(maps)
-
-
-def propagate_rk4(point, H, dt, steps):
-    """Integrate the sign-factor equations for steps increments of dt.
-
-    steps = 0 returns the input point unchanged (as a copy).  The
-    global error is O(dt^4) against the exact backend.
-    """
-    H = require_hermitian(H)
-    if H.shape[0] != point.F:
-        raise ValueError(f"H dimension {H.shape[0]} does not match point F={point.F}")
-    _check_step(dt)
-    x, p = _rk4_arrays(point.x, point.p, point.signature.signs, H, dt, int(steps))
-    return StiefelPoint(x, p, point.signature)
 
 
 def grid_march(H, times, backend="exact", dt=1e-3):

@@ -775,8 +775,8 @@ def _discrete_plan(req, F, idxs, U):
     else:
         set_m = gdtwa_points(F, m0 + 1)
         frames_m = set_m.frames
-        kv_n = np.array([K[m0, n0] for K in set_n.kernel_values])
-        kv_m = np.array([K[m0, n0] for K in set_m.kernel_values])
+        kv_n = set_n.kernel_values[:, m0, n0]
+        kv_m = set_m.kernel_values[:, m0, n0]
 
         def draw(rng, nb):
             return rng.random(nb), rng.integers(npts, size=nb)
@@ -845,13 +845,6 @@ def _ww_plan(req, F, idxs, U):
 
 # ---------------------------------------------------------------------------
 # windows: batched functions of the actions e (..., F)
-
-
-def _triangle_rho_window(e, n0):
-    """Density-side triangle window of state n0: e_n >= 1 and e_n + e_i <= 2 for i != n."""
-    others = np.delete(e, n0, axis=-1)
-    e_n = e[..., n0]
-    return ((e_n >= 1.0) & np.all(2.0 - e_n[..., None] - others >= 0.0, axis=-1)) * 1.0
 
 
 def _triangle_obs_windows(e):

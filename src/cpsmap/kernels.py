@@ -17,9 +17,9 @@ estimators' density side calls them; the estimators sum the observable
 kernel over a block as one moment matrix, and the CLI mapping check its
 kernels' product sums from one table of their entries, instead.
 classify_kernel reads the component signature off an arbitrary
-Hermitian matrix, point_from_kernel reconstructs the phase point, and
-gdtwa_points builds the 2^(2(F-1)) discrete kernel matrices used by the
-discrete-sampling estimators.
+Hermitian matrix, point_from_kernel reconstructs the phase point (its
+signature and frames), and gdtwa_points builds the 2^(2(F-1)) discrete
+kernel matrices and frames used by the discrete-sampling estimators.
 
 States are numbered 1..F in public interfaces.
 """
@@ -30,8 +30,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cps import DEGENERACY_TOL, StiefelPoint, StiefelSignature
+from .cps import StiefelSignature
 from .qcore import hermitian_eig
+
+# Relative tolerance for grouping kernel eigenvalues into degenerate
+# classes (relative to the spectral range).
+DEGENERACY_TOL = 1e-8
 
 
 def _frame_sum(terms):
@@ -79,14 +83,14 @@ def inverse_kernel_coefficients(F, gamma):
     return (1.0 + F) / (2.0 * shell**2), (1.0 - gamma) / shell
 
 
-def _group_eigenvalues(lam, degeneracy_tol):
+def _group_eigenvalues(lam):
     """Group ascending eigenvalues into degenerate classes.
 
-    The grouping gap is degeneracy_tol times the spectral range, so a
+    The grouping gap is DEGENERACY_TOL times the spectral range, so a
     constant spectrum collapses to a single class.
     """
     spread = float(lam[-1] - lam[0])
-    gap = degeneracy_tol * spread
+    gap = DEGENERACY_TOL * spread
     classes = [[0]]
     for i in range(1, lam.size):
         if lam[i] - lam[classes[-1][-1]] <= gap:
@@ -96,14 +100,14 @@ def _group_eigenvalues(lam, degeneracy_tol):
     return classes
 
 
-def _classify(lam, degeneracy_tol):
+def _classify(lam):
     """Group an ascending spectrum into its component's classes.
 
     Returns (chosen, frame_indices): the maximally degenerate class of
     indices, whose eigenvalue is -gamma, and the indices of the frame
     eigenvalues in the signature's frame order.
     """
-    classes = _group_eigenvalues(lam, degeneracy_tol)
+    classes = _group_eigenvalues(lam)
     d_max = max(len(c) for c in classes)
     # Maximal-degeneracy class; ties resolve toward the smallest
     # |eigenvalue| (then toward the smaller eigenvalue, for determinism).
@@ -117,7 +121,7 @@ def _classify(lam, degeneracy_tol):
     return chosen, frame_idx
 
 
-def _signatures(lams, chosen, frame_idx, degeneracy_tol):
+def _signatures(lams, chosen, frame_idx):
     """One signature per spectrum of lams (npts, F), all grouped as _classify grouped one.
 
     Each spectrum sets its own gamma and frame eigenvalues; bitwise
@@ -132,12 +136,12 @@ def _signatures(lams, chosen, frame_idx, degeneracy_tol):
         if key not in built:
             built[key] = StiefelSignature(
                 lam.size, (*lam[frame_idx].tolist(), *(-g,) * len(chosen)), len(frame_idx), g,
-                tuple(np.where(sh > 0, 1, -1).tolist()), degeneracy_tol,
+                tuple(np.where(sh > 0, 1, -1).tolist()),
             )
     return [built[lam.tobytes()] for lam in lams], 2.0 * np.abs(shifted)
 
 
-def classify_kernel(K, degeneracy_tol=DEGENERACY_TOL):
+def classify_kernel(K):
     """Read the component signature off a Hermitian kernel matrix.
 
     r is F minus the largest degeneracy degree; gamma is minus the
@@ -146,51 +150,48 @@ def classify_kernel(K, degeneracy_tol=DEGENERACY_TOL):
     |lambda + gamma| with their signs.
     """
     lam = hermitian_eig(K).eigenvalues
-    return _signatures(lam[None], *_classify(lam, degeneracy_tol), degeneracy_tol)[0][0]
+    return _signatures(lam[None], *_classify(lam))[0][0]
 
 
-def _points_from_eigensystems(lams, vecs, degeneracy_tol):
-    """The phase points of a stack of kernels with one common spectrum.
+def _frames_from_eigensystems(lams, vecs):
+    """The signatures and frames (npts, r, F) of a stack of kernels with one common spectrum.
 
     lams (npts, F) and vecs (npts, F, F) are the kernels' eigensystems.
     The spectrum is classified once, on the first kernel; each point
     takes its gamma and frame radii from its own eigenvalues.  Frame i
     is sqrt(2|lambda_i + gamma|) times the corresponding eigenvector.
     """
-    chosen, frame_idx = _classify(lams[0], degeneracy_tol)
-    sigs, radii_sq = _signatures(lams, chosen, frame_idx, degeneracy_tol)
-    Z = np.sqrt(radii_sq)[..., None] * np.swapaxes(vecs[:, :, frame_idx], -1, -2)
-    return [StiefelPoint(x, p, sig) for x, p, sig in zip(Z.real, Z.imag, sigs)]
+    chosen, frame_idx = _classify(lams[0])
+    sigs, radii_sq = _signatures(lams, chosen, frame_idx)
+    return sigs, np.sqrt(radii_sq)[..., None] * np.swapaxes(vecs[:, :, frame_idx], -1, -2)
 
 
-def point_from_kernel(K, degeneracy_tol=DEGENERACY_TOL):
-    """Reconstruct the phase point whose covariant kernel is K.
+def point_from_kernel(K):
+    """The phase point (signature, frames (r, F)) whose covariant kernel is K.
 
     Frame i is sqrt(2|lambda_i + gamma|) times the corresponding
     eigenvector (with the deterministic eigensolver phase), so
     evaluating the covariant kernel at the result reproduces K.
     """
     dec = hermitian_eig(K)
-    return _points_from_eigensystems(dec.eigenvalues[None], dec.eigenvectors[None], degeneracy_tol)[0]
+    sigs, Z = _frames_from_eigensystems(dec.eigenvalues[None], dec.eigenvectors[None])
+    return sigs[0], Z[0]
 
 
 @dataclass(frozen=True)
 class DiscretePointSet:
     """The discrete phase points of one initial state.
 
-    indices[a] = (deltas, sigmas) with each entry +-1, enumerating the
-    2^(2(F-1)) sign choices over the other states; kernel_values[a] is
-    the kernel matrix at that point and points[a] the reconstructed
-    phase point.  frames stacks the point frames as one
-    (npoints, r, F) complex array for vectorized use.  gdtwa_points
-    caches the sets, so their arrays are read-only.
+    Point a is one of the 2^(2(F-1)) sign choices (deltas, sigmas) over
+    the other states, the deltas outer and the sigmas inner, each +1
+    before -1; kernel_values[a] is its kernel matrix, (npoints, F, F),
+    and frames[a] its reconstructed frames, (npoints, r, F).
+    gdtwa_points caches the sets, so their arrays are read-only.
     """
 
     F: int
     state: int
-    indices: tuple
-    kernel_values: tuple
-    points: tuple
+    kernel_values: np.ndarray
     frames: np.ndarray
 
 
@@ -208,17 +209,14 @@ def gdtwa_points(F, n):
         raise ValueError(f"state index {n} outside 1..{F}")
     n0 = n - 1
     others = [i for i in range(F) if i != n0]
-    # product over 2(F-1) signs runs the deltas outer and the sigmas inner
-    signs = list(itertools.product((1, -1), repeat=2 * (F - 1)))
-    indices = tuple((s[: F - 1], s[F - 1 :]) for s in signs)
-    ds, ss = np.array(signs, dtype=np.float64).reshape(len(signs), 2, F - 1).transpose(1, 0, 2)
-    K = np.zeros((len(indices), F, F), dtype=np.complex128)
+    signs = np.array(list(itertools.product((1, -1), repeat=2 * (F - 1))), dtype=np.float64)
+    ds, ss = signs.reshape(len(signs), 2, F - 1).transpose(1, 0, 2)
+    K = np.zeros((len(signs), F, F), dtype=np.complex128)
     K[:, n0, n0] = 1.0
     K[:, others, n0] = 0.5 * (ds + 1j * ss)
     K[:, n0, others] = 0.5 * (ds - 1j * ss)
     dec = hermitian_eig(K)
-    points = tuple(_points_from_eigensystems(dec.eigenvalues, dec.eigenvectors, DEGENERACY_TOL))
-    frames = np.stack([pt.z for pt in points])
-    for a in (K, frames, *(pt.x for pt in points), *(pt.p for pt in points)):
+    frames = np.ascontiguousarray(_frames_from_eigensystems(dec.eigenvalues, dec.eigenvectors)[1])
+    for a in (K, frames):
         a.flags.writeable = False
-    return DiscretePointSet(F, n, indices, tuple(K), points, frames)
+    return DiscretePointSet(F, n, K, frames)

@@ -19,8 +19,6 @@ import numpy as np
 # Maximum allowed asymmetry |H - H^dagger| on input matrices, per unit of
 # max(1, max|H_ij|).
 HERMITIAN_TOL = 1e-12
-# Unitarity / spectral reconstruction contract.
-ORTHO_TOL = 1e-10
 
 
 class NonHermitianError(ValueError):

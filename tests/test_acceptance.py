@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from cpsmap.cli import ExperimentConfig, convergence_study, run_experiment
-from cpsmap.cps import GammaWeight, gamma_wigner, sample_sphere
+from cpsmap.cps import GammaWeight, gamma_wigner, sample_sphere_batch
 from cpsmap.estimators import (
     MethodSpec,
     TCFRequest,
@@ -20,7 +20,7 @@ from cpsmap.estimators import (
     intra_electron_check,
 )
 from cpsmap.kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries
-from cpsmap.dynamics import grid_march, propagate_rk4
+from cpsmap.dynamics import _rk4_arrays, grid_march
 from cpsmap.models import ModelSpec, build_hamiltonian
 from cpsmap.qcore import exact_tcf, hermitian_eig
 
@@ -200,8 +200,7 @@ def test_kernel_spectra():
     for F in range(2, 7):
         rng = np.random.default_rng(F)
         for gamma in (0.0, gamma_wigner(F), 1.0, 2.5):
-            pt = sample_sphere(F, gamma, rng)
-            K = kernel_entries(pt.z, gamma=gamma)
+            K = kernel_entries(sample_sphere_batch(F, gamma, rng, 1), gamma=gamma)
             lam = hermitian_eig(K).eigenvalues
             expect = np.sort(np.array([-gamma] * (F - 1) + [1.0 + (F - 1) * gamma]))
             worst = max(worst, float(np.max(np.abs(lam - expect))))
@@ -222,12 +221,12 @@ def test_kernel_covariance():
     for F in (2, 3, 4):
         for _ in range(100):
             gamma = rng.uniform(-1.0 / F + 0.05, 2.5)
-            pt = sample_sphere(F, gamma, rng)
+            z = sample_sphere_batch(F, gamma, rng, 1)[0]
             G = rng.standard_normal((F, F)) + 1j * rng.standard_normal((F, F))
             Q, R = np.linalg.qr(G)
             g = Q * (np.diag(R) / np.abs(np.diag(R)))[None, :]
-            K = kernel_entries(pt.z, gamma=gamma)
-            Kg = kernel_entries((g @ pt.z[0])[None, :], gamma=gamma)
+            K = kernel_entries(z[None, :], gamma=gamma)
+            Kg = kernel_entries((g @ z)[None, :], gamma=gamma)
             worst = max(worst, float(np.max(np.abs(Kg - g @ K @ g.conj().T))))
     _report(4, "kernel covariance", worst < 1e-9, f"max deviation {worst:.1e}")
 
@@ -241,8 +240,8 @@ def test_trajectory_invariants():
     rabi = np.array([[0.0, 1.0], [1.0, 0.0]])
     drifts = []
     for H, z, backend in (
-        (H3, sample_sphere(3, 0.6, np.random.default_rng(5)).z[0], "exact"),
-        (rabi, sample_sphere(2, 0.0, np.random.default_rng(6)).z[0], "rk4"),
+        (H3, sample_sphere_batch(3, 0.6, np.random.default_rng(5), 1)[0], "exact"),
+        (rabi, sample_sphere_batch(2, 0.0, np.random.default_rng(6), 1)[0], "rk4"),
     ):
         U = grid_march(H, np.linspace(0.5, 10.0, 20), backend, 1e-3)
         Ud = np.conj(np.swapaxes(U, -1, -2))
@@ -251,13 +250,13 @@ def test_trajectory_invariants():
         drifts.append(max(np.max(np.abs(norm)), np.max(np.abs(energy))))
     exact_drift, rk4_drift = drifts
 
-    pt = sample_sphere(2, 0.5, np.random.default_rng(3))
+    Z = sample_sphere_batch(2, 0.5, np.random.default_rng(3), 1)
     Hq = np.array([[0.3, 0.8 - 0.2j], [0.8 + 0.2j, -0.5]])
-    ref = pt.z @ grid_march(Hq, [1.0])[0].T
+    ref = Z @ grid_march(Hq, [1.0])[0].T
 
     def err(dt):
-        out = propagate_rk4(pt, Hq, dt, round(1.0 / dt))
-        return max(np.max(np.abs(out.x - ref.real)), np.max(np.abs(out.p - ref.imag)))
+        x, p = _rk4_arrays(Z.real, Z.imag, (1,), Hq, dt, round(1.0 / dt))
+        return max(np.max(np.abs(x - ref.real)), np.max(np.abs(p - ref.imag)))
 
     ratio = err(0.05) / err(0.025)
     ok = exact_drift < 1e-10 and rk4_drift < 1e-6 and 14.0 <= ratio <= 18.0

@@ -1,6 +1,7 @@
 """Config parsing and the experiment runner end to end."""
 
 import math
+import re
 import subprocess
 
 import numpy as np
@@ -24,7 +25,7 @@ from cpsmap.cli import (
     run_experiment,
     run_validations,
 )
-from cpsmap.cps import gamma_wigner, sample_sphere, sample_sphere_batch
+from cpsmap.cps import gamma_wigner, sample_sphere_batch
 from cpsmap.dynamics import grid_march
 from cpsmap.estimators import POOL_ROWS as CHECK_ROWS, MethodSpec
 from cpsmap.kernels import inverse_kernel_coefficients, kernel_entries, kernel_trace
@@ -127,6 +128,21 @@ def test_load_config_rejects_a_negative_seed(tmp_path, capsys):
     assert "tcf.seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", ["2.5e0", "1e400", "-1e400", "nan", "1.5"])
+def test_load_config_rejects_an_integer_that_is_not_whole(tmp_path, capsys, value):
+    # 2.5e0 once ran 2 trajectories, and 1e400 escaped main as an OverflowError
+    path = write_config(tmp_path, BASE.replace("tcf.n_traj = 20000", f"tcf.n_traj = {value}"))
+    with pytest.raises(ConfigError, match=f"^tcf.n_traj: not an integer: '{re.escape(value)}'"):
+        load_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "tcf.n_traj: not an integer" in capsys.readouterr().err
+
+
+def test_load_config_takes_whole_exponent_forms(tmp_path):
+    cfg = load_config(write_config(tmp_path, BASE.replace("tcf.n_traj = 20000", "tcf.n_traj = 2.5e4")))
+    assert cfg.n_traj == 25000
+
+
 def test_load_config_wmm_weight_string(tmp_path):
     text = (
         "model.kind = two_level\n"
@@ -135,7 +151,7 @@ def test_load_config_wmm_weight_string(tmp_path):
     )
     cfg = load_config(write_config(tmp_path, text))
     assert cfg.method.family == "wmm"
-    assert cfg.method.weight.kind == "delta_comb"
+    assert cfg.method.weight.pairs == ((0.0, 0.43599615858976654), (0.93557280411231, 0.5640038414102335))
 
 
 @pytest.mark.parametrize(
@@ -153,6 +169,17 @@ def test_load_config_names_the_bad_list_key(tmp_path, line, key):
     text = f"model.kind = two_level\n{line}\n"
     with pytest.raises(ConfigError, match=f"^{key}: "):
         load_config(write_config(tmp_path, text))
+
+
+@pytest.mark.parametrize("weight", ["0.1:nan", "0.2:1; nan:0", "inf:1"])
+def test_load_config_names_a_non_finite_weight(tmp_path, capsys, weight):
+    # a non-finite comb entry once passed the wmm checks, and weight errors
+    # were reported under method.family
+    path = write_config(tmp_path, f"model.kind = two_level\nmethod.family = wmm\nmethod.weight = {weight}\n")
+    with pytest.raises(ConfigError, match=r"^method.weight: comb entry .* is not finite"):
+        load_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "method.weight: comb entry" in capsys.readouterr().err
 
 
 def test_load_config_model_file(tmp_path):
@@ -349,7 +376,7 @@ def test_drift_validation_bounds_sampled_trajectories(backend, dt):
     g = gamma_wigner(F)
     rng = np.random.default_rng(12)
     times = np.linspace(0.0, 10.0, 11)[1:]
-    Z = np.concatenate([sample_sphere(F, g, rng).z for _ in range(16)])
+    Z = np.concatenate([sample_sphere_batch(F, g, rng, 1) for _ in range(16)])
     Zt = Z @ np.swapaxes(grid_march(H, times, backend, dt), -1, -2)
     # each trajectory's norm residual (1/2)|z(t)|^2 - s and its H_C drift from t = 0
     s = 1.0 + F * g
@@ -482,6 +509,13 @@ def test_zero_variance_product_that_misses_fails():
 def test_main_converge_bad_sizes(tmp_path, capsys):
     path = write_config(tmp_path)
     code = main(["converge", str(path), "--n", "abc,def", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "not a number list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["1e3,2.5e0,1e5", "1e3,1e4,1e400"])
+def test_main_converge_rejects_sizes_that_are_not_whole(tmp_path, capsys, sizes):
+    code = main(["converge", str(write_config(tmp_path)), "--n", sizes, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "not a number list" in capsys.readouterr().err
 

@@ -1,21 +1,18 @@
-"""Constraint phase space: signatures, points, weights, samplers."""
+"""Constraint phase space: signatures, weights, samplers."""
 
 import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpsmap.cps import (
     GammaWeight,
-    StiefelPoint,
     StiefelSignature,
     cmm_signature,
     gamma_wigner,
     gdtwa_signature,
-    sample_sphere,
     sample_sphere_batch,
     sample_stiefel,
 )
@@ -64,19 +61,6 @@ def test_signature_rejects_inconsistent_sign():
         StiefelSignature(2, (1.0, 0.0), 1, 0.0, (-1,))
 
 
-def test_point_shape_validation():
-    sig = cmm_signature(2, 0.0)
-    with pytest.raises(ValueError, match="shape"):
-        StiefelPoint(np.zeros((1, 3)), np.zeros((1, 3)), sig)
-
-
-def test_point_actions_and_z():
-    sig = cmm_signature(2, 0.0)
-    pt = StiefelPoint([[1.0, 1.0]], [[1.0, -1.0]], sig)
-    assert np.allclose(pt.actions(), [[1.0, 1.0]])
-    assert np.allclose(pt.z, [[1 + 1j, 1 - 1j]])
-
-
 # -- gamma weights --------------------------------------------------
 
 
@@ -109,50 +93,25 @@ def test_validate_rejects_unnormalized_comb():
         GammaWeight.delta_comb([(0.0, 0.5)]).validate()
 
 
-@pytest.mark.parametrize("F", [2, 3, 4])
-def test_triangle_weight_matches_direct_quadrature(F):
-    w = GammaWeight.triangle(F)
-    ntw = F * math.factorial(F) / (F**F - 1.0)
-
-    def dens(g):
-        return ntw * (1.0 + F * g) ** (F - 1) / math.factorial(F - 1)
-
-    hi = 1.0 - 1.0 / F
-    total, _ = scipy.integrate.quad(dens, 0.0, hi)
-    assert abs(w.total_weight() - total) < 1e-12
-    assert abs(w.total_weight() - 1.0) < 1e-12
-    m2, _ = scipy.integrate.quad(lambda g: dens(g) * g * g, 0.0, hi)
-    assert abs(w.moment(lambda g: g * g) - m2) < 1e-10
-    assert w.support == (0.0, hi)
-
-
-def test_triangle_sampler_matches_density():
-    F = 3
-    w = GammaWeight.triangle(F)
-    gam, sgn = w.sample_batch(np.random.default_rng(12), 200000)
-    assert np.all(sgn == 1.0)
-    assert np.all((gam >= 0.0) & (gam <= 1.0 - 1.0 / F))
-    mean = w.moment(lambda g: g)
-    se = np.std(gam) / math.sqrt(gam.size)
-    assert abs(np.mean(gam) - mean) < 5 * se
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: GammaWeight.delta_comb([(0.1, math.nan)]),
+        lambda: GammaWeight.delta_comb([(0.2, 1.0), (math.inf, 0.0)]),
+        lambda: GammaWeight.delta_comb([(math.nan, 0.0), (0.2, 1.0)]),
+        lambda: GammaWeight.single(math.nan),
+        lambda: GammaWeight.single(-math.inf),
+    ],
+)
+def test_comb_rejects_non_finite_entries(make):
+    # a NaN weight, or a NaN gamma under a zero weight, once passed validate()
+    with pytest.raises(ValueError, match=r"comb entry \(gamma, w\) = .* is not finite"):
+        make()
 
 
-def test_table_weight_roundtrip():
-    g = np.linspace(0.0, 1.0, 201)
-    vals = 2.0 * g  # integrates to 1 on [0, 1]
-    w = GammaWeight.table(g, vals)
-    w.validate(tol=1e-4)
-    assert abs(w.moment(lambda x: x) - 2.0 / 3.0) < 1e-3
-    gam, sgn = w.sample_batch(np.random.default_rng(3), 100000)
-    assert np.all(sgn == 1.0)
-    assert abs(np.mean(gam) - 2.0 / 3.0) < 0.01
-
-
-def test_table_rejects_bad_grids():
-    with pytest.raises(ValueError, match="increasing"):
-        GammaWeight.table([0.0, 0.0, 1.0], [1.0, 1.0, 1.0])
-    with pytest.raises(ValueError, match="matching"):
-        GammaWeight.table([0.0, 1.0], [1.0])
+def test_empty_comb_is_rejected():
+    with pytest.raises(ValueError, match="empty comb"):
+        GammaWeight.delta_comb([])
 
 
 # -- sphere and Stiefel samplers ------------------------------------
@@ -161,8 +120,8 @@ def test_table_rejects_bad_grids():
 def test_sphere_constraint_exact():
     rng = np.random.default_rng(7)
     for F, gamma in [(2, 0.0), (3, 1.0), (5, gamma_wigner(5))]:
-        pt = sample_sphere(F, gamma, rng)
-        assert abs(np.sum(pt.actions()) - (1.0 + F * gamma)) < 1e-12
+        z = sample_sphere_batch(F, gamma, rng, 1)[0]
+        assert abs(np.sum(0.5 * np.abs(z) ** 2) - (1.0 + F * gamma)) < 1e-12
 
 
 @pytest.mark.parametrize("F", [1, 3, 8])
@@ -207,23 +166,50 @@ def test_sphere_fourth_moment_diagonal():
 
 
 def test_stiefel_sampler_satisfies_constraints():
-    rng = np.random.default_rng(5)
     sig = gdtwa_signature(4)
-    for _ in range(20):
-        pt = sample_stiefel(sig, rng)
-        # the Gram matrix z_i^dagger z_j is diag(2|lambda_i + gamma|)
-        dev = np.conj(pt.z) @ pt.z.T - np.diag(sig.frame_radii_sq())
-        assert np.max(np.abs(dev)) < 1e-10, dev
-        # frame norms are the shifted eigenvalue magnitudes
-        e = np.sum(pt.actions(), axis=1)
-        assert np.allclose(2.0 * e, sig.frame_radii_sq())
+    Z = sample_stiefel(sig, np.random.default_rng(5), 20)
+    assert Z.shape == (20, 2, 4)
+    # the Gram matrix z_i^dagger z_j is diag(2|lambda_i + gamma|)
+    dev = np.conj(Z) @ np.swapaxes(Z, -1, -2) - np.diag(sig.frame_radii_sq())
+    assert np.max(np.abs(dev)) < 1e-10, dev
+    # frame norms are the shifted eigenvalue magnitudes
+    e = np.sum(0.5 * np.abs(Z) ** 2, axis=-1)
+    assert np.allclose(2.0 * e, sig.frame_radii_sq())
 
 
 def test_stiefel_matches_sphere_for_r1():
     sig = cmm_signature(2, 0.3)
-    pt = sample_stiefel(sig, np.random.default_rng(6))
-    assert pt.r == 1
-    assert abs(np.sum(pt.actions()) - 1.6) < 1e-12
+    Z = sample_stiefel(sig, np.random.default_rng(6), 1)[0]
+    assert Z.shape == (1, 2)
+    assert abs(np.sum(0.5 * np.abs(Z) ** 2) - 1.6) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "sig", [gdtwa_signature(3), gdtwa_signature(4), cmm_signature(3, 0.4)], ids=["gdtwa3", "gdtwa4", "cmm3"]
+)
+def test_stiefel_batch_constraints_and_second_moments(sig):
+    # every point meets conj(Z) Z^T = diag(2|lambda_i + gamma|), and Haar
+    # frames have E[z_i z_i^dagger] = (R_i^2 / F) I with R_i^2 = 2|lambda_i + gamma|
+    F, r, N = sig.F, sig.r, 40000
+    Z = sample_stiefel(sig, np.random.default_rng(31), N)
+    assert Z.shape == (N, r, F)
+    radii_sq = sig.frame_radii_sq()
+    gram = np.conj(Z) @ np.swapaxes(Z, -1, -2)
+    assert np.max(np.abs(gram - np.diag(radii_sq))) <= 1e-10
+    for i in range(r):
+        prods = Z[:, i, :, None] * np.conj(Z[:, i, None, :])
+        mean = prods.mean(axis=0)
+        se = np.sqrt(prods.real.var(axis=0, ddof=1) + prods.imag.var(axis=0, ddof=1)) / math.sqrt(N)
+        dev = np.abs(mean - (radii_sq[i] / F) * np.eye(F))
+        off = ~np.eye(F, dtype=bool)
+        assert np.all(dev[~off] <= 5 * se[~off]), (i, dev, se)
+        assert np.all(dev[off] <= 5 * se[off]), (i, dev, se)
+
+
+def test_stiefel_rejects_r0():
+    sig = StiefelSignature(2, (0.5, 0.5), 0, -0.5, ())
+    with pytest.raises(ValueError, match="r >= 1"):
+        sample_stiefel(sig, np.random.default_rng(0), 3)
 
 
 @settings(max_examples=30, deadline=None)
@@ -235,6 +221,6 @@ def test_stiefel_matches_sphere_for_r1():
 def test_sphere_sampler_property(F, gshift, seed):
     # any admissible gamma gives a point exactly on its shell
     gamma = -1.0 / F + gshift
-    pt = sample_sphere(F, gamma, np.random.default_rng(seed))
-    assert abs(np.sum(pt.actions()) - (1.0 + F * gamma)) < 1e-10
-    assert np.all(pt.actions() >= 0.0)
+    e = 0.5 * np.abs(sample_sphere_batch(F, gamma, np.random.default_rng(seed), 1)[0]) ** 2
+    assert abs(np.sum(e) - (1.0 + F * gamma)) < 1e-10
+    assert np.all(e >= 0.0)

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from cpsmap.cps import StiefelPoint, cmm_signature, gdtwa_signature, sample_sphere, sample_stiefel
-from cpsmap.dynamics import _rk4_arrays, grid_march, propagate_rk4
+from cpsmap.cps import gdtwa_signature, sample_sphere_batch, sample_stiefel
+from cpsmap.dynamics import _rk4_arrays, grid_march
 from cpsmap.kernels import kernel_trace
 from cpsmap.models import ModelSpec, build_hamiltonian
 from cpsmap.qcore import NonHermitianError
@@ -15,20 +15,19 @@ RABI = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
 def pole_point(gamma=0.0):
-    z = np.array([math.sqrt(2.0 * (1.0 + 2.0 * gamma)), 0.0], dtype=complex)
-    return StiefelPoint(z.real[None, :], z.imag[None, :], cmm_signature(2, gamma))
+    """The (1, 2) frames of the F = 2 sphere point at gamma with all its action on state 1."""
+    return np.array([[math.sqrt(2.0 * (1.0 + 2.0 * gamma)), 0.0]], dtype=complex)
 
 
 def test_classical_energy_single_frame():
-    pt = pole_point(0.5)
+    Z = pole_point(0.5)
     H = np.diag([2.0, -1.0]).astype(complex)
     # 1/2 |z_1|^2 * 2 - gamma * Tr H = 2*2 - 0.5*1
-    assert kernel_trace(pt.z, H, 0.5).real == pytest.approx(4.0 - 0.5)
+    assert kernel_trace(Z, H, 0.5).real == pytest.approx(4.0 - 0.5)
 
 
 def test_exact_rotation_on_rabi():
-    pt = pole_point()
-    z = pt.z @ grid_march(RABI, [math.pi / 2.0])[0].T
+    z = pole_point() @ grid_march(RABI, [math.pi / 2.0])[0].T
     # exp(-i sigma_x pi/2) = -i sigma_x moves all action to state 2
     assert np.allclose(0.5 * np.abs(z) ** 2, [[0.0, 1.0]], atol=1e-12)
     assert np.allclose(z[0], [0.0, -1j * math.sqrt(2.0)], atol=1e-12)
@@ -36,11 +35,10 @@ def test_exact_rotation_on_rabi():
 
 def test_exact_preserves_constraints_and_energy():
     rng = np.random.default_rng(1)
-    pt = sample_sphere(3, 0.8, rng)
+    z = sample_sphere_batch(3, 0.8, rng, 1)[0]
     H = np.array([[0.5, 0.2, 0.0], [0.2, -0.1, 0.4], [0.0, 0.4, 0.3]], dtype=complex)
     U = grid_march(H, [0.5, 2.0, 10.0])
     Ud = np.conj(np.swapaxes(U, -1, -2))
-    z = pt.z[0]
     # |z(t)|^2 - |z|^2 off U^dagger U - I, H_C(t) - H_C(0) off U^dagger H U - H
     assert np.max(np.abs(z.conj() @ (Ud @ U - np.eye(3)) @ z)) < 1e-10
     assert np.max(np.abs(0.5 * z.conj() @ (Ud @ H @ U - H) @ z)) < 1e-12
@@ -48,40 +46,40 @@ def test_exact_preserves_constraints_and_energy():
 
 def test_rk4_matches_exact_at_small_step():
     rng = np.random.default_rng(2)
-    pt = sample_sphere(2, 0.5, rng)
+    Z = sample_sphere_batch(2, 0.5, rng, 1)
     H = np.array([[0.3, 0.8 - 0.2j], [0.8 + 0.2j, -0.5]])
-    ref = pt.z @ grid_march(H, [1.0])[0].T
-    out = propagate_rk4(pt, H, 1e-3, 1000)
-    assert np.max(np.abs(out.x - ref.real)) < 1e-12
-    assert np.max(np.abs(out.p - ref.imag)) < 1e-12
+    ref = Z @ grid_march(H, [1.0])[0].T
+    x, p = stage_by_stage_rk4(Z.real, Z.imag, (1,), H, 1e-3, 1000)
+    assert np.max(np.abs(x - ref.real)) < 1e-12
+    assert np.max(np.abs(p - ref.imag)) < 1e-12
 
 
 def test_rk4_fourth_order_convergence():
     rng = np.random.default_rng(3)
-    pt = sample_sphere(2, 0.5, rng)
+    Z = sample_sphere_batch(2, 0.5, rng, 1)
     H = np.array([[0.3, 0.8 - 0.2j], [0.8 + 0.2j, -0.5]])
-    ref = pt.z @ grid_march(H, [1.0])[0].T
+    ref = Z @ grid_march(H, [1.0])[0].T
 
     def err(dt):
-        out = propagate_rk4(pt, H, dt, round(1.0 / dt))
-        return max(np.max(np.abs(out.x - ref.real)), np.max(np.abs(out.p - ref.imag)))
+        x, p = stage_by_stage_rk4(Z.real, Z.imag, (1,), H, dt, round(1.0 / dt))
+        return max(np.max(np.abs(x - ref.real)), np.max(np.abs(p - ref.imag)))
 
     ratio = err(0.05) / err(0.025)
     assert 13.0 < ratio < 19.0
 
 
 def test_rk4_zero_steps_is_identity():
-    pt = pole_point()
-    out = propagate_rk4(pt, RABI, 0.1, 0)
-    assert np.array_equal(out.x, pt.x)
-    assert np.array_equal(out.p, pt.p)
+    Z = pole_point()
+    x, p = _rk4_arrays(Z.real, Z.imag, (1,), RABI, 0.1, 0)
+    assert np.array_equal(x, Z.real)
+    assert np.array_equal(p, Z.imag)
 
 
 def test_rk4_rejects_nonpositive_step():
     with pytest.raises(ValueError, match="positive"):
-        propagate_rk4(pole_point(), RABI, 0.0, 10)
+        grid_march(RABI, [1.0], "rk4", dt=0.0)
     with pytest.raises(ValueError, match="positive"):
-        propagate_rk4(pole_point(), RABI, math.nan, 3)
+        grid_march(RABI, [1.0], "rk4", dt=math.nan)
 
 
 def test_multiframe_signs_cancel_in_motion():
@@ -89,14 +87,14 @@ def test_multiframe_signs_cancel_in_motion():
     # so rk4 on the two-frame component must track the exact unitary
     sig = gdtwa_signature(3)
     assert sig.signs == (1, -1)
-    pt = sample_stiefel(sig, np.random.default_rng(4))
+    Z = sample_stiefel(sig, np.random.default_rng(4), 1)[0]
     H = np.array([[0.5, 0.2, 0.0], [0.2, -0.1, 0.4], [0.0, 0.4, 0.3]], dtype=complex)
-    ref = pt.z @ grid_march(H, [2.0])[0].T
-    out = propagate_rk4(pt, H, 1e-3, 2000)
-    assert np.max(np.abs(out.x - ref.real)) < 1e-10
-    assert np.max(np.abs(out.p - ref.imag)) < 1e-10
+    ref = Z @ grid_march(H, [2.0])[0].T
+    x, p = stage_by_stage_rk4(Z.real, Z.imag, sig.signs, H, 1e-3, 2000)
+    assert np.max(np.abs(x - ref.real)) < 1e-10
+    assert np.max(np.abs(p - ref.imag)) < 1e-10
     # frame constraints: the Gram matrix z_i^dagger z_j is diag(2|lambda_i + gamma|)
-    gram = np.conj(out.z) @ out.z.T
+    gram = np.conj(x + 1j * p) @ (x + 1j * p).T
     assert np.max(np.abs(gram - np.diag(sig.frame_radii_sq()))) < 1e-9
 
 
@@ -111,9 +109,9 @@ def test_rk4_maps_match_direct_integration():
     dt = 1e-2
     maps = grid_march(H3, times, "rk4", dt)
     rng = np.random.default_rng(9)
-    one = np.stack([sample_sphere(3, 0.4, rng).z for _ in range(5)])
+    one = sample_sphere_batch(3, 0.4, rng, 5)[:, None, :]
     sig = gdtwa_signature(3)
-    two = np.stack([sample_stiefel(sig, rng).z for _ in range(3)])
+    two = sample_stiefel(sig, rng, 3)
     for Z, signs in ((one, (1.0,)), (two, sig.signs)):
         x, p, prev = Z.real, Z.imag, 0.0
         for t, U in zip(times, maps):
@@ -178,15 +176,16 @@ def test_rk4_maps_on_step_counts_that_are_not_powers_of_two():
     assert np.max(np.abs(maps - basis_frame_maps(H3, times, dt))) <= 1e-14
 
 
-def test_propagate_rk4_is_the_stage_by_stage_loop_bitwise():
+def test_rk4_arrays_is_the_stage_by_stage_loop_bitwise():
     rng = np.random.default_rng(12)
-    one = sample_sphere(3, 0.4, rng)
-    two = sample_stiefel(gdtwa_signature(3), rng)
-    for pt in (one, two):
-        out = propagate_rk4(pt, H3, 1e-2, 37)
-        x, p = stage_by_stage_rk4(pt.x, pt.p, pt.signature.signs, H3, 1e-2, 37)
-        assert out.x.tobytes() == x.tobytes()
-        assert out.p.tobytes() == p.tobytes()
+    one = sample_sphere_batch(3, 0.4, rng, 1)
+    sig = gdtwa_signature(3)
+    two = sample_stiefel(sig, rng, 1)[0]
+    for Z, signs in ((one, (1,)), (two, sig.signs)):
+        got = _rk4_arrays(Z.real, Z.imag, signs, H3, 1e-2, 37)
+        x, p = stage_by_stage_rk4(Z.real, Z.imag, signs, H3, 1e-2, 37)
+        assert got[0].tobytes() == x.tobytes()
+        assert got[1].tobytes() == p.tobytes()
 
 
 def test_exact_maps_are_unitary():
@@ -197,36 +196,36 @@ def test_exact_maps_are_unitary():
 
 
 def test_segment_exact_drift():
-    pt = sample_sphere(3, 0.6, np.random.default_rng(5))
+    Z = sample_sphere_batch(3, 0.6, np.random.default_rng(5), 1)
     H = np.array([[0.5, 0.2, 0.0], [0.2, -0.1, 0.4], [0.0, 0.4, 0.3]], dtype=complex)
     U = grid_march(H, np.linspace(0.5, 10.0, 20))
     Ud = np.conj(np.swapaxes(U, -1, -2))
     # frame-norm and cross-frame drift z_i^dagger (U^dagger U - I) z_j, and the
     # H_C drift sum_i (s_i/2) z_i^dagger (U^dagger H U - H) z_i, per grid time
-    gram = np.conj(pt.z) @ (Ud @ U - np.eye(3)) @ pt.z.T
-    energy = 0.5 * (np.conj(pt.z) @ (Ud @ H @ U - H) @ pt.z.T).diagonal(0, -2, -1)
+    gram = np.conj(Z) @ (Ud @ U - np.eye(3)) @ Z.T
+    energy = 0.5 * (np.conj(Z) @ (Ud @ H @ U - H) @ Z.T).diagonal(0, -2, -1)
     assert max(np.max(np.abs(gram)), np.max(np.abs(energy))) < 1e-10
 
 
 def test_segment_rk4_drift():
-    pt = sample_sphere(2, 0.0, np.random.default_rng(6))
+    Z = sample_sphere_batch(2, 0.0, np.random.default_rng(6), 1)
     U = grid_march(RABI, np.linspace(0.5, 10.0, 20), "rk4", 1e-3)
     Ud = np.conj(np.swapaxes(U, -1, -2))
-    gram = np.conj(pt.z) @ (Ud @ U - np.eye(2)) @ pt.z.T
-    energy = 0.5 * (np.conj(pt.z) @ (Ud @ RABI @ U - RABI) @ pt.z.T).diagonal(0, -2, -1)
+    gram = np.conj(Z) @ (Ud @ U - np.eye(2)) @ Z.T
+    energy = 0.5 * (np.conj(Z) @ (Ud @ RABI @ U - RABI) @ Z.T).diagonal(0, -2, -1)
     assert max(np.max(np.abs(gram)), np.max(np.abs(energy))) < 1e-6
 
 
 def test_segment_multiframe_drift():
     sig = gdtwa_signature(4)
-    pt = sample_stiefel(sig, np.random.default_rng(7))
+    Z = sample_stiefel(sig, np.random.default_rng(7), 1)[0]
     H = np.diag([0.1, 0.4, 0.9, 1.6]).astype(complex)
     H[0, 1] = H[1, 0] = 0.3
     U = grid_march(H, np.linspace(1.0, 10.0, 10), "rk4", 1e-3)
     Ud = np.conj(np.swapaxes(U, -1, -2))
-    gram = np.conj(pt.z) @ (Ud @ U - np.eye(4)) @ pt.z.T
+    gram = np.conj(Z) @ (Ud @ U - np.eye(4)) @ Z.T
     signs = np.asarray(sig.signs, dtype=np.float64)
-    energy = 0.5 * (np.conj(pt.z) @ (Ud @ H @ U - H) @ pt.z.T).diagonal(0, -2, -1) @ signs
+    energy = 0.5 * (np.conj(Z) @ (Ud @ H @ U - H) @ Z.T).diagonal(0, -2, -1) @ signs
     assert max(np.max(np.abs(gram)), np.max(np.abs(energy))) < 1e-6, (gram, energy)
 
 
@@ -270,8 +269,8 @@ def test_segment_unknown_backend():
 
 def test_segment_rk4_respects_grid_offsets():
     # grid times are hit exactly: compare against exact at each grid time
-    pt = sample_sphere(2, 0.3, np.random.default_rng(8))
+    Z = sample_sphere_batch(2, 0.3, np.random.default_rng(8), 1)
     times = np.array([0.7, 1.9, 3.1])
     for t, U in zip(times, grid_march(RABI, times, "rk4", 1e-3)):
-        ref = pt.z @ grid_march(RABI, [t])[0].T
-        assert np.max(np.abs(pt.z @ U.T - ref)) < 1e-10
+        ref = Z @ grid_march(RABI, [t])[0].T
+        assert np.max(np.abs(Z @ U.T - ref)) < 1e-10

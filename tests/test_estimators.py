@@ -25,7 +25,7 @@ from cpsmap.estimators import (
     _hill_obs_windows,
     _hill_rho_window,
     _prepare,
-    _triangle_rho_window,
+    _triangle_obs_windows,
     estimate_tcf,
     hill_exponent,
     intra_electron_check,
@@ -725,8 +725,10 @@ def test_cmmcv_gamma_trace_domain():
 
 
 def test_triangle_window_examples():
-    e = np.array([[1.5, 0.2], [1.5, 0.6], [0.9, 0.2]])
-    assert _triangle_rho_window(e, 0).tolist() == [1.0, 0.0, 0.0]
+    # state m's window is open when e_m >= 1 and no other action is above 1
+    e = np.array([[1.5, 0.2], [1.5, 0.6], [0.9, 0.2], [1.2, 1.1], [1.0, 0.5]])
+    want = [[1.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+    assert _triangle_obs_windows(e).tolist() == want
 
 
 def test_hill_window_examples():
@@ -782,7 +784,7 @@ def test_cornered_window_normalization():
 )
 def test_window_values_stay_in_range(e1, e2):
     e = np.array([e1, e2])
-    for v in (_triangle_rho_window(e, 0), _hill_rho_window(e, 0)):
+    for v in (*_triangle_obs_windows(e), _hill_rho_window(e, 0)):
         assert 0.0 <= v <= 1.0
     assert _hill_obs_windows(e)[0] >= 0.0
 
@@ -839,13 +841,3 @@ def test_wmm_comb_tracks_exact_dynamics():
         request(H, MethodSpec.wmm(two_delta_comb()), nmkl=(1, 1, 2, 2), t_grid=t_grid, n_traj=200000)
     )
     assert_matches_exact(res, exact_series(H, (1, 1, 2, 2), t_grid))
-
-
-def test_wmm_rejects_triangle_weight():
-    # the window-family triangle weight is normalized but does not solve
-    # the covariant-pair quadratic condition (its moment is 3/4 at F=2),
-    # so the wmm runner must refuse it
-    w = GammaWeight.triangle(2)
-    assert abs(w.moment(lambda g: 2 * g * g + 2 * g) - 0.75) < 1e-10
-    with pytest.raises(ValueError, match="exact mapping condition"):
-        estimate_tcf(request(RABI, MethodSpec.wmm(w), n_traj=100))

@@ -5,15 +5,17 @@ import math
 import numpy as np
 import pytest
 
-from cpsmap.cps import gdtwa_signature, sample_sphere, sample_sphere_batch, sample_stiefel
+from cpsmap.cps import gdtwa_signature, sample_sphere_batch, sample_stiefel
 from cpsmap.kernels import (
     DiscretePointSet,
+    _frames_from_eigensystems,
     classify_kernel,
     gdtwa_points,
     inverse_kernel_coefficients,
     kernel_entries,
     point_from_kernel,
 )
+from cpsmap.qcore import hermitian_eig
 
 
 def haar_unitary(F, rng):
@@ -38,16 +40,14 @@ def test_covariant_kernel_unit_trace():
     rng = np.random.default_rng(1)
     for _ in range(200):
         gamma = rng.uniform(-0.4, 2.0)
-        pt = sample_sphere(2, gamma, rng)
-        K = kernel_entries(pt.z, gamma=gamma)
+        K = kernel_entries(sample_sphere_batch(2, gamma, rng, 1), gamma=gamma)
         assert abs(np.trace(K).real - 1.0) < 1e-12
         assert abs(np.trace(K).imag) < 1e-12
 
 
 @pytest.mark.parametrize("F,gamma", [(2, 0.0), (3, 0.5)])
 def test_covariant_kernel_spectrum(F, gamma):
-    pt = sample_sphere(F, gamma, np.random.default_rng(2))
-    K = kernel_entries(pt.z, gamma=gamma)
+    K = kernel_entries(sample_sphere_batch(F, gamma, np.random.default_rng(2), 1), gamma=gamma)
     lam = np.sort(np.linalg.eigvalsh(K))
     expect = np.sort([1.0 + (F - 1) * gamma] + [-gamma] * (F - 1))
     assert np.max(np.abs(lam - expect)) < 1e-12
@@ -96,10 +96,10 @@ def test_covariance_under_unitaries():
     rng = np.random.default_rng(3)
     for F in (2, 3, 4):
         for _ in range(25):
-            pt = sample_sphere(F, 0.7, rng)
+            z = sample_sphere_batch(F, 0.7, rng, 1)[0]
             g = haar_unitary(F, rng)
-            K = kernel_entries(pt.z, gamma=0.7)
-            Kg = kernel_entries((g @ pt.z[0])[None, :], gamma=0.7)
+            K = kernel_entries(z[None, :], gamma=0.7)
+            Kg = kernel_entries((g @ z)[None, :], gamma=0.7)
             assert np.max(np.abs(Kg - g @ K @ g.conj().T)) < 1e-9
 
 
@@ -108,10 +108,10 @@ def test_covariance_multiframe():
     sig = gdtwa_signature(3)
     weights = 0.5 * np.asarray(sig.signs, dtype=np.float64)
     for _ in range(25):
-        pt = sample_stiefel(sig, rng)
+        Z = sample_stiefel(sig, rng, 1)[0]
         g = haar_unitary(3, rng)
-        K = kernel_entries(pt.z, gamma=sig.gamma, weights=weights)
-        Kg = kernel_entries(pt.z @ g.T, gamma=sig.gamma, weights=weights)
+        K = kernel_entries(Z, gamma=sig.gamma, weights=weights)
+        Kg = kernel_entries(Z @ g.T, gamma=sig.gamma, weights=weights)
         assert np.max(np.abs(Kg - g @ K @ g.conj().T)) < 1e-9
 
 
@@ -141,27 +141,28 @@ def test_classify_tie_breaks_toward_small_eigenvalue():
 
 def test_point_from_kernel_roundtrip_cmm():
     K = np.diag([2.0, -1.0]).astype(complex)
-    pt = point_from_kernel(K)
-    assert pt.r == 1
-    back = kernel_entries(pt.z, gamma=pt.signature.gamma, weights=0.5 * np.asarray(pt.signature.signs))
+    sig, Z = point_from_kernel(K)
+    assert sig.r == 1
+    assert Z.shape == (1, 2)
+    back = kernel_entries(Z, gamma=sig.gamma, weights=0.5 * np.asarray(sig.signs))
     assert np.max(np.abs(back - K)) < 1e-10
-    assert abs(np.sum(pt.actions()) - 3.0) < 1e-12  # 1 + F*gamma at gamma=1
+    assert abs(np.sum(0.5 * np.abs(Z) ** 2) - 3.0) < 1e-12  # 1 + F*gamma at gamma=1
 
 
 def test_point_from_kernel_roundtrip_random_covariant():
     rng = np.random.default_rng(9)
     for F, gamma in [(2, 0.0), (3, 0.8), (4, 0.25)]:
-        pt0 = sample_sphere(F, gamma, rng)
-        K = kernel_entries(pt0.z, gamma=gamma)
-        pt = point_from_kernel(K)
-        back = kernel_entries(pt.z, gamma=pt.signature.gamma, weights=0.5 * np.asarray(pt.signature.signs))
+        K = kernel_entries(sample_sphere_batch(F, gamma, rng, 1), gamma=gamma)
+        sig, Z = point_from_kernel(K)
+        back = kernel_entries(Z, gamma=sig.gamma, weights=0.5 * np.asarray(sig.signs))
         assert np.max(np.abs(back - K)) < 1e-10
 
 
 def test_gdtwa_points_two_level():
     ps = gdtwa_points(2, 1)
     assert isinstance(ps, DiscretePointSet)
-    assert len(ps.points) == 4
+    assert ps.kernel_values.shape == (4, 2, 2)
+    assert ps.frames.shape == (4, 1, 2)
     lam_expect = np.sort([(1 - math.sqrt(3.0)) / 2, (1 + math.sqrt(3.0)) / 2])
     for K in ps.kernel_values:
         assert abs(np.trace(K).real - 1.0) < 1e-12
@@ -174,7 +175,8 @@ def test_gdtwa_points_two_level():
 
 def test_gdtwa_points_three_level():
     ps = gdtwa_points(3, 2)
-    assert len(ps.points) == 16
+    assert ps.kernel_values.shape == (16, 3, 3)
+    assert ps.frames.shape == (16, 2, 3)
     c = math.sqrt(5.0)
     lam_expect = np.sort([(1 - c) / 2, 0.0, (1 + c) / 2])
     for K in ps.kernel_values:
@@ -184,9 +186,9 @@ def test_gdtwa_points_three_level():
 
 def test_gdtwa_points_roundtrip():
     ps = gdtwa_points(3, 1)
-    for K, pt in zip(ps.kernel_values, ps.points):
-        back = kernel_entries(pt.z, gamma=pt.signature.gamma, weights=0.5 * np.asarray(pt.signature.signs))
-        assert np.max(np.abs(back - K)) < 1e-10
+    sig = gdtwa_signature(3)
+    back = kernel_entries(ps.frames, gamma=sig.gamma, weights=0.5 * np.asarray(sig.signs))
+    assert np.max(np.abs(back - ps.kernel_values)) < 1e-10
 
 
 @pytest.mark.parametrize("F", [2, 3, 4, 5])
@@ -195,19 +197,22 @@ def test_gdtwa_points_equal_one_point_from_kernel_per_kernel(F):
     # own point bit for bit, with gamma read off its own eigenvalues
     for n in range(1, F + 1):
         ps = gdtwa_points(F, n)
-        assert len(ps.points) == len(ps.kernel_values) == len(ps.indices) == 4 ** (F - 1)
-        for K, pt in zip(ps.kernel_values, ps.points):
-            one = point_from_kernel(K)
-            assert pt.signature == one.signature
-            assert pt.x.tobytes() == one.x.tobytes()
-            assert pt.p.tobytes() == one.p.tobytes()
+        assert len(ps.kernel_values) == len(ps.frames) == 4 ** (F - 1)
+        dec = hermitian_eig(ps.kernel_values)
+        sigs, frames = _frames_from_eigensystems(dec.eigenvalues, dec.eigenvectors)
+        assert frames.tobytes() == ps.frames.tobytes()
+        for K, sig, Z in zip(ps.kernel_values, sigs, ps.frames):
+            one_sig, one_Z = point_from_kernel(K)
+            assert sig == one_sig
+            assert (one_sig.r, one_sig.signs) == (gdtwa_signature(F).r, gdtwa_signature(F).signs)
+            assert Z.tobytes() == one_Z.tobytes()
         assert ps.frames.shape == (4 ** (F - 1), gdtwa_signature(F).r, F)
 
 
 def test_gdtwa_points_are_cached_and_read_only():
     ps = gdtwa_points(3, 2)
     assert gdtwa_points(3, 2) is ps
-    arrays = (ps.frames, *ps.kernel_values, *(pt.x for pt in ps.points), *(pt.p for pt in ps.points))
+    arrays = (ps.frames, ps.kernel_values, *ps.kernel_values, *ps.frames)
     assert not any(a.flags.writeable for a in arrays)
     with pytest.raises(ValueError, match="read-only"):
         ps.frames[0, 0, 0] = 0.0
