@@ -3,11 +3,12 @@
 Drives the estimator families end to end from a small key-value config:
 build a Hamiltonian, estimate the requested correlation functions on a
 time grid, compare against the dense exact reference, and emit plottable
-CSV plus a run manifest.  Also hosts the validation suites (exact
-mapping condition, the worst invariant drift over the sphere read off
-the propagation maps, sphere-moment oracles) and the Monte Carlo
-convergence study.  The exact-mapping and moment checks stream one
-sphere sample in seeded chunks on the run's tcf.threads workers.
+CSV plus a run manifest.  Also hosts the validation suites (the exact
+mapping condition of the cmm kernel pair in closed form, the worst
+invariant drift over the sphere read off the propagation maps,
+sphere-moment oracles) and the Monte Carlo convergence study.  The
+moment check streams one sphere sample in seeded chunks on the run's
+tcf.threads workers; the other two draw no sample.
 
 Config format: one `key = value` per line, '#' comments, dotted section
 prefixes.  Recognized keys:
@@ -28,7 +29,7 @@ prefixes.  Recognized keys:
   tcf.t_max, tcf.n_times, tcf.n_traj, tcf.seed, tcf.backend, tcf.dt
   tcf.threads
   validate.exact_mapping, validate.drift, validate.moments   (true/false)
-  validate.n_traj   sample size for the statistical validations (at least 2)
+  validate.n_traj   sample size of the moments check (at least 2)
 
 Exit status: 0 on success, 2 when an enabled validation fails, 1 on
 usage or config errors.
@@ -48,7 +49,9 @@ from . import __version__
 # sample_sphere_batch is imported only because perfbench/spans.py wraps it here.
 from .cps import GammaWeight, gamma_wigner, onto_sphere, sample_sphere_batch, sphere_normals  # noqa: F401
 from .dynamics import grid_march
-from .estimators import POOL_ROWS, MethodSpec, TCFRequest, _run_blocks, estimate_tcf
+from .estimators import (
+    EXACT_MAPPING_TOL, POOL_ROWS, MethodSpec, TCFRequest, _mapping_tensor, _pair_deltas, _run_blocks, estimate_tcf,
+)
 from .kernels import inverse_kernel_coefficients
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf
@@ -294,14 +297,11 @@ def _build_method(entries, F):
         return make(), f"{family}()"
     try:
         arg = default(F) if raw is None else _PARAM_PARSERS[key](raw, F)
+        spec = make(arg)
     except ConfigError:
         raise
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
-    try:
-        spec = make(arg)
-    except ValueError as exc:
-        raise ConfigError(f"method.family: {exc}") from exc
     shown = arg if key == "method.gamma" or raw is None else raw
     return spec, f"{family}({key.split('.')[1]}={shown})"
 
@@ -421,44 +421,16 @@ def _check_products(name, label, parts, target):
     return ValidationResult(name, worst <= 5.0, f"{label}, worst |dev|/SE = {worst:.2f} (limit 5)")
 
 
-def _mapping_sums(Z, g, scratch=None):
-    """_product_sums of Kv (columns m*s + n) and Kinv (columns l*s + k) on a sphere sample Z (n, F) at g.
-
-    Only the first s = min(F, 4) states enter.  Off the diagonal, Kv and
-    Kinv are 1/2 and c1 times z_m conj(z_n); on it, a_m/2 - g and
-    c1 a_m - c2 with a_m = |z_m|^2.  So every sum is a scaled entry of
-    V V^T or |V|^2 (|V|^2)^T, V one table of those entries, and no terms
-    cancel.  Temporaries come from scratch (BlockStreams.scratch) or are fresh.
-    """
-    scratch = scratch or BlockStreams(None).scratch
-    n, F = Z.shape
-    s = min(F, 4)
+def _validate_exact_mapping(F, g):
+    """Closed-form check of F E[K_mn Kinv_lk] = delta_mk delta_nl for the cmm kernel and its inverse at g."""
     c1, c2 = inverse_kernel_coefficients(F, g)
-    Zs = Z[:, :s].T
-    V = scratch("entries", (s * s + s, n))
-    # conj(z) waits in the rows that Kinv's diagonal fills next
-    np.multiply(Zs[:, None], np.conjugate(Zs, out=V[s * s:])[None], out=V[:s * s].reshape(s, s, n))
-    diag = V[:s * s:s + 1]
-    V[s * s:] = c1 * diag.real - c2
-    diag[...] = 0.5 * diag.real - g
-    W = np.abs(V, out=scratch("squares", V.shape, np.float64))
-    W *= W
-    # Kv is V's rows 0..s^2-1 and Kinv the same with its diagonal from rows s^2.., scaled
-    kinv, wv, wi = np.arange(s * s), np.full(s * s, 0.5), np.full(s * s, c1)
-    kinv[::s + 1], wv[::s + 1], wi[::s + 1] = s * s + np.arange(s), 1.0, 1.0
-    first = wv[:, None] * (V @ V.T)[:s * s, kinv] * wi
-    return n, first, wv[:, None] ** 2 * (W @ W.T)[:s * s, kinv] * wi**2
-
-
-def _validate_exact_mapping(parts, F, g):
-    """Monte Carlo check of F int dmu K_mn Kinv_lk = delta_mk delta_nl on the sphere at g.
-
-    parts holds the _mapping_sums of each chunk of a sphere sample.
-    """
-    s = min(F, 4)
-    eye = np.eye(s)
-    target = np.einsum("mk,nl->mnlk", eye, eye).reshape(s * s, s * s) / F
-    return _check_products("exact_mapping", f"gamma={g:.6g}", parts, target)
+    tensor = _mapping_tensor(F, [(1.0, g * np.eye(F), c1, c2 * np.eye(F))])
+    miss = float(np.max(np.abs(tensor - _pair_deltas(F)[1])))
+    return ValidationResult(
+        "exact_mapping",
+        miss <= EXACT_MAPPING_TOL,
+        f"gamma={g:.6g}, closed-form miss {miss:.2e} (limit {EXACT_MAPPING_TOL:.0e})",
+    )
 
 
 def _validate_drift(H, backend, dt):
@@ -497,13 +469,15 @@ def _validate_moments(parts, F, gamma):
 def run_validations(cfg, H):
     """Run the enabled validation suites for a config.
 
-    The exact-mapping and moments checks read one sphere sample of
-    validate.n_traj rows in a single pass of POOL_ROWS-row chunks.
-    Chunk c draws from its own stream, SeedSequence(seed + 101,
-    spawn_key=(c,)) served by cpsmap.streams, and returns its partial
-    sums for both checks, from temporaries in its worker's scratch
-    arrays; the chunks run on tcf.threads workers and their sums are
-    added in chunk order, so every result is bitwise the same at any
+    The exact-mapping check is the closed form of the cmm kernel pair at
+    method.gamma (the Wigner gamma where the family has none) and draws
+    no sample.  The moments check reads one sphere sample of
+    validate.n_traj rows in a single pass of POOL_ROWS-row chunks, made
+    only when that check is enabled.  Chunk c draws from its own stream,
+    SeedSequence(seed + 101, spawn_key=(c,)) served by cpsmap.streams,
+    and returns its partial sums from temporaries in its worker's
+    scratch arrays; the chunks run on tcf.threads workers and their sums
+    are added in chunk order, so every result is bitwise the same at any
     thread count.
     """
     results = []
@@ -511,25 +485,22 @@ def run_validations(cfg, H):
     g = cfg.method.gamma
     if g is None or g <= -1.0 / F:
         g = gamma_wigner(F)
-    n = cfg.validate_n_traj
-    streams = BlockStreams(block_keys(cfg.seed + 101, -(-n // POOL_ROWS)))
-
-    def chunk(c):
-        shape, scratch = (min(POOL_ROWS, n - c * POOL_ROWS), F), streams.scratch
-        Z = scratch("sample", shape)
-        sphere_normals(streams[c], Z, scratch("normals", shape, np.float64))
-        onto_sphere(Z, F, g, scratch("temp", shape))
-        mapping = _mapping_sums(Z, g, scratch) if cfg.validate_exact_mapping else None
-        return mapping, _product_sums(Z, np.conjugate(Z, out=scratch("temp", shape)))
-
-    if cfg.validate_exact_mapping or cfg.validate_moments:
-        mapping, moments = zip(*_run_blocks(chunk, range(len(streams)), cfg.threads))
     if cfg.validate_exact_mapping:
-        results.append(_validate_exact_mapping(mapping, F, g))
+        results.append(_validate_exact_mapping(F, g))
     if cfg.validate_drift:
         results.append(_validate_drift(H, cfg.backend, cfg.dt))
     if cfg.validate_moments:
-        results.append(_validate_moments(moments, F, g))
+        n = cfg.validate_n_traj
+        streams = BlockStreams(block_keys(cfg.seed + 101, -(-n // POOL_ROWS)))
+
+        def chunk(c):
+            shape, scratch = (min(POOL_ROWS, n - c * POOL_ROWS), F), streams.scratch
+            Z = scratch("sample", shape)
+            sphere_normals(streams[c], Z, scratch("normals", shape, np.float64))
+            onto_sphere(Z, F, g, scratch("temp", shape))
+            return _product_sums(Z, np.conjugate(Z, out=scratch("temp", shape)))
+
+        results.append(_validate_moments(_run_blocks(chunk, range(len(streams)), cfg.threads), F, g))
     return results
 
 

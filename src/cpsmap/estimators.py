@@ -88,7 +88,8 @@ POOL_ROWS = 8192
 MARCH_ENTRIES = 1 << 19
 # A standard error at most this times max(1, |estimate|) is rounding noise.
 ZERO_VARIANCE_REL = 1e-12
-# The largest miss of the exact mapping identity a cmmcv comb may have.
+# The largest miss of the exact mapping identity a cmmcv comb, or the CLI's
+# cmm kernel pair, may have.
 EXACT_MAPPING_TOL = 1e-8
 
 def hill_exponent(F):
@@ -132,10 +133,12 @@ class MethodSpec:
     @staticmethod
     def cmmcv(components):
         comps = []
-        for w, G in components:
-            G = np.asarray(G, dtype=np.complex128)
+        for i, (w, G) in enumerate(components, start=1):
+            w, G = float(w), np.asarray(G, dtype=np.complex128)
+            if not math.isfinite(w):
+                raise ValueError(f"cmmcv component {i} has a non-finite weight {w!r}")
             require_hermitian(G, name="cmmcv Gamma")
-            comps.append((float(w), G))
+            comps.append((w, G))
         if not comps:
             raise ValueError("cmmcv needs at least one (weight, Gamma) component")
         return MethodSpec("cmmcv", components=tuple(comps))
@@ -322,7 +325,7 @@ def _prepare(req):
                 raise ValueError(f"cmmcv Gamma dimension {G.shape[0]} does not match F={F}")
             if np.real(np.trace(G)) <= -1.0:
                 raise ValueError("cmmcv component needs Tr Gamma > -1 for a real sphere radius")
-        miss = np.abs(_cmmcv_mapping_tensor(method.components, F) - _pair_deltas(F)[1])
+        miss = np.abs(_mapping_tensor(F, [(w, G, 0.5, G) for w, G in method.components]) - _pair_deltas(F)[1])
         worst = np.unravel_index(np.argmax(miss), miss.shape)
         if not miss[worst] <= EXACT_MAPPING_TOL:
             where = ", ".join(str(i + 1) for i in worst)
@@ -353,24 +356,26 @@ def _pair_deltas(F):
     return np.multiply.outer(I, I), np.einsum("mk,nl->mnlk", I, I)
 
 
-def _cmmcv_mapping_tensor(components, F):
-    """F sum_c w_c E_c[K_mn K_lk] of a cmmcv comb, indexed [m, n, l, k], in closed form.
+def _mapping_tensor(F, terms):
+    """F sum_c w_c E_c[(z z^dagger/2 - A_c)_mn (b_c z z^dagger - B_c)_lk], indexed [m, n, l, k], in closed form.
 
-    K = (1/2) z z^dagger - Gamma_c with z uniform on the sphere of
-    squared radius R^2 = 2(1 + Tr Gamma_c), where
-    E[z_a z_b*] = (R^2/F) delta_ab and
+    terms holds the (w_c, A_c, b_c, B_c), with A_c and B_c F x F.  Term
+    c averages over the sphere of squared radius R^2 = 2(1 + Re Tr A_c),
+    where E[z_a z_b*] = (R^2/F) delta_ab and
     E[z_a z_b* z_c z_d*] = R^4/(F(F+1)) (delta_ab delta_cd + delta_ad delta_cb).
-    The comb is exact when this is delta_mk delta_nl.
+    A pair of kernels is exact when this is delta_mk delta_nl: a cmmcv
+    comb is the terms (w_c, Gamma_c, 1/2, Gamma_c), and the cmm kernel
+    with its inverse at gamma the one term (1, gamma I, c1, c2 I).
     """
     I = np.eye(F)
     same, cross = _pair_deltas(F)
     T = np.zeros((F, F, F, F), dtype=np.complex128)
-    for w, G in components:
-        R2 = 2.0 * (1.0 + np.real(np.trace(G)))
+    for w, A, b, B in terms:
+        R2 = 2.0 * (1.0 + np.real(np.trace(A)))
         T += w * (
-            R2 * R2 / (4.0 * F * (F + 1)) * (same + cross)
-            - R2 / (2.0 * F) * (np.multiply.outer(I, G) + np.multiply.outer(G, I))
-            + np.multiply.outer(G, G)
+            b * R2 * R2 / (2.0 * F * (F + 1)) * (same + cross)
+            - R2 / (2.0 * F) * (np.multiply.outer(I, B) + 2.0 * b * np.multiply.outer(A, I))
+            + np.multiply.outer(A, B)
         )
     return F * T
 
@@ -1010,6 +1015,7 @@ def intra_electron_check(weight, H, rho, A, n_traj, seed):
     requires the weight to satisfy both the exact-mapping condition and
     the cubic moment condition int w (1+F gamma)^3 = (1+F)(2+F)/2.
     """
+    weight.validate()
     H = require_hermitian(H)
     F = H.shape[0]
     rho = np.asarray(rho, dtype=np.complex128)

@@ -14,8 +14,7 @@ is a batch of one) and kernel_trace the one Tr[M K], which at M = H is
 the classical Hamiltonian H_C; inverse_kernel_coefficients gives the
 inverse kernel's weight and shift on the sphere at gamma.  The
 estimators' density side calls them; the estimators sum the observable
-kernel over a block as one moment matrix, and the CLI mapping check its
-kernels' product sums from one table of their entries, instead.
+kernel over a block as one moment matrix instead.
 classify_kernel reads the component signature off an arbitrary
 Hermitian matrix, point_from_kernel reconstructs the phase point (its
 signature and frames), and gdtwa_points builds the 2^(2(F-1)) discrete

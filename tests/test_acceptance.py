@@ -16,6 +16,7 @@ from cpsmap.cps import GammaWeight, gamma_wigner, sample_sphere_batch
 from cpsmap.estimators import (
     MethodSpec,
     TCFRequest,
+    _mapping_tensor,
     estimate_tcf,
     intra_electron_check,
 )
@@ -48,7 +49,11 @@ COMB_F3 = GammaWeight.delta_comb([(0.0, 3.0 / 7.0), (0.5, 4.0 / 7.0)])
 
 
 def test_exact_mapping_condition():
-    """F E[K_mn Kinv_lk] = delta_mk delta_nl, Monte Carlo and closed form."""
+    """F E[K_mn Kinv_lk] = delta_mk delta_nl, Monte Carlo and closed form.
+
+    The closed form here is the reference for the library's
+    _mapping_tensor, which the CLI's exact-mapping check evaluates.
+    """
     t0 = time.perf_counter()
     n_samples = 1_000_000
     chunk = 20_000
@@ -71,6 +76,8 @@ def test_exact_mapping_condition():
                 - (0.5 * c2 * m2 + gamma * c1 * m2 - gamma * c2) * diag
             )
             assert np.max(np.abs(closed - target)) < 1e-12
+            shared = _mapping_tensor(F, [(1.0, gamma * eye, c1, c2 * eye)])
+            assert np.max(np.abs(shared - closed)) < 1e-12
 
             rng = np.random.default_rng(2024)
             s1 = np.zeros((F, F, F, F), dtype=complex)

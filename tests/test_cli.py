@@ -12,7 +12,6 @@ from cpsmap.cli import (
     ConfigError,
     ExperimentConfig,
     _check_products,
-    _mapping_sums,
     _product_sums,
     _validate_drift,
     _validate_exact_mapping,
@@ -28,9 +27,8 @@ from cpsmap.cli import (
 from cpsmap.cps import gamma_wigner, sample_sphere_batch
 from cpsmap.dynamics import grid_march
 from cpsmap.estimators import POOL_ROWS as CHECK_ROWS, MethodSpec
-from cpsmap.kernels import inverse_kernel_coefficients, kernel_entries, kernel_trace
+from cpsmap.kernels import inverse_kernel_coefficients, kernel_trace
 from cpsmap.models import ModelSpec, build_hamiltonian, save_hamiltonian
-from cpsmap.streams import BlockStreams
 
 BASE = """
 model.kind = two_level
@@ -160,6 +158,8 @@ def test_load_config_wmm_weight_string(tmp_path):
         ("method.family = cmmcv\nmethod.components = ;", "method.components"),
         ("method.family = cmmcv\nmethod.components = 0.5", "method.components"),
         ("method.family = cmmcv\nmethod.components = a:0", "method.components"),
+        ("method.family = cmmcv\nmethod.components = nan:0.3", "method.components"),
+        ("method.family = cmmcv\nmethod.components = 1:nan", "method.components"),
         ("method.family = wmm\nmethod.weight = ;", "method.weight"),
         ("method.family = wmm\nmethod.weight = 0:1; 0.5", "method.weight"),
         ("method.family = wmm\nmethod.weight = triangle", "method.weight"),
@@ -402,32 +402,15 @@ def moment_sums(Z):
     return chunk_sums(lambda c: _product_sums(c, c.conj()), Z)
 
 
-def test_exact_mapping_validation_fails_on_the_wrong_sphere():
-    Z = sphere_sample(3, 0.0)
-    assert _validate_exact_mapping(chunk_sums(lambda c: _mapping_sums(c, 0.0), Z), 3, 0.0).passed
-    bad = _validate_exact_mapping(chunk_sums(lambda c: _mapping_sums(c, 1.0), Z), 3, 1.0)
+def test_exact_mapping_validation_fails_on_the_wrong_sphere(monkeypatch):
+    assert _validate_exact_mapping(3, 0.0).passed
+    # inverse-kernel coefficients of the sphere at gamma = 1 fail the closed form at 0
+    monkeypatch.setattr(cli, "inverse_kernel_coefficients", lambda F, g: inverse_kernel_coefficients(F, 1.0))
+    bad = _validate_exact_mapping(3, 0.0)
     assert not bad.passed
-    assert "worst |dev|/SE" in bad.detail
-
-
-@pytest.mark.parametrize("F", range(1, 7))
-def test_mapping_sums_match_the_kernel_table_reference(F):
-    # s = min(F, 4) < F for F > 4; a 1-row chunk and a partial chunk share
-    # one thread's scratch arrays, so the second reshapes them
-    s = min(F, 4)
-    scratch = BlockStreams(np.zeros((1, 2), np.uint64)).scratch
-    for g in (0.0, gamma_wigner(F), 1.0, -0.5 / F):
-        c1, c2 = inverse_kernel_coefficients(F, g)
-        for rows in (1, 20001 - 2 * CHECK_ROWS):
-            Z = sphere_sample(F, g, rows, seed=F * rows)
-            Kv = kernel_entries(Z[:, None, :s], gamma=g).reshape(-1, s * s)
-            Kinv = kernel_entries(Z[:, None, :s], gamma=c2, weights=c1).reshape(-1, s * s)
-            want = _product_sums(Kv, Kinv)
-            got = _mapping_sums(Z, g, scratch)
-            assert got[0] == want[0] == rows
-            # each sum against the sum of its terms' magnitudes
-            assert np.all(np.abs(got[1] - want[1]) <= 1e-12 * (np.abs(Kv).T @ np.abs(Kinv)))
-            assert np.all(np.abs(got[2] - want[2]) <= 1e-12 * want[2])
+    assert "closed-form miss" in bad.detail
+    # and a sample of that sphere fails the moments check at 0
+    assert not _validate_moments(moment_sums(sphere_sample(3, 1.0)), 3, 0.0).passed
 
 
 def test_moments_validation_fails_at_the_wrong_gamma():
@@ -484,17 +467,18 @@ def test_validation_chunks_match_a_one_pass_reference(tmp_path, monkeypatch):
         assert [np.asarray(x).tobytes() for x in seen["moments"][c]] == [
             np.asarray(x).tobytes() for x in want
         ]
-    assert sum(part[0] for part in seen["exact_mapping"]) == 20001
+    # the exact-mapping check is a closed form and reads no sample
+    assert list(seen) == ["moments"]
 
     Z = np.concatenate(chunks)
     worst = one_pass_worst(Z, Z.conj(), 2.0 * (1.0 + F * g) / F * np.eye(F))
     assert got["moments"] == f"gamma={g:.6g}, worst |dev|/SE = {worst:.2f} (limit 5)"
-    c1, c2 = inverse_kernel_coefficients(F, g)
-    Kv = kernel_entries(Z[:, None, :], gamma=g).reshape(-1, F * F)
-    Kinv = kernel_entries(Z[:, None, :], gamma=c2, weights=c1).reshape(-1, F * F)
-    target = np.einsum("mk,nl->mnlk", np.eye(F), np.eye(F)).reshape(F * F, F * F) / F
-    worst = one_pass_worst(Kv, Kinv, target)
-    assert got["exact_mapping"] == f"gamma={g:.6g}, worst |dev|/SE = {worst:.2f} (limit 5)"
+
+
+def test_no_validation_sample_is_drawn_without_the_moments_check(tmp_path, monkeypatch):
+    cfg = load_config(write_config(tmp_path, BASE + "validate.moments = false\n"))
+    monkeypatch.setattr(cli, "_run_blocks", None)
+    assert [v.name for v in run_validations(cfg, build_hamiltonian(cfg.model))] == ["exact_mapping", "drift"]
 
 
 def test_zero_variance_product_that_misses_fails():

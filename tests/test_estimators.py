@@ -30,7 +30,7 @@ from cpsmap.estimators import (
     hill_exponent,
     intra_electron_check,
 )
-from cpsmap.kernels import kernel_entries
+from cpsmap.kernels import inverse_kernel_coefficients, kernel_entries
 from cpsmap.models import ModelSpec, build_hamiltonian
 from cpsmap.qcore import exact_tcf
 from cpsmap.streams import BlockStreams
@@ -700,16 +700,23 @@ def test_cmmcv_rejects_a_comb_that_breaks_the_exact_mapping():
 
 
 def test_cmmcv_mapping_tensor_matches_monte_carlo():
+    # the cmm kernel paired with its inverse kernel, and a cmmcv kernel
+    # with an off-diagonal Gamma paired with itself
     F = 3
     off = np.zeros((F, F), dtype=complex)
     off[0, 1], off[1, 0] = 0.1 - 0.05j, 0.1 + 0.05j
     G = gamma_wigner(F) * np.eye(F) + off
+    c1, c2 = inverse_kernel_coefficients(F, gamma_wigner(F))
+    cmm = (1.0, gamma_wigner(F) * np.eye(F), c1, c2 * np.eye(F))
     n = 200_000
-    Z = sample_sphere_batch(F, np.real(np.trace(G)) / F, np.random.default_rng(17), n)
-    K = 0.5 * Z[:, :, None] * np.conj(Z[:, None, :]) - G
-    mc = F * np.einsum("imn,ilk->mnlk", K, K) / n
-    closed = estimators._cmmcv_mapping_tensor([(1.0, G)], F)
-    assert np.max(np.abs(mc - closed)) < 2e-2
+    for term in (cmm, (1.0, G, 0.5, G)):
+        _, A, b, B = term
+        Z = sample_sphere_batch(F, np.real(np.trace(A)) / F, np.random.default_rng(17), n)
+        zz = Z[:, :, None] * np.conj(Z[:, None, :])
+        mc = F * np.einsum("imn,ilk->mnlk", 0.5 * zz - A, b * zz - B) / n
+        closed = estimators._mapping_tensor(F, [term])
+        assert np.max(np.abs(mc - closed)) < 2e-2
+    # the off-diagonal Gamma breaks the identity
     assert np.max(np.abs(closed - estimators._pair_deltas(F)[1])) > 0.05
 
 
@@ -829,6 +836,12 @@ def test_intra_electron_identity_hamiltonian():
     rep = intra_electron_check(w, np.eye(2), rho, A, 400000, 5)
     assert rep.lhs == pytest.approx(np.trace(rho @ A).real)
     assert abs(rep.lhs - rep.rhs) <= 5.0 * rep.rhs_se
+
+
+def test_intra_electron_rejects_an_unnormalized_comb():
+    half = GammaWeight.delta_comb([(0.0, 0.5)])
+    with pytest.raises(ValueError, match="not normalized"):
+        intra_electron_check(half, RABI, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 100, 1)
 
 
 # -- wmm end to end ----------------------------------------------------

@@ -15,7 +15,7 @@ def test_every_exported_name_resolves():
     assert missing == []
 
 
-def test_every_name_the_benchmark_tracer_wraps_exists():
+def test_perfbench_traced_names_exist():
     # perfbench times a layer by replacing a module-level name; a rename
     # here would otherwise break its --trace 1 runs without a test failing
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
