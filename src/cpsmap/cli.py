@@ -4,8 +4,9 @@ Drives the estimator families end to end from a small key-value config:
 build a Hamiltonian, estimate the requested correlation functions on a
 time grid, compare against the dense exact reference, and emit plottable
 CSV plus a run manifest.  Also hosts the validation suites (the exact
-mapping condition of the cmm kernel pair in closed form, the worst
-invariant drift over the sphere read off the propagation maps,
+mapping condition in closed form, of the configured comb for a cc family
+as estimate_tcf checks it, the worst invariant drift over the sphere
+read off the propagation maps,
 sphere-moment oracles) and the Monte Carlo convergence study.  The
 moment check streams one sphere sample in seeded chunks on the run's
 tcf.threads workers; the other two draw no sample.
@@ -50,9 +51,8 @@ from . import __version__
 from .cps import GammaWeight, gamma_wigner, onto_sphere, sample_sphere_batch, sphere_normals  # noqa: F401
 from .dynamics import grid_march
 from .estimators import (
-    EXACT_MAPPING_TOL, POOL_ROWS, MethodSpec, TCFRequest, _mapping_tensor, _pair_deltas, _run_blocks, estimate_tcf,
+    COMB_FAMILIES, EXACT_MAPPING_TOL, POOL_ROWS, MethodSpec, TCFRequest, _comb, _mapping_miss, _run_blocks, estimate_tcf,
 )
-from .kernels import inverse_kernel_coefficients
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf
 from .streams import BlockStreams, block_keys
@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise ConfigError("tcf.n_times: must be at least 2")
         if not (math.isfinite(self.t_max) and self.t_max > 0):
             raise ConfigError(f"tcf.t_max: must be positive and finite, got {self.t_max!r}")
+        if self.n_traj < 1:
+            raise ConfigError(f"tcf.n_traj: must be at least 1, got {self.n_traj!r}")
+        if not (math.isfinite(self.dt) and self.dt > 0):
+            raise ConfigError(f"tcf.dt: must be positive and finite, got {self.dt!r}")
         if self.threads < 1:
             raise ConfigError(f"tcf.threads: must be at least 1, got {self.threads!r}")
         if self.seed < 0:
@@ -421,16 +425,15 @@ def _check_products(name, label, parts, target):
     return ValidationResult(name, worst <= 5.0, f"{label}, worst |dev|/SE = {worst:.2f} (limit 5)")
 
 
-def _validate_exact_mapping(F, g):
-    """Closed-form check of F E[K_mn Kinv_lk] = delta_mk delta_nl for the cmm kernel and its inverse at g."""
-    c1, c2 = inverse_kernel_coefficients(F, g)
-    tensor = _mapping_tensor(F, [(1.0, g * np.eye(F), c1, c2 * np.eye(F))])
-    miss = float(np.max(np.abs(tensor - _pair_deltas(F)[1])))
-    return ValidationResult(
-        "exact_mapping",
-        miss <= EXACT_MAPPING_TOL,
-        f"gamma={g:.6g}, closed-form miss {miss:.2e} (limit {EXACT_MAPPING_TOL:.0e})",
-    )
+def _validate_exact_mapping(F, method):
+    """Closed-form check of the exact mapping identity for the comb of a cc method, as estimate_tcf checks it."""
+    name = f"cmm gamma={method.gamma:.6g}" if method.family == "cmm" else f"{method.family} comb"
+    try:
+        miss, where = _mapping_miss(F, _comb(method, F))
+    except ValueError as exc:
+        return ValidationResult("exact_mapping", False, f"{name}: {exc}")
+    detail = f"{name}, closed-form miss {miss:.2e} at (m, n, l, k) = {where} (limit {EXACT_MAPPING_TOL:.0e})"
+    return ValidationResult("exact_mapping", miss <= EXACT_MAPPING_TOL, detail)
 
 
 def _validate_drift(H, backend, dt):
@@ -469,9 +472,10 @@ def _validate_moments(parts, F, gamma):
 def run_validations(cfg, H):
     """Run the enabled validation suites for a config.
 
-    The exact-mapping check is the closed form of the cmm kernel pair at
-    method.gamma (the Wigner gamma where the family has none) and draws
-    no sample.  The moments check reads one sphere sample of
+    The exact-mapping check draws no sample: it is the closed form that
+    estimate_tcf checks, of the configured comb for a cc family and of
+    the cmm kernel pair at method.gamma (the Wigner gamma where there is
+    none) for any other.  The moments check reads one sphere sample of
     validate.n_traj rows in a single pass of POOL_ROWS-row chunks, made
     only when that check is enabled.  Chunk c draws from its own stream,
     SeedSequence(seed + 101, spawn_key=(c,)) served by cpsmap.streams,
@@ -486,7 +490,8 @@ def run_validations(cfg, H):
     if g is None or g <= -1.0 / F:
         g = gamma_wigner(F)
     if cfg.validate_exact_mapping:
-        results.append(_validate_exact_mapping(F, g))
+        cc = cfg.method.family in COMB_FAMILIES
+        results.append(_validate_exact_mapping(F, cfg.method if cc else MethodSpec.cmm(g)))
     if cfg.validate_drift:
         results.append(_validate_drift(H, cfg.backend, cfg.dt))
     if cfg.validate_moments:

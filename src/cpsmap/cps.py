@@ -132,11 +132,6 @@ class GammaWeight:
     def delta_comb(pairs):
         return GammaWeight(tuple((float(g), float(w)) for g, w in pairs))
 
-    @property
-    def support(self):
-        gs = [g for g, _ in self.pairs]
-        return (min(gs), max(gs))
-
     def moment(self, fn):
         """Signed sum of w_i * fn(gamma_i)."""
         return float(sum(w * fn(g) for g, w in self.pairs))

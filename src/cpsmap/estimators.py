@@ -39,9 +39,11 @@ xc), described by its frame weights and shift, as one F x F moment
 matrix per block and density side carried as U M U^dagger; a window (cx
 and ww) by one gemm of the frames with the map rows it reads (per
 bounded chunk of grid times).  Plans are looked up by family in one
-table (_PLANS).  Every density-side kernel entry comes from
-kernels.kernel_entries; every window is one batched function of the
-actions (..., F) in this module.
+table (_PLANS).  The cc families share one plan: each is a signed comb
+of sphere terms (_comb), whose exact mapping identity _prepare checks
+in closed form, drawn by the one sphere sampler (_comb_density).  Every
+density-side kernel entry comes from kernels.kernel_entries; every
+window is one batched function of the actions (..., F) in this module.
 
 Trajectories are generated in 100 fixed blocks, which double as
 jackknife resampling units for the standard errors.  Block b draws from
@@ -88,9 +90,10 @@ POOL_ROWS = 8192
 MARCH_ENTRIES = 1 << 19
 # A standard error at most this times max(1, |estimate|) is rounding noise.
 ZERO_VARIANCE_REL = 1e-12
-# The largest miss of the exact mapping identity a cmmcv comb, or the CLI's
-# cmm kernel pair, may have.
+# The largest miss of the exact mapping identity a cc comb may have.
 EXACT_MAPPING_TOL = 1e-8
+# The cc families: signed combs of covariant kernel pairs on spheres (see _comb).
+COMB_FAMILIES = ("cmm", "wmm", "cmmcv")
 
 def hill_exponent(F):
     """Exponent B(F) of the hill window, 3/(7(F-1)) + 60/(7(F+13))."""
@@ -306,33 +309,12 @@ def _prepare(req):
     _check_step(req.dt)
     method = req.method
     fam = method.family
-    if fam == "cmm" and method.gamma <= -1.0 / F:
-        raise ValueError(f"cmm gamma must exceed -1/F = {-1.0 / F}")
-    if fam == "wmm":
-        method.weight.validate()
-        moment = method.weight.moment(lambda g: F * g * g + 2.0 * g)
-        if not abs(moment - 1.0) <= 1e-6:
+    if fam in COMB_FAMILIES:
+        miss, where = _mapping_miss(F, _comb(method, F))
+        if not miss <= EXACT_MAPPING_TOL:
             raise ValueError(
-                "wmm weight violates the exact mapping condition: "
-                f"integral of w(gamma)(F gamma^2 + 2 gamma) is {moment!r}, expected 1"
-            )
-        lo = method.weight.support[0]
-        if lo <= -1.0 / F:
-            raise ValueError(f"wmm weight support reaches gamma <= -1/F = {-1.0 / F}")
-    if fam == "cmmcv":
-        for _, G in method.components:
-            if G.shape[0] != F:
-                raise ValueError(f"cmmcv Gamma dimension {G.shape[0]} does not match F={F}")
-            if np.real(np.trace(G)) <= -1.0:
-                raise ValueError("cmmcv component needs Tr Gamma > -1 for a real sphere radius")
-        miss = np.abs(_mapping_tensor(F, [(w, G, 0.5, G) for w, G in method.components]) - _pair_deltas(F)[1])
-        worst = np.unravel_index(np.argmax(miss), miss.shape)
-        if not miss[worst] <= EXACT_MAPPING_TOL:
-            where = ", ".join(str(i + 1) for i in worst)
-            raise ValueError(
-                "cmmcv comb violates the exact mapping condition: "
-                f"F sum_c w_c E_c[K_mn K_lk] misses delta_mk delta_nl by {miss[worst]:.3e} "
-                f"at (m, n, l, k) = ({where}), tolerance {EXACT_MAPPING_TOL:.0e}"
+                f"{fam} comb violates the exact mapping condition: F sum_c w_c E_c[K_mn K_lk] misses "
+                f"delta_mk delta_nl by {miss:.3e} at (m, n, l, k) = {where}, tolerance {EXACT_MAPPING_TOL:.0e}"
             )
     if fam == "dtwa" and F != 2:
         raise ValueError("dtwa is the F=2 method; use gdtwa for F >= 3")
@@ -359,18 +341,18 @@ def _pair_deltas(F):
 def _mapping_tensor(F, terms):
     """F sum_c w_c E_c[(z z^dagger/2 - A_c)_mn (b_c z z^dagger - B_c)_lk], indexed [m, n, l, k], in closed form.
 
-    terms holds the (w_c, A_c, b_c, B_c), with A_c and B_c F x F.  Term
-    c averages over the sphere of squared radius R^2 = 2(1 + Re Tr A_c),
-    where E[z_a z_b*] = (R^2/F) delta_ab and
-    E[z_a z_b* z_c z_d*] = R^4/(F(F+1)) (delta_ab delta_cd + delta_ad delta_cb).
-    A pair of kernels is exact when this is delta_mk delta_nl: a cmmcv
-    comb is the terms (w_c, Gamma_c, 1/2, Gamma_c), and the cmm kernel
-    with its inverse at gamma the one term (1, gamma I, c1, c2 I).
+    terms holds the (w_c, A_c, b_c, B_c), with A_c and B_c scalars
+    (times I) or F x F.  Term c averages over the sphere of squared
+    radius R^2 = 2(1 + Re Tr A_c), where E[z_a z_b*] = (R^2/F) delta_ab
+    and E[z_a z_b* z_c z_d*] = R^4/(F(F+1)) (delta_ab delta_cd + delta_ad delta_cb).
+    A comb of kernel pairs is exact when this is delta_mk delta_nl; _comb
+    gives the terms of the cc families.
     """
     I = np.eye(F)
     same, cross = _pair_deltas(F)
     T = np.zeros((F, F, F, F), dtype=np.complex128)
     for w, A, b, B in terms:
+        A, B = (X * I if np.ndim(X) == 0 else X for X in (A, B))
         R2 = 2.0 * (1.0 + np.real(np.trace(A)))
         T += w * (
             b * R2 * R2 / (2.0 * F * (F + 1)) * (same + cross)
@@ -378,6 +360,13 @@ def _mapping_tensor(F, terms):
             + np.multiply.outer(A, B)
         )
     return F * T
+
+
+def _mapping_miss(F, terms):
+    """The largest |miss| of the closed-form mapping tensor of terms against delta_mk delta_nl, and its 1-based (m, n, l, k)."""
+    miss = np.abs(_mapping_tensor(F, terms) - _pair_deltas(F)[1])
+    worst = np.unravel_index(np.argmax(miss), miss.shape)
+    return float(miss[worst]), tuple(int(i) + 1 for i in worst)
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +423,7 @@ def _draw_group(rngs, nb, draw=None, F=None):
     draw(rng, nb) returns a tuple of nb-row arrays, which come back
     concatenated item by item over the group.  With F given, each block
     then draws its sphere normals into the rows of one scratch array,
-    which comes back last (see _onto_sphere).
+    which comes back last (see _comb_density).
     """
     w = None if F is None else rngs.scratch("frames", (len(rngs) * nb, F))
     parts = []
@@ -445,11 +434,6 @@ def _draw_group(rngs, nb, draw=None, F=None):
             sphere_normals(rng, w[i * nb:(i + 1) * nb], rngs.scratch("normals", (nb, F), np.float64))
     items = [np.concatenate(p) for p in zip(*parts)]
     return items if w is None else items + [w]
-
-
-def _onto_sphere(rngs, w, F, gamma):
-    """The group's normals w scaled onto the sphere at gamma in place, with a scratch |w|^2."""
-    return onto_sphere(w, F, gamma, rngs.scratch("temp", w.shape))
 
 
 def _kernel_group(U, plan, idxs):
@@ -591,80 +575,80 @@ def _reduce(req, plan, idxs, t_grid, out, sizes):
 
 
 # ---------------------------------------------------------------------------
-# the single-sphere density side
+# sphere combs: the cc families, and the sphere draws of the cx and ww plans
 
 
-def _sphere_density(F, g, sides):
-    """Sampler of the sphere at g with the density weights F K_mn(z) of every side (n, m)."""
+def _sphere_gamma(A, F):
+    """The sphere parameter of a comb term's density shift A: A itself (times I), or Re Tr A / F."""
+    return A if np.ndim(A) == 0 else np.real(np.trace(A)) / F
+
+
+def _comb(method, F):
+    """The terms (w_c, A_c, b_c, B_c) of a cc method's comb (see _mapping_tensor), after the domain check.
+
+    cmm is the one term (1, gamma, c1, c2) of its kernel and inverse
+    kernel, wmm the terms (w, gamma_c, 1/2, gamma_c) of its pairs and
+    cmmcv the terms (w, Gamma_c, 1/2, Gamma_c) of its components.  Term
+    c samples the sphere of squared radius 2(1 + Re Tr A_c) > 0.
+    """
+    fam = method.family
+    if fam == "cmm":
+        terms = [(1.0, method.gamma, None, None)]
+    elif fam == "wmm":
+        terms = [(w, g, 0.5, g) for g, w in method.weight.pairs]
+    else:
+        terms = [(w, G, 0.5, G) for w, G in method.components]
+    for i, (_, A, _, _) in enumerate(terms, start=1):
+        if np.ndim(A) and np.shape(A) != (F, F):
+            raise ValueError(f"{fam} Gamma {i} has shape {np.shape(A)}, not ({F}, {F})")
+        if not (g := _sphere_gamma(A, F)) > -1.0 / F:
+            raise ValueError(f"{fam} sphere {i}: gamma = Re Tr Gamma / F = {g!r} must exceed -1/F = {-1.0 / F}")
+    if fam == "cmm":  # the inverse kernel divides by the shell 1 + F gamma, checked above
+        terms = [(1.0, method.gamma, *inverse_kernel_coefficients(F, method.gamma))]
+    return terms
+
+
+def _comb_density(F, terms, sides):
+    """Sampler of a comb's spheres with the density weights F sum|w| sgn(w_c) K_mn(z; A_c) of every side (n, m).
+
+    A trajectory draws its term c with probability |w_c| / sum|w| (a
+    comb of one term draws none), then its frame z on the sphere of
+    term c.  Its shift coordinates are B_c, the one delta_lk column, for
+    scalar B, and otherwise the one-hot row of c (see _comb_plan).
+    """
+    ws, As, _, Bs = (np.array(x) for x in zip(*terms))
+    probs = np.abs(ws) / np.sum(np.abs(ws))
+    scales = F * float(np.sum(np.abs(ws))) * np.where(ws < 0.0, -1.0, 1.0)
+    gammas = np.array([_sphere_gamma(A, F) for A in As])
+    shifts = np.stack([np.diag(np.full(F, A)) if A.ndim == 0 else A for A in As]).astype(np.complex128)
+    coords = Bs[:, None] if Bs.ndim == 1 else np.eye(len(terms))
+
+    def draw(rng, nb):
+        return (rng.choice(len(terms), size=nb, p=probs),)
 
     def sample(rngs, nb):
-        (w,) = _draw_group(rngs, nb, F=F)
-        Z = _onto_sphere(rngs, w, F, g)[:, None, :]
-        return Z, [F * kernel_entries(Z, m0, n0, g) for n0, m0 in sides]
+        if len(terms) == 1:
+            c, (w,) = 0, _draw_group(rngs, nb, F=F)
+        else:
+            c, w = _draw_group(rngs, nb, draw, F)
+        Z = onto_sphere(w, F, gammas[c], rngs.scratch("temp", w.shape))[:, None, :]
+        return Z, [scales[c] * kernel_entries(Z, m0, n0, Gamma=shifts[c, m0, n0]) for n0, m0 in sides], coords[c]
 
     return sample
 
 
-# ---------------------------------------------------------------------------
-# cc families
+def _comb_plan(req, F, idxs, U):
+    """cmm, wmm and cmmcv: the observable kernel b z z^dagger - B_c of each trajectory's term c.
 
-
-def _cmm_plan(req, F, idxs, U):
-    g = req.method.gamma
-    c1, c2 = inverse_kernel_coefficients(F, g)
-    density = _sphere_density(F, g, _sides(idxs))
-    return _Plan(lambda rngs, nb: (*density(rngs, nb), c2), weights=c1)
-
-
-def _wmm_plan(req, F, idxs, U):
-    weight = req.method.weight
-    tot = weight.abs_total()
-    sides = _sides(idxs)
-
-    def sample(rngs, nb):
-        gam, sgn, w = _draw_group(rngs, nb, weight.sample_batch, F)
-        Z = _onto_sphere(rngs, w, F, gam)[:, None, :]
-        Ws = [kernel_entries(Z, m0, n0, gam) * (F * tot * sgn) for n0, m0 in sides]
-        return Z, Ws, gam[:, None]
-
-    return _Plan(sample)
-
-
-def _cmmcv_plan(req, F, idxs, U):
-    """cmmcv: self-dual Gamma-comb kernels, K = (1/2) z z^dagger - Gamma_c.
-
-    Each trajectory carries one frame z on the sphere of its component c
-    (squared radius 2(1 + Tr Gamma_c)), drawn with probability
-    |w_c| / sum|w|.  Both backends march z by the maps U_t, and
-    U K U^dagger = (1/2)(U z)(U z)^dagger - U Gamma_c U^dagger.  The last
-    term is shared by every trajectory of component c, so its (l, k)
-    entry is read off the maps once per request, and a trajectory's
-    shift coordinates pick its component.
+    Every term of these combs has the same b.  A scalar B_c is the one
+    delta_lk column; a matrix B_c is shared by the trajectories of term
+    c, so its (l, k) entry of U_t B_c U_t^dagger is read off the maps
+    once per request.
     """
-    comps = req.method.components
-    sides = _sides(idxs)
-    weights = np.array([w for w, _ in comps])
-    tot = float(np.sum(np.abs(weights)))
-    probs = np.abs(weights) / tot
-    comp_signs = np.sign(weights)
-    comp_signs[comp_signs == 0] = 1.0
-    gstack = np.stack([G for _, G in comps])
-    shells = np.array([np.real(np.trace(G)) for G in gstack]) / F
-    pick = np.eye(len(comps))
-
-    def sample(rngs, nb):
-        ci, w = _draw_group(rngs, nb, lambda rng, nb: (rng.choice(len(comps), size=nb, p=probs),), F)
-        Z = _onto_sphere(rngs, w, F, shells[ci])[:, None, :]
-        Ws = [
-            (F * tot * comp_signs[ci]) * kernel_entries(Z, m0, n0, Gamma=gstack[ci, m0, n0])
-            for n0, m0 in sides
-        ]
-        return Z, Ws, pick[ci]
-
-    def gamma_lk(l0, k0):
-        return np.einsum("ta,cab,tb->tc", U[:, l0], gstack, U[:, k0].conj())
-
-    return _Plan(sample, shift_lk=gamma_lk)
+    terms = _comb(req.method, F)
+    Bs = np.array([B for _, _, _, B in terms])
+    shift_lk = None if Bs.ndim == 1 else lambda l0, k0: np.einsum("ta,cab,tb->tc", U[:, l0], Bs, U[:, k0].conj())
+    return _Plan(_comb_density(F, terms, _sides(idxs)), weights=terms[0][2], shift_lk=shift_lk)
 
 
 # ---------------------------------------------------------------------------
@@ -682,8 +666,9 @@ def _cx_plan(req, F, idxs, U):
         return np.stack([(W.reshape(E.shape[0], 1, -1) @ cw)[:, 0] for W in Ws], axis=-1)
 
     columns = [ks.index(idx[2]) * len(sides) + sides.index(idx[:2]) for idx in idxs]
+    density = _comb_density(F, [(1.0, g, None, None)], sides)
     return _Plan(
-        _sphere_density(F, g, sides), rows=[[k0] for k0 in ks], window=window,
+        lambda rngs, nb: density(rngs, nb)[:2], rows=[[k0] for k0 in ks], window=window,
         width=len(ks) * len(sides), columns=columns,
     )
 
@@ -821,7 +806,8 @@ def _ww_plan(req, F, idxs, U):
         measure = 1.0
     else:
         g = 0.0 if fam == "triangle_f2_single" else req.method.gamma
-        draw = lambda rngs, nb: _onto_sphere(rngs, _draw_group(rngs, nb, F=F)[0], F, g)
+        sphere = _comb_density(F, [(1.0, g, None, None)], [])
+        draw = lambda rngs, nb: sphere(rngs, nb)[0][:, 0]
         measure = float(F)
         if fam == "triangle_f2_single":
             rho = lambda e0: e0[:, n0]
@@ -904,9 +890,7 @@ def _cornered_window(e_n, F, g):
 
 
 _PLANS = {
-    "cmm": _cmm_plan,
-    "wmm": _wmm_plan,
-    "cmmcv": _cmmcv_plan,
+    **dict.fromkeys(COMB_FAMILIES, _comb_plan),
     "cornered_simplex": _cx_plan,
     "triangle_sqc": _triangle_sqc_plan,
     "ehrenfest": _focused_plan,
@@ -922,7 +906,7 @@ _PLANS = {
 # Plans whose frames do not depend on the density side: all of a call's
 # requests are one ensemble.  Every other plan samples from its density
 # side (n, m), so its ensembles are the requests sharing one.
-_SHARED_FRAMES = {_cmm_plan, _wmm_plan, _cmmcv_plan, _cx_plan}
+_SHARED_FRAMES = {_comb_plan, _cx_plan}
 
 
 def _same(a, b):

@@ -7,7 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from cpsmap import __version__, cli
+from cpsmap import __version__, cli, estimators
 from cpsmap.cli import (
     ConfigError,
     ExperimentConfig,
@@ -211,6 +211,14 @@ def test_experiment_config_validation():
             ExperimentConfig(
                 ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], threads=threads
             )
+    for n_traj in (0, -3):
+        with pytest.raises(ConfigError, match="^tcf.n_traj: "):
+            ExperimentConfig(
+                ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], n_traj=n_traj
+            )
+    for dt in (0.0, -1e-3, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="^tcf.dt: "):
+            ExperimentConfig(ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], dt=dt)
 
 
 def test_main_rejects_bad_threads_and_run_length(tmp_path, capsys):
@@ -220,6 +228,11 @@ def test_main_rejects_bad_threads_and_run_length(tmp_path, capsys):
     path = write_config(tmp_path, BASE + "tcf.t_max = nan\n")
     assert main(["validate", str(path)]) == 1
     assert "tcf.t_max" in capsys.readouterr().err
+    # once these passed validate and failed only in the estimate, without the key
+    for line in ("tcf.n_traj = 0", "tcf.dt = 0"):
+        path = write_config(tmp_path, BASE + line + "\n")
+        assert main(["validate", str(path)]) == 1
+        assert f"config error: {line.split(' =')[0]}: " in capsys.readouterr().err
 
 
 def test_version_falls_back_when_git_describe_times_out(monkeypatch):
@@ -403,14 +416,34 @@ def moment_sums(Z):
 
 
 def test_exact_mapping_validation_fails_on_the_wrong_sphere(monkeypatch):
-    assert _validate_exact_mapping(3, 0.0).passed
+    assert _validate_exact_mapping(3, MethodSpec.cmm(0.0)).passed
     # inverse-kernel coefficients of the sphere at gamma = 1 fail the closed form at 0
-    monkeypatch.setattr(cli, "inverse_kernel_coefficients", lambda F, g: inverse_kernel_coefficients(F, 1.0))
-    bad = _validate_exact_mapping(3, 0.0)
+    monkeypatch.setattr(
+        estimators, "inverse_kernel_coefficients", lambda F, g: inverse_kernel_coefficients(F, 1.0)
+    )
+    bad = _validate_exact_mapping(3, MethodSpec.cmm(0.0))
     assert not bad.passed
     assert "closed-form miss" in bad.detail
     # and a sample of that sphere fails the moments check at 0
     assert not _validate_moments(moment_sums(sphere_sample(3, 1.0)), 3, 0.0).passed
+
+
+@pytest.mark.parametrize(
+    "method, passed",
+    [
+        ("method.family = wmm\nmethod.weight = 0.25:1", False),  # misses by 0.25
+        ("method.family = cmmcv\nmethod.components = 1:0.1", False),  # misses by 0.52
+        ("method.family = wmm\nmethod.weight = 0:0.75; 1:0.25", True),
+    ],
+)
+def test_main_validate_checks_the_configured_comb(tmp_path, capsys, method, passed):
+    # the check once looked at the cmm pair at the Wigner gamma and passed
+    # combs that estimate_tcf rejects
+    text = BASE.replace("method.family = cmm", method) + "validate.drift = false\nvalidate.moments = false\n"
+    assert main(["validate", str(write_config(tmp_path, text))]) == (0 if passed else 2)
+    out = capsys.readouterr().out
+    assert f"validation exact_mapping: {'pass' if passed else 'FAIL'} (" in out
+    assert f"({method.split()[2]} comb, closed-form miss" in out
 
 
 def test_moments_validation_fails_at_the_wrong_gamma():

@@ -68,7 +68,6 @@ def test_single_weight_moments():
     w = GammaWeight.single(0.25)
     assert w.total_weight() == 1.0
     assert w.moment(lambda g: g * g) == pytest.approx(0.0625)
-    assert w.support == (0.25, 0.25)
 
 
 def test_delta_comb_signed_weights():

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -723,6 +724,43 @@ def test_cmmcv_mapping_tensor_matches_monte_carlo():
 def test_cmmcv_gamma_trace_domain():
     with pytest.raises(ValueError, match="Tr Gamma"):
         estimate_tcf(request(RABI, MethodSpec.cmmcv([(1.0, -0.6 * np.eye(2))])))
+
+
+def comb_verdict(method, F):
+    """None when _prepare accepts the comb, else the (m, n, l, k) its error names."""
+    try:
+        _prepare(request(random_h(F), method))
+    except ValueError as exc:
+        assert "exact mapping condition" in str(exc)
+        return re.search(r"\(m, n, l, k\) = (\(.*?\))", str(exc)).group(1)
+    return None
+
+
+@pytest.mark.parametrize("F", [2, 3, 5])
+@pytest.mark.parametrize("excess", [0.0, 1e-7])
+def test_one_comb_gets_one_verdict_as_wmm_pairs_or_cmmcv_components(F, excess):
+    # nodes 0 and 1 normalized; the moment sum_c w_c (F g_c^2 + 2 g_c) is 1 + excess
+    w2 = (1.0 + excess) / (F + 2.0)
+    pairs = [(0.0, 1.0 - w2), (1.0, w2)]
+    wmm = MethodSpec.wmm(GammaWeight.delta_comb(pairs))
+    cmmcv = MethodSpec.cmmcv([(w, g * np.eye(F)) for g, w in pairs])
+    assert wmm.weight.total_weight() == pytest.approx(1.0, abs=1e-15)
+    verdict = comb_verdict(wmm, F)
+    assert verdict == comb_verdict(cmmcv, F)
+    if excess == 0.0:
+        assert verdict is None
+    else:
+        # the moment check that this replaced accepted a miss of 1e-7 (tolerance 1e-6)
+        assert verdict is not None
+        miss, _ = estimators._mapping_miss(F, estimators._comb(wmm, F))
+        assert estimators.EXACT_MAPPING_TOL < miss < 1e-6
+
+
+@pytest.mark.parametrize("F", range(1, 17))
+def test_cmm_passes_the_mapping_check_across_the_gamma_domain(F):
+    for shell in (1e-3, 1e-2, 1.0, 11.0):
+        terms = estimators._comb(MethodSpec.cmm((shell - 1.0) / F), F)
+        assert estimators._mapping_miss(F, terms)[0] <= estimators.EXACT_MAPPING_TOL
 
 
 # -- window functions -------------------------------------------------
