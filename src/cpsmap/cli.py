@@ -219,7 +219,7 @@ def _build_model(entries):
     return spec, text
 
 
-def _parse_pair_list(key, value):
+def _parse_pair_list(key, value, F):
     pairs = []
     for chunk in value.split(";"):
         chunk = chunk.strip()
@@ -229,6 +229,8 @@ def _parse_pair_list(key, value):
         if len(fields) != 4:
             raise ConfigError(f"{key}: expected 'n,m,k,l', got {chunk!r}")
         n, m, k, l = (_as_int(key, f) for f in fields)
+        if not all(1 <= i <= F for i in (n, m, k, l)):
+            raise ConfigError(f"{key}: index outside 1..{F} in {chunk!r}")
         pairs.append(((n, m), (k, l)))
     if not pairs:
         raise ConfigError(f"{key}: empty pair list")
@@ -345,7 +347,7 @@ def load_config(path, overrides=None):
     F = H.shape[0]
     method_spec, method_text = _build_method(entries, F)
 
-    pairs = _parse_pair_list("tcf.pairs", entries.pop("tcf.pairs", "1,1,1,1"))
+    pairs = _parse_pair_list("tcf.pairs", entries.pop("tcf.pairs", "1,1,1,1"), F)
     cfg_kwargs = {
         key.replace("tcf.", "").replace(".", "_"): parse(key, entries.pop(key, default))
         for key, (parse, default) in _SCALAR_KEYS.items()
@@ -708,6 +710,9 @@ def main(argv=None):
                 sizes = [_as_int("--n", tok.strip()) for tok in args.n.split(",") if tok.strip()]
             except ConfigError:
                 print(f"usage error: --n: not a number list: {args.n!r}", file=sys.stderr)
+                return 1
+            if any(N < 1 for N in sizes):
+                print(f"usage error: --n: sizes must be at least 1, got {args.n!r}", file=sys.stderr)
                 return 1
             report = convergence_study(cfg, sizes)
             print(f"wrote {report.path}; slope = {report.slope:.3f}")

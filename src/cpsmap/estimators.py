@@ -753,8 +753,7 @@ def _discrete_plan(req, F, idxs, U):
     """dtwa and gdtwa: uniform draws from the discrete point sets."""
     n0, m0 = idxs[0][:2]
     sig = gdtwa_signature(F)
-    set_n = gdtwa_points(F, n0 + 1)
-    frames_n = set_n.frames
+    frames_n, column_n = gdtwa_points(F, n0 + 1)
     npts = frames_n.shape[0]
     if n0 == m0:
 
@@ -763,10 +762,7 @@ def _discrete_plan(req, F, idxs, U):
             return frames_n[pts], [np.ones(len(pts), dtype=np.complex128)], sig.gamma
 
     else:
-        set_m = gdtwa_points(F, m0 + 1)
-        frames_m = set_m.frames
-        kv_n = set_n.kernel_values[:, m0, n0]
-        kv_m = set_m.kernel_values[:, m0, n0]
+        frames_m, column_m = gdtwa_points(F, m0 + 1)
 
         def draw(rng, nb):
             return rng.random(nb), rng.integers(npts, size=nb)
@@ -775,7 +771,8 @@ def _discrete_plan(req, F, idxs, U):
             u_pick, pts = _draw_group(rngs, nb, draw)
             pick = u_pick < 0.5
             Z = np.where(pick[:, None, None], frames_n[pts], frames_m[pts])
-            return Z, [2.0 * np.where(pick, kv_n[pts], kv_m[pts])], sig.gamma
+            W = np.where(pick, column_n[pts, m0], np.conj(column_m[pts, n0]))
+            return Z, [2.0 * W], sig.gamma
 
     signs = np.asarray(sig.signs, dtype=np.float64)
     return _Plan(sample, weights=0.5 * signs)

@@ -16,20 +16,18 @@ inverse kernel's weight and shift on the sphere at gamma.  The
 estimators' density side calls them; the estimators sum the observable
 kernel over a block as one moment matrix instead.
 classify_kernel reads the component signature off an arbitrary
-Hermitian matrix, point_from_kernel reconstructs the phase point (its
-signature and frames), and gdtwa_points builds the 2^(2(F-1)) discrete
-kernel matrices and frames used by the discrete-sampling estimators.
+Hermitian matrix and point_from_kernel reconstructs the phase point
+(its signature and frames) by one eigensolve.  gdtwa_points builds the
+4^(F-1) discrete points of the discrete-sampling estimators in closed
+form: every such kernel lies in span{e_n, u} with one common spectrum,
+so its frames and its column n follow from the point's signs alone.
 
 States are numbered 1..F in public interfaces.
 """
 
-import functools
-import itertools
-from dataclasses import dataclass
-
 import numpy as np
 
-from .cps import StiefelSignature
+from .cps import StiefelSignature, gdtwa_signature
 from .qcore import hermitian_eig
 
 # Relative tolerance for grouping kernel eigenvalues into degenerate
@@ -100,11 +98,11 @@ def _group_eigenvalues(lam):
 
 
 def _classify(lam):
-    """Group an ascending spectrum into its component's classes.
+    """The signature of an ascending kernel spectrum, and the indices of its frame eigenvalues.
 
-    Returns (chosen, frame_indices): the maximally degenerate class of
-    indices, whose eigenvalue is -gamma, and the indices of the frame
-    eigenvalues in the signature's frame order.
+    gamma is minus the maximally degenerate eigenvalue; the frame
+    eigenvalues are the others, descending by |lambda + gamma|, and
+    their indices come back in that order.
     """
     classes = _group_eigenvalues(lam)
     d_max = max(len(c) for c in classes)
@@ -117,27 +115,9 @@ def _classify(lam):
     gamma = -reps[best]
     frame_idx = [i for c in classes if c is not chosen for i in c]
     frame_idx.sort(key=lambda i: (-abs(lam[i] + gamma), -lam[i]))
-    return chosen, frame_idx
-
-
-def _signatures(lams, chosen, frame_idx):
-    """One signature per spectrum of lams (npts, F), all grouped as _classify grouped one.
-
-    Each spectrum sets its own gamma and frame eigenvalues; bitwise
-    equal spectra share one (immutable) signature.  Also returns the
-    squared frame radii 2|lambda_i + gamma|, (npts, r).
-    """
-    gammas = -np.mean(lams[:, chosen], axis=1)
-    shifted = lams[:, frame_idx] + gammas[:, None]
-    built = {}
-    for lam, g, sh in zip(lams, gammas.tolist(), shifted):
-        key = lam.tobytes()
-        if key not in built:
-            built[key] = StiefelSignature(
-                lam.size, (*lam[frame_idx].tolist(), *(-g,) * len(chosen)), len(frame_idx), g,
-                tuple(np.where(sh > 0, 1, -1).tolist()),
-            )
-    return [built[lam.tobytes()] for lam in lams], 2.0 * np.abs(shifted)
+    signs = np.where(lam[frame_idx] + gamma > 0, 1, -1).tolist()
+    eigenvalues = (*lam[frame_idx].tolist(), *(-gamma,) * len(chosen))
+    return StiefelSignature(lam.size, eigenvalues, len(frame_idx), gamma, tuple(signs)), frame_idx
 
 
 def classify_kernel(K):
@@ -148,21 +128,7 @@ def classify_kernel(K):
     absolute eigenvalue); the frame eigenvalues come back descending by
     |lambda + gamma| with their signs.
     """
-    lam = hermitian_eig(K).eigenvalues
-    return _signatures(lam[None], *_classify(lam))[0][0]
-
-
-def _frames_from_eigensystems(lams, vecs):
-    """The signatures and frames (npts, r, F) of a stack of kernels with one common spectrum.
-
-    lams (npts, F) and vecs (npts, F, F) are the kernels' eigensystems.
-    The spectrum is classified once, on the first kernel; each point
-    takes its gamma and frame radii from its own eigenvalues.  Frame i
-    is sqrt(2|lambda_i + gamma|) times the corresponding eigenvector.
-    """
-    chosen, frame_idx = _classify(lams[0])
-    sigs, radii_sq = _signatures(lams, chosen, frame_idx)
-    return sigs, np.sqrt(radii_sq)[..., None] * np.swapaxes(vecs[:, :, frame_idx], -1, -2)
+    return _classify(hermitian_eig(K).eigenvalues)[0]
 
 
 def point_from_kernel(K):
@@ -173,49 +139,34 @@ def point_from_kernel(K):
     evaluating the covariant kernel at the result reproduces K.
     """
     dec = hermitian_eig(K)
-    sigs, Z = _frames_from_eigensystems(dec.eigenvalues[None], dec.eigenvectors[None])
-    return sigs[0], Z[0]
+    sig, frame_idx = _classify(dec.eigenvalues)
+    return sig, np.sqrt(sig.frame_radii_sq())[:, None] * dec.eigenvectors[:, frame_idx].T
 
 
-@dataclass(frozen=True)
-class DiscretePointSet:
-    """The discrete phase points of one initial state.
-
-    Point a is one of the 2^(2(F-1)) sign choices (deltas, sigmas) over
-    the other states, the deltas outer and the sigmas inner, each +1
-    before -1; kernel_values[a] is its kernel matrix, (npoints, F, F),
-    and frames[a] its reconstructed frames, (npoints, r, F).
-    gdtwa_points caches the sets, so their arrays are read-only.
-    """
-
-    F: int
-    state: int
-    kernel_values: np.ndarray
-    frames: np.ndarray
-
-
-@functools.lru_cache(maxsize=64)
 def gdtwa_points(F, n):
-    """Build the discrete point set of initial state n (1-based), cached per (F, n).
+    """The 4^(F-1) discrete phase points of initial state n (1-based): (frames, column).
 
-    Each kernel matrix has entry (n, n) = 1, entries
-    (i, n) = (delta_i + i*sigma_i)/2 for i != n, the conjugates across
-    the diagonal, and zeros elsewhere; the common spectrum is
-    {(1 +- sqrt(2F-1))/2, 0, ..., 0}.  The kernels are diagonalized as
-    one stack.
+    Point a is one sign choice (delta_i, sigma_i) over the states
+    i != n, read off the bits of a: the deltas outer and the sigmas
+    inner, each +1 before -1.  Its kernel is
+    K = e_n e_n^dagger + u e_n^dagger + e_n u^dagger with
+    u_i = (delta_i + i*sigma_i)/2, so |u|^2 = (F-1)/2; column[a] is its
+    column n, 1 at n and u elsewhere, (npoints, F).  K has the
+    spectrum of gdtwa_signature(F), and the eigenvector of each frame
+    eigenvalue lambda is proportional to lambda e_n + u, so frames[a]
+    (npoints, r, F) holds sqrt(2|lambda + gamma|) times the unit
+    vectors (lambda e_n + u)/|lambda e_n + u|.
     """
     if not 1 <= n <= F:
         raise ValueError(f"state index {n} outside 1..{F}")
+    sig = gdtwa_signature(F)
     n0 = n - 1
-    others = [i for i in range(F) if i != n0]
-    signs = np.array(list(itertools.product((1, -1), repeat=2 * (F - 1))), dtype=np.float64)
-    ds, ss = signs.reshape(len(signs), 2, F - 1).transpose(1, 0, 2)
-    K = np.zeros((len(signs), F, F), dtype=np.complex128)
-    K[:, n0, n0] = 1.0
-    K[:, others, n0] = 0.5 * (ds + 1j * ss)
-    K[:, n0, others] = 0.5 * (ds - 1j * ss)
-    dec = hermitian_eig(K)
-    frames = np.ascontiguousarray(_frames_from_eigensystems(dec.eigenvalues, dec.eigenvectors)[1])
-    for a in (K, frames):
-        a.flags.writeable = False
-    return DiscretePointSet(F, n, K, frames)
+    shifts = np.arange(2 * F - 3, -1, -1)
+    signs = 1.0 - 2.0 * ((np.arange(4 ** (F - 1))[:, None] >> shifts) & 1)
+    column = np.ones((len(signs), F), dtype=np.complex128)
+    column[:, [i for i in range(F) if i != n0]] = 0.5 * (signs[:, : F - 1] + 1j * signs[:, F - 1 :])
+    lam = np.array(sig.eigenvalues[: sig.r])
+    scale = np.sqrt(sig.frame_radii_sq() / (lam**2 + (F - 1) / 2.0))
+    frames = scale[:, None] * column[:, None, :]
+    frames[:, :, n0] = scale * lam
+    return frames, column

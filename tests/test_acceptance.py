@@ -215,7 +215,11 @@ def test_kernel_spectra():
         expect = np.sort(
             np.array([(1.0 - root) / 2.0] + [0.0] * (F - 2) + [(1.0 + root) / 2.0])
         )
-        for K in gdtwa_points(F, 1).kernel_values:
+        column = gdtwa_points(F, 1)[1]
+        kernels = np.zeros((len(column), F, F), dtype=np.complex128)
+        kernels[:, :, 0] = column
+        kernels[:, 0, :] = np.conj(column)
+        for K in kernels:
             lam = hermitian_eig(K).eigenvalues
             worst = max(worst, float(np.max(np.abs(lam - expect))))
     _report(3, "kernel spectra", worst < 1e-10, f"max deviation {worst:.1e}")

@@ -101,6 +101,17 @@ def test_load_config_bad_pair(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("pairs", ["1,1,1,3", "0,1,1,1", "1,1,1,1; 2,3,1,1"])
+def test_pair_index_outside_the_states_is_rejected_at_load(tmp_path, capsys, pairs):
+    # run once failed inside estimate_tcf and validate passed the config
+    path = write_config(tmp_path, BASE.replace("tcf.pairs = 1,1,1,1; 1,1,2,2", f"tcf.pairs = {pairs}"))
+    with pytest.raises(ConfigError, match=r"tcf.pairs: index outside 1..2"):
+        load_config(path)
+    for command in ("run", "validate"):
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "config error: tcf.pairs: index outside 1..2" in capsys.readouterr().err
+
+
 def test_load_config_family_domain_error_is_config_error(tmp_path):
     text = "model.kind = two_level\nmethod.family = cornered_simplex\nmethod.gamma = 0\n"
     with pytest.raises(ConfigError, match="gamma > 0"):
@@ -535,6 +546,14 @@ def test_main_converge_rejects_sizes_that_are_not_whole(tmp_path, capsys, sizes)
     code = main(["converge", str(write_config(tmp_path)), "--n", sizes, "--out", str(tmp_path / "o")])
     assert code == 1
     assert "not a number list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["0,10,100", "10,-5,100"])
+def test_main_converge_rejects_sizes_below_one(tmp_path, capsys, sizes):
+    code = main(["converge", str(write_config(tmp_path)), "--n", sizes, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "usage error: --n: sizes must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_converge_runs(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Mapping kernels, their inverses, classification, and discrete point sets."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,15 +8,12 @@ import pytest
 
 from cpsmap.cps import gdtwa_signature, sample_sphere_batch, sample_stiefel
 from cpsmap.kernels import (
-    DiscretePointSet,
-    _frames_from_eigensystems,
     classify_kernel,
     gdtwa_points,
     inverse_kernel_coefficients,
     kernel_entries,
     point_from_kernel,
 )
-from cpsmap.qcore import hermitian_eig
 
 
 def haar_unitary(F, rng):
@@ -158,64 +156,71 @@ def test_point_from_kernel_roundtrip_random_covariant():
         assert np.max(np.abs(back - K)) < 1e-10
 
 
+def kernels_from_column(column, n):
+    """The gdtwa kernel matrices: column n is column, row n its conjugate, zeros elsewhere."""
+    K = np.zeros(column.shape + column.shape[-1:], dtype=np.complex128)
+    K[:, :, n - 1] = column
+    K[:, n - 1, :] = np.conj(column)
+    return K
+
+
 def test_gdtwa_points_two_level():
-    ps = gdtwa_points(2, 1)
-    assert isinstance(ps, DiscretePointSet)
-    assert ps.kernel_values.shape == (4, 2, 2)
-    assert ps.frames.shape == (4, 1, 2)
+    frames, column = gdtwa_points(2, 1)
+    kernels = kernels_from_column(column, 1)
+    assert kernels.shape == (4, 2, 2)
+    assert frames.shape == (4, 1, 2)
     lam_expect = np.sort([(1 - math.sqrt(3.0)) / 2, (1 + math.sqrt(3.0)) / 2])
-    for K in ps.kernel_values:
+    for K in kernels:
         assert abs(np.trace(K).real - 1.0) < 1e-12
         assert abs(np.linalg.det(K).real + 0.5) < 1e-12
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(K)) - lam_expect)) < 1e-12
     # sign-symmetric average collapses to the projector
-    avg = np.mean(ps.kernel_values, axis=0)
+    avg = np.mean(kernels, axis=0)
     assert np.allclose(avg, [[1.0, 0.0], [0.0, 0.0]], atol=1e-12)
 
 
 def test_gdtwa_points_three_level():
-    ps = gdtwa_points(3, 2)
-    assert ps.kernel_values.shape == (16, 3, 3)
-    assert ps.frames.shape == (16, 2, 3)
+    frames, column = gdtwa_points(3, 2)
+    kernels = kernels_from_column(column, 2)
+    assert kernels.shape == (16, 3, 3)
+    assert frames.shape == (16, 2, 3)
     c = math.sqrt(5.0)
     lam_expect = np.sort([(1 - c) / 2, 0.0, (1 + c) / 2])
-    for K in ps.kernel_values:
+    for K in kernels:
         assert np.max(np.abs(np.sort(np.linalg.eigvalsh(K)) - lam_expect)) < 1e-12
         assert abs(K[1, 1] - 1.0) < 1e-14  # occupied-state entry
 
 
 def test_gdtwa_points_roundtrip():
-    ps = gdtwa_points(3, 1)
+    frames, column = gdtwa_points(3, 1)
     sig = gdtwa_signature(3)
-    back = kernel_entries(ps.frames, gamma=sig.gamma, weights=0.5 * np.asarray(sig.signs))
-    assert np.max(np.abs(back - ps.kernel_values)) < 1e-10
+    back = kernel_entries(frames, gamma=sig.gamma, weights=0.5 * np.asarray(sig.signs))
+    assert np.max(np.abs(back - kernels_from_column(column, 1))) < 1e-10
 
 
-@pytest.mark.parametrize("F", [2, 3, 4, 5])
+@pytest.mark.parametrize("F", [2, 3, 4, 5, 6])
 def test_gdtwa_points_equal_one_point_from_kernel_per_kernel(F):
-    # one batched eigensolve and one classification give each kernel's
-    # own point bit for bit, with gamma read off its own eigenvalues
+    # the closed-form frames are the paper's kernel -> point map of each
+    # kernel, frame by frame up to the eigenvector phase
+    sig = gdtwa_signature(F)
+    weights = 0.5 * np.asarray(sig.signs)
+    # the sign choices (deltas, sigmas) in their documented order
+    signs = np.array(list(itertools.product((1, -1), repeat=2 * (F - 1))), dtype=np.float64)
     for n in range(1, F + 1):
-        ps = gdtwa_points(F, n)
-        assert len(ps.kernel_values) == len(ps.frames) == 4 ** (F - 1)
-        dec = hermitian_eig(ps.kernel_values)
-        sigs, frames = _frames_from_eigensystems(dec.eigenvalues, dec.eigenvectors)
-        assert frames.tobytes() == ps.frames.tobytes()
-        for K, sig, Z in zip(ps.kernel_values, sigs, ps.frames):
+        frames, column = gdtwa_points(F, n)
+        assert frames.shape == (4 ** (F - 1), sig.r, F)
+        expect = np.ones((4 ** (F - 1), F), dtype=np.complex128)
+        expect[:, [i for i in range(F) if i != n - 1]] = 0.5 * (signs[:, : F - 1] + 1j * signs[:, F - 1 :])
+        assert column.tobytes() == expect.tobytes()
+        closed = kernel_entries(frames, gamma=sig.gamma, weights=weights)
+        for K, Z, K_closed in zip(kernels_from_column(column, n), frames, closed):
             one_sig, one_Z = point_from_kernel(K)
-            assert sig == one_sig
-            assert (one_sig.r, one_sig.signs) == (gdtwa_signature(F).r, gdtwa_signature(F).signs)
-            assert Z.tobytes() == one_Z.tobytes()
-        assert ps.frames.shape == (4 ** (F - 1), gdtwa_signature(F).r, F)
-
-
-def test_gdtwa_points_are_cached_and_read_only():
-    ps = gdtwa_points(3, 2)
-    assert gdtwa_points(3, 2) is ps
-    arrays = (ps.frames, ps.kernel_values, *ps.kernel_values, *ps.frames)
-    assert not any(a.flags.writeable for a in arrays)
-    with pytest.raises(ValueError, match="read-only"):
-        ps.frames[0, 0, 0] = 0.0
+            assert (one_sig.r, one_sig.signs) == (sig.r, sig.signs)
+            back = kernel_entries(one_Z, gamma=one_sig.gamma, weights=weights)
+            assert np.max(np.abs(K_closed - back)) < 1e-12
+            phase = np.sum(np.conj(one_Z) * Z, axis=-1) / np.sum(np.abs(one_Z) ** 2, axis=-1)
+            assert np.max(np.abs(np.abs(phase) - 1.0)) < 1e-12
+            assert np.max(np.abs(Z - phase[:, None] * one_Z)) < 1e-12
 
 
 def test_gdtwa_points_rejects_bad_state():
