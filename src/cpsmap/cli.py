@@ -6,10 +6,11 @@ time grid, compare against the dense exact reference, and emit plottable
 CSV plus a run manifest.  Also hosts the validation suites (the exact
 mapping condition in closed form, of the configured comb for a cc family
 as estimate_tcf checks it, the worst invariant drift over the sphere
-read off the propagation maps,
-sphere-moment oracles) and the Monte Carlo convergence study.  The
-moment check streams one sphere sample in seeded chunks on the run's
-tcf.threads workers; the other two draw no sample.
+read off the propagation maps, and the frame moments of the run's own
+ensembles against the closed forms of their samplers) and the Monte
+Carlo convergence study.  No check draws a sample of its own: the
+moment check reads the run's estimate_tcf results, so its power follows
+tcf.n_traj.
 
 Config format: one `key = value` per line, '#' comments, dotted section
 prefixes.  Recognized keys:
@@ -30,7 +31,6 @@ prefixes.  Recognized keys:
   tcf.t_max, tcf.n_times, tcf.n_traj, tcf.seed, tcf.backend, tcf.dt
   tcf.threads
   validate.exact_mapping, validate.drift, validate.moments   (true/false)
-  validate.n_traj   sample size of the moments check (at least 2)
 
 Exit status: 0 on success, 2 when an enabled validation fails, 1 on
 usage or config errors.
@@ -48,14 +48,14 @@ import numpy as np
 
 from . import __version__
 # sample_sphere_batch is imported only because perfbench/spans.py wraps it here.
-from .cps import GammaWeight, gamma_wigner, onto_sphere, sample_sphere_batch, sphere_normals  # noqa: F401
+from .cps import GammaWeight, gamma_wigner, sample_sphere_batch  # noqa: F401
 from .dynamics import grid_march
 from .estimators import (
-    COMB_FAMILIES, EXACT_MAPPING_TOL, POOL_ROWS, MethodSpec, TCFRequest, _comb, _mapping_miss, _run_blocks, estimate_tcf,
+    COMB_FAMILIES, EXACT_MAPPING_TOL, MOMENT_SE_LIMIT, ZERO_VARIANCE_TOL, MethodSpec, TCFRequest, _comb, _mapping_miss,
+    estimate_tcf,
 )
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf
-from .streams import BlockStreams, block_keys
 
 
 class ConfigError(ValueError):
@@ -80,7 +80,6 @@ class ExperimentConfig:
     validate_exact_mapping: bool = True
     validate_drift: bool = True
     validate_moments: bool = True
-    validate_n_traj: int = 200000
     method_text: str = ""
     model_text: str = ""
 
@@ -97,8 +96,6 @@ class ExperimentConfig:
             raise ConfigError(f"tcf.threads: must be at least 1, got {self.threads!r}")
         if self.seed < 0:
             raise ConfigError(f"tcf.seed: must be non-negative, got {self.seed!r}")
-        if self.validate_n_traj < 2:
-            raise ConfigError("validate.n_traj: must be at least 2")
 
     def t_grid(self):
         return np.linspace(0.0, self.t_max, self.n_times)
@@ -324,7 +321,6 @@ _SCALAR_KEYS = {
     "validate.exact_mapping": (_as_bool, "true"),
     "validate.drift": (_as_bool, "true"),
     "validate.moments": (_as_bool, "true"),
-    "validate.n_traj": (_as_int, "200000"),
 }
 
 
@@ -400,33 +396,6 @@ def _fmt(x):
 # validation suites
 
 
-def _product_sums(A, B):
-    """(n, A.T @ B, |A|^2.T @ |B|^2) of the samples A (n, p) and B (n, q), one sample per row."""
-    return A.shape[0], A.T @ B, (np.abs(A) ** 2).T @ (np.abs(B) ** 2)
-
-
-def _check_products(name, label, parts, target):
-    """Pass when every sample mean of A[:, i] * B[:, j] is within 5 SE of target[i, j].
-
-    parts holds the _product_sums of each row chunk of the samples A and
-    B, summed in order.  All the means come from the summed A.T @ B and
-    all the SEs (np.std with ddof=1, over sqrt(n)) from the summed
-    |A|^2.T @ |B|^2.  A product whose variance is below the rounding
-    level of those sums has zero variance; it fails at once when it
-    misses its target by more than 1e-12.
-    """
-    n, total, second = (sum(col) for col in zip(*parts))
-    mean = total / n
-    second = second / n
-    var = (second - np.abs(mean) ** 2) * (n / (n - 1))
-    dev = np.abs(mean - target)
-    zero = ~(var > n * np.finfo(np.float64).eps * second)
-    if not np.all(dev[zero] <= 1e-12):
-        return ValidationResult(name, False, f"zero-variance deviation {np.max(dev[zero]):.2e}")
-    worst = float(np.max(dev[~zero] / np.sqrt(var[~zero] / n), initial=0.0))
-    return ValidationResult(name, worst <= 5.0, f"{label}, worst |dev|/SE = {worst:.2f} (limit 5)")
-
-
 def _validate_exact_mapping(F, method):
     """Closed-form check of the exact mapping identity for the comb of a cc method, as estimate_tcf checks it."""
     name = f"cmm gamma={method.gamma:.6g}" if method.family == "cmm" else f"{method.family} comb"
@@ -461,54 +430,54 @@ def _validate_drift(H, backend, dt):
     )
 
 
-def _validate_moments(parts, F, gamma):
-    """Second moments z_n conj(z_m) on the sphere at gamma against 2(1+F*gamma)/F * delta.
+def _validate_moments(cfg, results):
+    """The frame moments of the run's ensembles against the closed forms of their samplers.
 
-    parts holds the _product_sums(Z, conj(Z)) of each chunk of a sphere
-    sample Z.
+    results are the run's estimate_tcf results; each carries the
+    MomentCheck of its ensemble.  The check's SEs come from the block
+    jackknife, so it needs at least 2 nonempty blocks (tcf.n_traj >= 2).
     """
-    target = 2.0 * (1.0 + F * gamma) / F * np.eye(F)
-    return _check_products("moments", f"gamma={gamma:.6g}", parts, target)
+    if cfg.n_traj < 2:
+        detail = f"tcf.n_traj = {cfg.n_traj} fills 1 block; the check needs at least 2"
+        return ValidationResult("moments", False, detail)
+    worst, zero = np.max([res.moment_check for res in results], axis=0)
+    if not math.isfinite(worst + zero):
+        return ValidationResult("moments", False, "the run's frame moment is not finite")
+    if zero > ZERO_VARIANCE_TOL:
+        detail = f"zero-variance deviation {zero:.2e} (limit {ZERO_VARIANCE_TOL:.0e})"
+        return ValidationResult("moments", False, detail)
+    detail = f"{cfg.method_text} frames, worst |dev|/SE = {worst:.2f} (limit {MOMENT_SE_LIMIT:g})"
+    return ValidationResult("moments", worst <= MOMENT_SE_LIMIT, detail)
 
 
-def run_validations(cfg, H):
+def run_validations(cfg, H, results=None):
     """Run the enabled validation suites for a config.
 
-    The exact-mapping check draws no sample: it is the closed form that
-    estimate_tcf checks, of the configured comb for a cc family and of
-    the cmm kernel pair at method.gamma (the Wigner gamma where there is
-    none) for any other.  The moments check reads one sphere sample of
-    validate.n_traj rows in a single pass of POOL_ROWS-row chunks, made
-    only when that check is enabled.  Chunk c draws from its own stream,
-    SeedSequence(seed + 101, spawn_key=(c,)) served by cpsmap.streams,
-    and returns its partial sums from temporaries in its worker's
-    scratch arrays; the chunks run on tcf.threads workers and their sums
-    are added in chunk order, so every result is bitwise the same at any
-    thread count.
+    No check draws a sample of its own.  The exact-mapping check is the
+    closed form that estimate_tcf checks, of the configured comb for a
+    cc family and of the cmm kernel pair at method.gamma (the Wigner
+    gamma where there is none) for any other.  The moments check reads
+    results, the run's estimate_tcf results over the configured pairs;
+    when they are not given (cpsmap validate) it makes that call.
     """
-    results = []
+    out = []
     F = H.shape[0]
-    g = cfg.method.gamma
-    if g is None or g <= -1.0 / F:
-        g = gamma_wigner(F)
     if cfg.validate_exact_mapping:
+        g = cfg.method.gamma
+        if g is None or g <= -1.0 / F:
+            g = gamma_wigner(F)
         cc = cfg.method.family in COMB_FAMILIES
-        results.append(_validate_exact_mapping(F, cfg.method if cc else MethodSpec.cmm(g)))
+        out.append(_validate_exact_mapping(F, cfg.method if cc else MethodSpec.cmm(g)))
     if cfg.validate_drift:
-        results.append(_validate_drift(H, cfg.backend, cfg.dt))
+        out.append(_validate_drift(H, cfg.backend, cfg.dt))
     if cfg.validate_moments:
-        n = cfg.validate_n_traj
-        streams = BlockStreams(block_keys(cfg.seed + 101, -(-n // POOL_ROWS)))
-
-        def chunk(c):
-            shape, scratch = (min(POOL_ROWS, n - c * POOL_ROWS), F), streams.scratch
-            Z = scratch("sample", shape)
-            sphere_normals(streams[c], Z, scratch("normals", shape, np.float64))
-            onto_sphere(Z, F, g, scratch("temp", shape))
-            return _product_sums(Z, np.conjugate(Z, out=scratch("temp", shape)))
-
-        results.append(_validate_moments(_run_blocks(chunk, range(len(streams)), cfg.threads), F, g))
-    return results
+        try:
+            results = results or _estimates(cfg, H)
+        except ValueError as exc:
+            out.append(ValidationResult("moments", False, f"estimate_tcf rejects the run: {exc}"))
+        else:
+            out.append(_validate_moments(cfg, results))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -534,18 +503,21 @@ def _exact_series(H, pairs, t_grid):
     return exact_tcf(rho, A, H, t_grid)
 
 
-def _result_rows(cfg, H):
-    """Estimate every configured pair: the CSV rows, the worst err/SE, the zero-variance and NaN counts.
+def _estimates(cfg, H):
+    """Every configured pair's TCFResult from one estimate_tcf call, so each ensemble is sampled once."""
+    return estimate_tcf([_request(cfg, H, pair, cfg.n_traj) for pair in cfg.pairs])
 
-    All pairs are one estimate_tcf call, so each ensemble is sampled
-    once, and one exact_tcf call, so H is diagonalized once.  A point
-    the result flags as zero-variance has an SE that is rounding noise,
-    so its error_over_se is NaN and it is left out of the worst err/SE,
-    as is a counted point whose estimate or SE is NaN.
+
+def _result_rows(cfg, H, results):
+    """The CSV rows of the results of every configured pair, the worst err/SE, the zero-variance and NaN counts.
+
+    The exact reference is one exact_tcf call, so H is diagonalized
+    once.  A point the result flags as zero-variance has an SE that is
+    rounding noise, so its error_over_se is NaN and it is left out of
+    the worst err/SE, as is a counted point whose estimate or SE is NaN.
     """
     t_grid, rows, worst = cfg.t_grid(), [], 0.0
     zero_variance = nan_points = 0
-    results = estimate_tcf([_request(cfg, H, pair, cfg.n_traj) for pair in cfg.pairs])
     refs = _exact_series(H, cfg.pairs, t_grid)
     for ((n, m), (k, l)), res, ref in zip(cfg.pairs, results, refs):
         for ti, t in enumerate(t_grid):
@@ -609,8 +581,9 @@ def run_experiment(cfg):
     """Estimate all configured pairs, write results.csv and manifest.txt."""
     start = time.perf_counter()
     H = build_hamiltonian(cfg.model)
-    rows, worst, zero_variance, nan_points = _result_rows(cfg, H)
-    validations = run_validations(cfg, H)
+    results = _estimates(cfg, H)
+    rows, worst, zero_variance, nan_points = _result_rows(cfg, H, results)
+    validations = run_validations(cfg, H, results)
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     results_path = cfg.out_dir / "results.csv"
     manifest_path = cfg.out_dir / "manifest.txt"

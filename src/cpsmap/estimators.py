@@ -45,6 +45,11 @@ in closed form, drawn by the one sphere sampler (_comb_density).  Every
 density-side kernel entry comes from kernels.kernel_entries; every
 window is one batched function of the actions (..., F) in this module.
 
+Each ensemble also checks its own sampler: every group returns each
+block's frame moment sum_i sum_f w_f z_if z_if^dagger at t = 0, and
+_reduce judges its mean against the closed form that the plan carries
+(mean) with the estimates' block jackknife SE (MomentCheck).
+
 Trajectories are generated in 100 fixed blocks, which double as
 jackknife resampling units for the standard errors.  Block b draws from
 the stream Generator(Philox(SeedSequence(seed, spawn_key=(b,)))), which
@@ -55,14 +60,17 @@ equal size with at most GROUP_ROWS rows in all, or POOL_ROWS when a
 pool of workers runs them (a larger block is a group of one), drawn
 block by block from the blocks' own streams and then transformed,
 carried and reduced per block as one stacked array, in scratch arrays
-that each worker keeps from group to group.  Every per-block sum is
-bitwise what the block alone gives, whatever group it is in, and the
-reduction over blocks runs in a fixed order, so results are bitwise
-reproducible for a given (seed, n_traj) regardless of the worker thread
-count.
+that each worker thread keeps from group to group (and a pool's worker
+from call to call: a worker count's pool lives as long as the process).
+Every per-block sum is bitwise what the block alone gives, whatever
+group it is in, and the reduction over blocks runs in a fixed order, so
+results are bitwise reproducible for a given (seed, n_traj) regardless
+of the worker thread count.
 """
 
 import math
+import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
@@ -82,14 +90,18 @@ from .streams import BlockStreams, block_keys, check_seed
 
 N_BLOCKS = 100
 # Rows of consecutive equal blocks sampled and carried as one group on one
-# thread; a pool's groups (and the CLI validation chunks) hold POOL_ROWS, so
-# fewer calls that hold the GIL are made.
+# thread; a pool's groups hold POOL_ROWS, so fewer calls that hold the GIL
+# are made.
 GROUP_ROWS = 1024
 POOL_ROWS = 8192
 # Marched frame entries a window block holds at once (8 MB of complex).
 MARCH_ENTRIES = 1 << 19
 # A standard error at most this times max(1, |estimate|) is rounding noise.
 ZERO_VARIANCE_REL = 1e-12
+# The frame moment check: a zero-variance entry may miss its closed form by
+# ZERO_VARIANCE_TOL, any other by MOMENT_SE_LIMIT standard errors.
+ZERO_VARIANCE_TOL = 1e-12
+MOMENT_SE_LIMIT = 5.0
 # The largest miss of the exact mapping identity a cc comb may have.
 EXACT_MAPPING_TOL = 1e-8
 # The cc families: signed combs of covariant kernel pairs on spheres (see _comb).
@@ -214,6 +226,24 @@ class TCFRequest:
     n_threads: int = 1
 
 
+class MomentCheck(NamedTuple):
+    """An ensemble's mean frame moment sum_f w_f z_f z_f^dagger at t = 0 against its sampler's closed form.
+
+    Each entry has the block jackknife SE of the estimates.
+    worst_over_se is the largest |dev| / SE over the entries with a
+    spread, zero_variance_dev the largest |dev| over the entries whose
+    SE is at the ZERO_VARIANCE_REL floor (0 when there is none); both
+    are nan with fewer than 2 nonempty blocks.
+    """
+
+    worst_over_se: float
+    zero_variance_dev: float
+
+    @property
+    def passed(self):
+        return self.worst_over_se <= MOMENT_SE_LIMIT and self.zero_variance_dev <= ZERO_VARIANCE_TOL
+
+
 @dataclass
 class TCFResult:
     """Estimates on the time grid with jackknife standard errors.
@@ -221,9 +251,10 @@ class TCFResult:
     normalization holds Cbar(t) (all ones for the constant-normalization
     families); min_numerator records the smallest per-trajectory
     numerator contribution seen by a ww estimate (nan otherwise).
-    zero_variance flags the times whose standard error is at most
-    ZERO_VARIANCE_REL max(1, |estimate|): every trajectory carried the
-    same value, so the SE there is rounding noise, not a spread.
+    moment_check is the MomentCheck of the ensemble the request was
+    drawn in.  zero_variance flags the times whose standard error is at
+    most ZERO_VARIANCE_REL max(1, |estimate|): every trajectory carried
+    the same value, so the SE there is rounding noise, not a spread.
     """
 
     t_grid: np.ndarray
@@ -232,6 +263,7 @@ class TCFResult:
     standard_errors: np.ndarray
     n_traj: int
     min_numerator: float = math.nan
+    moment_check: MomentCheck = None
     zero_variance: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -263,11 +295,31 @@ def _groups(sizes, max_rows):
     return groups
 
 
+# One pool per worker count, kept for the process, and the scratch arrays of
+# its workers (see BlockStreams.scratch), which then live from call to call.
+_POOLS = {}
+_POOLS_LOCK = threading.Lock()
+_POOL_SCRATCH = threading.local()
+
+
+def _forget_pools():
+    """In a forked child: the pools' threads did not fork, so the child makes its own pools."""
+    global _POOLS_LOCK
+    _POOLS.clear()
+    _POOLS_LOCK = threading.Lock()
+
+
+os.register_at_fork(after_in_child=_forget_pools)
+
+
 def _run_blocks(work, blocks, n_threads):
-    """[work(b) for b in blocks], on a pool of n_threads workers when n_threads > 1."""
+    """[work(b) for b in blocks], on the process's pool of n_threads workers when n_threads > 1."""
     if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            return list(pool.map(work, blocks))
+        with _POOLS_LOCK:
+            if n_threads not in _POOLS:
+                _POOLS[n_threads] = ThreadPoolExecutor(max_workers=n_threads)
+            pool = _POOLS[n_threads]
+        return list(pool.map(work, blocks))
     return [work(b) for b in blocks]
 
 
@@ -363,7 +415,25 @@ def _mapping_tensor(F, terms):
 
 
 def _mapping_miss(F, terms):
-    """The largest |miss| of the closed-form mapping tensor of terms against delta_mk delta_nl, and its 1-based (m, n, l, k)."""
+    """The largest |miss| of the closed-form mapping tensor of terms against delta_mk delta_nl, and its 1-based (m, n, l, k).
+
+    A comb of scalar A_c and B_c (cmm, wmm) has the tensor
+    x delta_mn delta_lk + y delta_mk delta_nl, so its misses are
+    |x + y - 1|, |x| and |y - 1|, first met in C order at (1,1,1,1),
+    (1,1,2,2) and (1,2,2,1); at F = 1 only the first exists.  Those
+    three entries are formed by the operations _mapping_tensor makes on
+    them, so they are its bits.  Any other comb builds the tensor.
+    """
+    if all(np.ndim(A) == 0 and np.ndim(B) == 0 for _, A, _, B in terms):
+        entries = np.zeros(3)
+        for w, A, b, B in terms:
+            R2 = 2.0 * (1.0 + np.real(np.trace(A * np.eye(F))))
+            c = b * R2 * R2 / (2.0 * F * (F + 1))
+            diag = R2 / (2.0 * F) * (B + 2.0 * b * A)
+            entries += w * np.array([c * 2.0 - diag + A * B, c - diag + A * B, c])
+        misses = np.abs(F * entries - [1.0, 0.0, 1.0])[: 1 if F == 1 else 3]
+        worst = int(np.argmax(misses))
+        return float(misses[worst]), ((1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 2, 1))[worst]
     miss = np.abs(_mapping_tensor(F, terms) - _pair_deltas(F)[1])
     worst = np.unravel_index(np.argmax(miss), miss.shape)
     return float(miss[worst]), tuple(int(i) + 1 for i in worst)
@@ -399,9 +469,15 @@ class _Plan(NamedTuple):
     ww plan (columns None) holds the numerators of every state and,
     last, the smallest numerator.  measure is None for the block-mean
     families and the phase space measure factor of a ww plan.
+
+    mean is the closed-form expectation (F, F) of the frame moment
+    sum_f w_f z_f z_f^dagger of one trajectory the sampler draws, with
+    w_f = weights (1/2 for a window plan), which the ensemble's own
+    frames are checked against (MomentCheck).
     """
 
     sample: Callable
+    mean: np.ndarray
     weights: object = 0.5
     shift_lk: Callable = None
     rows: list = None
@@ -445,7 +521,9 @@ def _kernel_group(U, plan, idxs):
     weighted shifts, with one F x F moment matrix
     M = sum_i W_i sum_f w_f z_if z_if^dagger per block and density side,
     formed for a group of blocks as one stacked matmul; every request
-    reads its own (l, k) entry off its side's M.
+    reads its own (l, k) entry off its side's M.  The group also returns
+    each block's frame moment sum_i sum_f w_f z_if z_if^dagger, one more
+    stacked matmul on the first side's conj(A) before its density weight.
     """
     F = U.shape[-1]
     sides = _sides(idxs)
@@ -457,25 +535,33 @@ def _kernel_group(U, plan, idxs):
             shift_lk = plan.shift_lk(l0, k0)
         reads.append((sides.index((n0, m0)), U[:, l0], U[:, k0].conj(), shift_lk))
 
+    frame_weights = np.atleast_1d(plan.weights)  # one per frame; a scalar serves r = 1
+
     def group(rngs, nb):
         Z0, Ws, S = plan.sample(rngs, nb)
-        nblk = len(rngs)
+        nblk, r = len(rngs), Z0.shape[1]
         A = Z0.reshape(nblk, -1, F)
         moments = []
         for W in Ws:
             v = np.broadcast_to(W[:, None] * plan.weights, Z0.shape[:2]).reshape(nblk, -1, 1)
             # v * conj(A) in place, in a scratch array (see BlockStreams.scratch)
             vAc = np.conjugate(A, out=rngs.scratch("temp", A.shape))
+            if not moments:
+                # the frame moment, density weight aside: with a trajectory's r
+                # frames side by side, frame f's sum is the diagonal block (f, f)
+                full = A.reshape(nblk, nb, -1).transpose(0, 2, 1) @ vAc.reshape(nblk, nb, -1)
+                frame = np.diagonal(full.reshape(nblk, r, F, r, F), axis1=1, axis2=3) @ frame_weights
             np.multiply(v, vAc, out=vAc)
             shifts = np.sum((W[:, None] * S).reshape(nblk, nb, -1), axis=1)
             moments.append((A.transpose(0, 2, 1) @ vAc, shifts[..., None]))
-        return np.stack(
+        sums = np.stack(
             [
                 np.einsum("ta,xab,tb->xt", Ul, moments[d][0], Ukc) - (shift_lk @ moments[d][1])[..., 0]
                 for d, Ul, Ukc, shift_lk in reads
             ],
             axis=-1,
         )
+        return sums, frame
 
     return group
 
@@ -489,7 +575,8 @@ def _window_group(U, plan):
     memory does not grow with the number of grid times; the usual grid
     is one chunk.  Each row set has its own march, as in a call that
     reads only that set: one wider gemm rounds a column differently,
-    and every request of a list must equal its own call bitwise.
+    and every request of a list must equal its own call bitwise.  The
+    group also returns each block's frame moment sum_i (1/2) z_i z_i^dagger.
     """
     n_times, F = len(U), U.shape[-1]
     marches = [
@@ -508,13 +595,14 @@ def _window_group(U, plan):
                 Zt = (Z0 @ UT[:, lo * R:(lo + step) * R]).reshape(*Z0.shape[:2], -1, R)
                 parts.append(plan.window(0.5 * np.abs(Zt) ** 2, aux, j))
             sums.append(np.concatenate(parts, axis=1))
-        return np.concatenate(sums, axis=2)
+        Zc = np.conjugate(Z0, out=rngs.scratch("temp", Z0.shape))
+        return np.concatenate(sums, axis=2), plan.weights * (Z0.transpose(0, 2, 1) @ Zc)
 
     return group
 
 
 def _drive(req, U, plan, idxs):
-    """Sample and evaluate every block of one ensemble at every grid time; returns the block sums and sizes.
+    """Sample and evaluate every block of one ensemble at every grid time; returns the block sums, frame moments and sizes.
 
     The maps U of grid_march carry each group of blocks to all grid
     times at once: a kernel plan through its moment matrices, a window
@@ -529,34 +617,49 @@ def _drive(req, U, plan, idxs):
         group, width = _kernel_group(U, plan, idxs), len(idxs)
     else:
         group, width = _window_group(U, plan), plan.width
+    F = U.shape[-1]
     sums = np.zeros((N_BLOCKS, len(U), width), dtype=plan.dtype)
-    streams = BlockStreams(block_keys(req.seed, N_BLOCKS))
+    frames = np.zeros((N_BLOCKS, F, F), dtype=np.complex128)
+    streams = BlockStreams(block_keys(req.seed, N_BLOCKS), _POOL_SCRATCH if req.n_threads > 1 else None)
 
     def work(span):
         lo, hi = span
-        sums[lo:hi] = group(streams[lo:hi], int(sizes[lo]))
+        sums[lo:hi], frames[lo:hi] = group(streams[lo:hi], int(sizes[lo]))
 
     max_rows = GROUP_ROWS if req.n_threads == 1 else POOL_ROWS
     _run_blocks(work, _groups(sizes, max_rows), req.n_threads)
-    return sums, sizes
+    return sums, frames, sizes
 
 
-def _reduce(req, plan, idxs, t_grid, out, sizes):
-    """Each request's TCFResult from its ensemble's block sums.
+def _moment_check(frames, sizes, mean):
+    """The MomentCheck of an ensemble's block frame moments (N_BLOCKS, F, F) against the closed form mean."""
+    n = int(sizes.sum())
+    blocks = frames.reshape(N_BLOCKS, -1)
+    total = blocks.sum(axis=0)
+    got = total / n
+    se = _jackknife(blocks, sizes[:, None], total, n, sizes)
+    dev = np.abs(got - mean.ravel())
+    zero = se <= ZERO_VARIANCE_REL * np.maximum(1.0, np.abs(got))
+    return MomentCheck(float((dev / np.where(zero, np.inf, se)).max()), float(np.where(zero, dev, 0.0).max()))
+
+
+def _reduce(req, plan, idxs, t_grid, out, frames, sizes):
+    """Each request's TCFResult from its ensemble's block sums and frame moments.
 
     The cc/cx/xc families reduce to the block mean of the request's
     column; a ww plan (one with a measure) to the ratio of the observed
     state's numerator to the summed denominator over the same
-    trajectories.
+    trajectories.  Every result carries the ensemble's MomentCheck.
     """
     n = req.n_traj
+    check = _moment_check(frames, sizes, plan.mean)
     if plan.measure is None:
         results = []
         for c in range(len(idxs)) if plan.columns is None else plan.columns:
             col = np.ascontiguousarray(out[:, :, c])
             total = np.sum(col, axis=0)
             se = _jackknife(col, sizes[:, None], total, n, sizes)
-            results.append(TCFResult(t_grid, total / n, np.ones(t_grid.size), se, n))
+            results.append(TCFResult(t_grid, total / n, np.ones(t_grid.size), se, n, moment_check=check))
         return results
     F = out.shape[2] - 1
     sums = np.ascontiguousarray(out[:, :, :F])
@@ -570,7 +673,7 @@ def _reduce(req, plan, idxs, t_grid, out, sizes):
         with np.errstate(divide="ignore", invalid="ignore"):
             estimates = (num_total[:, k0] / den_total).astype(np.complex128)
         se = _jackknife(sums[:, :, k0], den_blocks, num_total[:, k0], den_total, sizes)
-        results.append(TCFResult(t_grid, estimates, normalization.copy(), se, n, min_num))
+        results.append(TCFResult(t_grid, estimates, normalization.copy(), se, n, min_num, check))
     return results
 
 
@@ -581,6 +684,25 @@ def _reduce(req, plan, idxs, t_grid, out, sizes):
 def _sphere_gamma(A, F):
     """The sphere parameter of a comb term's density shift A: A itself (times I), or Re Tr A / F."""
     return A if np.ndim(A) == 0 else np.real(np.trace(A)) / F
+
+
+def _sphere_mean(F, terms, b=0.5):
+    """The frame moment E[b z z^dagger] of a comb's sampler: b R^2 / F times I, R^2 = 2(1 + F gamma_c) mixed by |w_c| / sum|w|."""
+    ws = np.abs([w for w, _, _, _ in terms])
+    R2 = np.array([2.0 * (1.0 + F * _sphere_gamma(A, F)) for _, A, _, _ in terms])
+    return (b * float(ws @ R2 / np.sum(ws)) / F) * np.eye(F)
+
+
+def _focus_mean(F, side, on, off):
+    """diag(on at state f, off elsewhere), averaged over the distinct states f of a density side (n, m).
+
+    The frame moment of a sampler whose actions have these means, when
+    it draws the focus n or m with probability 1/2 each.
+    """
+    focus = list(set(side))
+    actions = np.full(F, float(off))
+    actions[focus] += (on - off) / len(focus)
+    return np.diag(actions)
 
 
 def _comb(method, F):
@@ -648,7 +770,8 @@ def _comb_plan(req, F, idxs, U):
     terms = _comb(req.method, F)
     Bs = np.array([B for _, _, _, B in terms])
     shift_lk = None if Bs.ndim == 1 else lambda l0, k0: np.einsum("ta,cab,tb->tc", U[:, l0], Bs, U[:, k0].conj())
-    return _Plan(_comb_density(F, terms, _sides(idxs)), weights=terms[0][2], shift_lk=shift_lk)
+    b = terms[0][2]
+    return _Plan(_comb_density(F, terms, _sides(idxs)), _sphere_mean(F, terms, b), weights=b, shift_lk=shift_lk)
 
 
 # ---------------------------------------------------------------------------
@@ -668,8 +791,8 @@ def _cx_plan(req, F, idxs, U):
     columns = [ks.index(idx[2]) * len(sides) + sides.index(idx[:2]) for idx in idxs]
     density = _comb_density(F, [(1.0, g, None, None)], sides)
     return _Plan(
-        lambda rngs, nb: density(rngs, nb)[:2], rows=[[k0] for k0 in ks], window=window,
-        width=len(ks) * len(sides), columns=columns,
+        lambda rngs, nb: density(rngs, nb)[:2], _sphere_mean(F, [(1.0, g, None, None)]),
+        rows=[[k0] for k0 in ks], window=window, width=len(ks) * len(sides), columns=columns,
     )
 
 
@@ -724,7 +847,7 @@ def _triangle_sqc_plan(req, F, idxs, U):
             gobs = ((np.sum(0.5 * np.abs(z) ** 2, axis=1) - 1.0) / F)[:, None]
         return z[:, None, :], [W], gobs
 
-    return _Plan(sample)
+    return _Plan(sample, _focus_mean(F, (n0, m0), 4.0 / 3.0, 1.0 / 3.0))
 
 
 def _focused_plan(req, F, idxs, U):
@@ -746,7 +869,7 @@ def _focused_plan(req, F, idxs, U):
         W = kernel_entries(Z, m0, n0, weights=2.0) / (1.0 + 2.0 * g) ** 2
         return Z, [W], g
 
-    return _Plan(sample)
+    return _Plan(sample, _focus_mean(F, (n0, m0), 1.0 + g, g))
 
 
 def _discrete_plan(req, F, idxs, U):
@@ -775,7 +898,8 @@ def _discrete_plan(req, F, idxs, U):
             return Z, [2.0 * W], sig.gamma
 
     signs = np.asarray(sig.signs, dtype=np.float64)
-    return _Plan(sample, weights=0.5 * signs)
+    # each point's frame moment is its kernel plus gamma I, and E[K] = |n><n|
+    return _Plan(sample, _focus_mean(F, (n0, m0), 1.0 + sig.gamma, sig.gamma), weights=0.5 * signs)
 
 
 # ---------------------------------------------------------------------------
@@ -801,9 +925,11 @@ def _ww_plan(req, F, idxs, U):
         draw = lambda rngs, nb: _triangle_population(*_draw_group(rngs, nb, _triangle_draws(F)), n0)
         obs = lambda e, aux: _triangle_obs_windows(e)
         measure = 1.0
+        mean = _focus_mean(F, (n0, n0), 4.0 / 3.0, 1.0 / 3.0)
     else:
         g = 0.0 if fam == "triangle_f2_single" else req.method.gamma
         sphere = _comb_density(F, [(1.0, g, None, None)], [])
+        mean = _sphere_mean(F, [(1.0, g, None, None)])
         draw = lambda rngs, nb: sphere(rngs, nb)[0][:, 0]
         measure = float(F)
         if fam == "triangle_f2_single":
@@ -827,7 +953,7 @@ def _ww_plan(req, F, idxs, U):
         return np.concatenate([np.sum(vals, axis=1), low], axis=-1)
 
     return _Plan(
-        sample, rows=[slice(None)], window=window, width=F + 1, dtype=np.float64, measure=measure
+        sample, mean, rows=[slice(None)], window=window, width=F + 1, dtype=np.float64, measure=measure
     )
 
 
@@ -965,8 +1091,8 @@ def estimate_tcf(requests):
     for members in ensembles.values():
         idxs = [prepared[i][3] for i in members]
         plan = make_plan(req, F, idxs, U)
-        out, sizes = _drive(req, U, plan, idxs)
-        for i, res in zip(members, _reduce(req, plan, idxs, t_grid, out, sizes)):
+        out, frames, sizes = _drive(req, U, plan, idxs)
+        for i, res in zip(members, _reduce(req, plan, idxs, t_grid, out, frames, sizes)):
             results[i] = res
     return results[0] if single else results
 

@@ -392,7 +392,6 @@ def test_thread_determinism(tmp_path):
             seed=99,
             threads=threads,
             out_dir=tmp_path / sub,
-            validate_n_traj=50_000,
         )
         outputs.append(run_experiment(cfg))
     same = outputs[0].results_path.read_bytes() == outputs[1].results_path.read_bytes()

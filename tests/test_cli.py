@@ -11,8 +11,6 @@ from cpsmap import __version__, cli, estimators
 from cpsmap.cli import (
     ConfigError,
     ExperimentConfig,
-    _check_products,
-    _product_sums,
     _validate_drift,
     _validate_exact_mapping,
     _validate_moments,
@@ -24,9 +22,9 @@ from cpsmap.cli import (
     run_experiment,
     run_validations,
 )
-from cpsmap.cps import gamma_wigner, sample_sphere_batch
+from cpsmap.cps import gamma_wigner, onto_sphere, sample_sphere_batch
 from cpsmap.dynamics import grid_march
-from cpsmap.estimators import POOL_ROWS as CHECK_ROWS, MethodSpec
+from cpsmap.estimators import MethodSpec
 from cpsmap.kernels import inverse_kernel_coefficients, kernel_trace
 from cpsmap.models import ModelSpec, build_hamiltonian, save_hamiltonian
 
@@ -39,7 +37,6 @@ tcf.t_max = 5
 tcf.n_times = 6
 tcf.n_traj = 20000
 tcf.seed = 7
-validate.n_traj = 20000
 """
 
 
@@ -74,6 +71,15 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path)
     with pytest.raises(ConfigError, match="tcf.banana"):
         load_config(path)
+
+
+def test_load_config_rejects_the_retired_validation_sample_size(tmp_path, capsys):
+    # the moments check reads the run's own frames, so it has no sample size
+    path = write_config(tmp_path, BASE + "validate.n_traj = 20000\n")
+    with pytest.raises(ConfigError, match=r"^unknown config key\(s\): validate.n_traj$"):
+        load_config(path)
+    assert main(["validate", str(path)]) == 1
+    assert "validate.n_traj" in capsys.readouterr().err
 
 
 def test_load_config_missing_file(tmp_path):
@@ -207,11 +213,6 @@ def test_experiment_config_validation():
         ExperimentConfig(ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], n_times=1)
     with pytest.raises(ConfigError, match="t_max"):
         ExperimentConfig(ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], t_max=0.0)
-    for n in (0, 1):
-        with pytest.raises(ConfigError, match="validate.n_traj"):
-            ExperimentConfig(
-                ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], validate_n_traj=n
-            )
     for t_max in (math.nan, math.inf):
         with pytest.raises(ConfigError, match="tcf.t_max"):
             ExperimentConfig(
@@ -414,19 +415,12 @@ def test_drift_validation_bounds_sampled_trajectories(backend, dt):
     assert reported <= (1e-10 if backend == "exact" else 1e-3)
 
 
-def sphere_sample(F, gamma, n=20000, seed=5):
-    return sample_sphere_batch(F, gamma, np.random.default_rng(seed), n)
+def moments_line(validations):
+    (line,) = [v for v in validations if v.name == "moments"]
+    return line
 
 
-def chunk_sums(sums, Z):
-    return [sums(Z[lo:lo + CHECK_ROWS]) for lo in range(0, len(Z), CHECK_ROWS)]
-
-
-def moment_sums(Z):
-    return chunk_sums(lambda c: _product_sums(c, c.conj()), Z)
-
-
-def test_exact_mapping_validation_fails_on_the_wrong_sphere(monkeypatch):
+def test_exact_mapping_validation_fails_on_the_wrong_sphere(tmp_path, monkeypatch):
     assert _validate_exact_mapping(3, MethodSpec.cmm(0.0)).passed
     # inverse-kernel coefficients of the sphere at gamma = 1 fail the closed form at 0
     monkeypatch.setattr(
@@ -435,10 +429,17 @@ def test_exact_mapping_validation_fails_on_the_wrong_sphere(monkeypatch):
     bad = _validate_exact_mapping(3, MethodSpec.cmm(0.0))
     assert not bad.passed
     assert "closed-form miss" in bad.detail
-    # and a sample of that sphere fails the moments check at 0
-    assert not _validate_moments(moment_sums(sphere_sample(3, 1.0)), 3, 0.0).passed
-
-
+    monkeypatch.undo()
+    # and a cmm run at gamma = 0 whose sampler draws the sphere at gamma = 1
+    # fails the moments check on its own frames
+    cfg = load_config(write_config(tmp_path, BASE + "method.gamma = 0\n"), overrides={"out": tmp_path / "o"})
+    assert moments_line(run_experiment(cfg).validations).passed
+    monkeypatch.setattr(estimators, "onto_sphere", lambda w, F, g, scratch=None: onto_sphere(w, F, 1.0, scratch))
+    summary = run_experiment(cfg)
+    line = moments_line(summary.validations)
+    assert not line.passed
+    assert "worst |dev|/SE" in line.detail
+    assert summary.exit_code == 2
 @pytest.mark.parametrize(
     "method, passed",
     [
@@ -457,81 +458,68 @@ def test_main_validate_checks_the_configured_comb(tmp_path, capsys, method, pass
     assert f"({method.split()[2]} comb, closed-form miss" in out
 
 
-def test_moments_validation_fails_at_the_wrong_gamma():
-    Z = sphere_sample(3, gamma_wigner(3))
-    assert _validate_moments(moment_sums(Z), 3, gamma_wigner(3)).passed
-    bad = _validate_moments(moment_sums(Z), 3, 0.0)
+def test_moments_validation_fails_at_the_wrong_gamma(tmp_path, monkeypatch):
+    # frames drawn at the Wigner gamma against the closed form of the sphere at 0
+    cfg = load_config(write_config(tmp_path))
+    H = build_hamiltonian(cfg.model)
+    assert moments_line(run_validations(cfg, H)).passed
+    sphere_mean = estimators._sphere_mean
+    monkeypatch.setattr(estimators, "_sphere_mean", lambda F, terms, b=0.5: sphere_mean(F, [(1.0, 0.0, None, None)], b))
+    bad = moments_line(run_validations(cfg, H))
     assert not bad.passed
     assert "worst |dev|/SE" in bad.detail
 
 
-def one_pass_worst(A, B, target):
-    # one np.mean and np.std(ddof=1) per column pair
-    return max(
-        abs(np.mean(A[:, i] * B[:, j]) - target[i, j])
-        / (np.std(A[:, i] * B[:, j], ddof=1) / np.sqrt(len(A)))
-        for i in range(A.shape[1])
-        for j in range(B.shape[1])
-    )
-
-
-def test_check_products_matches_per_product_mean_and_std():
-    rng = np.random.default_rng(11)
-    A = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))
-    B = rng.normal(size=(500, 2)) + 0.5
-    target = np.full((3, 2), 0.1)
-    worst = one_pass_worst(A, B, target)
-    got = _check_products("x", "label", [_product_sums(A, B)], target)
-    assert got.detail == f"label, worst |dev|/SE = {worst:.2f} (limit 5)"
-    assert got.passed == (worst <= 5.0)
-
-
-def test_validation_chunks_match_a_one_pass_reference(tmp_path, monkeypatch):
-    # 20 001 rows: two full chunks and a last partial one
-    text = BASE.replace("validate.n_traj = 20000", "validate.n_traj = 20001")
-    cfg = load_config(write_config(tmp_path, text), overrides={"threads": 2})
-    F, g = 2, gamma_wigner(2)
-    seen = {}
-
-    def spy(name, label, parts, target):
-        seen[name] = list(parts)
-        return _check_products(name, label, seen[name], target)
-
-    monkeypatch.setattr(cli, "_check_products", spy)
-    got = {v.name: v.detail for v in run_validations(cfg, build_hamiltonian(cfg.model))}
-    sizes = (CHECK_ROWS, CHECK_ROWS, 20001 - 2 * CHECK_ROWS)
-    streams = [
-        np.random.Generator(np.random.Philox(np.random.SeedSequence(7 + 101, spawn_key=(c,))))
-        for c in range(len(sizes))
-    ]
-    chunks = [sample_sphere_batch(F, g, rng, n) for rng, n in zip(streams, sizes)]
-    # chunk c's partial sums come from its own stream, in chunk order
-    for c, Zc in enumerate(chunks):
-        want = _product_sums(Zc, Zc.conj())
-        assert [np.asarray(x).tobytes() for x in seen["moments"][c]] == [
-            np.asarray(x).tobytes() for x in want
-        ]
-    # the exact-mapping check is a closed form and reads no sample
-    assert list(seen) == ["moments"]
-
-    Z = np.concatenate(chunks)
-    worst = one_pass_worst(Z, Z.conj(), 2.0 * (1.0 + F * g) / F * np.eye(F))
-    assert got["moments"] == f"gamma={g:.6g}, worst |dev|/SE = {worst:.2f} (limit 5)"
-
-
-def test_no_validation_sample_is_drawn_without_the_moments_check(tmp_path, monkeypatch):
+def test_no_validation_sample_is_drawn_without_the_moments_check(tmp_path, monkeypatch, capsys):
+    # no check draws a sample of its own: validate without the moments check
+    # makes no estimate_tcf call, and run hands the check its results
     cfg = load_config(write_config(tmp_path, BASE + "validate.moments = false\n"))
-    monkeypatch.setattr(cli, "_run_blocks", None)
-    assert [v.name for v in run_validations(cfg, build_hamiltonian(cfg.model))] == ["exact_mapping", "drift"]
+    H = build_hamiltonian(cfg.model)
+    results = cli._estimates(cfg, H)
+    monkeypatch.setattr(cli, "estimate_tcf", None)
+    assert [v.name for v in run_validations(cfg, H)] == ["exact_mapping", "drift"]
+    assert main(["validate", str(write_config(tmp_path, BASE + "validate.moments = false\n"))]) == 0
+    assert "validation moments" not in capsys.readouterr().out
+    cfg.validate_moments = True
+    assert [v.name for v in run_validations(cfg, H, results)] == ["exact_mapping", "drift", "moments"]
 
 
-def test_zero_variance_product_that_misses_fails():
-    # at F = 1 every |z|^2 is 2(1 + gamma): the one moment has zero variance
-    Z = sphere_sample(1, 0.5)
-    assert _validate_moments(moment_sums(Z), 1, 0.5).passed
-    bad = _validate_moments(moment_sums(Z), 1, 0.4)
+def test_zero_variance_product_that_misses_fails(tmp_path, monkeypatch):
+    # every ehrenfest trajectory has the same actions: the diagonal of its
+    # frame moment has zero variance and must hit its closed form to 1e-12
+    text = BASE.replace("method.family = cmm", "method.family = ehrenfest")
+    cfg = load_config(write_config(tmp_path, text))
+    H = build_hamiltonian(cfg.model)
+    assert moments_line(run_validations(cfg, H)).passed
+    focus_mean = estimators._focus_mean
+    monkeypatch.setattr(estimators, "_focus_mean", lambda F, side, on, off: focus_mean(F, side, on + 1e-9, off))
+    bad = moments_line(run_validations(cfg, H))
     assert not bad.passed
     assert "zero-variance deviation" in bad.detail
+
+
+def test_moments_check_needs_two_blocks(tmp_path, capsys):
+    # one trajectory fills one block, which gives no jackknife SE
+    path = write_config(tmp_path, BASE.replace("tcf.n_traj = 20000", "tcf.n_traj = 1"))
+    for command in ("run", "validate"):
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("validation moments")]
+        assert line.startswith("validation moments: FAIL (tcf.n_traj = 1 ")
+        assert "nan" not in line
+
+
+def test_moments_lines_and_results_are_the_same_at_one_and_two_threads(tmp_path):
+    # gdtwa draws one ensemble per density side, each with its own check
+    text = (
+        "model.kind = random\nmodel.F = 3\nmodel.seed = 4\nmethod.family = gdtwa\n"
+        "tcf.pairs = 1,1,2,2; 1,2,2,1; 2,2,1,1\ntcf.n_times = 5\ntcf.n_traj = 30000\n"
+    )
+    path = write_config(tmp_path, text)
+    runs = [run_experiment(load_config(path, overrides={"out": tmp_path / f"t{t}", "threads": t})) for t in (1, 2)]
+    assert runs[0].results_path.read_bytes() == runs[1].results_path.read_bytes()
+    lines = [str(moments_line(r.validations)) for r in runs]
+    assert lines[0] == lines[1]
+    assert lines[0].startswith("validation moments: pass (gdtwa() frames, worst |dev|/SE = ")
 
 
 def test_main_converge_bad_sizes(tmp_path, capsys):
@@ -579,7 +567,6 @@ def test_main_rk4_gdtwa_three_level(tmp_path):
         "tcf.n_traj = 4000\n"
         "tcf.backend = rk4\n"
         "tcf.dt = 0.01\n"
-        "validate.n_traj = 20000\n"
     )
     path = write_config(tmp_path, text)
     code = main(["run", str(path), "--out", str(tmp_path / "out")])
@@ -600,7 +587,6 @@ def test_run_flags_zero_variance_points(tmp_path):
         "tcf.n_traj = 4000\n"
         "tcf.backend = rk4\n"
         "tcf.dt = 0.01\n"
-        "validate.n_traj = 20000\n"
     )
     path = write_config(tmp_path, text)
     assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
@@ -630,7 +616,6 @@ def test_run_counts_nan_points(tmp_path):
         "tcf.n_times = 5\n"
         "tcf.n_traj = 2\n"
         "tcf.seed = 0\n"
-        "validate.n_traj = 2000\n"
     )
     summary = run_experiment(load_config(write_config(tmp_path, text), overrides={"out": tmp_path / "out"}))
     data = [
@@ -643,3 +628,12 @@ def test_run_counts_nan_points(tmp_path):
     assert summary.nan_points == 1
     assert math.isfinite(summary.max_error_over_se)
     assert "nan_points: 1" in summary.manifest_path.read_text()
+
+
+def test_validate_fails_the_moments_line_of_a_rejected_comb(tmp_path, capsys):
+    # estimate_tcf rejects the comb, so there are no frames to check
+    text = BASE.replace("method.family = cmm", "method.family = wmm\nmethod.weight = 0.25:1")
+    assert main(["validate", str(write_config(tmp_path, text))]) == 2
+    out = capsys.readouterr().out
+    assert "validation exact_mapping: FAIL" in out
+    assert "validation moments: FAIL (estimate_tcf rejects the run: wmm comb violates the exact mapping" in out

@@ -3,7 +3,10 @@
 import dataclasses
 import itertools
 import math
+import multiprocessing
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -11,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpsmap import estimators
-from cpsmap.cps import GammaWeight, gamma_wigner, sample_sphere_batch
+from cpsmap.cps import GammaWeight, gamma_wigner, gdtwa_signature, sample_sphere_batch
 from cpsmap.dynamics import grid_march
 from cpsmap.estimators import (
     _PLANS,
@@ -31,7 +34,7 @@ from cpsmap.estimators import (
     hill_exponent,
     intra_electron_check,
 )
-from cpsmap.kernels import inverse_kernel_coefficients, kernel_entries
+from cpsmap.kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries
 from cpsmap.models import ModelSpec, build_hamiltonian
 from cpsmap.qcore import exact_tcf
 from cpsmap.streams import BlockStreams
@@ -350,6 +353,54 @@ def test_thread_count_does_not_change_results(case):
             assert np.array_equal(a.normalization, b.normalization)
             assert np.array_equal(a.standard_errors, b.standard_errors)
             assert np.array_equal(a.min_numerator, b.min_numerator, equal_nan=True)
+            assert a.moment_check == b.moment_check
+
+
+def test_callers_sharing_the_pool_get_their_own_bits():
+    # a worker count's pool and its workers' scratch arrays outlive the call
+    # and serve every caller thread; each result must still be its serial bits
+    H = random_h(3, seed=21)
+    reqs = [
+        request(H, MethodSpec.cmm(gamma_wigner(3)), nmkl=(1, 2, 2, 1), n_traj=20000, n_threads=2),
+        request(H, MethodSpec.triangle_ww(), nmkl=(1, 1, 2, 2), n_traj=20000, n_threads=2),
+        request(H, MethodSpec.gdtwa(), nmkl=(1, 2, 2, 1), n_traj=20000, n_threads=2),
+    ]
+    want = [estimate_tcf(dataclasses.replace(req, n_threads=1)) for req in reqs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(6) as callers:  # more callers than cores
+            futures = [callers.submit(estimate_tcf, req) for req in reqs * 2]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(want * 2, got):
+        assert a.estimates.tobytes() == b.estimates.tobytes()
+        assert a.standard_errors.tobytes() == b.standard_errors.tobytes()
+        assert a.moment_check == b.moment_check
+
+
+def _estimate_in_child(req, queue):
+    queue.put(estimate_tcf(req).estimates.tobytes())
+
+
+def test_a_forked_child_makes_its_own_pool():
+    # the pool's threads do not fork: a child that used the parent's pool
+    # waited forever for workers it does not have
+    req = request(RABI, MethodSpec.cmm(0.0), n_traj=2000, n_threads=2)
+    want = estimate_tcf(req).estimates.tobytes()
+    ctx = multiprocessing.get_context("fork")
+    queue = ctx.Queue()
+    child = ctx.Process(target=_estimate_in_child, args=(req, queue))
+    child.start()
+    try:
+        got = queue.get(timeout=60)
+    finally:
+        child.join(10)
+        if child.is_alive():
+            child.kill()
+    assert got == want
+    assert child.exitcode == 0
 
 
 GROUPS_N_TRAJ = (7, 150, 5037, 120_000, 200_000)
@@ -761,6 +812,81 @@ def test_cmm_passes_the_mapping_check_across_the_gamma_domain(F):
     for shell in (1e-3, 1e-2, 1.0, 11.0):
         terms = estimators._comb(MethodSpec.cmm((shell - 1.0) / F), F)
         assert estimators._mapping_miss(F, terms)[0] <= estimators.EXACT_MAPPING_TOL
+
+
+def tensor_miss(F, terms):
+    """The worst miss and its (m, n, l, k) read off the full tensor of _mapping_tensor."""
+    miss = np.abs(estimators._mapping_tensor(F, terms) - estimators._pair_deltas(F)[1])
+    worst = np.unravel_index(np.argmax(miss), miss.shape)
+    return float(miss[worst]), tuple(int(i) + 1 for i in worst)
+
+
+@pytest.mark.parametrize("F", range(1, 17))
+def test_scalar_comb_miss_in_closed_form_matches_the_tensor(F):
+    w2 = 1.0 / (F + 2.0)
+    methods = [MethodSpec.cmm(g) for g in (0.0, gamma_wigner(F), 0.5, 2.0)]
+    methods.append(MethodSpec.wmm(GammaWeight.delta_comb([(0.0, 1.0 - w2), (1.0, w2)])))
+    methods.append(MethodSpec.wmm(GammaWeight.delta_comb([(0.25, 1.0)])))  # misses
+    for method in methods:
+        terms = estimators._comb(method, F)
+        miss, where = estimators._mapping_miss(F, terms)
+        want, want_where = tensor_miss(F, terms)
+        assert where == want_where, method
+        assert abs(miss - want) <= 1e-13, method
+        assert (miss <= estimators.EXACT_MAPPING_TOL) == (want <= estimators.EXACT_MAPPING_TOL)
+
+
+# -- the frame moment check ---------------------------------------------
+
+
+@pytest.mark.parametrize("F", [2, 3, 4, 5])
+def test_discrete_plan_means_are_the_enumerated_frame_moments(F):
+    # every point of the set, with the signature's frame weights
+    U = grid_march(np.zeros((F, F)), np.zeros(1), "exact", 1e-3)
+    weights = 0.5 * np.array(gdtwa_signature(F).signs, dtype=float)
+    point_means = [np.mean(kernel_entries(gdtwa_points(F, n)[0], weights=weights), axis=0) for n in range(1, F + 1)]
+    for family in ("dtwa", "gdtwa") if F == 2 else ("gdtwa",):
+        req = request(np.zeros((F, F)), ORACLE_METHODS[family](F))
+        for n0, m0 in itertools.product(range(F), repeat=2):
+            plan = _PLANS[family](req, F, [(n0, m0, 0, 0)], U)
+            want = 0.5 * (point_means[n0] + point_means[m0])
+            assert np.max(np.abs(plan.mean - want)) <= 1e-12, (family, n0, m0)
+
+
+SAMPLER_CASES = [
+    (family, F)
+    for family in sorted(set(ORACLE_METHODS) - {"dtwa", "gdtwa"})
+    for F in (2, 3, 4)
+    if F == 2 or family != "triangle_f2_single"
+]
+
+
+@pytest.mark.parametrize("family, F", SAMPLER_CASES)
+def test_every_sampler_passes_its_frame_moment_check(family, F):
+    # an xc sampler draws from its density side; cx and ww read populations
+    sides = [(1, 1)] if family in WW_FAMILIES else [(1, 1), (1, 2)]
+    for n, m in sides:
+        req = request(random_h(F), ORACLE_METHODS[family](F), nmkl=(n, m, 2, 2), n_traj=200_000, t_grid=[0.0])
+        check = estimate_tcf(req).moment_check
+        assert check.passed, (n, m, check)
+
+
+def test_moment_check_is_the_block_jackknife_of_each_entry():
+    rng = np.random.default_rng(3)
+    sizes = _block_sizes(1234)
+    frames = rng.normal(size=(N_BLOCKS, 2, 2)) + 1j * rng.normal(size=(N_BLOCKS, 2, 2))
+    frames[:, 0, 0] = sizes * 0.75  # the same value in every trajectory
+    mean = np.array([[0.75, 0.0], [0.0, 0.1]])
+    worst = 0.0
+    for a, b in ((0, 1), (1, 0), (1, 1)):
+        col = frames[:, a, b]
+        loo = (np.sum(col) - col) / (1234 - sizes)
+        se = np.sqrt((N_BLOCKS - 1) / N_BLOCKS * np.sum(np.abs(loo - np.mean(loo)) ** 2))
+        worst = max(worst, abs(np.sum(col) / 1234 - mean[a, b]) / se)
+    check = estimators._moment_check(frames, sizes, mean)
+    assert check.worst_over_se == pytest.approx(worst, rel=1e-12)
+    assert check.zero_variance_dev <= 1e-15
+    assert math.isnan(estimators._moment_check(frames, _block_sizes(1), mean).worst_over_se)
 
 
 # -- window functions -------------------------------------------------
