@@ -13,7 +13,6 @@ from cpsmap.cli import (
     ExperimentConfig,
     _validate_drift,
     _validate_exact_mapping,
-    _validate_moments,
     _version_string,
     convergence_study,
     load_config,
@@ -440,6 +439,8 @@ def test_exact_mapping_validation_fails_on_the_wrong_sphere(tmp_path, monkeypatc
     assert not line.passed
     assert "worst |dev|/SE" in line.detail
     assert summary.exit_code == 2
+
+
 @pytest.mark.parametrize(
     "method, passed",
     [
