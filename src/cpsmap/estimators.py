@@ -60,17 +60,14 @@ equal size with at most GROUP_ROWS rows in all, or POOL_ROWS when a
 pool of workers runs them (a larger block is a group of one), drawn
 block by block from the blocks' own streams and then transformed,
 carried and reduced per block as one stacked array, in scratch arrays
-that each worker thread keeps from group to group (and a pool's worker
-from call to call: a worker count's pool lives as long as the process).
-Every per-block sum is bitwise what the block alone gives, whatever
-group it is in, and the reduction over blocks runs in a fixed order, so
-results are bitwise reproducible for a given (seed, n_traj) regardless
-of the worker thread count.
+that each worker keeps from group to group.  Every per-block sum is
+bitwise what the block alone gives, whatever group it is in, and the
+reduction over blocks runs in a fixed order, so results are bitwise
+reproducible for a given (seed, n_traj) regardless of the worker thread
+count.
 """
 
 import math
-import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, NamedTuple
@@ -99,7 +96,8 @@ MARCH_ENTRIES = 1 << 19
 # A standard error at most this times max(1, |estimate|) is rounding noise.
 ZERO_VARIANCE_REL = 1e-12
 # The frame moment check: a zero-variance entry may miss its closed form by
-# ZERO_VARIANCE_TOL, any other by MOMENT_SE_LIMIT standard errors.
+# ZERO_VARIANCE_TOL, any other by MOMENT_SE_LIMIT standard errors when all
+# N_BLOCKS blocks hold trajectories (see _moment_limit for fewer).
 ZERO_VARIANCE_TOL = 1e-12
 MOMENT_SE_LIMIT = 5.0
 # The largest miss of the exact mapping identity a cc comb may have.
@@ -231,17 +229,22 @@ class MomentCheck(NamedTuple):
 
     Each entry has the block jackknife SE of the estimates.
     worst_over_se is the largest |dev| / SE over the entries with a
-    spread, zero_variance_dev the largest |dev| over the entries whose
-    SE is at the ZERO_VARIANCE_REL floor (0 when there is none); both
-    are nan with fewer than 2 nonempty blocks.
+    spread, which may be at most limit (_moment_limit of the nonempty
+    blocks), zero_variance_dev the largest |dev| over the entries whose
+    SE is at the ZERO_VARIANCE_REL floor (0 when there is none, and
+    when some block is empty: a discrete sampler's entry then takes one
+    value in every block by chance, a gdtwa entry one of two values
+    with probability 1/2 each).  worst_over_se and limit are nan with
+    fewer than 2 nonempty blocks.
     """
 
     worst_over_se: float
     zero_variance_dev: float
+    limit: float
 
     @property
     def passed(self):
-        return self.worst_over_se <= MOMENT_SE_LIMIT and self.zero_variance_dev <= ZERO_VARIANCE_TOL
+        return self.worst_over_se <= self.limit and self.zero_variance_dev <= ZERO_VARIANCE_TOL
 
 
 @dataclass
@@ -295,31 +298,11 @@ def _groups(sizes, max_rows):
     return groups
 
 
-# One pool per worker count, kept for the process, and the scratch arrays of
-# its workers (see BlockStreams.scratch), which then live from call to call.
-_POOLS = {}
-_POOLS_LOCK = threading.Lock()
-_POOL_SCRATCH = threading.local()
-
-
-def _forget_pools():
-    """In a forked child: the pools' threads did not fork, so the child makes its own pools."""
-    global _POOLS_LOCK
-    _POOLS.clear()
-    _POOLS_LOCK = threading.Lock()
-
-
-os.register_at_fork(after_in_child=_forget_pools)
-
-
 def _run_blocks(work, blocks, n_threads):
-    """[work(b) for b in blocks], on the process's pool of n_threads workers when n_threads > 1."""
+    """[work(b) for b in blocks], on a pool of n_threads workers when n_threads > 1."""
     if n_threads > 1:
-        with _POOLS_LOCK:
-            if n_threads not in _POOLS:
-                _POOLS[n_threads] = ThreadPoolExecutor(max_workers=n_threads)
-            pool = _POOLS[n_threads]
-        return list(pool.map(work, blocks))
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            return list(pool.map(work, blocks))
     return [work(b) for b in blocks]
 
 
@@ -415,25 +398,7 @@ def _mapping_tensor(F, terms):
 
 
 def _mapping_miss(F, terms):
-    """The largest |miss| of the closed-form mapping tensor of terms against delta_mk delta_nl, and its 1-based (m, n, l, k).
-
-    A comb of scalar A_c and B_c (cmm, wmm) has the tensor
-    x delta_mn delta_lk + y delta_mk delta_nl, so its misses are
-    |x + y - 1|, |x| and |y - 1|, first met in C order at (1,1,1,1),
-    (1,1,2,2) and (1,2,2,1); at F = 1 only the first exists.  Those
-    three entries are formed by the operations _mapping_tensor makes on
-    them, so they are its bits.  Any other comb builds the tensor.
-    """
-    if all(np.ndim(A) == 0 and np.ndim(B) == 0 for _, A, _, B in terms):
-        entries = np.zeros(3)
-        for w, A, b, B in terms:
-            R2 = 2.0 * (1.0 + np.real(np.trace(A * np.eye(F))))
-            c = b * R2 * R2 / (2.0 * F * (F + 1))
-            diag = R2 / (2.0 * F) * (B + 2.0 * b * A)
-            entries += w * np.array([c * 2.0 - diag + A * B, c - diag + A * B, c])
-        misses = np.abs(F * entries - [1.0, 0.0, 1.0])[: 1 if F == 1 else 3]
-        worst = int(np.argmax(misses))
-        return float(misses[worst]), ((1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 2, 1))[worst]
+    """The largest |miss| of the closed-form mapping tensor of terms against delta_mk delta_nl, and its 1-based (m, n, l, k)."""
     miss = np.abs(_mapping_tensor(F, terms) - _pair_deltas(F)[1])
     worst = np.unravel_index(np.argmax(miss), miss.shape)
     return float(miss[worst]), tuple(int(i) + 1 for i in worst)
@@ -522,8 +487,9 @@ def _kernel_group(U, plan, idxs):
     M = sum_i W_i sum_f w_f z_if z_if^dagger per block and density side,
     formed for a group of blocks as one stacked matmul; every request
     reads its own (l, k) entry off its side's M.  The group also returns
-    each block's frame moment sum_i sum_f w_f z_if z_if^dagger, one more
-    stacked matmul on the first side's conj(A) before its density weight.
+    each block's frame moment sum_i sum_f w_f z_if z_if^dagger from one
+    more stacked matmul, F x F per block and frame, on the first side's
+    conj(A) before its density weight.
     """
     F = U.shape[-1]
     sides = _sides(idxs)
@@ -535,22 +501,23 @@ def _kernel_group(U, plan, idxs):
             shift_lk = plan.shift_lk(l0, k0)
         reads.append((sides.index((n0, m0)), U[:, l0], U[:, k0].conj(), shift_lk))
 
-    frame_weights = np.atleast_1d(plan.weights)  # one per frame; a scalar serves r = 1
+    w = plan.weights
 
     def group(rngs, nb):
         Z0, Ws, S = plan.sample(rngs, nb)
-        nblk, r = len(rngs), Z0.shape[1]
+        nblk = len(rngs)
         A = Z0.reshape(nblk, -1, F)
         moments = []
         for W in Ws:
-            v = np.broadcast_to(W[:, None] * plan.weights, Z0.shape[:2]).reshape(nblk, -1, 1)
+            v = np.broadcast_to(W[:, None] * w, Z0.shape[:2]).reshape(nblk, -1, 1)
             # v * conj(A) in place, in a scratch array (see BlockStreams.scratch)
             vAc = np.conjugate(A, out=rngs.scratch("temp", A.shape))
             if not moments:
-                # the frame moment, density weight aside: with a trajectory's r
-                # frames side by side, frame f's sum is the diagonal block (f, f)
-                full = A.reshape(nblk, nb, -1).transpose(0, 2, 1) @ vAc.reshape(nblk, nb, -1)
-                frame = np.diagonal(full.reshape(nblk, r, F, r, F), axis1=1, axis2=3) @ frame_weights
+                # the frame moment, density weight aside: one F x F product per
+                # block and frame, summed with the frame weights
+                A4, Ac4 = A.reshape(nblk, nb, -1, F), vAc.reshape(nblk, nb, -1, F)
+                per_frame = A4.transpose(0, 2, 3, 1) @ Ac4.transpose(0, 2, 1, 3)
+                frame = per_frame.transpose(0, 2, 3, 1) @ np.broadcast_to(w, Z0.shape[1:2])
             np.multiply(v, vAc, out=vAc)
             shifts = np.sum((W[:, None] * S).reshape(nblk, nb, -1), axis=1)
             moments.append((A.transpose(0, 2, 1) @ vAc, shifts[..., None]))
@@ -620,7 +587,7 @@ def _drive(req, U, plan, idxs):
     F = U.shape[-1]
     sums = np.zeros((N_BLOCKS, len(U), width), dtype=plan.dtype)
     frames = np.zeros((N_BLOCKS, F, F), dtype=np.complex128)
-    streams = BlockStreams(block_keys(req.seed, N_BLOCKS), _POOL_SCRATCH if req.n_threads > 1 else None)
+    streams = BlockStreams(block_keys(req.seed, N_BLOCKS))
 
     def work(span):
         lo, hi = span
@@ -629,6 +596,48 @@ def _drive(req, U, plan, idxs):
     max_rows = GROUP_ROWS if req.n_threads == 1 else POOL_ROWS
     _run_blocks(work, _groups(sizes, max_rows), req.n_threads)
     return sums, frames, sizes
+
+
+def _t_tail(x, dof):
+    """P(|T| > x) for Student's t with an integer number of degrees of freedom (Abramowitz & Stegun 26.7.3-4)."""
+    theta = math.atan(x / math.sqrt(dof))
+    c2 = math.cos(theta) ** 2
+    term = series = 1.0
+    if dof % 2:
+        for j in range(1, (dof - 1) // 2):
+            term *= 2 * j / (2 * j + 1) * c2
+            series += term
+        inside = 2.0 / math.pi * (theta + (math.sin(theta) * math.cos(theta) * series if dof > 1 else 0.0))
+    else:
+        for j in range(1, dof // 2):
+            term *= (2 * j - 1) / (2 * j) * c2
+            series += term
+        inside = math.sin(theta) * series
+    return 1.0 - inside
+
+
+def _moment_limit(B):
+    """The |dev| / SE limit of the frame moment check over B nonempty blocks.
+
+    The jackknife SE of a block mean over B blocks has B - 1 degrees
+    of freedom, so the limit is the Student t quantile with B - 1
+    degrees of freedom whose two-sided tail is that of MOMENT_SE_LIMIT
+    over N_BLOCKS blocks: each entry fails by chance equally rarely at
+    any tcf.n_traj, and fewer blocks make a wider limit.
+    """
+    if B < 2:
+        return math.nan
+    if B == N_BLOCKS:
+        return MOMENT_SE_LIMIT
+    tail = _t_tail(MOMENT_SE_LIMIT, N_BLOCKS - 1)
+    lo, hi = 0.0, math.pi / 2  # bisect on the angle atan(x / sqrt(B - 1))
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        if _t_tail(math.sqrt(B - 1) * math.tan(mid), B - 1) > tail:
+            lo = mid
+        else:
+            hi = mid
+    return math.sqrt(B - 1) * math.tan(hi)
 
 
 def _moment_check(frames, sizes, mean):
@@ -640,7 +649,12 @@ def _moment_check(frames, sizes, mean):
     se = _jackknife(blocks, sizes[:, None], total, n, sizes)
     dev = np.abs(got - mean.ravel())
     zero = se <= ZERO_VARIANCE_REL * np.maximum(1.0, np.abs(got))
-    return MomentCheck(float((dev / np.where(zero, np.inf, se)).max()), float(np.where(zero, dev, 0.0).max()))
+    B = int(np.count_nonzero(sizes))
+    return MomentCheck(
+        float((dev / np.where(zero, np.inf, se)).max()),
+        float(np.where(zero, dev, 0.0).max()) if B == N_BLOCKS else 0.0,
+        _moment_limit(B),
+    )
 
 
 def _reduce(req, plan, idxs, t_grid, out, frames, sizes):

@@ -509,6 +509,16 @@ def test_moments_check_needs_two_blocks(tmp_path, capsys):
         assert "nan" not in line
 
 
+def test_run_with_few_trajectories_passes_the_moments_check(tmp_path):
+    # tcf.n_traj below the block count leaves blocks empty: the limit widens
+    for n_traj in (2, 3, 5, 10):
+        for seed in range(5):
+            text = BASE.replace("tcf.n_traj = 20000", f"tcf.n_traj = {n_traj}")
+            text = text.replace("tcf.seed = 7", f"tcf.seed = {seed}")
+            summary = run_experiment(load_config(write_config(tmp_path, text), overrides={"out": tmp_path / "o"}))
+            assert summary.exit_code == 0, (n_traj, seed, str(moments_line(summary.validations)))
+
+
 def test_moments_lines_and_results_are_the_same_at_one_and_two_threads(tmp_path):
     # gdtwa draws one ensemble per density side, each with its own check
     text = (
@@ -627,6 +637,7 @@ def test_run_counts_nan_points(tmp_path):
     nan_rows = [row for row in data if "nan" in (row[5], row[6], row[7])]
     assert [row[4] for row in nan_rows] == ["2.0"]
     assert summary.nan_points == 1
+    assert summary.exit_code == 0
     assert math.isfinite(summary.max_error_over_se)
     assert "nan_points: 1" in summary.manifest_path.read_text()
 
