@@ -3,14 +3,8 @@
 Drives the estimator families end to end from a small key-value config:
 build a Hamiltonian, estimate the requested correlation functions on a
 time grid, compare against the dense exact reference, and emit plottable
-CSV plus a run manifest.  Also hosts the validation suites (the exact
-mapping condition in closed form, of the configured comb for a cc family
-as estimate_tcf checks it, the worst invariant drift over the sphere
-read off the propagation maps, and the frame moments of the run's own
-ensembles against the closed forms of their samplers) and the Monte
-Carlo convergence study.  No check draws a sample of its own: the
-moment check reads the run's estimate_tcf results, so its power follows
-tcf.n_traj.
+CSV plus a run manifest.  Also hosts the self-checks (see
+run_validations) and the Monte Carlo convergence study.
 
 Config format: one `key = value` per line, '#' comments, dotted section
 prefixes.  Recognized keys:
@@ -30,10 +24,9 @@ prefixes.  Recognized keys:
   tcf.pairs         "n,m,k,l; n,m,k,l; ..."   (default "1,1,1,1")
   tcf.t_max, tcf.n_times, tcf.n_traj, tcf.seed, tcf.backend, tcf.dt
   tcf.threads
-  validate.exact_mapping, validate.drift, validate.moments   (true/false)
 
-Exit status: 0 on success, 2 when an enabled validation fails, 1 on
-usage or config errors.
+Exit status: 0 on success, 2 when a validation fails, 1 on usage or
+config errors.
 """
 
 import argparse
@@ -77,9 +70,6 @@ class ExperimentConfig:
     dt: float = 1e-3
     threads: int = 1
     out_dir: Path = Path(".")
-    validate_exact_mapping: bool = True
-    validate_drift: bool = True
-    validate_moments: bool = True
     method_text: str = ""
     model_text: str = ""
 
@@ -90,6 +80,8 @@ class ExperimentConfig:
             raise ConfigError(f"tcf.t_max: must be positive and finite, got {self.t_max!r}")
         if self.n_traj < 1:
             raise ConfigError(f"tcf.n_traj: must be at least 1, got {self.n_traj!r}")
+        if self.backend not in ("exact", "rk4"):
+            raise ConfigError(f"tcf.backend: unknown backend {self.backend!r}")
         if not (math.isfinite(self.dt) and self.dt > 0):
             raise ConfigError(f"tcf.dt: must be positive and finite, got {self.dt!r}")
         if self.threads < 1:
@@ -173,15 +165,6 @@ def _as_int(key, value):
     except ValueError:
         pass
     raise ConfigError(f"{key}: not an integer: {value!r}")
-
-
-def _as_bool(key, value):
-    low = value.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"{key}: not a boolean: {value!r}")
 
 
 def _build_model(entries):
@@ -309,7 +292,7 @@ def _build_method(entries, F):
     return spec, f"{family}({key.split('.')[1]}={shown})"
 
 
-# scalar config key -> (parser, default); tcf.x sets the field x, validate.x validate_x
+# scalar config key -> (parser, default); tcf.x sets the field x
 _SCALAR_KEYS = {
     "tcf.t_max": (_as_float, "10"),
     "tcf.n_times": (_as_int, "21"),
@@ -318,9 +301,6 @@ _SCALAR_KEYS = {
     "tcf.backend": (lambda key, value: value, "exact"),
     "tcf.dt": (_as_float, "1e-3"),
     "tcf.threads": (_as_int, "1"),
-    "validate.exact_mapping": (_as_bool, "true"),
-    "validate.drift": (_as_bool, "true"),
-    "validate.moments": (_as_bool, "true"),
 }
 
 
@@ -345,7 +325,7 @@ def load_config(path, overrides=None):
 
     pairs = _parse_pair_list("tcf.pairs", entries.pop("tcf.pairs", "1,1,1,1"), F)
     cfg_kwargs = {
-        key.replace("tcf.", "").replace(".", "_"): parse(key, entries.pop(key, default))
+        key.removeprefix("tcf."): parse(key, entries.pop(key, default))
         for key, (parse, default) in _SCALAR_KEYS.items()
     }
     cfg_kwargs.update(
@@ -360,8 +340,6 @@ def load_config(path, overrides=None):
     cfg = ExperimentConfig(**cfg_kwargs)
     if "out" in overrides:
         cfg.out_dir = Path(overrides["out"])
-    if cfg.backend not in ("exact", "rk4"):
-        raise ConfigError(f"tcf.backend: unknown backend {cfg.backend!r}")
     return cfg
 
 
@@ -445,43 +423,29 @@ def _validate_moments(cfg, results):
     checks = [res.moment_check for res in results]
     worst = max(check.worst_over_se for check in checks)
     zero = max(check.zero_variance_dev for check in checks)
-    limit = checks[0].limit  # every ensemble of the run has the same blocks
     if not math.isfinite(worst + zero):
-        return ValidationResult("moments", False, "the run's frame moment is not finite")
-    if zero > ZERO_VARIANCE_TOL:
+        detail = "the run's frame moment is not finite"
+    elif zero > ZERO_VARIANCE_TOL:
         detail = f"zero-variance deviation {zero:.2e} (limit {ZERO_VARIANCE_TOL:.0e})"
-        return ValidationResult("moments", False, detail)
-    detail = f"{cfg.method_text} frames, worst |dev|/SE = {worst:.2f} (limit {limit:.4g})"
-    return ValidationResult("moments", worst <= limit, detail)
+    else:
+        # every ensemble of the run has the same blocks, so the same limit
+        detail = f"{cfg.method_text} frames, worst |dev|/SE = {worst:.2f} (limit {checks[0].limit:.4g})"
+    return ValidationResult("moments", all(check.passed for check in checks), detail)
 
 
 def run_validations(cfg, H, results=None):
-    """Run the enabled validation suites for a config.
+    """The self-checks of a config; none draws a sample of its own.
 
-    No check draws a sample of its own.  The exact-mapping check is the
-    closed form that estimate_tcf checks, of the configured comb for a
-    cc family and of the cmm kernel pair at method.gamma (the Wigner
-    gamma where there is none) for any other.  The moments check reads
-    results, the run's estimate_tcf results over the configured pairs;
-    when they are not given (cpsmap validate) it makes that call.
+    exact_mapping is the closed form that estimate_tcf checks, of the
+    configured comb, for a cc family only; drift reads the backend's
+    propagation maps; moments judges results, the run's estimate_tcf
+    results over the configured pairs, and runs only when they are given.
     """
-    out = []
-    F = H.shape[0]
-    if cfg.validate_exact_mapping:
-        g = cfg.method.gamma
-        if g is None or g <= -1.0 / F:
-            g = gamma_wigner(F)
-        cc = cfg.method.family in COMB_FAMILIES
-        out.append(_validate_exact_mapping(F, cfg.method if cc else MethodSpec.cmm(g)))
-    if cfg.validate_drift:
-        out.append(_validate_drift(H, cfg.backend, cfg.dt))
-    if cfg.validate_moments:
-        try:
-            results = results or _estimates(cfg, H)
-        except ValueError as exc:
-            out.append(ValidationResult("moments", False, f"estimate_tcf rejects the run: {exc}"))
-        else:
-            out.append(_validate_moments(cfg, results))
+    cc = cfg.method.family in COMB_FAMILIES
+    out = [_validate_exact_mapping(H.shape[0], cfg.method)] if cc else []
+    out.append(_validate_drift(H, cfg.backend, cfg.dt))
+    if results is not None:
+        out.append(_validate_moments(cfg, results))
     return out
 
 
@@ -648,7 +612,7 @@ def _build_parser():
     for name, desc in (
         ("run", "estimate the configured correlation functions"),
         ("converge", "Monte Carlo convergence study"),
-        ("validate", "run only the invariant and oracle suites"),
+        ("validate", "run the self-checks that need no sample"),
     ):
         p = sub.add_parser(name, description=desc)
         p.add_argument("config", help="path to the experiment config")
@@ -696,9 +660,8 @@ def main(argv=None):
             print(f"wrote {report.path}; slope = {report.slope:.3f}")
             return 0
         # validate
-        H = build_hamiltonian(cfg.model)
-        validations = run_validations(cfg, H)
-        print("\n".join(map(str, validations)) or "no validations enabled")
+        validations = run_validations(cfg, build_hamiltonian(cfg.model))
+        print("\n".join(map(str, validations)))
         return 0 if all(v.passed for v in validations) else 2
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

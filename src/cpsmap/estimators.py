@@ -326,13 +326,12 @@ def _jackknife(num_blocks, den_blocks, num_total, den_total, sizes):
 
 
 def _prepare(req):
+    """Check the fields a call's requests share, on its first request; return its H, F and t_grid."""
+    fam = req.method.family
+    if fam not in _PLANS:
+        raise ValueError(f"unknown method family {fam!r}")
     H = require_hermitian(req.hamiltonian, name="hamiltonian")
     F = H.shape[0]
-    n, m = req.rho_indices
-    k, l = req.obs_indices
-    for name, idx in (("rho", n), ("rho", m), ("obs", k), ("obs", l)):
-        if not (isinstance(idx, (int, np.integer)) and 1 <= idx <= F):
-            raise ValueError(f"{name} index {idx} outside 1..{F}")
     if req.n_traj < 1:
         raise ValueError("n_traj must be at least 1")
     if req.n_threads < 1:
@@ -342,10 +341,8 @@ def _prepare(req):
     if req.backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {req.backend!r}")
     _check_step(req.dt)
-    method = req.method
-    fam = method.family
     if fam in COMB_FAMILIES:
-        miss, where = _mapping_miss(F, _comb(method, F))
+        miss, where = _mapping_miss(F, _comb(req.method, F))
         if not miss <= EXACT_MAPPING_TOL:
             raise ValueError(
                 f"{fam} comb violates the exact mapping condition: F sum_c w_c E_c[K_mn K_lk] misses "
@@ -357,6 +354,17 @@ def _prepare(req):
         raise ValueError("hill_ww needs F >= 2: the hill exponent B(F) is singular at F = 1")
     if fam == "triangle_f2_single" and F != 2:
         raise ValueError("triangle_f2_single is defined for F = 2 only")
+    return H, F, t_grid
+
+
+def _indices(req, F):
+    """A request's 0-based (n, m, k, l), checked against 1..F and its family's index rules."""
+    n, m = req.rho_indices
+    k, l = req.obs_indices
+    for name, idx in (("rho", n), ("rho", m), ("obs", k), ("obs", l)):
+        if not (isinstance(idx, (int, np.integer)) and 1 <= idx <= F):
+            raise ValueError(f"{name} index {idx} outside 1..{F}")
+    fam = req.method.family
     if fam == "cornered_simplex" and k != l:
         raise ValueError("cornered_simplex supports population observables only (k = l)")
     if _PLANS[fam] is _ww_plan and (n != m or k != l):
@@ -364,7 +372,7 @@ def _prepare(req):
             "window-window families estimate population-population "
             "correlation functions only (n = m and k = l)"
         )
-    return H, F, t_grid, (n - 1, m - 1, k - 1, l - 1)
+    return n - 1, m - 1, k - 1, l - 1
 
 
 def _pair_deltas(F):
@@ -1088,22 +1096,19 @@ def estimate_tcf(requests):
     reqs = [requests] if single else list(requests)
     if not reqs:
         raise ValueError("estimate_tcf needs at least one request")
-    for req in reqs:
-        if req.method.family not in _PLANS:
-            raise ValueError(f"unknown method family {req.method.family!r}")
-    prepared = [_prepare(req) for req in reqs]
-    _check_shared(reqs)
     req = reqs[0]
+    H, F, t_grid = _prepare(req)
+    _check_shared(reqs)
+    every_idx = [_indices(r, F) for r in reqs]
     make_plan = _PLANS[req.method.family]
-    H, F, t_grid, _ = prepared[0]
     U = grid_march(H, t_grid, req.backend, req.dt)
     ensembles = {}
-    for i, (_, _, _, idx) in enumerate(prepared):
+    for i, idx in enumerate(every_idx):
         key = () if make_plan in _SHARED_FRAMES else idx[:2]
         ensembles.setdefault(key, []).append(i)
     results = [None] * len(reqs)
     for members in ensembles.values():
-        idxs = [prepared[i][3] for i in members]
+        idxs = [every_idx[i] for i in members]
         plan = make_plan(req, F, idxs, U)
         out, frames, sizes = _drive(req, U, plan, idxs)
         for i, res in zip(members, _reduce(req, plan, idxs, t_grid, out, frames, sizes)):

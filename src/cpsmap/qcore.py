@@ -53,42 +53,31 @@ def require_hermitian(H, tol=HERMITIAN_TOL, name="matrix"):
         and the scaled tolerance.
     """
     H = np.asarray(H, dtype=np.complex128)
-    if H.ndim != 2:
+    if H.ndim != 2 or H.shape[0] != H.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    return _require_hermitian_stack(H, tol, name)
-
-
-def _require_hermitian_stack(H, tol, name):
-    """require_hermitian for a complex128 stack (..., F, F), each matrix on its own scale."""
-    if H.ndim < 2 or H.shape[-2] != H.shape[-1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
-    if H.shape[-1] < 1:
+    if H.shape[0] < 1:
         raise ValueError("matrix dimension must be at least 1")
     if not np.all(np.isfinite(H)):
         raise ValueError(f"{name} has non-finite entries")
-    asym = np.abs(H - np.swapaxes(H.conj(), -1, -2))
-    limit = tol * np.maximum(1.0, np.max(np.abs(H), axis=(-2, -1)))
-    over = np.max(asym, axis=(-2, -1)) > limit
-    if np.any(over):
-        lead = tuple(np.argwhere(over)[0])
-        i, j = np.unravel_index(np.argmax(asym[lead]), asym.shape[-2:])
-        where = f"{name}[{', '.join(str(a) for a in lead)}]" if lead else name
+    asym = np.abs(H - H.conj().T)
+    limit = tol * max(1.0, np.max(np.abs(H)))
+    i, j = np.unravel_index(np.argmax(asym), asym.shape)
+    if asym[i, j] > limit:
         raise NonHermitianError(
-            f"{where} is not Hermitian: entries ({i}, {j}) and ({j}, {i}) differ, "
-            f"max asymmetry {asym[lead][i, j]:.3e} exceeds "
-            f"{tol:.3g} * max(1, max|entry|) = {limit[lead]:.3e}"
+            f"{name} is not Hermitian: entries ({i}, {j}) and ({j}, {i}) differ, "
+            f"max asymmetry {asym[i, j]:.3e} exceeds "
+            f"{tol:.3g} * max(1, max|entry|) = {limit:.3e}"
         )
     return H
 
 
 @dataclass
 class SpectralDecomposition:
-    """Eigensystem of a Hermitian matrix, or of each matrix of a stack.
+    """Eigensystem of a Hermitian matrix.
 
-    eigenvalues are ascending along the last axis; eigenvectors are the
-    columns of a unitary matrix, with the phase of each column fixed so
-    that its first component of largest absolute value is real and
-    nonnegative.
+    eigenvalues are ascending; eigenvectors are the columns of a unitary
+    matrix, with the phase of each column fixed so that its first
+    component of largest absolute value is real and nonnegative.
     """
 
     eigenvalues: np.ndarray
@@ -105,10 +94,7 @@ class SpectralDecomposition:
 
 
 def _fix_phases(V):
-    """Rotate each column so its first max-modulus component is real >= 0.
-
-    V is one matrix of columns or a stack (..., F, F) of them.
-    """
+    """Rotate each column of V so its first max-modulus component is real >= 0."""
     lead_idx = np.argmax(np.abs(V), axis=-2)
     lead = np.take_along_axis(V, lead_idx[..., None, :], axis=-2)
     mod = np.abs(lead)
@@ -123,10 +109,9 @@ def hermitian_eig(H, tol=HERMITIAN_TOL):
     Parameters
     ----------
     H : array_like
-        Hermitian matrix, or a stack (..., F, F) of them, each
-        diagonalized as if on its own.
+        Hermitian matrix.
     tol : float
-        Hermiticity tolerance of the ``require_hermitian`` checks.
+        Hermiticity tolerance of the ``require_hermitian`` check.
 
     Returns
     -------
@@ -136,7 +121,7 @@ def hermitian_eig(H, tol=HERMITIAN_TOL):
         the reconstruction is contractual there, not the individual
         vectors.
     """
-    H = _require_hermitian_stack(np.asarray(H, dtype=np.complex128), tol, "matrix")
+    H = require_hermitian(H, tol)
     lam, V = np.linalg.eigh(H)
     return SpectralDecomposition(lam, _fix_phases(V))
 

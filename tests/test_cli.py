@@ -72,13 +72,15 @@ def test_load_config_rejects_unknown_keys(tmp_path):
         load_config(path)
 
 
-def test_load_config_rejects_the_retired_validation_sample_size(tmp_path, capsys):
-    # the moments check reads the run's own frames, so it has no sample size
-    path = write_config(tmp_path, BASE + "validate.n_traj = 20000\n")
-    with pytest.raises(ConfigError, match=r"^unknown config key\(s\): validate.n_traj$"):
+@pytest.mark.parametrize("key", ["validate.n_traj", "validate.exact_mapping", "validate.drift", "validate.moments"])
+def test_load_config_rejects_the_retired_validation_keys(tmp_path, capsys, key):
+    # the moments check reads the run's own frames, so it has no sample size,
+    # and every check runs whenever its subject exists, so none has a switch
+    path = write_config(tmp_path, BASE + f"{key} = 1\n")
+    with pytest.raises(ConfigError, match=rf"^unknown config key\(s\): {re.escape(key)}$"):
         load_config(path)
     assert main(["validate", str(path)]) == 1
-    assert "validate.n_traj" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_load_config_missing_file(tmp_path):
@@ -230,6 +232,8 @@ def test_experiment_config_validation():
     for dt in (0.0, -1e-3, math.nan, math.inf):
         with pytest.raises(ConfigError, match="^tcf.dt: "):
             ExperimentConfig(ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], dt=dt)
+    with pytest.raises(ConfigError, match="^tcf.backend: unknown backend 'rk5'$"):
+        ExperimentConfig(ModelSpec.two_level(1.0), MethodSpec.cmm(0.0), [((1, 1), (1, 1))], backend="rk5")
 
 
 def test_main_rejects_bad_threads_and_run_length(tmp_path, capsys):
@@ -366,24 +370,30 @@ def test_main_config_error(tmp_path, capsys):
 
 def test_main_validate_subcommand(tmp_path, capsys):
     path = write_config(tmp_path)
-    code = main(["validate", str(path)])
-    assert code == 0
+    assert main(["validate", str(path)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == ["validation exact_mapping", "validation drift"]
+    assert all(": pass (" in ln for ln in lines)
+    assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 0
     assert "validation moments: pass" in capsys.readouterr().out
 
 
 def test_main_validate_is_the_same_at_any_thread_count(tmp_path, capsys):
     path = write_config(tmp_path)
-    printed = []
-    for threads in ("1", "2"):
-        assert main(["validate", str(path), "--threads", threads]) == 0
-        printed.append(capsys.readouterr().out)
-    assert printed[0].count("validation ") == 3
-    assert printed[0] == printed[1]
+    printed = {}
+    for command in ("validate", "run"):
+        for threads in ("1", "2"):
+            assert main([command, str(path), "--threads", threads, "--out", str(tmp_path / threads)]) == 0
+            out = capsys.readouterr().out
+            printed[command, threads] = [ln for ln in out.splitlines() if ln.startswith("validation ")]
+    assert len(printed["validate", "1"]) == 2 and len(printed["run", "1"]) == 3
+    assert printed["validate", "1"] == printed["validate", "2"] == printed["run", "1"][:2]
+    assert printed["run", "1"] == printed["run", "2"]
 
 
 def test_main_validation_failure_exit_code(tmp_path, capsys):
     # a coarse rk4 step drifts far beyond the invariant tolerance
-    text = BASE + "tcf.backend = rk4\ntcf.dt = 0.5\nvalidate.exact_mapping = false\nvalidate.moments = false\n"
+    text = BASE + "tcf.backend = rk4\ntcf.dt = 0.5\n"
     path = write_config(tmp_path, text)
     code = main(["validate", str(path)])
     assert code == 2
@@ -452,36 +462,74 @@ def test_exact_mapping_validation_fails_on_the_wrong_sphere(tmp_path, monkeypatc
 def test_main_validate_checks_the_configured_comb(tmp_path, capsys, method, passed):
     # the check once looked at the cmm pair at the Wigner gamma and passed
     # combs that estimate_tcf rejects
-    text = BASE.replace("method.family = cmm", method) + "validate.drift = false\nvalidate.moments = false\n"
-    assert main(["validate", str(write_config(tmp_path, text))]) == (0 if passed else 2)
+    path = write_config(tmp_path, BASE.replace("method.family = cmm", method))
+    assert main(["validate", str(path)]) == (0 if passed else 2)
     out = capsys.readouterr().out
     assert f"validation exact_mapping: {'pass' if passed else 'FAIL'} (" in out
     assert f"({method.split()[2]} comb, closed-form miss" in out
+    assert "validation drift: pass" in out
+    if not passed:
+        # estimate_tcf rejects the comb, so run stops before it writes a result
+        assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+        assert "comb violates the exact mapping condition" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+def test_a_cc_run_checks_its_comb_once_in_the_estimate_and_once_for_the_manifest(tmp_path, monkeypatch):
+    calls = []
+    miss = estimators._mapping_miss
+
+    def counted(F, terms):
+        calls.append(F)
+        return miss(F, terms)
+
+    monkeypatch.setattr(estimators, "_mapping_miss", counted)
+    monkeypatch.setattr(cli, "_mapping_miss", counted)
+    text = BASE.replace("tcf.pairs = 1,1,1,1; 1,1,2,2", "tcf.pairs = 1,1,1,1; 1,1,2,2; 1,2,2,1; 2,2,1,1")
+    cfg = load_config(write_config(tmp_path, text), overrides={"out": tmp_path / "o"})
+    assert run_experiment(cfg).exit_code == 0
+    assert calls == [2, 2]
+
+
+def test_a_family_without_a_comb_prints_no_exact_mapping_line(tmp_path, capsys):
+    # a non-cc family once got the exact_mapping line of a cmm stand-in at its
+    # gamma, which at gamma = 1e9 missed by rounding (1.2e-7) and failed a run
+    # whose estimates equal the gamma = 0 run's
+    text = (
+        "model.kind = random\nmodel.F = 3\nmodel.seed = 4\nmethod.family = hill_ww\nmethod.gamma = 1e9\n"
+        "tcf.pairs = 1,1,2,2; 1,1,1,1\ntcf.n_times = 5\ntcf.n_traj = 2000\n"
+    )
+    path = write_config(tmp_path, text)
+    for command, checks in (("run", ["drift", "moments"]), ("validate", ["drift"])):
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 0
+        lines = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("validation ")]
+        assert [ln.split()[1].rstrip(":") for ln in lines] == checks
+        assert all(": pass (" in ln for ln in lines)
 
 
 def test_moments_validation_fails_at_the_wrong_gamma(tmp_path, monkeypatch):
     # frames drawn at the Wigner gamma against the closed form of the sphere at 0
     cfg = load_config(write_config(tmp_path))
     H = build_hamiltonian(cfg.model)
-    assert moments_line(run_validations(cfg, H)).passed
+    assert moments_line(run_validations(cfg, H, cli._estimates(cfg, H))).passed
     sphere_mean = estimators._sphere_mean
     monkeypatch.setattr(estimators, "_sphere_mean", lambda F, terms, b=0.5: sphere_mean(F, [(1.0, 0.0, None, None)], b))
-    bad = moments_line(run_validations(cfg, H))
+    bad = moments_line(run_validations(cfg, H, cli._estimates(cfg, H)))
     assert not bad.passed
     assert "worst |dev|/SE" in bad.detail
 
 
 def test_no_validation_sample_is_drawn_without_the_moments_check(tmp_path, monkeypatch, capsys):
-    # no check draws a sample of its own: validate without the moments check
-    # makes no estimate_tcf call, and run hands the check its results
-    cfg = load_config(write_config(tmp_path, BASE + "validate.moments = false\n"))
+    # no check draws a sample of its own: validate, which has no run to
+    # judge, makes no estimate_tcf call, and run hands the check its results
+    path = write_config(tmp_path)
+    cfg = load_config(path)
     H = build_hamiltonian(cfg.model)
     results = cli._estimates(cfg, H)
     monkeypatch.setattr(cli, "estimate_tcf", None)
     assert [v.name for v in run_validations(cfg, H)] == ["exact_mapping", "drift"]
-    assert main(["validate", str(write_config(tmp_path, BASE + "validate.moments = false\n"))]) == 0
+    assert main(["validate", str(path)]) == 0
     assert "validation moments" not in capsys.readouterr().out
-    cfg.validate_moments = True
     assert [v.name for v in run_validations(cfg, H, results)] == ["exact_mapping", "drift", "moments"]
 
 
@@ -491,22 +539,24 @@ def test_zero_variance_product_that_misses_fails(tmp_path, monkeypatch):
     text = BASE.replace("method.family = cmm", "method.family = ehrenfest")
     cfg = load_config(write_config(tmp_path, text))
     H = build_hamiltonian(cfg.model)
-    assert moments_line(run_validations(cfg, H)).passed
+    assert moments_line(run_validations(cfg, H, cli._estimates(cfg, H))).passed
     focus_mean = estimators._focus_mean
     monkeypatch.setattr(estimators, "_focus_mean", lambda F, side, on, off: focus_mean(F, side, on + 1e-9, off))
-    bad = moments_line(run_validations(cfg, H))
+    bad = moments_line(run_validations(cfg, H, cli._estimates(cfg, H)))
     assert not bad.passed
     assert "zero-variance deviation" in bad.detail
 
 
 def test_moments_check_needs_two_blocks(tmp_path, capsys):
-    # one trajectory fills one block, which gives no jackknife SE
+    # one trajectory fills one block, which gives no jackknife SE; validate
+    # judges no frames, so it has no moments line to fail
     path = write_config(tmp_path, BASE.replace("tcf.n_traj = 20000", "tcf.n_traj = 1"))
-    for command in ("run", "validate"):
-        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 2
-        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("validation moments")]
-        assert line.startswith("validation moments: FAIL (tcf.n_traj = 1 ")
-        assert "nan" not in line
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 2
+    (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith("validation moments")]
+    assert line.startswith("validation moments: FAIL (tcf.n_traj = 1 ")
+    assert "nan" not in line
+    assert main(["validate", str(path)]) == 0
+    assert "validation moments" not in capsys.readouterr().out
 
 
 def test_run_with_few_trajectories_passes_the_moments_check(tmp_path):
@@ -640,12 +690,3 @@ def test_run_counts_nan_points(tmp_path):
     assert summary.exit_code == 0
     assert math.isfinite(summary.max_error_over_se)
     assert "nan_points: 1" in summary.manifest_path.read_text()
-
-
-def test_validate_fails_the_moments_line_of_a_rejected_comb(tmp_path, capsys):
-    # estimate_tcf rejects the comb, so there are no frames to check
-    text = BASE.replace("method.family = cmm", "method.family = wmm\nmethod.weight = 0.25:1")
-    assert main(["validate", str(write_config(tmp_path, text))]) == 2
-    out = capsys.readouterr().out
-    assert "validation exact_mapping: FAIL" in out
-    assert "validation moments: FAIL (estimate_tcf rejects the run: wmm comb violates the exact mapping" in out

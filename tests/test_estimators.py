@@ -25,6 +25,7 @@ from cpsmap.estimators import (
     _groups,
     _hill_obs_windows,
     _hill_rho_window,
+    _indices,
     _prepare,
     _triangle_obs_windows,
     estimate_tcf,
@@ -381,7 +382,8 @@ def per_trajectory_estimates(req):
     trajectory's shift) per time; window plans evaluate their window on
     the actions of one time.  The reduction repeats estimate_tcf's.
     """
-    H, F, t_grid, idx = _prepare(req)
+    H, F, t_grid = _prepare(req)
+    idx = _indices(req, F)
     U = grid_march(H, t_grid, req.backend, req.dt)
     plan = _PLANS[req.method.family](req, F, [idx], U)
     l0, k0 = idx[3], idx[2]
@@ -541,6 +543,29 @@ def test_request_list_accepts_equal_methods_and_rejects_empty():
     assert len(estimate_tcf(reqs)) == 2
     with pytest.raises(ValueError, match="at least one request"):
         estimate_tcf([])
+
+
+def test_request_list_checks_its_shared_fields_once(monkeypatch):
+    # the Hermitian check of H and the F^4 exactness pass of the comb run
+    # once per call, not once per request
+    calls = []
+
+    def count(name):
+        original = getattr(estimators, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, name, counted)
+
+    count("_mapping_miss")
+    count("require_hermitian")
+    H = random_h(3, seed=21)
+    pairs = ((1, 1, 1, 1), (1, 1, 2, 2), (1, 2, 2, 1), (2, 2, 1, 1))
+    reqs = [request(H, MethodSpec.cmm(gamma_wigner(3)), nmkl=p, n_traj=1000) for p in pairs]
+    assert len(estimate_tcf(reqs)) == 4
+    assert sorted(calls) == ["_mapping_miss", "require_hermitian"]
 
 
 def test_result_flags_zero_variance_points():

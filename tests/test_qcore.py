@@ -58,18 +58,6 @@ def test_hermitian_tolerance_is_scale_relative(seed, F, rel, k):
     assert passes_hermitian_check(10.0**k * H) == passes_hermitian_check(H) == (rel < 1.0)
 
 
-def test_hermitian_tolerance_scales_each_matrix_of_a_stack():
-    Hs = np.stack([random_hermitian(3, seed=s) for s in range(3)])
-    Hs[0] *= 1e9
-    Hs[0, 0, 1] += 1e-4  # 1e-13 of the matrix's own scale
-    Hs[2] *= 1e-3
-    Hs[2, 0, 1] += 2e-12  # beyond the absolute floor of a matrix below 1
-    with pytest.raises(NonHermitianError, match=r"matrix\[2\] .* = 1\.000e-12"):
-        hermitian_eig(Hs)
-    Hs[2, 0, 1] -= 2e-12
-    hermitian_eig(Hs)
-
-
 def test_require_hermitian_rejects_nonsquare():
     with pytest.raises(ValueError, match="square"):
         require_hermitian(np.zeros((2, 3)))
@@ -96,34 +84,14 @@ def test_eig_phase_convention_is_deterministic():
     assert np.all(lead.real >= 0)
 
 
-def test_eig_of_a_stack_equals_each_matrix_on_its_own():
-    Hs = np.stack([random_hermitian(4, seed=s, scale=10.0 ** (s - 3)) for s in range(6)])
-    dec = hermitian_eig(Hs.reshape(2, 3, 4, 4))
-    assert dec.eigenvalues.shape == (2, 3, 4) and dec.dim == 4
-    lams = dec.eigenvalues.reshape(6, 4)
-    vecs = dec.eigenvectors.reshape(6, 4, 4)
-    for H, lam, V in zip(Hs, lams, vecs):
-        one = hermitian_eig(H)
-        assert lam.tobytes() == one.eigenvalues.tobytes()
-        assert V.tobytes() == one.eigenvectors.tobytes()
-    assert np.max(np.abs(dec.reconstruct() - Hs.reshape(2, 3, 4, 4))) < 1e-9
-
-
-def test_eig_of_a_stack_names_the_bad_matrix():
-    Hs = np.stack([random_hermitian(3, seed=s) for s in range(4)])
-    Hs[2, 0, 1] += 1e-6
-    with pytest.raises(NonHermitianError, match=r"matrix\[2\] is not Hermitian: entries \(0, 1\)"):
-        hermitian_eig(Hs)
-    Hs[2, 0, 1] = np.nan
-    with pytest.raises(ValueError, match="non-finite"):
-        hermitian_eig(Hs)
-    with pytest.raises(ValueError, match="square"):
-        hermitian_eig(np.zeros((2, 3, 4)))
-
-
 def test_require_hermitian_takes_one_matrix_only():
-    with pytest.raises(ValueError, match="square"):
-        require_hermitian(np.zeros((2, 3, 3)))
+    for check in (require_hermitian, hermitian_eig):
+        with pytest.raises(ValueError, match="square"):
+            check(np.zeros((2, 3, 3)))
+    H = random_hermitian(3, seed=2)
+    H[0, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        hermitian_eig(H)
 
 
 def test_propagator_zero_time_is_identity():
