@@ -93,24 +93,30 @@ def _rk4_maps(H, times, dt):
     each segment raises its own to its step count by binary powering,
     composing increments as (I + A)(I + B) = I + (A + B + A @ B).  I + D
     is never formed: its rounding would drop the low bits of an O(h)
-    increment at every step.
+    increment at every step.  The segments that share a step count are
+    powered as one stack, whose matmul is bitwise each matrix's own; only
+    the composition of the segments runs one by one.
     """
     F = H.shape[0]
     spans = np.diff(np.asarray(times, dtype=np.float64), prepend=0.0)
-    steps = [max(1, int(np.ceil(span / dt))) if span > 0 else 1 for span in spans]
+    steps = np.array([max(1, int(np.ceil(span / dt))) if span > 0 else 1 for span in spans])
     eye = np.broadcast_to(np.eye(F), (spans.size, F, F))
     dx, dp = _rk4_increment(eye, np.zeros_like(eye), np.ones(F), H, (spans / steps)[:, None, None])
+    totals, live = dx + 1j * dp, spans > 0
+    for n in set(steps[live].tolist()):
+        seg = np.flatnonzero(live & (steps == n))
+        base, total = totals[seg], None
+        while n:
+            if n & 1:
+                total = base if total is None else total + base + total @ base
+            n >>= 1
+            if n:
+                base = base + base + base @ base
+        totals[seg] = total
     Z = np.eye(F, dtype=np.complex128)
     maps = []
-    for span, n, base in zip(spans, steps, dx + 1j * dp):
+    for span, total in zip(spans, totals):
         if span > 0:
-            total = None
-            while n:
-                if n & 1:
-                    total = base if total is None else total + base + total @ base
-                n >>= 1
-                if n:
-                    base = base + base + base @ base
             Z = Z + Z @ total
         maps.append(Z.T)
     return np.array(maps)
@@ -134,6 +140,11 @@ def grid_march(H, times, backend="exact", dt=1e-3):
     H = require_hermitian(H, name="H")
     times = _check_grid(times, "times")
     _check_step(dt)
+    return _march(H, times, backend, dt)
+
+
+def _march(H, times, backend, dt):
+    """grid_march of inputs it has checked: a Hermitian complex128 H, a float times array."""
     if backend == "exact":
-        return propagator_from_decomposition(hermitian_eig(H), times)
+        return propagator_from_decomposition(hermitian_eig(H, tol=None), times)
     return _rk4_maps(H, times, dt)

@@ -52,9 +52,9 @@ _reduce judges its mean against the closed form that the plan carries
 
 Trajectories are generated in 100 fixed blocks, which double as
 jackknife resampling units for the standard errors.  Block b draws from
-the stream Generator(Philox(SeedSequence(seed, spawn_key=(b,)))), which
-cpsmap.streams keys for all blocks at once and serves each worker
-thread from one re-keyed Philox generator.  The driver samples and
+the stream Generator(SFC64(SeedSequence(seed, spawn_key=(b,)))), which
+cpsmap.streams seeds for all blocks at once and serves each worker
+thread from one re-keyed SFC64 generator.  The driver samples and
 carries blocks in groups: a group is a run of consecutive blocks of
 equal size with at most GROUP_ROWS rows in all, or POOL_ROWS when a
 pool of workers runs them (a larger block is a group of one), drawn
@@ -81,7 +81,7 @@ from .kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries, 
 # hermitian_eig, propagator_from_decomposition and _rk4_arrays are
 # imported here only because perfbench/spans.py wraps these names in
 # this module.
-from .dynamics import _check_grid, _check_step, _rk4_arrays, grid_march  # noqa: F401
+from .dynamics import _check_grid, _check_step, _march, _rk4_arrays  # noqa: F401
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
 from .streams import BlockStreams, block_keys, check_seed
 
@@ -583,7 +583,7 @@ def _drive(req, U, plan, idxs):
     times at once: a kernel plan through its moment matrices, a window
     plan through a march of its frames by the rows it reads.  Each
     block is drawn once for every request of the ensemble, from its own
-    Philox stream, and the groups write only their own rows of sums,
+    SFC64 stream, and the groups write only their own rows of sums,
     bitwise the same in any group, so the result does not depend on the
     thread count.
     """
@@ -1101,7 +1101,7 @@ def estimate_tcf(requests):
     _check_shared(reqs)
     every_idx = [_indices(r, F) for r in reqs]
     make_plan = _PLANS[req.method.family]
-    U = grid_march(H, t_grid, req.backend, req.dt)
+    U = _march(H, t_grid, req.backend, req.dt)
     ensembles = {}
     for i, idx in enumerate(every_idx):
         key = () if make_plan in _SHARED_FRAMES else idx[:2]

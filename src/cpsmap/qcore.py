@@ -110,8 +110,9 @@ def hermitian_eig(H, tol=HERMITIAN_TOL):
     ----------
     H : array_like
         Hermitian matrix.
-    tol : float
-        Hermiticity tolerance of the ``require_hermitian`` check.
+    tol : float or None
+        Hermiticity tolerance of the ``require_hermitian`` check; None
+        skips the check, for a matrix that has already passed it.
 
     Returns
     -------
@@ -121,7 +122,8 @@ def hermitian_eig(H, tol=HERMITIAN_TOL):
         the reconstruction is contractual there, not the individual
         vectors.
     """
-    H = require_hermitian(H, tol)
+    if tol is not None:
+        H = require_hermitian(H, tol)
     lam, V = np.linalg.eigh(H)
     return SpectralDecomposition(lam, _fix_phases(V))
 

@@ -1,12 +1,13 @@
-"""Counter-based random streams of the Monte Carlo blocks.
+"""Random streams of the Monte Carlo blocks.
 
 Block b of a run with seed s draws from the stream
-Generator(Philox(SeedSequence(s, spawn_key=(b,)))).  block_keys derives
-the Philox keys of all blocks in one vectorized pass of SeedSequence's
-hash, which NumPy's stream-compatibility policy freezes, and
-BlockStreams hands each worker thread one Philox generator that it
-re-keys block by block instead of building one per block, with the
-thread's scratch arrays for the block temporaries beside it.
+Generator(SFC64(SeedSequence(s, spawn_key=(b,)))), NumPy's spawned
+parallel streams.  block_keys derives the SFC64 seed words of all
+blocks in one vectorized pass of SeedSequence's hash, which NumPy's
+stream-compatibility policy freezes, and BlockStreams hands each worker
+thread one SFC64 generator that it re-keys block by block instead of
+building one per block, with the thread's scratch arrays for the block
+temporaries beside it.
 """
 
 import itertools
@@ -19,7 +20,9 @@ import numpy as np
 _MASK32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-_FRESH = np.zeros(4, dtype=np.uint64)
+# SFC64 seeding (numpy/random/src/sfc64/sfc64.h): the state is the three
+# seed words and a counter of 1, advanced by 12 discarded outputs.
+_WARM_UP = 12
 
 
 def check_seed(seed):
@@ -30,23 +33,32 @@ def check_seed(seed):
 
 
 def block_keys(seed, n):
-    """Philox keys (n, 2) of the streams 0..n-1 of seed.
+    """SFC64 starting states (n, 4) of the streams 0..n-1 of seed.
 
-    Row b is SeedSequence(seed, spawn_key=(b,)).generate_state(2,
-    np.uint64).  The pool hashes the seed's 32-bit words, zero-padded to
-    the pool size 4 as for every spawned sequence, and last the spawn
-    key b, the one word that differs between streams, here a uint32
-    array over b.  Python ints and uint32 arrays both wrap at 32 bits.
+    Row b is SeedSequence(seed, spawn_key=(b,)).generate_state(3,
+    np.uint64) followed by the counter 1, the state SFC64 warms up from.
+    The pool hashes the seed's 32-bit words, zero-padded to the pool size
+    4 as for every spawned sequence, and last the spawn key b, the one
+    word that differs between streams: Python ints up to there, then
+    (4, n) uint32 arrays over the pool words and b, which wrap at 32
+    bits as the ints are masked to.  The six output words cycle through
+    the pool.
     """
     seed = check_seed(seed)
     words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words)) + [np.arange(n, dtype=np.uint32)]
+    words += [0] * (4 - len(words))
     consts = {_MULT_A: _INIT_A, _MULT_B: _INIT_B}
 
     def hashed(value, mult=_MULT_A):
-        const = consts[mult]
-        consts[mult] = const * mult & _MASK32
-        value = (value ^ const) * consts[mult] & _MASK32
+        """value hashed with the next hash constant of mult, or the rows of a uint32 array with the next len(value)."""
+        cs = [consts[mult]]
+        for _ in range(1 if isinstance(value, int) else len(value)):
+            cs.append(cs[-1] * mult & _MASK32)
+        consts[mult] = cs[-1]
+        if isinstance(value, int):
+            value = (value ^ cs[0]) * cs[1] & _MASK32
+        else:
+            value = (value ^ np.array(cs[:-1], np.uint32)[:, None]) * np.array(cs[1:], np.uint32)[:, None]
         return value ^ value >> 16
 
     def mix(x, y):
@@ -59,19 +71,23 @@ def block_keys(seed, n):
     for w in words[4:]:
         for dst in range(4):
             pool[dst] = mix(pool[dst], hashed(w))
-    state = [hashed(v, _MULT_B).astype(np.uint64) for v in pool]
-    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=1)
+    key = np.broadcast_to(np.arange(n, dtype=np.uint32), (4, n))
+    pool = mix(np.array(pool, dtype=np.uint32)[:, None], hashed(key))
+    state = hashed(pool[[0, 1, 2, 3, 0, 1]], _MULT_B).astype(np.uint64)
+    out = np.ones((n, 4), dtype=np.uint64)
+    out[:, :3] = (state[0::2] | state[1::2] << 32).T
+    return out
 
 
 class BlockStreams:
-    """The streams of blocks with the given Philox keys (block_keys): item b is block b's.
+    """The streams of blocks with the given SFC64 starting states (block_keys): item b is block b's.
 
-    Item b is the calling thread's one Philox generator, re-keyed to the
-    fresh stream of key b: counter 0, empty buffer, no half-used word.
-    A slice holds the streams of a run of blocks, with the same per-thread
-    generators and scratch arrays; iterating re-keys the one generator
-    block after block, so a block's draws must all be taken before the
-    next block's.
+    Item b is the calling thread's one SFC64 generator, re-keyed to the
+    fresh stream of block b: its starting state, no half-used word, then
+    SFC64's warm-up outputs.  A slice holds the streams of a run of
+    blocks, with the same per-thread generators and scratch arrays;
+    iterating re-keys the one generator block after block, so a block's
+    draws must all be taken before the next block's.
     """
 
     def __init__(self, keys, local=None):
@@ -100,9 +116,10 @@ class BlockStreams:
             return BlockStreams(self.keys[b], self._local)
         gen = getattr(self._local, "gen", None)
         if gen is None:
-            gen = self._local.gen = np.random.Generator(np.random.Philox(0))
-        gen.bit_generator.state = {
-            "bit_generator": "Philox", "state": {"counter": _FRESH, "key": self.keys[b]},
-            "buffer": _FRESH, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+            gen = self._local.gen = np.random.Generator(np.random.SFC64(0))
+        bits = gen.bit_generator
+        bits.state = {
+            "bit_generator": "SFC64", "state": {"state": self.keys[b]}, "has_uint32": 0, "uinteger": 0,
         }
+        bits.random_raw(_WARM_UP)
         return gen

@@ -676,7 +676,7 @@ def test_run_counts_nan_points(tmp_path):
         "tcf.t_max = 2\n"
         "tcf.n_times = 5\n"
         "tcf.n_traj = 2\n"
-        "tcf.seed = 0\n"
+        "tcf.seed = 65\n"
     )
     summary = run_experiment(load_config(write_config(tmp_path, text), overrides={"out": tmp_path / "out"}))
     data = [

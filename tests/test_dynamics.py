@@ -176,6 +176,17 @@ def test_rk4_maps_on_step_counts_that_are_not_powers_of_two():
     assert np.max(np.abs(maps - basis_frame_maps(H3, times, dt))) <= 1e-14
 
 
+@pytest.mark.parametrize("F", [2, 3, 8])
+def test_rk4_maps_of_a_grid_prefix_keep_their_bits(F):
+    # segments that share a step count are powered as one stack, which
+    # leaves each segment's map bitwise what it is without the others
+    H = build_hamiltonian(ModelSpec.random(F, seed=7))
+    times = np.array([0.0, 0.013, 0.05, 0.051, 0.3, 0.337, 1.7, 1.71, 1.72])
+    maps = grid_march(H, times, "rk4", 0.01)
+    for k in range(1, times.size):
+        assert grid_march(H, times[:k], "rk4", 0.01).tobytes() == maps[:k].tobytes()
+
+
 def test_rk4_arrays_is_the_stage_by_stage_loop_bitwise():
     rng = np.random.default_rng(12)
     one = sample_sphere_batch(3, 0.4, rng, 1)

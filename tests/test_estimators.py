@@ -397,8 +397,8 @@ def per_trajectory_estimates(req):
         nb = int(sizes[b])
         if nb == 0:
             continue
-        key = np.random.SeedSequence(req.seed, spawn_key=(b,)).generate_state(2, np.uint64)
-        drawn = plan.sample(BlockStreams(key[None]), nb)
+        words = np.random.SeedSequence(req.seed, spawn_key=(b,)).generate_state(3, np.uint64)
+        drawn = plan.sample(BlockStreams(np.append(words, np.uint64(1))[None]), nb)
         Z0 = drawn[0]
         for ti, Ut in enumerate(U):
             Zt = np.matmul(Z0, Ut.T)
@@ -566,6 +566,29 @@ def test_request_list_checks_its_shared_fields_once(monkeypatch):
     reqs = [request(H, MethodSpec.cmm(gamma_wigner(3)), nmkl=p, n_traj=1000) for p in pairs]
     assert len(estimate_tcf(reqs)) == 4
     assert sorted(calls) == ["_mapping_miss", "require_hermitian"]
+
+
+@pytest.mark.parametrize("backend", ["exact", "rk4"])
+def test_an_estimate_checks_its_hamiltonian_once(monkeypatch, backend):
+    # _prepare checks H under the request's field name; the march and the
+    # eigensolver take it as checked
+    from cpsmap import dynamics, qcore
+
+    checks = []
+    original = qcore.require_hermitian
+
+    def counted(H, tol=qcore.HERMITIAN_TOL, name="matrix"):
+        checks.append(name)
+        return original(H, tol, name)
+
+    for module in (estimators, dynamics, qcore):
+        monkeypatch.setattr(module, "require_hermitian", counted)
+    H = random_h(3, seed=21)
+    estimate_tcf(request(H, MethodSpec.cmm(gamma_wigner(3)), n_traj=100, backend=backend))
+    assert checks == ["hamiltonian"]
+    H[0, 1] += 1e-3
+    with pytest.raises(ValueError, match="hamiltonian is not Hermitian"):
+        estimate_tcf(request(H, MethodSpec.cmm(gamma_wigner(3)), n_traj=100, backend=backend))
 
 
 def test_result_flags_zero_variance_points():
