@@ -29,16 +29,17 @@ estimate_tcf takes one request or a list of requests that differ only
 in their index pairs, and splits the list into ensembles: the requests
 that draw the same frames (every request of a cc or cx family, the
 requests with one density side (n, m) of an xc or ww family).  Each
-ensemble is one plan: its sampler draws a block of frames (nb, r, F)
-once, on one component of the phase space (a sphere, or the gdtwa
-two-frame Stiefel component), together with the density-side weights
-of every density side it serves, and the maps U of
-dynamics.grid_march, built once per call by either backend, carry the
-block to every grid time at once: a covariant observable kernel (cc and
-xc), described by its frame weights and shift, as one F x F moment
-matrix per block and density side carried as U M U^dagger; a window (cx
-and ww) by one gemm of the frames with the map rows it reads (per
-bounded chunk of grid times).  Plans are looked up by family in one
+ensemble is one plan: its sampler draws a block once, on one component
+of the phase space (a sphere, or the gdtwa two-frame Stiefel
+component), together with the density-side weights of every density
+side it serves, and the maps U of dynamics.grid_march, built once per
+call by either backend, carry the block to every grid time at once: a
+covariant observable kernel (cc and xc), described by its frame weights
+and shift, as one F x F moment matrix per block and density side
+carried as U M U^dagger, formed from the frames (nb, r, F) the plan
+draws or, for dtwa and gdtwa, in closed form from the drawn signs; a
+window (cx and ww) by one gemm of the frames with the map rows it reads
+(per bounded chunk of grid times).  Plans are looked up by family in one
 table (_PLANS).  The cc families share one plan: each is a signed comb
 of sphere terms (_comb), whose exact mapping identity _prepare checks
 in closed form, drawn by the one sphere sampler (_comb_density).  Every
@@ -75,13 +76,15 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .cps import GammaWeight, gdtwa_signature, onto_sphere, sample_sphere_batch, sphere_normals
-from .kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries, kernel_trace
+from .kernels import inverse_kernel_coefficients, kernel_entries, kernel_trace
 
-# The maps of dynamics.grid_march own the propagators and the rk4 steps;
-# hermitian_eig, propagator_from_decomposition and _rk4_arrays are
-# imported here only because perfbench/spans.py wraps these names in
-# this module.
+# The maps of dynamics.grid_march own the propagators and the rk4 steps,
+# and the gdtwa plan forms its moments from the drawn signs without the
+# point set; hermitian_eig, propagator_from_decomposition, _rk4_arrays
+# and gdtwa_points are imported here only because perfbench/spans.py
+# wraps these names in this module.
 from .dynamics import _check_grid, _check_step, _march, _rk4_arrays  # noqa: F401
+from .kernels import gdtwa_points  # noqa: F401
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
 from .streams import BlockStreams, block_keys, check_seed
 
@@ -350,6 +353,11 @@ def _prepare(req):
             )
     if fam == "dtwa" and F != 2:
         raise ValueError("dtwa is the F=2 method; use gdtwa for F >= 3")
+    if fam == "gdtwa" and F > 32:
+        raise ValueError(
+            f"gdtwa at F = {F} needs 2(F-1) = {2 * (F - 1)} sign bits per point, "
+            "more than the 2(F-1) <= 62 of one 64-bit draw; F must be at most 32"
+        )
     if fam == "hill_ww" and F < 2:
         raise ValueError("hill_ww needs F >= 2: the hill exponent B(F) is singular at F = 1")
     if fam == "triangle_f2_single" and F != 2:
@@ -432,7 +440,11 @@ class _Plan(NamedTuple):
     weight vector W per density side in Ws, and shift coordinates S
     (broadcastable to (rows, C)).  Trajectory i's shift at time t has
     (l, k) entry sum_c S_ic shift_lk(l, k)[t, c]; shift_lk None means
-    the one column delta_lk of a gamma*I shift.
+    the one column delta_lk of a gamma*I shift.  moments(rngs, nb)
+    gives the group's block moments that _kernel_group carries (see
+    _frame_moments, which forms them from the frames of sample when
+    moments is None); a plan that has them in closed form gives moments
+    and no sample.
 
     A window plan's sample returns (Z0, aux) with r = 1.  rows lists
     the sets of map rows it marches, and window(E, aux, j) turns the
@@ -459,6 +471,7 @@ class _Plan(NamedTuple):
     columns: list = None
     dtype: type = np.complex128
     measure: float = None
+    moments: Callable = None
 
 
 def _sides(idxs):
@@ -485,6 +498,40 @@ def _draw_group(rngs, nb, draw=None, F=None):
     return items if w is None else items + [w]
 
 
+def _frame_moments(plan):
+    """The block moments of a kernel plan from the frames it draws (see _Plan).
+
+    Per density side, every block's M = sum_i W_i sum_f w_f z_if z_if^dagger
+    as one stacked matmul over the group, with the blocks' weighted shift
+    coordinates (blocks, C, 1); the frame moment comes from one more
+    stacked matmul, F x F per block and frame, on the first side's
+    conj(A) before its density weight.
+    """
+    w = plan.weights
+
+    def moments(rngs, nb):
+        Z0, Ws, S = plan.sample(rngs, nb)
+        nblk, F = len(rngs), Z0.shape[-1]
+        A = Z0.reshape(nblk, -1, F)
+        sides = []
+        for W in Ws:
+            v = np.broadcast_to(W[:, None] * w, Z0.shape[:2]).reshape(nblk, -1, 1)
+            # v * conj(A) in place, in a scratch array (see BlockStreams.scratch)
+            vAc = np.conjugate(A, out=rngs.scratch("temp", A.shape))
+            if not sides:
+                # the frame moment, density weight aside: one F x F product per
+                # block and frame, summed with the frame weights
+                A4, Ac4 = A.reshape(nblk, nb, -1, F), vAc.reshape(nblk, nb, -1, F)
+                per_frame = A4.transpose(0, 2, 3, 1) @ Ac4.transpose(0, 2, 1, 3)
+                frame = per_frame.transpose(0, 2, 3, 1) @ np.broadcast_to(w, Z0.shape[1:2])
+            np.multiply(v, vAc, out=vAc)
+            shifts = np.sum((W[:, None] * S).reshape(nblk, nb, -1), axis=1)
+            sides.append((A.transpose(0, 2, 1) @ vAc, shifts[..., None]))
+        return sides, frame
+
+    return moments
+
+
 def _kernel_group(U, plan, idxs):
     """Block sums of covariant observable kernels at every grid time, one column per request.
 
@@ -493,13 +540,10 @@ def _kernel_group(U, plan, idxs):
     sum_i W_i K_lk(X_i(t)) is therefore [U_t M U_t^dagger]_lk minus the
     weighted shifts, with one F x F moment matrix
     M = sum_i W_i sum_f w_f z_if z_if^dagger per block and density side,
-    formed for a group of blocks as one stacked matmul; every request
-    reads its own (l, k) entry off its side's M.  The group also returns
-    each block's frame moment sum_i sum_f w_f z_if z_if^dagger from one
-    more stacked matmul, F x F per block and frame, on the first side's
-    conj(A) before its density weight.
+    which the plan's moments give (see _Plan); every request reads its
+    own (l, k) entry off its side's M.  The group also returns each
+    block's frame moment.
     """
-    F = U.shape[-1]
     sides = _sides(idxs)
     reads = []
     for n0, m0, k0, l0 in idxs:
@@ -508,30 +552,13 @@ def _kernel_group(U, plan, idxs):
         else:
             shift_lk = plan.shift_lk(l0, k0)
         reads.append((sides.index((n0, m0)), U[:, l0], U[:, k0].conj(), shift_lk))
-
-    w = plan.weights
+    moments = plan.moments or _frame_moments(plan)
 
     def group(rngs, nb):
-        Z0, Ws, S = plan.sample(rngs, nb)
-        nblk = len(rngs)
-        A = Z0.reshape(nblk, -1, F)
-        moments = []
-        for W in Ws:
-            v = np.broadcast_to(W[:, None] * w, Z0.shape[:2]).reshape(nblk, -1, 1)
-            # v * conj(A) in place, in a scratch array (see BlockStreams.scratch)
-            vAc = np.conjugate(A, out=rngs.scratch("temp", A.shape))
-            if not moments:
-                # the frame moment, density weight aside: one F x F product per
-                # block and frame, summed with the frame weights
-                A4, Ac4 = A.reshape(nblk, nb, -1, F), vAc.reshape(nblk, nb, -1, F)
-                per_frame = A4.transpose(0, 2, 3, 1) @ Ac4.transpose(0, 2, 1, 3)
-                frame = per_frame.transpose(0, 2, 3, 1) @ np.broadcast_to(w, Z0.shape[1:2])
-            np.multiply(v, vAc, out=vAc)
-            shifts = np.sum((W[:, None] * S).reshape(nblk, nb, -1), axis=1)
-            moments.append((A.transpose(0, 2, 1) @ vAc, shifts[..., None]))
+        blocks, frame = moments(rngs, nb)
         sums = np.stack(
             [
-                np.einsum("ta,xab,tb->xt", Ul, moments[d][0], Ukc) - (shift_lk @ moments[d][1])[..., 0]
+                np.einsum("ta,xab,tb->xt", Ul, blocks[d][0], Ukc) - (shift_lk @ blocks[d][1])[..., 0]
                 for d, Ul, Ukc, shift_lk in reads
             ],
             axis=-1,
@@ -895,33 +922,55 @@ def _focused_plan(req, F, idxs, U):
 
 
 def _discrete_plan(req, F, idxs, U):
-    """dtwa and gdtwa: uniform draws from the discrete point sets."""
+    """dtwa and gdtwa: uniform draws from the discrete point sets, as block moments in closed form.
+
+    A point of focus state f is its signs (delta_i, sigma_i), i != f, and
+    its frame moment is K + gamma I, K = e_f e_f^dagger + u e_f^dagger +
+    e_f u^dagger with u = (delta + i sigma)/2 (see kernels.gdtwa_points).
+    A block's moment sum_i W_i (K_i + gamma I) is thus a fixed placement
+    of the sums of W_i [1 | delta_i | sigma_i] over each focus's rows,
+    which one stacked product forms for the density weights W (one of
+    +-1 +- i) and for W = 1 (the frame moment): whole numbers, exact in
+    any order.  The draws are rng.random(nb) < 0.5 for focus n of an
+    off-diagonal side, then rng.integers(4^(F-1), size=nb), whose bits
+    are the signs, deltas outer and sigmas inner, +1 first, both read off
+    raw words (BlockStreams.bit_draws).
+    """
     n0, m0 = idxs[0][:2]
-    sig = gdtwa_signature(F)
-    frames_n, column_n = gdtwa_points(F, n0 + 1)
-    npts = frames_n.shape[0]
-    if n0 == m0:
+    gamma = gdtwa_signature(F).gamma
+    foci, bits = list(dict.fromkeys((n0, m0))), 2 * (F - 1)
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
+    place = np.zeros((len(foci), 2 * F - 1, F, F), dtype=np.complex128)
+    for p, f in enumerate(foci):
+        rows, others = np.arange(1, F), [i for i in range(F) if i != f]
+        place[p, 0] = gamma * np.eye(F)
+        place[p, 0, f, f] += 1.0
+        place[p, rows, others, f] = place[p, rows, f, others] = 0.5
+        place[p, rows + F - 1, others, f], place[p, rows + F - 1, f, others] = 0.5j, -0.5j
+    place = place.reshape(-1, F * F)
+    # a row's X = [1 | delta | sigma]; its density weight 2 u_m = delta + i sigma
+    # (focus n) or 2 conj(u_n) (focus m) reads the columns of state m or n
+    q_m, q_n = m0 - (m0 > n0), n0 - (n0 > m0)
 
-        def sample(rngs, nb):
-            (pts,) = _draw_group(rngs, nb, lambda rng, nb: (rng.integers(npts, size=nb),))
-            return frames_n[pts], [np.ones(len(pts), dtype=np.complex128)], sig.gamma
+    def moments(rngs, nb):
+        nblk = len(rngs)
+        pick, points = rngs.bit_draws(nb, bits, coins=len(foci) > 1)
+        X = np.ones((nblk, nb, 2 * F - 1))
+        X[..., 1:] = 1.0 - 2.0 * ((points[..., None] >> shifts) & 1)
+        if pick is None:
+            M = (X.sum(axis=1) @ place).reshape(nblk, F, F)
+            return [(M, np.full((nblk, 1, 1), gamma * nb))], M
+        # the rows of L hold Re W, Im W and 1 per focus, so L @ X sums X over them
+        Xn = X * pick[..., None]
+        Xm = X - Xn
+        L = np.stack([Xn[..., 1 + q_m], Xm[..., 1 + q_n], Xn[..., F + q_m], -Xm[..., F + q_n], Xn[..., 0], Xm[..., 0]], 1)
+        LX = (L @ X).reshape(nblk, 3, -1)
+        out = (LX @ place).reshape(nblk, 3, F, F)
+        sum_w = LX[:, 0, 0] + LX[:, 0, 2 * F - 1] + 1j * (LX[:, 1, 0] + LX[:, 1, 2 * F - 1])
+        return [(out[:, 0] + 1j * out[:, 1], (gamma * sum_w)[:, None, None])], out[:, 2]
 
-    else:
-        frames_m, column_m = gdtwa_points(F, m0 + 1)
-
-        def draw(rng, nb):
-            return rng.random(nb), rng.integers(npts, size=nb)
-
-        def sample(rngs, nb):
-            u_pick, pts = _draw_group(rngs, nb, draw)
-            pick = u_pick < 0.5
-            Z = np.where(pick[:, None, None], frames_n[pts], frames_m[pts])
-            W = np.where(pick, column_n[pts, m0], np.conj(column_m[pts, n0]))
-            return Z, [2.0 * W], sig.gamma
-
-    signs = np.asarray(sig.signs, dtype=np.float64)
     # each point's frame moment is its kernel plus gamma I, and E[K] = |n><n|
-    return _Plan(sample, _focus_mean(F, (n0, m0), 1.0 + sig.gamma, sig.gamma), weights=0.5 * signs)
+    return _Plan(None, _focus_mean(F, (n0, m0), 1.0 + gamma, gamma), moments=moments)
 
 
 # ---------------------------------------------------------------------------

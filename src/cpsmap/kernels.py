@@ -20,7 +20,9 @@ Hermitian matrix and point_from_kernel reconstructs the phase point
 (its signature and frames) by one eigensolve.  gdtwa_points builds the
 4^(F-1) discrete points of the discrete-sampling estimators in closed
 form: every such kernel lies in span{e_n, u} with one common spectrum,
-so its frames and its column n follow from the point's signs alone.
+so its frames and its column n follow from the point's signs alone.  It
+is the reference view of the set: the estimators form the gdtwa block
+moments from the drawn signs without it.
 
 States are numbered 1..F in public interfaces.
 """

@@ -7,7 +7,9 @@ blocks in one vectorized pass of SeedSequence's hash, which NumPy's
 stream-compatibility policy freezes, and BlockStreams hands each worker
 thread one SFC64 generator that it re-keys block by block instead of
 building one per block, with the thread's scratch arrays for the block
-temporaries beside it.
+temporaries beside it.  BlockStreams.bit_draws reads the raw SFC64
+words under NumPy's coin and power-of-two integer draws, one random_raw
+read per block, and returns those draws without a Generator call.
 """
 
 import itertools
@@ -114,6 +116,32 @@ class BlockStreams:
     def __getitem__(self, b):
         if isinstance(b, slice):
             return BlockStreams(self.keys[b], self._local)
+        self._rekey(b).random_raw(_WARM_UP)
+        return self._local.gen
+
+    def bit_draws(self, nb, bits, coins=False):
+        """Every block's rng.random(nb) < 0.5, if coins, then rng.integers(2**bits, size=nb), for 1 <= bits <= 63.
+
+        One random_raw read per block takes the warm-up outputs and the
+        words under these draws, read off as NumPy forms them: random() <
+        0.5 is a word's top bit clear; the Lemire draw of a power-of-two
+        range is the top bits of a 32-bit half word (low half first) while
+        bits <= 32, of a whole word above.  Returns (coins or None,
+        integers), each (len(self), nb), the integers uint32 or uint64.
+        """
+        lead = nb if coins else 0
+        n = lead + (nb if bits > 32 else (nb + 1) // 2)
+        raw = np.empty((len(self.keys), n), dtype=np.uint64)
+        for b in range(len(self.keys)):
+            raw[b] = self._rekey(b).random_raw(_WARM_UP + n)[_WARM_UP:]
+        words = raw[:, lead:]
+        if bits <= 32:
+            words = words.astype("<u8", copy=False).view("<u4")[:, :nb]
+        ints = words >> words.dtype.type(8 * words.itemsize - bits)
+        return (raw[:, :nb] >> 63 == 0 if coins else None), ints
+
+    def _rekey(self, b):
+        """The calling thread's SFC64 bit generator, set to block b's starting state with no half-used word."""
         gen = getattr(self._local, "gen", None)
         if gen is None:
             gen = self._local.gen = np.random.Generator(np.random.SFC64(0))
@@ -121,5 +149,4 @@ class BlockStreams:
         bits.state = {
             "bit_generator": "SFC64", "state": {"state": self.keys[b]}, "has_uint32": 0, "uinteger": 0,
         }
-        bits.random_raw(_WARM_UP)
-        return gen
+        return bits

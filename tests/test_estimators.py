@@ -166,6 +166,12 @@ def test_dtwa_needs_two_levels():
         estimate_tcf(request(random_h(3), MethodSpec.dtwa()))
 
 
+def test_gdtwa_beyond_62_sign_bits_is_rejected():
+    # a point's 2(F-1) signs are the bits of one 64-bit draw
+    with pytest.raises(ValueError, match=r"gdtwa at F = 33 needs 2\(F-1\) = 64 sign bits.*<= 62"):
+        estimate_tcf(request(random_h(33), MethodSpec.gdtwa(), nmkl=(1, 2, 2, 1), n_traj=10))
+
+
 def test_hill_ww_needs_two_levels():
     with pytest.raises(ValueError, match="hill_ww needs F >= 2"):
         estimate_tcf(request(np.array([[0.5]]), MethodSpec.hill_ww()))
@@ -268,6 +274,32 @@ def test_gdtwa_tracks_exact_dynamics_three_levels():
     nmkl = (1, 1, 2, 2)
     res = estimate_tcf(request(H, MethodSpec.gdtwa(), nmkl=nmkl, t_grid=t_grid, n_traj=200000))
     assert_matches_exact(res, exact_series(H, nmkl, t_grid))
+
+
+@pytest.mark.parametrize("F", [16, 32])
+def test_gdtwa_runs_beyond_the_point_table(F):
+    # 4^(F-1) points per state: the moments come from the drawn signs, so
+    # memory holds the group's rows (n_traj * F) and each block's F x F moment
+    tracemalloc = pytest.importorskip("tracemalloc")
+    H = random_h(F, seed=3)
+    t_grid = np.linspace(0.0, 1.0, 4)
+    n_traj = 2000
+    for nmkl in ((1, 2, 2, 1), (2, 2, 1, 1)):
+        req = request(H, MethodSpec.gdtwa(), nmkl=nmkl, t_grid=t_grid, n_traj=n_traj, seed=11)
+        tracemalloc.start()
+        try:
+            res = estimate_tcf(req)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.moment_check.passed, (nmkl, res.moment_check)
+        live = ~res.zero_variance
+        assert live[1:].all()
+        assert_matches_exact(
+            dataclasses.replace(res, estimates=res.estimates[live], standard_errors=res.standard_errors[live]),
+            exact_series(H, nmkl, t_grid)[live],
+        )
+        assert peak <= 128 * (n_traj * F + N_BLOCKS * F * F), (nmkl, peak)
 
 
 def test_hill_tracks_exact_rabi():
@@ -375,17 +407,46 @@ def test_groups_are_runs_of_equal_blocks_within_group_rows(n_traj, max_rows):
         assert sizes[nxt] != sizes[lo] or (hi - lo + 1) * sizes[lo] > max_rows
 
 
+def fresh_stream(seed, b):
+    """Block b's stream built from scratch, as every block stream is defined."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+
+
+def discrete_draw(F, side, rng, nb):
+    """A dtwa/gdtwa block drawn as frames: (Z0, [W], gamma) and the frame weights 0.5 * signs.
+
+    An off-diagonal side picks focus n where rng.random(nb) < 0.5; every
+    row takes point rng.integers(4^(F-1)) of its focus's gdtwa_points,
+    with density weight 2 u_m (focus n) or 2 conj(u_n) (focus m).
+    """
+    n0, m0 = side
+    sig = gdtwa_signature(F)
+    weights = 0.5 * np.array(sig.signs, dtype=float)
+    frames_n, column_n = gdtwa_points(F, n0 + 1)
+    if n0 == m0:
+        return (frames_n[rng.integers(len(frames_n), size=nb)], [np.ones(nb)], sig.gamma), weights
+    frames_m, column_m = gdtwa_points(F, m0 + 1)
+    pick = rng.random(nb) < 0.5
+    pts = rng.integers(len(frames_n), size=nb)
+    Z = np.where(pick[:, None, None], frames_n[pts], frames_m[pts])
+    W = 2.0 * np.where(pick, column_n[pts, m0], np.conj(column_m[pts, n0]))
+    return (Z, [W], sig.gamma), weights
+
+
 def per_trajectory_estimates(req):
     """Oracle of the block driver: every block marched by Z0 @ U_t.T, one grid time at a time.
 
     Kernel plans sum W_i (kernel_entries of the marched frames minus the
     trajectory's shift) per time; window plans evaluate their window on
     the actions of one time.  The reduction repeats estimate_tcf's.
+    The dtwa/gdtwa plan forms its moments without frames, so their
+    blocks are drawn as frames by discrete_draw.
     """
     H, F, t_grid = _prepare(req)
     idx = _indices(req, F)
     U = grid_march(H, t_grid, req.backend, req.dt)
     plan = _PLANS[req.method.family](req, F, [idx], U)
+    discrete = req.method.family in ("dtwa", "gdtwa")
     l0, k0 = idx[3], idx[2]
     if plan.shift_lk is None:
         shift_lk = np.full((len(U), 1), float(l0 == k0))
@@ -397,14 +458,17 @@ def per_trajectory_estimates(req):
         nb = int(sizes[b])
         if nb == 0:
             continue
-        words = np.random.SeedSequence(req.seed, spawn_key=(b,)).generate_state(3, np.uint64)
-        drawn = plan.sample(BlockStreams(np.append(words, np.uint64(1))[None]), nb)
+        if discrete:
+            drawn, weights = discrete_draw(F, idx[:2], fresh_stream(req.seed, b), nb)
+        else:
+            words = np.random.SeedSequence(req.seed, spawn_key=(b,)).generate_state(3, np.uint64)
+            drawn, weights = plan.sample(BlockStreams(np.append(words, np.uint64(1))[None]), nb), plan.weights
         Z0 = drawn[0]
         for ti, Ut in enumerate(U):
             Zt = np.matmul(Z0, Ut.T)
             if plan.window is None:
                 W, S = drawn[1][0], np.broadcast_to(drawn[2], (nb, shift_lk.shape[1]))
-                K = kernel_entries(Zt, l0, k0, weights=plan.weights) - S @ shift_lk[ti]
+                K = kernel_entries(Zt, l0, k0, weights=weights) - S @ shift_lk[ti]
                 sums[b, ti] = np.sum(W * K)
             else:
                 e = 0.5 * np.abs(Zt[:, 0, :]) ** 2

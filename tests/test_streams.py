@@ -55,6 +55,24 @@ def test_rekeyed_stream_equals_a_fresh_stream():
             assert np.array_equal(got, draw(want))
 
 
+@pytest.mark.parametrize("F", range(2, 33))
+def test_bit_draws_are_the_generators_own_draws(F):
+    # a gdtwa point's 2(F-1) sign bits, with and without the focus coins;
+    # a change to NumPy's random() or integers() must fail here
+    seed, bits = 31, 2 * (F - 1)
+    streams = BlockStreams(block_keys(seed, 3))
+    for nb in (1, 2, 7, 50):
+        for coins in (False, True):
+            got_coins, got = streams.bit_draws(nb, bits, coins)
+            assert got.shape == (3, nb) and (got_coins is None) != coins
+            for b in range(3):
+                rng = fresh_stream(seed, b)
+                if coins:
+                    assert np.array_equal(got_coins[b], rng.random(nb) < 0.5), (nb, b)
+                want = rng.integers(4 ** (F - 1), size=nb)
+                assert np.array_equal(got[b].astype(np.uint64), want.astype(np.uint64)), (nb, b, coins)
+
+
 def test_scratch_arrays_are_kept_per_thread_and_size():
     streams = BlockStreams(block_keys(3, 4))
     a = streams.scratch("x", (5, 2))
