@@ -31,7 +31,6 @@ config errors.
 
 import argparse
 import math
-import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
@@ -344,33 +343,6 @@ def load_config(path, overrides=None):
 
 
 # ---------------------------------------------------------------------------
-# version and manifest
-
-
-def _version_string():
-    """Package version, extended with git describe when available."""
-    try:
-        desc = subprocess.run(
-            ["git", "describe", "--always", "--dirty"],
-            cwd=Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            timeout=5,
-        )
-        if desc.returncode == 0 and desc.stdout.strip():
-            return f"{__version__}+g{desc.stdout.strip()}"
-    except (OSError, subprocess.SubprocessError):
-        pass
-    return __version__
-
-
-def _fmt(x):
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return repr(float(x))
-
-
-# ---------------------------------------------------------------------------
 # validation suites
 
 
@@ -511,6 +483,12 @@ _CSV_COLUMNS = (
 )
 
 
+def _fmt(x):
+    if isinstance(x, float) and math.isnan(x):
+        return "nan"
+    return repr(float(x))
+
+
 def _write_results(path, cfg, rows):
     lines = [
         "# cpsmap results",
@@ -530,7 +508,7 @@ def _write_results(path, cfg, rows):
 
 def _write_manifest(path, cfg, wall_time, validations, extra=()):
     lines = [
-        f"version: {_version_string()}",
+        f"version: {__version__}",
         f"model: {cfg.model_text}",
         f"method: {cfg.method_text}",
         f"backend: {cfg.backend}",

@@ -13,15 +13,18 @@ Because H_C itself contains one factor of s_k per frame, the signs
 square away and every frame obeys dz/dt = -i H z, the time-dependent
 Schroedinger equation.  The march is therefore linear: grid_march, the
 one propagation entry point, builds the map z(t_k) = U_k z(0) of each
-grid time once, on either backend.  On rk4 one step is the same F x F
-map for every frame, so each grid segment raises one step's increment
-to the segment's step count by squaring.  A point's frames march as
-Z @ U.T; the estimators carry a block's kernel as U M U^dagger, or
-march the frames a window reads with one gemm.  The invariants are read
-off the maps: U^dagger U - I for the frame norms and cross-frame
-products, U^dagger H U - H for H_C.  _rk4_arrays integrates frames
-(x, p) with their signs, step by step, so the sign equivalence can be
-measured rather than assumed.
+grid time once, on either backend.  On rk4 one step of h is the
+polynomial P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 of x = -i H h, the same
+F x F map for every frame, so both backends are V f(lambda) V^dagger
+from one decomposition H = V diag(lambda) V^dagger: f = exp(-i lambda t)
+exactly, and on rk4 the product over grid segments of P(-i lambda h)^n,
+n steps of h each.  A point's frames march as Z @ U.T; the estimators
+carry a block's kernel as U M U^dagger, or march the frames a window
+reads with one gemm.  The invariants are read off the maps:
+U^dagger U - I for the frame norms and cross-frame products,
+U^dagger H U - H for H_C.  _rk4_arrays integrates frames (x, p) with
+their signs, step by step, so the sign equivalence can be measured
+rather than assumed.
 """
 
 import math
@@ -37,8 +40,10 @@ def _check_step(dt):
 
 
 def _check_grid(times, name):
-    """times as a float array, which must be finite, nonempty, nonnegative, increasing."""
+    """times as a float array, which must be 1-D, finite, nonempty, nonnegative, increasing."""
     times = np.asarray(times, dtype=np.float64)
+    if times.ndim != 1:
+        raise ValueError(f"{name} must be 1-D, got shape {times.shape}")
     if not np.all(np.isfinite(times)):
         raise ValueError(f"{name} must be finite")
     if times.size < 1 or times[0] < 0 or np.any(np.diff(times) <= 0):
@@ -46,8 +51,8 @@ def _check_grid(times, name):
     return times
 
 
-def _rk4_increment(x, p, signs, H, dt):
-    """One classic rk4 step of the sign-factor equations of motion: (dx, dp).
+def _rk4_arrays(x, p, signs, H, dt, steps):
+    """Integrate the sign-factor equations of motion with classic rk4, step by step.
 
     x, p have shape (..., r, F); signs has shape (r,).  The H_C
     gradients are dH_C/dx_n^(k) = s_k Re[(H z_k)_n] and
@@ -61,78 +66,30 @@ def _rk4_increment(x, p, signs, H, dt):
         gp = s * hz.imag
         return s * gp, -s * gx
 
-    k1x, k1p = rhs(x, p)
-    k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
-    k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
-    k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
-    return (
-        (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x),
-        (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p),
-    )
-
-
-def _rk4_arrays(x, p, signs, H, dt, steps):
-    """Integrate the sign-factor equations of motion with classic rk4, step by step."""
     x = x.copy()
     p = p.copy()
     for _ in range(steps):
-        dx, dp = _rk4_increment(x, p, signs, H, dt)
-        x += dx
-        p += dp
+        k1x, k1p = rhs(x, p)
+        k2x, k2p = rhs(x + 0.5 * dt * k1x, p + 0.5 * dt * k1p)
+        k3x, k3p = rhs(x + 0.5 * dt * k2x, p + 0.5 * dt * k2p)
+        k4x, k4p = rhs(x + dt * k3x, p + dt * k3p)
+        x += (dt / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+        p += (dt / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
     return x, p
-
-
-def _rk4_maps(H, times, dt):
-    """The rk4 maps of grid_march, shape (n_times, F, F).
-
-    Each grid segment takes steps = ceil(span/dt) equal rk4 steps of
-    h = span/steps.  One step takes a row frame z to z + z @ D, where
-    D = dx + i dp is the step's increment of the identity frames: the
-    equations are linear and, with the signs squared away, complex
-    linear.  One batched _rk4_increment gives every segment's D, and
-    each segment raises its own to its step count by binary powering,
-    composing increments as (I + A)(I + B) = I + (A + B + A @ B).  I + D
-    is never formed: its rounding would drop the low bits of an O(h)
-    increment at every step.  The segments that share a step count are
-    powered as one stack, whose matmul is bitwise each matrix's own; only
-    the composition of the segments runs one by one.
-    """
-    F = H.shape[0]
-    spans = np.diff(np.asarray(times, dtype=np.float64), prepend=0.0)
-    steps = np.array([max(1, int(np.ceil(span / dt))) if span > 0 else 1 for span in spans])
-    eye = np.broadcast_to(np.eye(F), (spans.size, F, F))
-    dx, dp = _rk4_increment(eye, np.zeros_like(eye), np.ones(F), H, (spans / steps)[:, None, None])
-    totals, live = dx + 1j * dp, spans > 0
-    for n in set(steps[live].tolist()):
-        seg = np.flatnonzero(live & (steps == n))
-        base, total = totals[seg], None
-        while n:
-            if n & 1:
-                total = base if total is None else total + base + total @ base
-            n >>= 1
-            if n:
-                base = base + base + base @ base
-        totals[seg] = total
-    Z = np.eye(F, dtype=np.complex128)
-    maps = []
-    for span, total in zip(spans, totals):
-        if span > 0:
-            Z = Z + Z @ total
-        maps.append(Z.T)
-    return np.array(maps)
 
 
 def grid_march(H, times, backend="exact", dt=1e-3):
     """The maps U, shape (n_times, F, F), with z(t_k) = U_k z(0) for every frame.
 
-    The exact backend builds exp(-i H t_k) for every grid time from one
-    decomposition of H.  The rk4 backend takes ceil(span/dt) equal rk4
-    steps of at most dt between grid times; one step is the same F x F
-    map for every frame, so each segment forms its steps' product once
-    (_rk4_maps) and applies it to the basis frames Z (x = I, p = 0) as
-    Z + Z @ A, with U_k = Z.T.  The sign-factor equations give the same
-    map for either frame sign, since s * (s * h) is exact, so the basis
-    frames carry +1.  Both backends check H, times (finite, nonempty,
+    Both backends build U_k = V diag(f_k) V^dagger for every grid time
+    from one decomposition H = V diag(lambda) V^dagger.  The exact
+    backend takes f_k = exp(-i lambda t_k).  The rk4 backend takes
+    n = ceil(span/dt) equal steps of h = span/n between grid times; one
+    step is the polynomial P(-i H h) of rk4's stages for every frame, of
+    either sign, since s * (s * h) is exact.  So f_k is the exp of the
+    cumulative sum over segments of n log1p(P(-i lambda h) - 1), with
+    P - 1 in Horner form; n is an integer, so the branch of the log does
+    not matter.  Both backends check H, times (1-D, finite, nonempty,
     nonnegative, strictly increasing) and dt, naming the field at fault.
     """
     if backend not in ("exact", "rk4"):
@@ -145,6 +102,14 @@ def grid_march(H, times, backend="exact", dt=1e-3):
 
 def _march(H, times, backend, dt):
     """grid_march of inputs it has checked: a Hermitian complex128 H, a float times array."""
+    dec = hermitian_eig(H, tol=None)
     if backend == "exact":
-        return propagator_from_decomposition(hermitian_eig(H, tol=None), times)
-    return _rk4_maps(H, times, dt)
+        return propagator_from_decomposition(dec, times)
+    spans = np.diff(times, prepend=0.0)
+    steps = np.maximum(1.0, np.ceil(spans / dt))
+    x = -1j * dec.eigenvalues * (spans / steps)[:, None]
+    # n log1p(P - 1) is the log of P^n on any branch of the log, as n is an integer
+    log_step = np.log1p(x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0))))
+    phases = np.exp(np.cumsum(steps[:, None] * log_step, axis=0))
+    V = dec.eigenvectors
+    return (V * phases[:, None, :]) @ V.conj().T

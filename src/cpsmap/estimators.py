@@ -86,7 +86,7 @@ from .kernels import inverse_kernel_coefficients, kernel_entries, kernel_trace
 from .dynamics import _check_grid, _check_step, _march, _rk4_arrays  # noqa: F401
 from .kernels import gdtwa_points  # noqa: F401
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
-from .streams import BlockStreams, block_keys, check_seed
+from .streams import BlockStreams, block_keys, check_seed, is_integer
 
 N_BLOCKS = 100
 # Rows of consecutive equal blocks sampled and carried as one group on one
@@ -211,8 +211,9 @@ class TCFRequest:
     rho_indices = (n, m) selects rho = |n><m|, obs_indices = (k, l)
     selects A = |k><l|, both 1-based.  backend is "exact" (every grid
     time's exp(-i H t) in one broadcast of the decomposition of H) or
-    "rk4" (each grid segment's map as one rk4 step map of step <= dt,
-    raised to the segment's step count); see dynamics.grid_march.
+    "rk4" (equal rk4 steps of at most dt between grid times, whose step
+    map is a polynomial in H, built from the same decomposition); see
+    dynamics.grid_march.
     """
 
     hamiltonian: np.ndarray
@@ -335,10 +336,10 @@ def _prepare(req):
         raise ValueError(f"unknown method family {fam!r}")
     H = require_hermitian(req.hamiltonian, name="hamiltonian")
     F = H.shape[0]
-    if req.n_traj < 1:
-        raise ValueError("n_traj must be at least 1")
-    if req.n_threads < 1:
-        raise ValueError(f"n_threads must be at least 1, got {req.n_threads!r}")
+    for name in ("n_traj", "n_threads"):
+        value = getattr(req, name)
+        if not is_integer(value) or value < 1:
+            raise ValueError(f"{name} must be an integer (bool excluded) of at least 1, got {value!r}")
     check_seed(req.seed)
     t_grid = _check_grid(req.t_grid, "t_grid")
     if req.backend not in ("exact", "rk4"):
@@ -367,11 +368,13 @@ def _prepare(req):
 
 def _indices(req, F):
     """A request's 0-based (n, m, k, l), checked against 1..F and its family's index rules."""
-    n, m = req.rho_indices
-    k, l = req.obs_indices
-    for name, idx in (("rho", n), ("rho", m), ("obs", k), ("obs", l)):
-        if not (isinstance(idx, (int, np.integer)) and 1 <= idx <= F):
-            raise ValueError(f"{name} index {idx} outside 1..{F}")
+    for name in ("rho_indices", "obs_indices"):
+        pair = getattr(req, name)
+        if not (isinstance(pair, (tuple, list, np.ndarray)) and len(pair) == 2 and all(map(is_integer, pair))):
+            raise ValueError(f"{name} must be a pair of integers (bool excluded), got {pair!r}")
+        if not all(1 <= idx <= F for idx in pair):
+            raise ValueError(f"{name}: index outside 1..{F} in {pair!r}")
+    (n, m), (k, l) = req.rho_indices, req.obs_indices
     fam = req.method.family
     if fam == "cornered_simplex" and k != l:
         raise ValueError("cornered_simplex supports population observables only (k = l)")

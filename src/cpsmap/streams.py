@@ -27,9 +27,14 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _WARM_UP = 12
 
 
+def is_integer(value):
+    """Whether value is a Python or NumPy integer, bool excluded."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def check_seed(seed):
     """seed as an int; a ValueError unless it is a non-negative integer (bool excluded)."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+    if not is_integer(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     return int(seed)
 

@@ -157,8 +157,8 @@ def basis_frame_maps(H, times, dt):
 
 @pytest.mark.parametrize("F", [3, 8])
 def test_rk4_maps_match_stage_by_stage_basis_frames(F):
-    # 10 000 steps of 1e-3: the powered segment maps keep the low bits
-    # of every step's increment, so they track the step-by-step march
+    # 10 000 steps of 1e-3: a segment's n steps are one n log1p(P - 1)
+    # per eigenvalue, which tracks the step-by-step march
     H = build_hamiltonian(ModelSpec.random(F, seed=80 + F))
     times = np.linspace(0.0, 10.0, 21)
     maps = grid_march(H, times, "rk4", 1e-3)
@@ -174,12 +174,25 @@ def test_rk4_maps_on_step_counts_that_are_not_powers_of_two():
     assert [int(np.ceil(s / dt)) for s in spans] == [1, 7, 13]
     maps = grid_march(H3, times, "rk4", dt)
     assert np.max(np.abs(maps - basis_frame_maps(H3, times, dt))) <= 1e-14
+    # the spectral maps where they could part from the step-by-step march:
+    # |lambda| h = 3, past rk4's stability edge, where arg P(-i lambda h)
+    # crosses pi and the principal log wraps; a degenerate H; H = 0
+    edge = np.linalg.eigh(H3)[1]
+    cases = (
+        ((edge * [3.0, -1.0, 0.5]) @ edge.conj().T, 1.0, [0.0, 1.0, 3.0, 6.0]),
+        (np.diag([0.7, 0.7, -0.2]), dt, times),
+        (np.zeros((3, 3)), dt, times),
+    )
+    for H, step, grid in cases:
+        maps = grid_march(H, grid, "rk4", step)
+        scale = max(1.0, np.max(np.abs(maps)))
+        assert np.max(np.abs(maps - basis_frame_maps(H, grid, step))) <= 1e-13 * scale
 
 
 @pytest.mark.parametrize("F", [2, 3, 8])
 def test_rk4_maps_of_a_grid_prefix_keep_their_bits(F):
-    # segments that share a step count are powered as one stack, which
-    # leaves each segment's map bitwise what it is without the others
+    # the log phases accumulate along the grid in order, so the maps of a
+    # prefix grid are bitwise the first maps of the full grid
     H = build_hamiltonian(ModelSpec.random(F, seed=7))
     times = np.array([0.0, 0.013, 0.05, 0.051, 0.3, 0.337, 1.7, 1.71, 1.72])
     maps = grid_march(H, times, "rk4", 0.01)

@@ -218,10 +218,26 @@ def test_cmm_gamma_domain():
         ("gamma", lambda: request(RABI, MethodSpec.cmm(np.nan))),
         ("n_threads", lambda: request(RABI, MethodSpec.cmm(0.0), n_threads=0)),
         ("n_threads", lambda: request(RABI, MethodSpec.cmm(0.0), n_threads=-4)),
+        # once accepted: n_traj = 1.5 drew two rows and divided their sums by 1.5
+        ("n_traj", lambda: request(RABI, MethodSpec.cmm(0.0), n_traj=1.5)),
+        ("n_traj", lambda: request(RABI, MethodSpec.cmm(0.0), n_traj=True)),
+        ("n_threads", lambda: request(RABI, MethodSpec.cmm(0.0), n_threads=1.5)),
+        ("n_threads", lambda: request(RABI, MethodSpec.cmm(0.0), n_threads=True)),
+        # once failed with messages that did not name the field
+        ("n_traj", lambda: request(RABI, MethodSpec.cmm(0.0), n_traj="100")),
+        ("t_grid", lambda: request(RABI, MethodSpec.cmm(0.0), t_grid=[[0.0, 1.0]])),
+        ("t_grid", lambda: request(RABI, MethodSpec.cmm(0.0), t_grid=1.0)),
+        ("rho_indices", lambda: dataclasses.replace(request(RABI, MethodSpec.cmm(0.0)), rho_indices=(1, 1, 1))),
+        ("rho_indices", lambda: request(RABI, MethodSpec.cmm(0.0), nmkl=(True, 1, 1, 1))),
+        ("obs_indices", lambda: request(RABI, MethodSpec.cmm(0.0), nmkl=(1, 1, 1, 1.0))),
+        ("obs_indices", lambda: dataclasses.replace(request(RABI, MethodSpec.cmm(0.0)), obs_indices=2)),
     ],
     ids=[
         "hamiltonian-nan", "t_grid-nan", "t_grid-inf", "dt-nan", "gamma-nan",
         "n_threads-zero", "n_threads-negative",
+        "n_traj-fraction", "n_traj-bool", "n_threads-fraction", "n_threads-bool",
+        "n_traj-str", "t_grid-2d", "t_grid-scalar",
+        "rho_indices-triple", "rho_indices-bool", "obs_indices-float", "obs_indices-scalar",
     ],
 )
 def test_non_finite_input_is_rejected_by_field(field, make):

@@ -16,15 +16,16 @@ def test_every_exported_name_resolves():
 
 
 def test_perfbench_traced_names_exist():
-    # perfbench times a layer by replacing a module-level name; a rename
-    # here would otherwise break its --trace 1 runs without a test failing
+    # perfbench times a layer by replacing a module-level function; a rename
+    # or deletion here would otherwise break its --trace 1 runs without a
+    # test failing
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
     missing = [
         f"{module}.{attr}"
         for module, attr, _, _ in spans.WRAPPED
-        if not hasattr(importlib.import_module(module), attr)
+        if not callable(getattr(importlib.import_module(module), attr, None))
     ]
     assert spans.WRAPPED and missing == []
 
