@@ -35,8 +35,8 @@ from .qcore import hermitian_eig, propagator_from_decomposition, require_hermiti
 
 
 def _check_step(dt):
-    if not (math.isfinite(dt) and dt > 0):
-        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not (isinstance(dt, (int, float, np.integer, np.floating)) and not isinstance(dt, bool) and math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, a real number (bool excluded), got {dt!r}")
 
 
 def _check_grid(times, name):

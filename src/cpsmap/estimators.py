@@ -57,8 +57,8 @@ the stream Generator(SFC64(SeedSequence(seed, spawn_key=(b,)))), which
 cpsmap.streams seeds for all blocks at once and serves each worker
 thread from one re-keyed SFC64 generator.  The driver samples and
 carries blocks in groups: a group is a run of consecutive blocks of
-equal size with at most GROUP_ROWS rows in all, or POOL_ROWS when a
-pool of workers runs them (a larger block is a group of one), drawn
+equal size with at most GROUP_ENTRIES rows times F in all, or POOL_ROWS
+rows on a pool of workers (a larger block is a group of one), drawn
 block by block from the blocks' own streams and then transformed,
 carried and reduced per block as one stacked array, in scratch arrays
 that each worker keeps from group to group.  Every per-block sum is
@@ -89,10 +89,10 @@ from .qcore import hermitian_eig, propagator_from_decomposition, require_hermiti
 from .streams import BlockStreams, block_keys, check_seed, is_integer
 
 N_BLOCKS = 100
-# Rows of consecutive equal blocks sampled and carried as one group on one
-# thread; a pool's groups hold POOL_ROWS, so fewer calls that hold the GIL
-# are made.
-GROUP_ROWS = 1024
+# Entries (rows times F) of consecutive equal blocks sampled and carried as
+# one group on one thread, which bounds a group's memory; a pool's groups
+# hold POOL_ROWS rows, so fewer calls that hold the GIL are made.
+GROUP_ENTRIES = 8192
 POOL_ROWS = 8192
 # Marched frame entries a window block holds at once (8 MB of complex).
 MARCH_ENTRIES = 1 << 19
@@ -284,7 +284,7 @@ class TCFResult:
 
 def _block_sizes(n_traj):
     base, extra = divmod(n_traj, N_BLOCKS)
-    return np.array([base + (1 if b < extra else 0) for b in range(N_BLOCKS)])
+    return base + (np.arange(N_BLOCKS) < extra)
 
 
 def _groups(sizes, max_rows):
@@ -292,14 +292,9 @@ def _groups(sizes, max_rows):
 
     A block of max_rows rows or more is a group of its own.
     """
-    groups = []
-    for b in np.flatnonzero(sizes).tolist():
-        lo = groups[-1][0] if groups else b
-        if groups and sizes[lo] == sizes[b] and (b + 1 - lo) * sizes[b] <= max_rows:
-            groups[-1] = (lo, b + 1)
-        else:
-            groups.append((b, b + 1))
-    return groups
+    edges = [0, *(np.flatnonzero(np.diff(sizes)) + 1).tolist(), len(sizes)]
+    runs = [(lo, hi, max(1, max_rows // int(sizes[lo]))) for lo, hi in zip(edges, edges[1:]) if sizes[lo]]
+    return [(b, min(b + step, hi)) for lo, hi, step in runs for b in range(lo, hi, step)]
 
 
 def _run_blocks(work, blocks, n_threads):
@@ -311,18 +306,18 @@ def _run_blocks(work, blocks, n_threads):
 
 
 def _jackknife(num_blocks, den_blocks, num_total, den_total, sizes):
-    """SE of num_total / den_total from leave-one-block-out ratios."""
+    """SE of num_total / den_total from leave-one-block-out ratios, formed in place on one copy of the live blocks."""
     live = sizes > 0
     B = int(np.count_nonzero(live))
     if B < 2:
         return np.full(num_total.shape, np.nan)
     den_loo = den_total - den_blocks[live]
     den_loo = np.where(den_loo == 0.0, np.nan, den_loo)
-    theta = (num_total[None, :] - num_blocks[live]) / den_loo
-    mean = np.mean(theta, axis=0)
-    dev = theta - mean[None, :]
-    var = (B - 1) / B * np.sum(dev.real**2 + dev.imag**2, axis=0)
-    return np.sqrt(var)
+    theta = num_blocks[live]
+    np.subtract(num_total, theta, out=theta)
+    theta /= den_loo
+    theta -= np.mean(theta, axis=0)
+    return np.sqrt((B - 1) / B * np.sum(theta.real**2 + theta.imag**2, axis=0))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +340,12 @@ def _prepare(req):
     if req.backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {req.backend!r}")
     _check_step(req.dt)
+    # the jackknife squares frame moments of order 1 + F gamma; a hill window multiplies F - 1 gaps of up to that
+    power = max(2, F - 1) if fam == "hill_ww" else 2
+    limit = (np.finfo(float).max ** (1 / power) - 1) / F
+    if fam != "triangle_f2_single" and not (req.method.gamma or 0.0) < limit:
+        raise ValueError(f"{fam} gamma = {req.method.gamma!r} overflows (1 + F gamma)^{power} at F = {F}; "
+                         f"it must be below {limit:.4g}")
     if fam in COMB_FAMILIES:
         miss, where = _mapping_miss(F, _comb(req.method, F))
         if not miss <= EXACT_MAPPING_TOL:
@@ -631,7 +632,7 @@ def _drive(req, U, plan, idxs):
         lo, hi = span
         sums[lo:hi], frames[lo:hi] = group(streams[lo:hi], int(sizes[lo]))
 
-    max_rows = GROUP_ROWS if req.n_threads == 1 else POOL_ROWS
+    max_rows = GROUP_ENTRIES // F if req.n_threads == 1 else POOL_ROWS
     _run_blocks(work, _groups(sizes, max_rows), req.n_threads)
     return sums, frames, sizes
 
@@ -678,13 +679,14 @@ def _moment_limit(B):
     return math.sqrt(B - 1) * math.tan(hi)
 
 
-def _moment_check(frames, sizes, mean):
-    """The MomentCheck of an ensemble's block frame moments (N_BLOCKS, F, F) against the closed form mean."""
+def _moment_check(frames, sizes, mean, total=None, se=None):
+    """The MomentCheck of block frame moments (N_BLOCKS, F, F), or of their flattened total and jackknife se, against mean."""
     n = int(sizes.sum())
-    blocks = frames.reshape(N_BLOCKS, -1)
-    total = blocks.sum(axis=0)
+    if total is None:
+        blocks = frames.reshape(N_BLOCKS, -1)
+        total = blocks.sum(axis=0)
+        se = _jackknife(blocks, sizes[:, None], total, n, sizes)
     got = total / n
-    se = _jackknife(blocks, sizes[:, None], total, n, sizes)
     dev = np.abs(got - mean.ravel())
     zero = se <= ZERO_VARIANCE_REL * np.maximum(1.0, np.abs(got))
     B = int(np.count_nonzero(sizes))
@@ -699,20 +701,26 @@ def _reduce(req, plan, idxs, t_grid, out, frames, sizes):
     """Each request's TCFResult from its ensemble's block sums and frame moments.
 
     The cc/cx/xc families reduce to the block mean of the request's
-    column; a ww plan (one with a measure) to the ratio of the observed
-    state's numerator to the summed denominator over the same
-    trajectories.  Every result carries the ensemble's MomentCheck.
+    column, jackknifed beside the frame moments; a ww plan (one with a
+    measure) to the ratio of the observed state's numerator to the summed
+    denominator over the same trajectories.  Every result carries the
+    ensemble's MomentCheck.
     """
     n = req.n_traj
-    check = _moment_check(frames, sizes, plan.mean)
     if plan.measure is None:
-        results = []
-        for c in range(len(idxs)) if plan.columns is None else plan.columns:
-            col = np.ascontiguousarray(out[:, :, c])
-            total = np.sum(col, axis=0)
-            se = _jackknife(col, sizes[:, None], total, n, sizes)
-            results.append(TCFResult(t_grid, total / n, np.ones(t_grid.size), se, n, moment_check=check))
-        return results
+        cols = range(len(idxs)) if plan.columns is None else plan.columns
+        T, CT = t_grid.size, len(cols) * t_grid.size
+        blocks = np.concatenate([out.transpose(0, 2, 1)[:, cols].reshape(N_BLOCKS, -1), frames.reshape(N_BLOCKS, -1)], 1)
+        K = blocks.shape[1]
+        total, se = np.empty(K, blocks.dtype), np.empty(K)
+        # numpy sums a lone column pairwise, wider ones block by block: keep each lone column's own jackknife
+        cuts = [0, K] if T > 1 < frames[0].size else [*range(0, CT + 1, T), K]
+        for lo, hi in zip(cuts, cuts[1:]):
+            total[lo:hi] = np.sum(blocks[:, lo:hi], axis=0)
+            se[lo:hi] = _jackknife(blocks[:, lo:hi], sizes[:, None], total[lo:hi], n, sizes)
+        check = _moment_check(frames, sizes, plan.mean, total[CT:], se[CT:])
+        return [TCFResult(t_grid, total[c:c + T] / n, np.ones(T), se[c:c + T], n, moment_check=check) for c in range(0, CT, T)]
+    check = _moment_check(frames, sizes, plan.mean)
     F = out.shape[2] - 1
     sums = np.ascontiguousarray(out[:, :, :F])
     num_total = np.sum(sums, axis=0)
@@ -942,7 +950,7 @@ def _discrete_plan(req, F, idxs, U):
     n0, m0 = idxs[0][:2]
     gamma = gdtwa_signature(F).gamma
     foci, bits = list(dict.fromkeys((n0, m0))), 2 * (F - 1)
-    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)
+    shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)[:, None, None]
     place = np.zeros((len(foci), 2 * F - 1, F, F), dtype=np.complex128)
     for p, f in enumerate(foci):
         rows, others = np.arange(1, F), [i for i in range(F) if i != f]
@@ -958,17 +966,21 @@ def _discrete_plan(req, F, idxs, U):
     def moments(rngs, nb):
         nblk = len(rngs)
         pick, points = rngs.bit_draws(nb, bits, coins=len(foci) > 1)
-        X = np.ones((nblk, nb, 2 * F - 1))
-        X[..., 1:] = 1.0 - 2.0 * ((points[..., None] >> shifts) & 1)
+        X = np.empty((2 * F - 1, nblk, nb))
+        X[0] = 1.0
+        np.subtract(1.0, (points.astype(np.uint64) << np.uint64(1)) >> shifts & np.uint64(2), out=X[1:])
         if pick is None:
-            M = (X.sum(axis=1) @ place).reshape(nblk, F, F)
+            M = (X.sum(axis=2).T @ place).reshape(nblk, F, F)
             return [(M, np.full((nblk, 1, 1), gamma * nb))], M
-        # the rows of L hold Re W, Im W and 1 per focus, so L @ X sums X over them
-        Xn = X * pick[..., None]
-        Xm = X - Xn
-        L = np.stack([Xn[..., 1 + q_m], Xm[..., 1 + q_n], Xn[..., F + q_m], -Xm[..., F + q_n], Xn[..., 0], Xm[..., 0]], 1)
-        LX = (L @ X).reshape(nblk, 3, -1)
-        out = (LX @ place).reshape(nblk, 3, F, F)
+        # the rows of L hold Re W, Im W and 1 per focus, so L @ X sums X over
+        # them: X's column times the pick of focus n, or X's column less that
+        L, Xc = np.empty((6, nblk, nb)), X[[1 + q_m, 1 + q_n, F + q_m, F + q_n]]
+        L[4], L[5] = pick, ~pick
+        np.multiply(Xc, L[4], out=L[:4])
+        np.subtract(Xc[1::2], L[1:4:2], out=L[1:4:2])
+        L[3] *= -1.0
+        LX = (L.transpose(1, 0, 2) @ X.transpose(1, 2, 0)).reshape(nblk, 3, -1)
+        out = (LX.reshape(3 * nblk, -1) @ place).reshape(nblk, 3, F, F)
         sum_w = LX[:, 0, 0] + LX[:, 0, 2 * F - 1] + 1j * (LX[:, 1, 0] + LX[:, 1, 2 * F - 1])
         return [(out[:, 0] + 1j * out[:, 1], (gamma * sum_w)[:, None, None])], out[:, 2]
 

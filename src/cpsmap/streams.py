@@ -116,13 +116,14 @@ class BlockStreams:
         return len(self.keys)
 
     def __iter__(self):
-        return map(self.__getitem__, range(len(self.keys)))
+        for bits in self._rekeyed():
+            bits.random_raw(_WARM_UP)
+            yield self._local.gen
 
     def __getitem__(self, b):
         if isinstance(b, slice):
             return BlockStreams(self.keys[b], self._local)
-        self._rekey(b).random_raw(_WARM_UP)
-        return self._local.gen
+        return next(iter(BlockStreams(self.keys[b][None], self._local)))
 
     def bit_draws(self, nb, bits, coins=False):
         """Every block's rng.random(nb) < 0.5, if coins, then rng.integers(2**bits, size=nb), for 1 <= bits <= 63.
@@ -137,21 +138,22 @@ class BlockStreams:
         lead = nb if coins else 0
         n = lead + (nb if bits > 32 else (nb + 1) // 2)
         raw = np.empty((len(self.keys), n), dtype=np.uint64)
-        for b in range(len(self.keys)):
-            raw[b] = self._rekey(b).random_raw(_WARM_UP + n)[_WARM_UP:]
+        for row, gen in zip(raw, self._rekeyed()):
+            row[:] = gen.random_raw(_WARM_UP + n)[_WARM_UP:]
         words = raw[:, lead:]
         if bits <= 32:
             words = words.astype("<u8", copy=False).view("<u4")[:, :nb]
         ints = words >> words.dtype.type(8 * words.itemsize - bits)
         return (raw[:, :nb] >> 63 == 0 if coins else None), ints
 
-    def _rekey(self, b):
-        """The calling thread's SFC64 bit generator, set to block b's starting state with no half-used word."""
+    def _rekeyed(self):
+        """The calling thread's SFC64 bit generator, set in turn to each block's starting state with no half-used word."""
         gen = getattr(self._local, "gen", None)
         if gen is None:
             gen = self._local.gen = np.random.Generator(np.random.SFC64(0))
-        bits = gen.bit_generator
-        bits.state = {
-            "bit_generator": "SFC64", "state": {"state": self.keys[b]}, "has_uint32": 0, "uinteger": 0,
-        }
-        return bits
+        # one state dict for all the blocks, whose inner state words the setter copies
+        bits, state = gen.bit_generator, {"bit_generator": "SFC64", "state": {}, "has_uint32": 0, "uinteger": 0}
+        for key in self.keys:
+            state["state"]["state"] = key
+            bits.state = state
+            yield bits

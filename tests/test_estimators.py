@@ -15,7 +15,7 @@ from cpsmap.cps import GammaWeight, gamma_wigner, gdtwa_signature, sample_sphere
 from cpsmap.dynamics import grid_march
 from cpsmap.estimators import (
     _PLANS,
-    GROUP_ROWS,
+    GROUP_ENTRIES,
     N_BLOCKS,
     POOL_ROWS,
     MethodSpec,
@@ -245,6 +245,81 @@ def test_non_finite_input_is_rejected_by_field(field, make):
         estimate_tcf(make())
 
 
+# once NaN at every point with overflow warnings (1e308), or finite with a
+# failed MomentCheck (lambda_point 1e160), at F = 3 with 200 trajectories
+@pytest.mark.parametrize(
+    "method, nmkl",
+    [
+        (MethodSpec.lambda_point(1e308), (1, 2, 2, 1)),
+        (MethodSpec.cornered_simplex(1e308), (1, 1, 2, 2)),
+        (MethodSpec.hill_ww(1e308), (1, 1, 2, 2)),
+        (MethodSpec.lambda_point(1e160), (1, 1, 2, 2)),
+    ],
+    ids=["lambda_point-1e308", "cornered_simplex-1e308", "hill_ww-1e308", "lambda_point-1e160"],
+)
+def test_overflowing_gamma_is_rejected_by_name(method, nmkl):
+    with pytest.raises(ValueError, match="gamma"):
+        estimate_tcf(request(random_h(3), method, nmkl=nmkl, n_traj=200))
+
+
+def test_gamma_just_below_its_overflow_bound_gives_finite_estimates():
+    for F, family, nmkl in ((3, "lambda_point", (1, 2, 2, 1)), (3, "cornered_simplex", (1, 1, 2, 2)), (8, "hill_ww", (1, 1, 2, 2))):
+        power = max(2, F - 1) if family == "hill_ww" else 2
+        limit = (np.finfo(np.float64).max ** (1.0 / power) - 1.0) / F
+        with np.errstate(over="raise", invalid="raise"):
+            res = estimate_tcf(request(random_h(F), getattr(MethodSpec, family)(0.99 * limit), nmkl=nmkl, n_traj=200))
+        assert np.all(np.isfinite(res.estimates)) and np.all(np.isfinite(res.standard_errors)), family
+        with pytest.raises(ValueError, match="gamma"):
+            estimate_tcf(request(random_h(F), getattr(MethodSpec, family)(1.01 * limit), nmkl=nmkl, n_traj=200))
+
+
+def _not_an_integer_from(low):
+    return st.one_of(
+        st.integers(max_value=low - 1), st.booleans(), st.floats(), st.text(max_size=2), st.none(),
+        st.integers(1, 9).map(float), st.integers(1, 9).map(str),
+    )
+
+
+def _bad_pair(F):
+    index, outside = st.integers(-3, F + 3), st.integers(-3, F + 3).filter(lambda i: not 1 <= i <= F)
+    return st.one_of(
+        st.tuples(outside, index),
+        st.tuples(index, outside),
+        st.lists(index, max_size=4).filter(lambda p: len(p) != 2).map(tuple),
+        st.tuples(st.one_of(st.booleans(), st.floats(), st.text(max_size=1), st.none()), st.integers(1, F)),
+        st.one_of(index, st.none(), st.text(max_size=2)),
+    )
+
+
+BAD_REQUEST_FIELDS = {
+    "n_traj": _not_an_integer_from(1),
+    "n_threads": _not_an_integer_from(1),
+    "seed": _not_an_integer_from(0),
+    "t_grid": st.one_of(
+        st.floats(0.0, 5.0),
+        st.integers(2, 3).flatmap(lambda d: st.lists(st.floats(0.0, 5.0), min_size=2 ** d, max_size=2 ** d).map(
+            lambda v: np.reshape(v, (2,) * d))),
+    ),
+    "rho_indices": _bad_pair(2),
+    "obs_indices": _bad_pair(2),
+    "backend": st.one_of(st.text(max_size=6), st.integers(), st.none()).filter(lambda b: b not in ("exact", "rk4")),
+    "dt": st.one_of(
+        st.floats().filter(lambda x: not 0.0 < x < math.inf), st.booleans(), st.text(max_size=3), st.none(),
+        st.integers(max_value=0),
+    ),
+}
+
+
+@settings(max_examples=12, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("field", sorted(BAD_REQUEST_FIELDS))
+def test_bad_request_field_is_rejected_by_name(field, data):
+    value = data.draw(BAD_REQUEST_FIELDS[field], label=field)
+    req = dataclasses.replace(request(RABI, MethodSpec.cmm(0.0), nmkl=(1, 2, 2, 1), n_traj=10), **{field: value})
+    with pytest.raises(ValueError, match=field):
+        estimate_tcf(req)
+
+
 # -- t = 0 identity and frozen-nuclei exactness (light versions) -----
 
 
@@ -405,11 +480,14 @@ def test_thread_count_does_not_change_results(case):
 GROUPS_N_TRAJ = (7, 150, 5037, 120_000, 200_000)
 
 
-# the one-thread cap keeps the ids [n_traj]; the pool's cap is [n_traj-pool]
+# the one-thread cap at F = 8 keeps the ids [n_traj], F = 3's is [n_traj-F3]
+# and the pool's cap [n_traj-pool]
 @pytest.mark.parametrize(
     "n_traj, max_rows",
-    [(n, GROUP_ROWS) for n in GROUPS_N_TRAJ] + [(n, POOL_ROWS) for n in GROUPS_N_TRAJ],
-    ids=[str(n) for n in GROUPS_N_TRAJ] + [f"{n}-pool" for n in GROUPS_N_TRAJ],
+    [(n, GROUP_ENTRIES // 8) for n in GROUPS_N_TRAJ]
+    + [(n, GROUP_ENTRIES // 3) for n in GROUPS_N_TRAJ]
+    + [(n, POOL_ROWS) for n in GROUPS_N_TRAJ],
+    ids=[str(n) for n in GROUPS_N_TRAJ] + [f"{n}-F3" for n in GROUPS_N_TRAJ] + [f"{n}-pool" for n in GROUPS_N_TRAJ],
 )
 def test_groups_are_runs_of_equal_blocks_within_group_rows(n_traj, max_rows):
     sizes = _block_sizes(n_traj)
@@ -421,6 +499,42 @@ def test_groups_are_runs_of_equal_blocks_within_group_rows(n_traj, max_rows):
     # a group stops only at a new block size or where one more block would pass max_rows
     for (lo, hi), (nxt, _) in zip(groups, groups[1:]):
         assert sizes[nxt] != sizes[lo] or (hi - lo + 1) * sizes[lo] > max_rows
+
+
+def greedy_groups(sizes, max_rows):
+    """Groups grown block by block: the next nonempty block joins the last group while sizes match and rows fit."""
+    groups = []
+    for b in np.flatnonzero(sizes).tolist():
+        lo = groups[-1][0] if groups else b
+        if groups and sizes[lo] == sizes[b] and (b + 1 - lo) * sizes[b] <= max_rows:
+            groups[-1] = (lo, b + 1)
+        else:
+            groups.append((b, b + 1))
+    return groups
+
+
+@pytest.mark.parametrize("n_traj", GROUPS_N_TRAJ + (1, 99, 100, 101, 4999))
+def test_groups_equal_the_greedy_block_by_block_groups(n_traj):
+    sizes = _block_sizes(n_traj)
+    for max_rows in (0, 1, 2, 49, 50, 51, 1000, GROUP_ENTRIES // 3, GROUP_ENTRIES // 8, POOL_ROWS, 10**9):
+        assert _groups(sizes, max_rows) == greedy_groups(sizes, max_rows), max_rows
+
+
+@pytest.mark.parametrize("F", [2, 3, 5, 8])
+def test_discrete_estimates_do_not_depend_on_the_grouping(F, monkeypatch):
+    # GROUP_ENTRIES = 1 makes every block its own group, 10**9 one group per block size
+    H = random_h(F, seed=23)
+    method = MethodSpec.dtwa() if F == 2 else MethodSpec.gdtwa()
+    kw = dict(n_traj=1537, seed=4, t_grid=np.linspace(0.0, 2.0, 5), backend="rk4", dt=0.05)
+    for nmkl in ((1, 1, 2, 2), (1, 2, 2, 1), (2, 1, 1, 2)):
+        runs = []
+        for entries in (GROUP_ENTRIES, 1, 10**9):
+            monkeypatch.setattr(estimators, "GROUP_ENTRIES", entries)
+            runs.append(estimate_tcf(request(H, method, nmkl=nmkl, **kw)))
+        for res in runs[1:]:
+            assert res.estimates.tobytes() == runs[0].estimates.tobytes(), nmkl
+            assert res.standard_errors.tobytes() == runs[0].standard_errors.tobytes(), nmkl
+            assert res.moment_check == runs[0].moment_check, nmkl
 
 
 def fresh_stream(seed, b):
