@@ -398,7 +398,7 @@ def _validate_moments(cfg, results):
     if not math.isfinite(worst + zero):
         detail = "the run's frame moment is not finite"
     elif zero > ZERO_VARIANCE_TOL:
-        detail = f"zero-variance deviation {zero:.2e} (limit {ZERO_VARIANCE_TOL:.0e})"
+        detail = f"zero-variance deviation {zero:.2e} of max(1, |closed form|) (limit {ZERO_VARIANCE_TOL:.0e})"
     else:
         # every ensemble of the run has the same blocks, so the same limit
         detail = f"{cfg.method_text} frames, worst |dev|/SE = {worst:.2f} (limit {checks[0].limit:.4g})"

@@ -41,7 +41,10 @@ def _check_step(dt):
 
 def _check_grid(times, name):
     """times as a float array, which must be 1-D, finite, nonempty, nonnegative, increasing."""
-    times = np.asarray(times, dtype=np.float64)
+    try:
+        times = np.asarray(times, dtype=np.float64)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"{name} must be an array of real numbers: {err}") from None
     if times.ndim != 1:
         raise ValueError(f"{name} must be 1-D, got shape {times.shape}")
     if not np.all(np.isfinite(times)):

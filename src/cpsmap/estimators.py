@@ -34,10 +34,10 @@ of the phase space (a sphere, or the gdtwa two-frame Stiefel
 component), together with the density-side weights of every density
 side it serves, and the maps U of dynamics.grid_march, built once per
 call by either backend, carry the block to every grid time at once: a
-covariant observable kernel (cc and xc), described by its frame weights
+covariant observable kernel (cc and xc), described by its frame weight
 and shift, as one F x F moment matrix per block and density side
-carried as U M U^dagger, formed from the frames (nb, r, F) the plan
-draws or, for dtwa and gdtwa, in closed form from the drawn signs; a
+carried as U M U^dagger, formed from the frames (nb, F) the plan draws
+or, for dtwa and gdtwa, in closed form from the drawn signs; a
 window (cx and ww) by one gemm of the frames with the map rows it reads
 (per bounded chunk of grid times).  Plans are looked up by family in one
 table (_PLANS).  The cc families share one plan: each is a signed comb
@@ -47,7 +47,8 @@ density-side kernel entry comes from kernels.kernel_entries; every
 window is one batched function of the actions (..., F) in this module.
 
 Each ensemble also checks its own sampler: every group returns each
-block's frame moment sum_i sum_f w_f z_if z_if^dagger at t = 0, and
+block's frame moment sum_i w z_i z_i^dagger at t = 0 (for dtwa and
+gdtwa, sum_i (K_i + gamma I) of the drawn points' kernels), and
 _reduce judges its mean against the closed form that the plan carries
 (mean) with the estimates' block jackknife SE (MomentCheck).
 
@@ -99,8 +100,9 @@ MARCH_ENTRIES = 1 << 19
 # A standard error at most this times max(1, |estimate|) is rounding noise.
 ZERO_VARIANCE_REL = 1e-12
 # The frame moment check: a zero-variance entry may miss its closed form by
-# ZERO_VARIANCE_TOL, any other by MOMENT_SE_LIMIT standard errors when all
-# N_BLOCKS blocks hold trajectories (see _moment_limit for fewer).
+# ZERO_VARIANCE_TOL times max(1, |closed form|), any other by MOMENT_SE_LIMIT
+# standard errors when all N_BLOCKS blocks hold trajectories (see
+# _moment_limit for fewer).
 ZERO_VARIANCE_TOL = 1e-12
 MOMENT_SE_LIMIT = 5.0
 # The largest miss of the exact mapping identity a cc comb may have.
@@ -229,17 +231,18 @@ class TCFRequest:
 
 
 class MomentCheck(NamedTuple):
-    """An ensemble's mean frame moment sum_f w_f z_f z_f^dagger at t = 0 against its sampler's closed form.
+    """An ensemble's mean frame moment w z z^dagger at t = 0 against its sampler's closed form.
 
     Each entry has the block jackknife SE of the estimates.
     worst_over_se is the largest |dev| / SE over the entries with a
     spread, which may be at most limit (_moment_limit of the nonempty
-    blocks), zero_variance_dev the largest |dev| over the entries whose
-    SE is at the ZERO_VARIANCE_REL floor (0 when there is none, and
-    when some block is empty: a discrete sampler's entry then takes one
-    value in every block by chance, a gdtwa entry one of two values
-    with probability 1/2 each).  worst_over_se and limit are nan with
-    fewer than 2 nonempty blocks.
+    blocks), zero_variance_dev the largest |dev| / max(1, |mean|) over
+    the entries whose SE is at the ZERO_VARIANCE_REL floor, whose
+    rounding grows with their size (0 when there is none, and when some
+    block is empty: a discrete sampler's entry then takes one value in
+    every block by chance, a gdtwa entry one of two values with
+    probability 1/2 each).  worst_over_se and limit are nan with fewer
+    than 2 nonempty blocks.
     """
 
     worst_over_se: float
@@ -324,6 +327,11 @@ def _jackknife(num_blocks, den_blocks, num_total, den_total, sizes):
 # request validation
 
 
+def _check_count(name, value):
+    if not is_integer(value) or value < 1:
+        raise ValueError(f"{name} must be an integer (bool excluded) of at least 1, got {value!r}")
+
+
 def _prepare(req):
     """Check the fields a call's requests share, on its first request; return its H, F and t_grid."""
     fam = req.method.family
@@ -332,9 +340,7 @@ def _prepare(req):
     H = require_hermitian(req.hamiltonian, name="hamiltonian")
     F = H.shape[0]
     for name in ("n_traj", "n_threads"):
-        value = getattr(req, name)
-        if not is_integer(value) or value < 1:
-            raise ValueError(f"{name} must be an integer (bool excluded) of at least 1, got {value!r}")
+        _check_count(name, getattr(req, name))
     check_seed(req.seed)
     t_grid = _check_grid(req.t_grid, "t_grid")
     if req.backend not in ("exact", "rk4"):
@@ -346,6 +352,13 @@ def _prepare(req):
     if fam != "triangle_f2_single" and not (req.method.gamma or 0.0) < limit:
         raise ValueError(f"{fam} gamma = {req.method.gamma!r} overflows (1 + F gamma)^{power} at F = {F}; "
                          f"it must be below {limit:.4g}")
+    if fam == "cornered_simplex" and F > 1:
+        # the window divides by F x^(F-1), x = F gamma / (1 + F gamma), which the jackknife squares
+        x = (np.finfo(float).max ** -0.5 / F) ** (1 / (F - 1))
+        low = x / (F * (1.0 - x))
+        if not req.method.gamma >= low:
+            raise ValueError(f"cornered_simplex gamma = {req.method.gamma!r} overflows its window normalization "
+                             f"1 / (F (F gamma / (1 + F gamma))^(F-1)) at F = {F}; it must be at least {low:.4g}")
     if fam in COMB_FAMILIES:
         miss, where = _mapping_miss(F, _comb(req.method, F))
         if not miss <= EXACT_MAPPING_TOL:
@@ -355,6 +368,8 @@ def _prepare(req):
             )
     if fam == "dtwa" and F != 2:
         raise ValueError("dtwa is the F=2 method; use gdtwa for F >= 3")
+    if fam == "gdtwa" and F < 2:
+        raise ValueError("gdtwa needs F >= 2: a point's signs sit on the states besides its focus")
     if fam == "gdtwa" and F > 32:
         raise ValueError(
             f"gdtwa at F = {F} needs 2(F-1) = {2 * (F - 1)} sign bits per point, "
@@ -381,7 +396,7 @@ def _indices(req, F):
         raise ValueError("cornered_simplex supports population observables only (k = l)")
     if _PLANS[fam] is _ww_plan and (n != m or k != l):
         raise ValueError(
-            "window-window families estimate population-population "
+            f"{fam} is a window-window family: it estimates population-population "
             "correlation functions only (n = m and k = l)"
         )
     return n - 1, m - 1, k - 1, l - 1
@@ -436,44 +451,44 @@ class _Plan(NamedTuple):
     distinct density sides (n, m).  sample(rngs, nb) draws a group of
     len(rngs) blocks of nb trajectories, each block from its own stream
     of rngs in block order, and returns the group's frames Z0
-    (len(rngs) * nb, r, F), block after block, once for all requests.
+    (len(rngs) * nb, F), block after block, once for all requests.
 
     A kernel plan (window None) gives request (n, m, k, l) the
-    observable kernel sum_f w_f z_f z_f^dagger - shift read at (l, k),
-    with w_f = weights.  Its sample returns (Z0, Ws, S): one density
-    weight vector W per density side in Ws, and shift coordinates S
-    (broadcastable to (rows, C)).  Trajectory i's shift at time t has
-    (l, k) entry sum_c S_ic shift_lk(l, k)[t, c]; shift_lk None means
-    the one column delta_lk of a gamma*I shift.  moments(rngs, nb)
-    gives the group's block moments that _kernel_group carries (see
-    _frame_moments, which forms them from the frames of sample when
-    moments is None); a plan that has them in closed form gives moments
-    and no sample.
+    observable kernel w z z^dagger - shift read at (l, k), with the one
+    frame weight w = weights.  Its sample returns (Z0, Ws, S): one
+    density weight vector W per density side in Ws, and shift
+    coordinates S (broadcastable to (rows, C)).  Trajectory i's shift at
+    time t has (l, k) entry sum_c S_ic shift_lk(l, k)[t, c]; shift_lk
+    None means the one column delta_lk of a gamma*I shift.
+    moments(rngs, nb) gives the group's block moments that _kernel_group
+    carries (see _frame_moments, which forms them from the frames of
+    sample when moments is None); a plan that has them in closed form
+    gives moments and no sample.
 
-    A window plan's sample returns (Z0, aux) with r = 1.  rows lists
-    the sets of map rows it marches, and window(E, aux, j) turns the
-    actions E (blocks, nb, n_times, len(rows[j])) of row set j into that
-    set's block sums (blocks, n_times, w_j); the sets' sums stand side
-    by side, width columns in all.  columns[i] is request i's column; a
-    ww plan (columns None) holds the numerators of every state and,
-    last, the smallest numerator.  measure is None for the block-mean
-    families and the phase space measure factor of a ww plan.
+    A window plan's sample returns (Z0, aux).  rows lists the sets of
+    map rows it marches, and window(E, aux, j) turns the actions E
+    (blocks, nb, n_times, len(rows[j])) of row set j into that set's
+    block sums (blocks, n_times, w_j); the sets' sums stand side by
+    side, width columns in all.  columns[i] is request i's column; a ww
+    plan (columns None) holds the numerators of every state and, last,
+    the smallest numerator.  measure is the phase space measure factor
+    of a ww plan, whose block sums are real, and None for the complex
+    block means of the other families.
 
-    mean is the closed-form expectation (F, F) of the frame moment
-    sum_f w_f z_f z_f^dagger of one trajectory the sampler draws, with
-    w_f = weights (1/2 for a window plan), which the ensemble's own
-    frames are checked against (MomentCheck).
+    mean is the closed-form expectation (F, F) of one trajectory's frame
+    moment w z z^dagger (w = 1/2 for a window plan, K + gamma I of the
+    drawn point for dtwa and gdtwa), which the ensemble's own frames
+    are checked against (MomentCheck).
     """
 
     sample: Callable
     mean: np.ndarray
-    weights: object = 0.5
+    weights: float = 0.5
     shift_lk: Callable = None
     rows: list = None
     window: Callable = None
     width: int = 1
     columns: list = None
-    dtype: type = np.complex128
     measure: float = None
     moments: Callable = None
 
@@ -505,32 +520,28 @@ def _draw_group(rngs, nb, draw=None, F=None):
 def _frame_moments(plan):
     """The block moments of a kernel plan from the frames it draws (see _Plan).
 
-    Per density side, every block's M = sum_i W_i sum_f w_f z_if z_if^dagger
-    as one stacked matmul over the group, with the blocks' weighted shift
-    coordinates (blocks, C, 1); the frame moment comes from one more
-    stacked matmul, F x F per block and frame, on the first side's
-    conj(A) before its density weight.
+    Per density side, every block's M = sum_i W_i w z_i z_i^dagger as one
+    stacked matmul over the group, with the blocks' weighted shift
+    coordinates (blocks, C, 1); the frame moment w A^T conj(A) per block
+    comes from one more stacked matmul, on the first side's conj(A)
+    before its density weight.
     """
     w = plan.weights
 
     def moments(rngs, nb):
         Z0, Ws, S = plan.sample(rngs, nb)
-        nblk, F = len(rngs), Z0.shape[-1]
-        A = Z0.reshape(nblk, -1, F)
+        nblk = len(rngs)
+        A = Z0.reshape(nblk, nb, -1)
+        At = A.transpose(0, 2, 1)
         sides = []
         for W in Ws:
-            v = np.broadcast_to(W[:, None] * w, Z0.shape[:2]).reshape(nblk, -1, 1)
-            # v * conj(A) in place, in a scratch array (see BlockStreams.scratch)
+            # W w conj(A) in place, in a scratch array (see BlockStreams.scratch)
             vAc = np.conjugate(A, out=rngs.scratch("temp", A.shape))
             if not sides:
-                # the frame moment, density weight aside: one F x F product per
-                # block and frame, summed with the frame weights
-                A4, Ac4 = A.reshape(nblk, nb, -1, F), vAc.reshape(nblk, nb, -1, F)
-                per_frame = A4.transpose(0, 2, 3, 1) @ Ac4.transpose(0, 2, 1, 3)
-                frame = per_frame.transpose(0, 2, 3, 1) @ np.broadcast_to(w, Z0.shape[1:2])
-            np.multiply(v, vAc, out=vAc)
+                frame = w * (At @ vAc)
+            np.multiply((W * w).reshape(nblk, nb, 1), vAc, out=vAc)
             shifts = np.sum((W[:, None] * S).reshape(nblk, nb, -1), axis=1)
-            sides.append((A.transpose(0, 2, 1) @ vAc, shifts[..., None]))
+            sides.append((At @ vAc, shifts[..., None]))
         return sides, frame
 
     return moments
@@ -543,7 +554,7 @@ def _kernel_group(U, plan, idxs):
     K(X_t) = U_t K(X_0) U_t^dagger, shift aside.  The block sum
     sum_i W_i K_lk(X_i(t)) is therefore [U_t M U_t^dagger]_lk minus the
     weighted shifts, with one F x F moment matrix
-    M = sum_i W_i sum_f w_f z_if z_if^dagger per block and density side,
+    M = sum_i W_i w z_i z_i^dagger per block and density side,
     which the plan's moments give (see _Plan); every request reads its
     own (l, k) entry off its side's M.  The group also returns each
     block's frame moment.
@@ -624,7 +635,7 @@ def _drive(req, U, plan, idxs):
     else:
         group, width = _window_group(U, plan), plan.width
     F = U.shape[-1]
-    sums = np.zeros((N_BLOCKS, len(U), width), dtype=plan.dtype)
+    sums = np.zeros((N_BLOCKS, len(U), width), dtype=np.complex128 if plan.measure is None else np.float64)
     frames = np.zeros((N_BLOCKS, F, F), dtype=np.complex128)
     streams = BlockStreams(block_keys(req.seed, N_BLOCKS))
 
@@ -686,13 +697,13 @@ def _moment_check(frames, sizes, mean, total=None, se=None):
         blocks = frames.reshape(N_BLOCKS, -1)
         total = blocks.sum(axis=0)
         se = _jackknife(blocks, sizes[:, None], total, n, sizes)
-    got = total / n
-    dev = np.abs(got - mean.ravel())
+    got, mean = total / n, mean.ravel()
+    dev = np.abs(got - mean)
     zero = se <= ZERO_VARIANCE_REL * np.maximum(1.0, np.abs(got))
     B = int(np.count_nonzero(sizes))
     return MomentCheck(
         float((dev / np.where(zero, np.inf, se)).max()),
-        float(np.where(zero, dev, 0.0).max()) if B == N_BLOCKS else 0.0,
+        float(np.where(zero, dev / np.maximum(1.0, np.abs(mean)), 0.0).max()) if B == N_BLOCKS else 0.0,
         _moment_limit(B),
     )
 
@@ -813,8 +824,8 @@ def _comb_density(F, terms, sides):
             c, (w,) = 0, _draw_group(rngs, nb, F=F)
         else:
             c, w = _draw_group(rngs, nb, draw, F)
-        Z = onto_sphere(w, F, gammas[c], rngs.scratch("temp", w.shape))[:, None, :]
-        return Z, [scales[c] * kernel_entries(Z, m0, n0, Gamma=shifts[c, m0, n0]) for n0, m0 in sides], coords[c]
+        Z = onto_sphere(w, F, gammas[c], rngs.scratch("temp", w.shape))
+        return Z, [scales[c] * kernel_entries(Z[:, None], m0, n0, Gamma=shifts[c, m0, n0]) for n0, m0 in sides], coords[c]
 
     return sample
 
@@ -901,11 +912,8 @@ def _triangle_sqc_plan(req, F, idxs, U):
             u_pick, *draws = _draw_group(rngs, nb, _triangle_draws(F, pick=True))
             z = _triangle_population(*draws, np.where(u_pick < 0.5, n0, m0))
             W = kernel_entries(z[:, None, :], m0, n0, weights=1.2)
-        if third:
-            gobs = 1.0 / 3.0
-        else:
-            gobs = ((np.sum(0.5 * np.abs(z) ** 2, axis=1) - 1.0) / F)[:, None]
-        return z[:, None, :], [W], gobs
+        gobs = 1.0 / 3.0 if third else ((np.sum(0.5 * np.abs(z) ** 2, axis=1) - 1.0) / F)[:, None]
+        return z, [W], gobs
 
     return _Plan(sample, _focus_mean(F, (n0, m0), 4.0 / 3.0, 1.0 / 3.0))
 
@@ -923,11 +931,10 @@ def _focused_plan(req, F, idxs, U):
             e[:, n0] = 1.0 + g
         else:
             e[:, [n0, m0]] = (1.0 + 2.0 * g) / 2.0
-        Z = (np.sqrt(2.0 * e) * np.exp(1j * theta))[:, None, :]
+        Z = np.sqrt(2.0 * e) * np.exp(1j * theta)
         if n0 == m0:
             return Z, [np.ones(len(Z), dtype=np.complex128)], g
-        W = kernel_entries(Z, m0, n0, weights=2.0) / (1.0 + 2.0 * g) ** 2
-        return Z, [W], g
+        return Z, [kernel_entries(Z[:, None], m0, n0, weights=2.0) / (1.0 + 2.0 * g) ** 2], g
 
     return _Plan(sample, _focus_mean(F, (n0, m0), 1.0 + g, g))
 
@@ -1016,7 +1023,7 @@ def _ww_plan(req, F, idxs, U):
         g = 0.0 if fam == "triangle_f2_single" else req.method.gamma
         sphere = _comb_density(F, [(1.0, g, None, None)], [])
         mean = _sphere_mean(F, [(1.0, g, None, None)])
-        draw = lambda rngs, nb: sphere(rngs, nb)[0][:, 0]
+        draw = lambda rngs, nb: sphere(rngs, nb)[0]
         measure = float(F)
         if fam == "triangle_f2_single":
             rho = lambda e0: e0[:, n0]
@@ -1027,9 +1034,7 @@ def _ww_plan(req, F, idxs, U):
 
     def sample(rngs, nb):
         z = draw(rngs, nb)
-        if rho is None:
-            return z[:, None, :], None
-        return z[:, None, :], rho(0.5 * np.abs(z) ** 2).reshape(len(rngs), nb, 1, 1)
+        return z, None if rho is None else rho(0.5 * np.abs(z) ** 2).reshape(len(rngs), nb, 1, 1)
 
     def window(E, aux, j):
         vals = obs(E, aux)
@@ -1038,9 +1043,7 @@ def _ww_plan(req, F, idxs, U):
         low = np.min(vals, axis=1).min(axis=-1, keepdims=True)
         return np.concatenate([np.sum(vals, axis=1), low], axis=-1)
 
-    return _Plan(
-        sample, mean, rows=[slice(None)], window=window, width=F + 1, dtype=np.float64, measure=measure
-    )
+    return _Plan(sample, mean, rows=[slice(None)], window=window, width=F + 1, measure=measure)
 
 
 # ---------------------------------------------------------------------------
@@ -1204,12 +1207,17 @@ def intra_electron_check(weight, H, rho, A, n_traj, seed):
     Tr[rho K] Tr[A K] Tr[H K] over the weighted spheres; the identity
     requires the weight to satisfy both the exact-mapping condition and
     the cubic moment condition int w (1+F gamma)^3 = (1+F)(2+F)/2.
+    rho and A must be F x F, n_traj an integer of at least 1.
     """
     weight.validate()
-    H = require_hermitian(H)
+    H = require_hermitian(H, name="H")
     F = H.shape[0]
     rho = np.asarray(rho, dtype=np.complex128)
     A = np.asarray(A, dtype=np.complex128)
+    for name, M in (("rho", rho), ("A", A)):
+        if M.shape != (F, F):
+            raise ValueError(f"{name} must be {F} x {F} like H, got shape {M.shape}")
+    _check_count("n_traj", n_traj)
     lhs = float(np.real(0.5 * np.trace(rho @ (A @ H + H @ A))))
     tot = weight.abs_total()
     rng = BlockStreams(block_keys(seed, 1))[0]

@@ -54,9 +54,9 @@ def require_hermitian(H, tol=HERMITIAN_TOL, name="matrix"):
     """
     H = np.asarray(H, dtype=np.complex128)
     if H.ndim != 2 or H.shape[0] != H.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {H.shape}")
+        raise ValueError(f"{name} must be square, got shape {H.shape}")
     if H.shape[0] < 1:
-        raise ValueError("matrix dimension must be at least 1")
+        raise ValueError(f"{name} dimension must be at least 1")
     if not np.all(np.isfinite(H)):
         raise ValueError(f"{name} has non-finite entries")
     asym = np.abs(H - H.conj().T)

@@ -2,17 +2,18 @@
 
 Block b of a run with seed s draws from the stream
 Generator(SFC64(SeedSequence(s, spawn_key=(b,)))), NumPy's spawned
-parallel streams.  block_keys derives the SFC64 seed words of all
-blocks in one vectorized pass of SeedSequence's hash, which NumPy's
-stream-compatibility policy freezes, and BlockStreams hands each worker
-thread one SFC64 generator that it re-keys block by block instead of
-building one per block, with the thread's scratch arrays for the block
-temporaries beside it.  BlockStreams.bit_draws reads the raw SFC64
-words under NumPy's coin and power-of-two integer draws, one random_raw
-read per block, and returns those draws without a Generator call.
+parallel streams.  block_keys takes the pool that SeedSequence(s)
+mixes from the seed and derives the SFC64 seed words of all blocks
+from it in one vectorized pass of SeedSequence's hash over the spawn
+keys and output words; NumPy's stream-compatibility policy freezes
+that hash.  BlockStreams hands each worker thread one SFC64 generator
+that it re-keys block by block instead of building one per block, with
+the thread's scratch arrays for the block temporaries beside it.
+BlockStreams.bit_draws reads the raw SFC64 words under NumPy's coin
+and power-of-two integer draws, one random_raw read per block, and
+returns those draws without a Generator call.
 """
 
-import itertools
 import math
 import threading
 
@@ -39,48 +40,33 @@ def check_seed(seed):
     return int(seed)
 
 
+def _hashed(words, init, mult, start):
+    """SeedSequence's hashmix of the rows of words (uint64 < 2**32), with the hash constants start, start + 1, ... of (init, mult)."""
+    consts = [init * pow(mult, start + i, 1 << 32) & _MASK32 for i in range(len(words) + 1)]
+    consts = np.array(consts, dtype=np.uint64)[:, None]
+    out = (words ^ consts[:-1]) * consts[1:] & _MASK32
+    return out ^ out >> 16
+
+
 def block_keys(seed, n):
     """SFC64 starting states (n, 4) of the streams 0..n-1 of seed.
 
     Row b is SeedSequence(seed, spawn_key=(b,)).generate_state(3,
     np.uint64) followed by the counter 1, the state SFC64 warms up from.
-    The pool hashes the seed's 32-bit words, zero-padded to the pool size
-    4 as for every spawned sequence, and last the spawn key b, the one
-    word that differs between streams: Python ints up to there, then
-    (4, n) uint32 arrays over the pool words and b, which wrap at 32
-    bits as the ints are masked to.  The six output words cycle through
-    the pool.
+    The seed's 32-bit words, zero-padded to the pool size 4, mix into
+    the pool of SeedSequence(seed) itself; the spawn key b, the one word
+    that differs between streams, mixes in after them, with the hash
+    constants that follow the seed words', and the six output words
+    cycle through the pool.  Both run as (4, n) uint64 arrays masked to
+    32 bits.
     """
     seed = check_seed(seed)
-    words = [seed >> s & _MASK32 for s in range(0, max(seed.bit_length(), 1), 32)]
-    words += [0] * (4 - len(words))
-    consts = {_MULT_A: _INIT_A, _MULT_B: _INIT_B}
-
-    def hashed(value, mult=_MULT_A):
-        """value hashed with the next hash constant of mult, or the rows of a uint32 array with the next len(value)."""
-        cs = [consts[mult]]
-        for _ in range(1 if isinstance(value, int) else len(value)):
-            cs.append(cs[-1] * mult & _MASK32)
-        consts[mult] = cs[-1]
-        if isinstance(value, int):
-            value = (value ^ cs[0]) * cs[1] & _MASK32
-        else:
-            value = (value ^ np.array(cs[:-1], np.uint32)[:, None]) * np.array(cs[1:], np.uint32)[:, None]
-        return value ^ value >> 16
-
-    def mix(x, y):
-        out = ((_MIX_L * x & _MASK32) - _MIX_R * y) & _MASK32
-        return out ^ out >> 16
-
-    pool = [hashed(w) for w in words[:4]]
-    for src, dst in itertools.permutations(range(4), 2):
-        pool[dst] = mix(pool[dst], hashed(pool[src]))
-    for w in words[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashed(w))
-    key = np.broadcast_to(np.arange(n, dtype=np.uint32), (4, n))
-    pool = mix(np.array(pool, dtype=np.uint32)[:, None], hashed(key))
-    state = hashed(pool[[0, 1, 2, 3, 0, 1]], _MULT_B).astype(np.uint64)
+    n_words = max(1, -(-seed.bit_length() // 32))
+    pool = np.random.SeedSequence(seed).pool.astype(np.uint64)[:, None]
+    key = np.broadcast_to(np.arange(n, dtype=np.uint64), (4, n))
+    pool = (_MIX_L * pool - _MIX_R * _hashed(key, _INIT_A, _MULT_A, 16 + 4 * max(0, n_words - 4))) & _MASK32
+    pool ^= pool >> 16
+    state = _hashed(pool[[0, 1, 2, 3, 0, 1]], _INIT_B, _MULT_B, 0)
     out = np.ones((n, 4), dtype=np.uint64)
     out[:, :3] = (state[0::2] | state[1::2] << 32).T
     return out

@@ -151,6 +151,7 @@ FROZEN_MATRIX = [
     ("triangle_ww", 2, (1, 1), (2, 2)),
     ("triangle_f2_single", 2, (1, 1), (2, 2)),
     ("hill_ww", 2, (1, 1), (2, 2)),
+    ("triangle_sqc_third", 3, (1, 2), (2, 1)),
 ]
 
 
@@ -165,6 +166,8 @@ def _method_for(name, F):
         return MethodSpec.cornered_simplex(1.0)
     if name == "lambda_point":
         return MethodSpec.lambda_point(gamma_wigner(F))
+    if name == "triangle_sqc_third":
+        return MethodSpec.triangle_sqc("third")
     return getattr(MethodSpec, name)()
 
 

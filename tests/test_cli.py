@@ -205,6 +205,9 @@ def test_load_config_model_file(tmp_path):
     text = f"model.kind = file\nmodel.path = {hpath}\nmethod.family = gdtwa\n"
     cfg = load_config(write_config(tmp_path, text))
     assert np.array_equal(build_hamiltonian(cfg.model), H)
+    text = "model.kind = ladder\nmodel.F = 3\nmodel.gap = 1\nmodel.coupling = 0.1\nmethod.family = gdtwa\n"
+    cfg = load_config(write_config(tmp_path, text, "ladder.cfg"))
+    assert np.array_equal(build_hamiltonian(cfg.model), H)
 
 
 def test_experiment_config_validation():

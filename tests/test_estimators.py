@@ -227,6 +227,8 @@ def test_cmm_gamma_domain():
         ("n_traj", lambda: request(RABI, MethodSpec.cmm(0.0), n_traj="100")),
         ("t_grid", lambda: request(RABI, MethodSpec.cmm(0.0), t_grid=[[0.0, 1.0]])),
         ("t_grid", lambda: request(RABI, MethodSpec.cmm(0.0), t_grid=1.0)),
+        ("t_grid", lambda: request(RABI, MethodSpec.cmm(0.0), t_grid="abc")),
+        ("t_grid", lambda: request(RABI, MethodSpec.cmm(0.0), t_grid=[[0.0, 1.0], [2.0]])),
         ("rho_indices", lambda: dataclasses.replace(request(RABI, MethodSpec.cmm(0.0)), rho_indices=(1, 1, 1))),
         ("rho_indices", lambda: request(RABI, MethodSpec.cmm(0.0), nmkl=(True, 1, 1, 1))),
         ("obs_indices", lambda: request(RABI, MethodSpec.cmm(0.0), nmkl=(1, 1, 1, 1.0))),
@@ -236,7 +238,7 @@ def test_cmm_gamma_domain():
         "hamiltonian-nan", "t_grid-nan", "t_grid-inf", "dt-nan", "gamma-nan",
         "n_threads-zero", "n_threads-negative",
         "n_traj-fraction", "n_traj-bool", "n_threads-fraction", "n_threads-bool",
-        "n_traj-str", "t_grid-2d", "t_grid-scalar",
+        "n_traj-str", "t_grid-2d", "t_grid-scalar", "t_grid-str", "t_grid-ragged",
         "rho_indices-triple", "rho_indices-bool", "obs_indices-float", "obs_indices-scalar",
     ],
 )
@@ -254,8 +256,10 @@ def test_non_finite_input_is_rejected_by_field(field, make):
         (MethodSpec.cornered_simplex(1e308), (1, 1, 2, 2)),
         (MethodSpec.hill_ww(1e308), (1, 1, 2, 2)),
         (MethodSpec.lambda_point(1e160), (1, 1, 2, 2)),
+        # once NaN at every point: the window normalization overflowed at the tiniest gamma
+        (MethodSpec.cornered_simplex(5e-324), (1, 1, 2, 2)),
     ],
-    ids=["lambda_point-1e308", "cornered_simplex-1e308", "hill_ww-1e308", "lambda_point-1e160"],
+    ids=["lambda_point-1e308", "cornered_simplex-1e308", "hill_ww-1e308", "lambda_point-1e160", "cornered_simplex-5e-324"],
 )
 def test_overflowing_gamma_is_rejected_by_name(method, nmkl):
     with pytest.raises(ValueError, match="gamma"):
@@ -583,7 +587,7 @@ def per_trajectory_estimates(req):
     else:
         shift_lk = plan.shift_lk(l0, k0)
     sizes = _block_sizes(req.n_traj)
-    sums = np.zeros((N_BLOCKS, len(U), plan.width), dtype=plan.dtype)
+    sums = np.zeros((N_BLOCKS, len(U), plan.width), dtype=np.complex128 if plan.measure is None else np.float64)
     for b in range(N_BLOCKS):
         nb = int(sizes[b])
         if nb == 0:
@@ -593,7 +597,7 @@ def per_trajectory_estimates(req):
         else:
             words = np.random.SeedSequence(req.seed, spawn_key=(b,)).generate_state(3, np.uint64)
             drawn, weights = plan.sample(BlockStreams(np.append(words, np.uint64(1))[None]), nb), plan.weights
-        Z0 = drawn[0]
+        Z0 = drawn[0].reshape(nb, -1, F)
         for ti, Ut in enumerate(U):
             Zt = np.matmul(Z0, Ut.T)
             if plan.window is None:
@@ -643,6 +647,47 @@ ORACLE_CASES = [
     for backend in ("exact", "rk4")
     if F == 2 or family not in ("dtwa", "triangle_f2_single")
 ]
+
+
+# the gamma of each single-gamma family, drawn from its whole valid domain
+# below the overflow bound; the other families take their ORACLE_METHODS spec
+VALID_GAMMAS = {
+    "cmm": lambda F: st.floats(-1.0 / F, 1e3, exclude_min=True),
+    "cornered_simplex": lambda F: st.floats(0.0, 1e3, exclude_min=True),
+    "lambda_point": lambda F: st.floats(0.0, 1e3, exclude_min=True),
+    "triangle_f2_single": lambda F: st.floats(0.0, 1e3),
+    "hill_ww": lambda F: st.floats(0.0, 1e3),
+}
+
+
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("family", sorted(ORACLE_METHODS))
+def test_valid_request_gives_finite_estimates_or_a_named_rejection(family, data):
+    F = data.draw(st.integers(1, 4), label="F")
+    nmkl = data.draw(st.tuples(*[st.integers(1, F)] * 4), label="nmkl")
+    if family in VALID_GAMMAS:
+        method = getattr(MethodSpec, family)(data.draw(VALID_GAMMAS[family](F), label="gamma"))
+    else:
+        method = ORACLE_METHODS[family](F)
+    if F == 1:
+        H = np.array([[data.draw(st.floats(-5.0, 5.0), label="H")]])
+    else:
+        H = random_h(F, seed=data.draw(st.integers(0, 99), label="H seed"))
+    req = request(
+        H, method, nmkl=nmkl,
+        n_traj=data.draw(st.integers(1, 300), label="n_traj"), seed=data.draw(st.integers(0, 2**70), label="seed"),
+        t_grid=np.linspace(0.0, 1.0, data.draw(st.integers(1, 4), label="n_times")),
+        backend=data.draw(st.sampled_from(["exact", "rk4"]), label="backend"), dt=0.05,
+    )
+    try:
+        res = estimate_tcf(req)
+    except ValueError as err:
+        assert family in str(err), err
+        return
+    # a ww ratio is 0/0 where no trajectory reaches a window
+    assert np.all(np.isfinite(res.estimates) | (res.normalization == 0.0)), res
+    assert np.all(np.isfinite(res.normalization)), res
 
 
 @pytest.mark.parametrize("family, F, backend", ORACLE_CASES)
@@ -1024,19 +1069,24 @@ def test_discrete_plan_means_are_the_enumerated_frame_moments(F):
 
 
 SAMPLER_CASES = [
-    (family, F)
+    pytest.param(ORACLE_METHODS[family](F), F, 200_000, 5, id=f"{family}-{F}")
     for family in sorted(set(ORACLE_METHODS) - {"dtwa", "gdtwa"})
     for F in (2, 3, 4)
     if F == 2 or family != "triangle_f2_single"
+] + [
+    # zero-variance entries of size gamma: a rounding miss of 1.8e-12 at
+    # 1e4 once failed the check, which now scales it by the entry's size
+    pytest.param(MethodSpec.lambda_point(1e4), 3, 20_000, 1, id="lambda_point-3-gamma1e4"),
+    pytest.param(MethodSpec.lambda_point(1e6), 3, 200, 1, id="lambda_point-3-gamma1e6"),
 ]
 
 
-@pytest.mark.parametrize("family, F", SAMPLER_CASES)
-def test_every_sampler_passes_its_frame_moment_check(family, F):
+@pytest.mark.parametrize("method, F, n_traj, seed", SAMPLER_CASES)
+def test_every_sampler_passes_its_frame_moment_check(method, F, n_traj, seed):
     # an xc sampler draws from its density side; cx and ww read populations
-    sides = [(1, 1)] if family in WW_FAMILIES else [(1, 1), (1, 2)]
+    sides = [(1, 1)] if method.family in WW_FAMILIES else [(1, 1), (1, 2)]
     for n, m in sides:
-        req = request(random_h(F), ORACLE_METHODS[family](F), nmkl=(n, m, 2, 2), n_traj=200_000, t_grid=[0.0])
+        req = request(random_h(F), method, nmkl=(n, m, 2, 2), n_traj=n_traj, seed=seed, t_grid=[0.0])
         check = estimate_tcf(req).moment_check
         assert check.passed, (n, m, check)
 
@@ -1199,6 +1249,27 @@ def test_intra_electron_rejects_an_unnormalized_comb():
     half = GammaWeight.delta_comb([(0.0, 0.5)])
     with pytest.raises(ValueError, match="not normalized"):
         intra_electron_check(half, RABI, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 100, 1)
+
+
+# once NaN with a RuntimeWarning (n_traj 0), or a TypeError or matmul error
+# that did not name the input
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n_traj", 0),
+        ("n_traj", 1.5),
+        ("n_traj", True),
+        ("rho", np.eye(3)),
+        ("A", np.ones((2, 3))),
+        ("H", np.array([[0.0, 1.0], [0.0, 0.0]])),
+        ("H", np.ones((2, 3))),
+    ],
+    ids=["n_traj-zero", "n_traj-fraction", "n_traj-bool", "rho-3x3", "A-2x3", "H-non-hermitian", "H-2x3"],
+)
+def test_intra_electron_check_rejects_bad_input_by_name(field, value):
+    args = {"H": RABI, "rho": np.diag([1.0, 0.0]), "A": np.diag([0.0, 1.0]), "n_traj": 100, field: value}
+    with pytest.raises(ValueError, match=rf"^{field} "):
+        intra_electron_check(two_delta_comb(), args["H"], args["rho"], args["A"], args["n_traj"], 1)
 
 
 # -- wmm end to end ----------------------------------------------------
