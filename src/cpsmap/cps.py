@@ -14,9 +14,11 @@ component's StiefelSignature; its frames meet their constraints when
 the Gram matrix conj(Z) Z^T is diag(2|lambda_i + gamma|).  This module
 holds the signatures, the gamma-axis quasi-probability weights
 (GammaWeight, a signed comb of point masses), and the Monte Carlo
-samplers: sample_sphere_batch (sphere_normals then onto_sphere) for the
-sphere, and sample_stiefel for any component.  States are numbered
-1..F in public interfaces.
+samplers: sample_sphere_batch for the sphere, and sample_stiefel for
+any component.  The sphere is drawn in action-angle form:
+sphere_normals draws complex normals as sqrt(E) e^(i theta), E ~ Exp(1)
+and theta uniform, and onto_sphere scales each row to the radius of its
+shell.  States are numbered 1..F in public interfaces.
 
 Measure convention: integrals over one component are F times the
 expectation under the uniform probability measure, i.e. the measure of
@@ -176,35 +178,40 @@ def sample_sphere_batch(F, gamma, rng, size):
     return onto_sphere(w, F, gamma)
 
 
-def sphere_normals(rng, w, scratch=None):
-    """Fill complex rows w (rows, F), maybe a slice, with normals: all real parts, then all imaginary.
+def sphere_normals(rng, w, actions=None, phases=None):
+    """Fill complex rows w (rows, F), maybe a slice, with complex normals in polar form sqrt(E) e^(i theta).
 
-    scratch, a float (rows, F) array or None, holds each draw on its way.
+    The uniform measure of the sphere splits into actions, uniform on the
+    simplex, and uniform angles, so the rows draw all actions E ~ Exp(1)
+    (float64), then all phases theta = 2 pi u from float32 uniforms u,
+    whose cos and sin take NumPy's float32 SIMD loops into float32
+    temporaries.  actions, a float64 (rows, F) array or None, holds E
+    and then sqrt(E), and phases, a float32 one or None, holds theta.
     """
-    w.real = rng.standard_normal(w.shape, out=scratch)
-    w.imag = rng.standard_normal(w.shape, out=scratch)
+    root = rng.standard_exponential(w.shape, out=actions)
+    np.sqrt(root, out=root)
+    theta = rng.random(w.shape, dtype=np.float32, out=phases)
+    theta *= np.float32(2.0 * np.pi)
+    np.multiply(root, np.cos(theta), out=w.real)
+    np.multiply(root, np.sin(theta), out=w.imag)
 
 
-def onto_sphere(w, F, gamma, scratch=None):
-    """Scale normal rows w (rows, F) onto the sphere at gamma (one, or one per row) in place; returns w.
+def onto_sphere(w, F, gamma):
+    """Scale rows w (rows, F), C-contiguous, onto the sphere at gamma (one, or one per row) in place; returns w.
 
-    scratch, a complex array shaped like w or None, holds |w|^2 on its way.
+    The norms and the scale are formed on the float view of w, with no
+    complex temporary.
     """
     gamma = np.asarray(gamma, dtype=np.float64)
     bad = gamma[~(gamma > -1.0 / F)]
     if bad.size:
         raise ValueError(f"gamma={float(bad[0])} must exceed -1/F = {-1.0 / F}")
-    # Built in place (the bits of x + 1j*y, np.linalg.norm and w * scale),
-    # so a draw holds at most two (rows, F) arrays at once.
-    sq = np.conjugate(w, out=scratch)
-    sq *= w
-    norms = np.sqrt(np.add.reduce(sq.real, axis=1, keepdims=True))
+    v = w.view(np.float64)
+    norms = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
     # A zero draw has probability zero; guard against it anyway.
     norms[norms == 0.0] = 1.0
-    w *= np.sqrt(2.0 * (1.0 + F * gamma))[..., None] / norms
+    v *= np.sqrt(2.0 * (1.0 + F * gamma))[..., None] / norms
     return w
-
-
 
 
 def sample_stiefel(signature, rng, size):

@@ -36,15 +36,18 @@ side it serves, and the maps U of dynamics.grid_march, built once per
 call by either backend, carry the block to every grid time at once: a
 covariant observable kernel (cc and xc), described by its frame weight
 and shift, as one F x F moment matrix per block and density side
-carried as U M U^dagger, formed from the frames (nb, F) the plan draws
-or, for dtwa and gdtwa, in closed form from the drawn signs; a
-window (cx and ww) by one gemm of the frames with the map rows it reads
-(per bounded chunk of grid times).  Plans are looked up by family in one
+carried as U M U^dagger (one einsum per request over all blocks, after
+the groups), formed from the frames (nb, F) the plan draws or, for
+dtwa and gdtwa, in closed form from the drawn signs; a window (cx and
+ww) by one gemm of the frames with the map rows it reads (per bounded
+chunk of grid times).  Plans are looked up by family in one
 table (_PLANS).  The cc families share one plan: each is a signed comb
 of sphere terms (_comb), whose exact mapping identity _prepare checks
-in closed form, drawn by the one sphere sampler (_comb_density).  Every
-density-side kernel entry comes from kernels.kernel_entries; every
-window is one batched function of the actions (..., F) in this module.
+in closed form, drawn by the one sphere sampler (_comb_density), which
+draws each block's frames in polar form (cps.sphere_normals): float64
+exponential actions and float32 phases.  Every density-side kernel
+entry comes from kernels.kernel_entries; every window is one batched
+function of the actions (..., F) in this module.
 
 Each ensemble also checks its own sampler: every group returns each
 block's frame moment sum_i w z_i z_i^dagger at t = 0 (for dtwa and
@@ -56,17 +59,18 @@ Trajectories are generated in 100 fixed blocks, which double as
 jackknife resampling units for the standard errors.  Block b draws from
 the stream Generator(SFC64(SeedSequence(seed, spawn_key=(b,)))), which
 cpsmap.streams seeds for all blocks at once and serves each worker
-thread from one re-keyed SFC64 generator.  The driver samples and
-carries blocks in groups: a group is a run of consecutive blocks of
-equal size with at most GROUP_ENTRIES rows times F in all, or POOL_ROWS
-rows on a pool of workers (a larger block is a group of one), drawn
-block by block from the blocks' own streams and then transformed,
-carried and reduced per block as one stacked array, in scratch arrays
-that each worker keeps from group to group.  Every per-block sum is
-bitwise what the block alone gives, whatever group it is in, and the
-reduction over blocks runs in a fixed order, so results are bitwise
-reproducible for a given (seed, n_traj) regardless of the worker thread
-count.
+thread from one re-keyed SFC64 generator.  The driver samples blocks
+in groups: a group is a run of consecutive blocks of equal size with at
+most GROUP_ENTRIES rows times F in all, or POOL_ROWS rows on a pool of
+workers (a larger block is a group of one), drawn block by block from
+the blocks' own streams and then transformed and reduced per block as
+one stacked array, in scratch arrays that each worker keeps from group
+to group.  Every per-block sum is bitwise what the block alone gives,
+whatever group it is in, and the reduction over blocks runs in a fixed
+order, so results are bitwise reproducible for a given (seed, n_traj)
+regardless of the worker thread count.  That rests on the float32 cos
+and sin of NumPy's SIMD loops giving an element the same bits at any
+place in an array, which the tests check.
 """
 
 import math
@@ -460,10 +464,11 @@ class _Plan(NamedTuple):
     coordinates S (broadcastable to (rows, C)).  Trajectory i's shift at
     time t has (l, k) entry sum_c S_ic shift_lk(l, k)[t, c]; shift_lk
     None means the one column delta_lk of a gamma*I shift.
-    moments(rngs, nb) gives the group's block moments that _kernel_group
-    carries (see _frame_moments, which forms them from the frames of
-    sample when moments is None); a plan that has them in closed form
-    gives moments and no sample.
+    moments(rngs, nb) gives the group's block frame moments, then each
+    density side's block moments M and shifts, which _carry carries (see
+    _frame_moments, which forms them from the frames of sample when
+    moments is None); a plan that has them in closed form gives moments
+    and no sample.
 
     A window plan's sample returns (Z0, aux).  rows lists the sets of
     map rows it marches, and window(E, aux, j) turns the actions E
@@ -512,7 +517,8 @@ def _draw_group(rngs, nb, draw=None, F=None):
         if draw is not None:
             parts.append(draw(rng, nb))
         if w is not None:
-            sphere_normals(rng, w[i * nb:(i + 1) * nb], rngs.scratch("normals", (nb, F), np.float64))
+            sphere_normals(rng, w[i * nb:(i + 1) * nb], rngs.scratch("actions", (nb, F), np.float64),
+                           rngs.scratch("phases", (nb, F), np.float32))
     items = [np.concatenate(p) for p in zip(*parts)]
     return items if w is None else items + [w]
 
@@ -526,61 +532,49 @@ def _frame_moments(plan):
     comes from one more stacked matmul, on the first side's conj(A)
     before its density weight.
     """
-    w = plan.weights
+    w, F = plan.weights, len(plan.mean)
 
     def moments(rngs, nb):
-        Z0, Ws, S = plan.sample(rngs, nb)
         nblk = len(rngs)
-        A = Z0.reshape(nblk, nb, -1)
+        # W w conj(A) in place, in scratch taken before the draw's temporaries so that it sits below
+        # them on the heap (BlockStreams.scratch): taken after, it cost 0.5 MB of two-thread peak RSS
+        vAc = rngs.scratch("temp", (nblk, nb, F))
+        Z0, Ws, S = plan.sample(rngs, nb)
+        A = Z0.reshape(nblk, nb, F)
         At = A.transpose(0, 2, 1)
-        sides = []
+        out = []
         for W in Ws:
-            # W w conj(A) in place, in a scratch array (see BlockStreams.scratch)
-            vAc = np.conjugate(A, out=rngs.scratch("temp", A.shape))
-            if not sides:
-                frame = w * (At @ vAc)
+            np.conjugate(A, out=vAc)
+            if not out:
+                out.append(w * (At @ vAc))
             np.multiply((W * w).reshape(nblk, nb, 1), vAc, out=vAc)
             shifts = np.sum((W[:, None] * S).reshape(nblk, nb, -1), axis=1)
-            sides.append((At @ vAc, shifts[..., None]))
-        return sides, frame
+            out += [At @ vAc, shifts[..., None]]
+        return out
 
     return moments
 
 
-def _kernel_group(U, plan, idxs):
-    """Block sums of covariant observable kernels at every grid time, one column per request.
+def _carry(U, plan, idxs, moments, out):
+    """Write the block sums of covariant observable kernels at every grid time into out, one column per request.
 
     Every frame obeys z(t) = U_t z(0), so the kernel is carried as
     K(X_t) = U_t K(X_0) U_t^dagger, shift aside.  The block sum
     sum_i W_i K_lk(X_i(t)) is therefore [U_t M U_t^dagger]_lk minus the
     weighted shifts, with one F x F moment matrix
     M = sum_i W_i w z_i z_i^dagger per block and density side,
-    which the plan's moments give (see _Plan); every request reads its
-    own (l, k) entry off its side's M.  The group also returns each
-    block's frame moment.
+    which the plan's moments give (see _Plan): moments holds each
+    side's M (blocks, F, F) and shifts (blocks, C, 1) in turn.  Every
+    request reads its own (l, k) entry off its side's M, in one einsum
+    over all blocks, which gives each block the bits it has alone.
     """
     sides = _sides(idxs)
-    reads = []
-    for n0, m0, k0, l0 in idxs:
-        if plan.shift_lk is None:
-            shift_lk = np.full((len(U), 1), float(l0 == k0))
-        else:
-            shift_lk = plan.shift_lk(l0, k0)
-        reads.append((sides.index((n0, m0)), U[:, l0], U[:, k0].conj(), shift_lk))
-    moments = plan.moments or _frame_moments(plan)
-
-    def group(rngs, nb):
-        blocks, frame = moments(rngs, nb)
-        sums = np.stack(
-            [
-                np.einsum("ta,xab,tb->xt", Ul, blocks[d][0], Ukc) - (shift_lk @ blocks[d][1])[..., 0]
-                for d, Ul, Ukc, shift_lk in reads
-            ],
-            axis=-1,
-        )
-        return sums, frame
-
-    return group
+    for i, (n0, m0, k0, l0) in enumerate(idxs):
+        d = 2 * sides.index((n0, m0))
+        M, S = moments[d], moments[d + 1]
+        shift_lk = np.full((len(U), 1), float(l0 == k0)) if plan.shift_lk is None else plan.shift_lk(l0, k0)
+        out[..., i] = np.einsum("ta,xab,tb->xt", U[:, l0], M, U[:, k0].conj())
+        out[..., i] -= (shift_lk @ S)[..., 0]
 
 
 def _window_group(U, plan):
@@ -593,7 +587,8 @@ def _window_group(U, plan):
     is one chunk.  Each row set has its own march, as in a call that
     reads only that set: one wider gemm rounds a column differently,
     and every request of a list must equal its own call bitwise.  The
-    group also returns each block's frame moment sum_i (1/2) z_i z_i^dagger.
+    group returns each block's frame moment sum_i (1/2) z_i z_i^dagger,
+    then its sums.
     """
     n_times, F = len(U), U.shape[-1]
     marches = [
@@ -613,7 +608,7 @@ def _window_group(U, plan):
                 parts.append(plan.window(0.5 * np.abs(Zt) ** 2, aux, j))
             sums.append(np.concatenate(parts, axis=1))
         Zc = np.conjugate(Z0, out=rngs.scratch("temp", Z0.shape))
-        return np.concatenate(sums, axis=2), plan.weights * (Z0.transpose(0, 2, 1) @ Zc)
+        return plan.weights * (Z0.transpose(0, 2, 1) @ Zc), np.concatenate(sums, axis=2)
 
     return group
 
@@ -621,19 +616,19 @@ def _window_group(U, plan):
 def _drive(req, U, plan, idxs):
     """Sample and evaluate every block of one ensemble at every grid time; returns the block sums, frame moments and sizes.
 
-    The maps U of grid_march carry each group of blocks to all grid
-    times at once: a kernel plan through its moment matrices, a window
-    plan through a march of its frames by the rows it reads.  Each
-    block is drawn once for every request of the ensemble, from its own
-    SFC64 stream, and the groups write only their own rows of sums,
-    bitwise the same in any group, so the result does not depend on the
-    thread count.
+    The maps U of grid_march carry the blocks to all grid times at once:
+    a window plan's groups march their frames by the rows they read, and
+    a kernel plan's moment matrices of every block are carried after the
+    groups (_carry).  Each block is drawn once for every request of the
+    ensemble, from its own SFC64 stream; the groups write their own rows
+    of frame moments (and window sums) and return their kernel moments,
+    joined in block order, all bitwise the same in any group, so the
+    result does not depend on the thread count.  Empty blocks sum to zero.
     """
     sizes = _block_sizes(req.n_traj)
-    if plan.window is None:
-        group, width = _kernel_group(U, plan, idxs), len(idxs)
-    else:
-        group, width = _window_group(U, plan), plan.width
+    kernel = plan.window is None
+    group = (plan.moments or _frame_moments(plan)) if kernel else _window_group(U, plan)
+    width = len(idxs) if kernel else plan.width
     F = U.shape[-1]
     sums = np.zeros((N_BLOCKS, len(U), width), dtype=np.complex128 if plan.measure is None else np.float64)
     frames = np.zeros((N_BLOCKS, F, F), dtype=np.complex128)
@@ -641,10 +636,17 @@ def _drive(req, U, plan, idxs):
 
     def work(span):
         lo, hi = span
-        sums[lo:hi], frames[lo:hi] = group(streams[lo:hi], int(sizes[lo]))
+        frames[lo:hi], *rest = group(streams[lo:hi], int(sizes[lo]))
+        if kernel:
+            return rest
+        sums[lo:hi] = rest[0]
 
     max_rows = GROUP_ENTRIES // F if req.n_threads == 1 else POOL_ROWS
-    _run_blocks(work, _groups(sizes, max_rows), req.n_threads)
+    parts = _run_blocks(work, _groups(sizes, max_rows), req.n_threads)
+    if kernel:
+        moments = [np.concatenate(items) for items in zip(*parts)]
+        # the nonempty blocks come first (_block_sizes)
+        _carry(U, plan, idxs, moments, sums[:len(moments[0])])
     return sums, frames, sizes
 
 
@@ -824,7 +826,7 @@ def _comb_density(F, terms, sides):
             c, (w,) = 0, _draw_group(rngs, nb, F=F)
         else:
             c, w = _draw_group(rngs, nb, draw, F)
-        Z = onto_sphere(w, F, gammas[c], rngs.scratch("temp", w.shape))
+        Z = onto_sphere(w, F, gammas[c])
         return Z, [scales[c] * kernel_entries(Z[:, None], m0, n0, Gamma=shifts[c, m0, n0]) for n0, m0 in sides], coords[c]
 
     return sample
@@ -978,7 +980,7 @@ def _discrete_plan(req, F, idxs, U):
         np.subtract(1.0, (points.astype(np.uint64) << np.uint64(1)) >> shifts & np.uint64(2), out=X[1:])
         if pick is None:
             M = (X.sum(axis=2).T @ place).reshape(nblk, F, F)
-            return [(M, np.full((nblk, 1, 1), gamma * nb))], M
+            return M, M, np.full((nblk, 1, 1), gamma * nb)
         # the rows of L hold Re W, Im W and 1 per focus, so L @ X sums X over
         # them: X's column times the pick of focus n, or X's column less that
         L, Xc = np.empty((6, nblk, nb)), X[[1 + q_m, 1 + q_n, F + q_m, F + q_n]]
@@ -989,7 +991,7 @@ def _discrete_plan(req, F, idxs, U):
         LX = (L.transpose(1, 0, 2) @ X.transpose(1, 2, 0)).reshape(nblk, 3, -1)
         out = (LX.reshape(3 * nblk, -1) @ place).reshape(nblk, 3, F, F)
         sum_w = LX[:, 0, 0] + LX[:, 0, 2 * F - 1] + 1j * (LX[:, 1, 0] + LX[:, 1, 2 * F - 1])
-        return [(out[:, 0] + 1j * out[:, 1], (gamma * sum_w)[:, None, None])], out[:, 2]
+        return out[:, 2], out[:, 0] + 1j * out[:, 1], (gamma * sum_w)[:, None, None]
 
     # each point's frame moment is its kernel plus gamma I, and E[K] = |n><n|
     return _Plan(None, _focus_mean(F, (n0, m0), 1.0 + gamma, gamma), moments=moments)

@@ -437,7 +437,7 @@ def test_exact_mapping_validation_fails_on_the_wrong_sphere(tmp_path, monkeypatc
     # fails the moments check on its own frames
     cfg = load_config(write_config(tmp_path, BASE + "method.gamma = 0\n"), overrides={"out": tmp_path / "o"})
     assert moments_line(run_experiment(cfg).validations).passed
-    monkeypatch.setattr(estimators, "onto_sphere", lambda w, F, g, scratch=None: onto_sphere(w, F, 1.0, scratch))
+    monkeypatch.setattr(estimators, "onto_sphere", lambda w, F, g: onto_sphere(w, F, 1.0))
     summary = run_experiment(cfg)
     line = moments_line(summary.validations)
     assert not line.passed

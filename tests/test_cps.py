@@ -125,14 +125,65 @@ def test_sphere_constraint_exact():
 
 @pytest.mark.parametrize("F", [1, 3, 8])
 def test_sphere_batch_keeps_the_bits_of_the_one_line_draw(F):
-    # reference: the draw as one expression, with its temporaries
+    # reference: the polar draw as one expression, with its temporaries:
+    # the actions, then the float32 phases, then the float64 norm
     for gamma in (0.25, np.linspace(0.0, 1.0, 500)):
         rng = np.random.default_rng(F)
-        w = rng.standard_normal((500, F)) + 1j * rng.standard_normal((500, F))
-        norms = np.linalg.norm(w, axis=1, keepdims=True)
+        root = np.sqrt(rng.standard_exponential((500, F)))
+        theta = rng.random((500, F), dtype=np.float32) * np.float32(2.0 * np.pi)
+        w = root * np.cos(theta) + 1j * (root * np.sin(theta))
+        norms = np.sqrt(np.einsum("ij,ij->i", w.view(np.float64), w.view(np.float64)))[:, None]
         want = w * (np.sqrt(2.0 * (1.0 + F * gamma))[..., None] / norms)
         got = sample_sphere_batch(F, gamma, np.random.default_rng(F), 500)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 7, 37, 2000])
+def test_float32_trig_bits_do_not_depend_on_the_position_in_the_array(n):
+    # The polar draw takes cos and sin of a block's float32 phases on
+    # NumPy's SIMD loops; its group and thread invariance needs every
+    # element to get the same bits alone and at any offset (alignment and
+    # tail) of a longer array.
+    rng = np.random.default_rng(n)
+    theta = rng.random(n, dtype=np.float32) * np.float32(2.0 * np.pi)
+    for fn in (np.cos, np.sin):
+        alone = fn(theta)
+        assert alone.dtype == np.float32
+        for offset in range(17):
+            longer = rng.random(offset + n + 13, dtype=np.float32) * np.float32(2.0 * np.pi)
+            longer[offset:offset + n] = theta
+            assert fn(longer)[offset:offset + n].tobytes() == alone.tobytes(), (fn, offset)
+
+
+@pytest.mark.parametrize("F, gamma", [(1, 0.3), (2, gamma_wigner(2)), (8, 0.1)])
+def test_polar_draw_has_the_uniform_sphere_moments(F, gamma):
+    # 10^6 draws: the actions a = |z|^2 / R^2 are uniform on the simplex,
+    # E[a_j] = 1/F, E[a_j^2] = 2/(F(F+1)), E[a_i a_j] = 1/(F(F+1)), and the
+    # uniform phases give E[z_a z_b] = 0 and E[z_a conj(z_b)] = 0 for a != b
+    N, chunk, R2 = 10**6, 2 * 10**5, 2.0 * (1.0 + F * gamma)
+    rng = np.random.default_rng(40 + F)
+    sums = dict(a=0.0, aa=0.0, a2a2=0.0, zz=0.0, zzc=0.0)
+    for _ in range(N // chunk):
+        z = sample_sphere_batch(F, gamma, rng, chunk)
+        a = np.abs(z) ** 2 / R2
+        assert np.max(np.abs(np.sum(np.abs(z) ** 2, axis=1) - R2)) <= 1e-12
+        sums["a"] += a.sum(axis=0)
+        sums["aa"] += a.T @ a
+        sums["a2a2"] += (a**2).T @ a**2
+        sums["zz"] += z.T @ z
+        sums["zzc"] += z.T @ z.conj()
+    mean = {k: v / N for k, v in sums.items()}
+    off = ~np.eye(F, dtype=bool)
+
+    def within(got, want, second):
+        se = np.sqrt(np.maximum(second - np.abs(got) ** 2, 0.0) / N)
+        assert np.all(np.abs(got - want) <= 5.0 * se + 1e-12), (got, want, se)
+
+    within(mean["a"], 1.0 / F, np.diag(mean["aa"]))
+    within(np.diag(mean["aa"]), 2.0 / (F * (F + 1)), np.diag(mean["a2a2"]))
+    within(mean["aa"][off], 1.0 / (F * (F + 1)), mean["a2a2"][off])
+    within(mean["zz"], 0.0, R2**2 * mean["aa"])
+    within(mean["zzc"][off], 0.0, R2**2 * mean["aa"][off])
 
 
 def test_sphere_rejects_gamma_below_range():

@@ -541,6 +541,36 @@ def test_discrete_estimates_do_not_depend_on_the_grouping(F, monkeypatch):
             assert res.moment_check == runs[0].moment_check, nmkl
 
 
+SPHERE_GROUPING_CASES = {
+    "cmm": (8, lambda: MethodSpec.cmm(gamma_wigner(8)), ((1, 2, 2, 1), (3, 3, 1, 1))),
+    "wmm": (3, lambda: MethodSpec.wmm(signed_comb(3)), ((1, 2, 2, 1), (2, 2, 3, 3))),
+    "hill_ww": (3, lambda: MethodSpec.hill_ww(0.2), ((1, 1, 2, 2), (3, 3, 3, 3))),
+    "cornered_simplex": (3, lambda: MethodSpec.cornered_simplex(0.5), ((1, 1, 2, 2), (1, 2, 3, 3))),
+}
+
+
+@pytest.mark.parametrize("case", list(SPHERE_GROUPING_CASES))
+def test_sphere_estimates_do_not_depend_on_the_grouping(case, monkeypatch):
+    # the polar draw's float32 cos and sin must give a block the same bits
+    # in any group: GROUP_ENTRIES = 1 makes every block its own group,
+    # 10**9 one group per block size, and POOL_ROWS bounds a pool's groups
+    F, make, pairs = SPHERE_GROUPING_CASES[case]
+    H, method = random_h(F, seed=23), make()
+    kw = dict(n_traj=1537, seed=4, t_grid=np.linspace(0.0, 2.0, 5))
+    for nmkl in pairs:
+        runs = []
+        for name, entries, threads in (("GROUP_ENTRIES", GROUP_ENTRIES, 1), ("GROUP_ENTRIES", 1, 1),
+                                       ("GROUP_ENTRIES", 10**9, 1), ("POOL_ROWS", 1, 2), ("POOL_ROWS", 10**9, 2)):
+            monkeypatch.setattr(estimators, name, entries)
+            runs.append(estimate_tcf(request(H, method, nmkl=nmkl, n_threads=threads, **kw)))
+            monkeypatch.undo()
+        for res in runs[1:]:
+            assert res.estimates.tobytes() == runs[0].estimates.tobytes(), nmkl
+            assert res.standard_errors.tobytes() == runs[0].standard_errors.tobytes(), nmkl
+            assert res.normalization.tobytes() == runs[0].normalization.tobytes(), nmkl
+            assert res.moment_check == runs[0].moment_check, nmkl
+
+
 def fresh_stream(seed, b):
     """Block b's stream built from scratch, as every block stream is defined."""
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
