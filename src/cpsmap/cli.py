@@ -25,8 +25,9 @@ prefixes.  Recognized keys:
   tcf.t_max, tcf.n_times, tcf.n_traj, tcf.seed, tcf.backend, tcf.dt
   tcf.threads
 
-Exit status: 0 on success, 2 when a validation fails, 1 on usage or
-config errors.
+Exit status: 0 on success, 2 when a validation fails or a convergence
+study's max error is NaN at some ensemble size, 1 on usage or config
+errors.
 """
 
 import argparse
@@ -170,21 +171,36 @@ def _build_model(entries):
     kind = entries.pop("model.kind", None)
     if kind is None:
         raise ConfigError("model.kind: required")
+
+    def number(key, default):
+        x = _as_float(key, entries.pop(key, default))
+        if not math.isfinite(x):
+            raise ConfigError(f"{key}: must be finite, got {x!r}")
+        return x
+
+    def states():
+        F = _as_int("model.F", entries.pop("model.F", "2"))
+        if F < 2:
+            raise ConfigError(f"model.F: must be at least 2, got {F}")
+        return F
+
     if kind == "two_level":
-        delta = _as_float("model.delta", entries.pop("model.delta", "1"))
-        eps = _as_float("model.epsilon", entries.pop("model.epsilon", "0"))
+        delta = number("model.delta", "1")
+        eps = number("model.epsilon", "0")
         spec = ModelSpec.two_level(delta, eps)
         text = f"two_level(delta={delta}, epsilon={eps})"
     elif kind == "random":
-        F = _as_int("model.F", entries.pop("model.F", "2"))
+        F = states()
         seed = _as_int("model.seed", entries.pop("model.seed", "0"))
-        scale = _as_float("model.scale", entries.pop("model.scale", "1"))
+        if seed < 0:
+            raise ConfigError(f"model.seed: must be non-negative, got {seed}")
+        scale = number("model.scale", "1")
         spec = ModelSpec.random(F, seed, scale)
         text = f"random(F={F}, seed={seed}, scale={scale})"
     elif kind == "ladder":
-        F = _as_int("model.F", entries.pop("model.F", "2"))
-        gap = _as_float("model.gap", entries.pop("model.gap", "1"))
-        coupling = _as_float("model.coupling", entries.pop("model.coupling", "0.1"))
+        F = states()
+        gap = number("model.gap", "1")
+        coupling = number("model.coupling", "0.1")
         spec = ModelSpec.ladder(F, gap, coupling)
         text = f"ladder(F={F}, gap={gap}, coupling={coupling})"
     elif kind == "file":
@@ -238,6 +254,9 @@ def _parse_weight(value, F):
 
 def _parse_components(value, F):
     pairs = _parse_colon_pairs("method.components", value, "weight:gamma")
+    # before the product: inf * eye(F) warns on its zeros
+    if not all(math.isfinite(g) for _, g in pairs):
+        raise ConfigError("method.components: cmmcv Gamma has non-finite entries")
     return [(w, g * np.eye(F)) for w, g in pairs]
 
 
@@ -547,8 +566,8 @@ def convergence_study(cfg, n_traj_list):
     Uses the first configured index pair.  Reports the fitted log-log
     slope of error versus ensemble size.
     """
-    if len(n_traj_list) < 3:
-        raise ConfigError("convergence study needs at least 3 ensemble sizes")
+    if len(set(n_traj_list)) < 3:
+        raise ConfigError(f"convergence study needs at least 3 distinct ensemble sizes, got {list(n_traj_list)}")
     H = build_hamiltonian(cfg.model)
     (n, m), (k, l) = cfg.pairs[0]
     ref = _exact_series(H, cfg.pairs[:1], cfg.t_grid())[0]
@@ -634,8 +653,15 @@ def main(argv=None):
             if any(N < 1 for N in sizes):
                 print(f"usage error: --n: sizes must be at least 1, got {args.n!r}", file=sys.stderr)
                 return 1
+            if len(set(sizes)) < 3:
+                print(f"usage error: --n: needs at least 3 distinct sizes, got {args.n!r}", file=sys.stderr)
+                return 1
             report = convergence_study(cfg, sizes)
             print(f"wrote {report.path}; slope = {report.slope:.3f}")
+            nan_sizes = [N for N, err in zip(sizes, report.max_errors) if math.isnan(err)]
+            if nan_sizes:
+                print(f"error: max_error is NaN at n = {', '.join(map(str, nan_sizes))}", file=sys.stderr)
+                return 2
             return 0
         # validate
         validations = run_validations(cfg, build_hamiltonian(cfg.model))

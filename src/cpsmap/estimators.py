@@ -53,7 +53,9 @@ Each ensemble also checks its own sampler: every group returns each
 block's frame moment sum_i w z_i z_i^dagger at t = 0 (for dtwa and
 gdtwa, sum_i (K_i + gamma I) of the drawn points' kernels), and
 _reduce judges its mean against the closed form that the plan carries
-(mean) with the estimates' block jackknife SE (MomentCheck).
+(mean) with the estimates' block jackknife SE, from the same one pass
+over a table of the frame moments and the estimates' columns
+(MomentCheck).
 
 Trajectories are generated in 100 fixed blocks, which double as
 jackknife resampling units for the standard errors.  Block b draws from
@@ -237,7 +239,8 @@ class TCFRequest:
 class MomentCheck(NamedTuple):
     """An ensemble's mean frame moment w z z^dagger at t = 0 against its sampler's closed form.
 
-    Each entry has the block jackknife SE of the estimates.
+    Each entry's SE comes from the block jackknife pass that gives the
+    ensemble's block-mean estimates theirs (_reduce).
     worst_over_se is the largest |dev| / SE over the entries with a
     spread, which may be at most limit (_moment_limit of the nonempty
     blocks), zero_variance_dev the largest |dev| / max(1, |mean|) over
@@ -596,6 +599,8 @@ def _window_group(U, plan):
     ]
 
     def group(rngs, nb):
+        # scratch before the draw's temporaries, as in _frame_moments
+        Zc = rngs.scratch("temp", (len(rngs), nb, F))
         Z0, aux = plan.sample(rngs, nb)
         Z0 = Z0.reshape(len(rngs), nb, F)
         sums = []
@@ -607,7 +612,7 @@ def _window_group(U, plan):
                 Zt = (Z0 @ UT[:, lo * R:(lo + step) * R]).reshape(*Z0.shape[:2], -1, R)
                 parts.append(plan.window(0.5 * np.abs(Zt) ** 2, aux, j))
             sums.append(np.concatenate(parts, axis=1))
-        Zc = np.conjugate(Z0, out=rngs.scratch("temp", Z0.shape))
+        np.conjugate(Z0, out=Zc)
         return plan.weights * (Z0.transpose(0, 2, 1) @ Zc), np.concatenate(sums, axis=2)
 
     return group
@@ -692,13 +697,9 @@ def _moment_limit(B):
     return math.sqrt(B - 1) * math.tan(hi)
 
 
-def _moment_check(frames, sizes, mean, total=None, se=None):
-    """The MomentCheck of block frame moments (N_BLOCKS, F, F), or of their flattened total and jackknife se, against mean."""
+def _moment_check(total, se, sizes, mean):
+    """The MomentCheck of an ensemble's flattened frame moment total (F^2,) and its jackknife SE, against mean."""
     n = int(sizes.sum())
-    if total is None:
-        blocks = frames.reshape(N_BLOCKS, -1)
-        total = blocks.sum(axis=0)
-        se = _jackknife(blocks, sizes[:, None], total, n, sizes)
     got, mean = total / n, mean.ravel()
     dev = np.abs(got - mean)
     zero = se <= ZERO_VARIANCE_REL * np.maximum(1.0, np.abs(got))
@@ -711,43 +712,37 @@ def _moment_check(frames, sizes, mean, total=None, se=None):
 
 
 def _reduce(req, plan, idxs, t_grid, out, frames, sizes):
-    """Each request's TCFResult from its ensemble's block sums and frame moments.
+    """Each request's TCFResult from its ensemble's block sums and frame moments, in one pass.
 
-    The cc/cx/xc families reduce to the block mean of the request's
-    column, jackknifed beside the frame moments; a ww plan (one with a
-    measure) to the ratio of the observed state's numerator to the summed
-    denominator over the same trajectories.  Every result carries the
-    ensemble's MomentCheck.
+    One sum and one jackknife over a table of the blocks' frame moments,
+    then each block-mean request's T columns (none for a ww plan), give
+    the ensemble's MomentCheck, off the first F^2 entries, and the
+    cc/cx/xc estimates with their SEs.  A ww plan (one with a measure)
+    forms every state's ratio to the summed denominator, and its SE, in
+    one more jackknife over (blocks, T, F); each request takes its column.
     """
-    n = req.n_traj
+    n, T, F2 = req.n_traj, t_grid.size, frames[0].size
+    blocks = frames.reshape(N_BLOCKS, -1)
     if plan.measure is None:
+        # take keeps the table C-ordered where fancy indexing may not (T = F = 1): numpy sums the columns
+        # of an F-ordered table pairwise, not block by block, so a list would round unlike its calls
         cols = range(len(idxs)) if plan.columns is None else plan.columns
-        T, CT = t_grid.size, len(cols) * t_grid.size
-        blocks = np.concatenate([out.transpose(0, 2, 1)[:, cols].reshape(N_BLOCKS, -1), frames.reshape(N_BLOCKS, -1)], 1)
-        K = blocks.shape[1]
-        total, se = np.empty(K, blocks.dtype), np.empty(K)
-        # numpy sums a lone column pairwise, wider ones block by block: keep each lone column's own jackknife
-        cuts = [0, K] if T > 1 < frames[0].size else [*range(0, CT + 1, T), K]
-        for lo, hi in zip(cuts, cuts[1:]):
-            total[lo:hi] = np.sum(blocks[:, lo:hi], axis=0)
-            se[lo:hi] = _jackknife(blocks[:, lo:hi], sizes[:, None], total[lo:hi], n, sizes)
-        check = _moment_check(frames, sizes, plan.mean, total[CT:], se[CT:])
-        return [TCFResult(t_grid, total[c:c + T] / n, np.ones(T), se[c:c + T], n, moment_check=check) for c in range(0, CT, T)]
-    check = _moment_check(frames, sizes, plan.mean)
-    F = out.shape[2] - 1
-    sums = np.ascontiguousarray(out[:, :, :F])
+        blocks = np.concatenate([blocks, np.take(out, cols, axis=2).transpose(0, 2, 1).reshape(N_BLOCKS, -1)], 1)
+    total = np.sum(blocks, axis=0)
+    se = _jackknife(blocks, sizes[:, None], total, n, sizes)
+    check = _moment_check(total[:F2], se[:F2], sizes, plan.mean)
+    if plan.measure is None:
+        return [TCFResult(t_grid, total[c:c + T] / n, np.ones(T), se[c:c + T], n, moment_check=check) for c in range(F2, total.size, T)]
+    sums = np.ascontiguousarray(out[:, :, :-1])
     num_total = np.sum(sums, axis=0)
-    den_total = np.sum(num_total, axis=1)
-    den_blocks = np.sum(sums, axis=2)
-    normalization = plan.measure * den_total / n
-    min_num = float(np.nanmin(out[sizes > 0, :, F]))
-    results = []
-    for k0 in (idx[2] for idx in idxs):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            estimates = (num_total[:, k0] / den_total).astype(np.complex128)
-        se = _jackknife(sums[:, :, k0], den_blocks, num_total[:, k0], den_total, sizes)
-        results.append(TCFResult(t_grid, estimates, normalization.copy(), se, n, min_num, check))
-    return results
+    den_total = np.sum(num_total, axis=1)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = (num_total / den_total).astype(np.complex128)
+    se = _jackknife(sums, np.sum(sums, axis=2)[..., None], num_total, den_total, sizes)
+    normalization = plan.measure * den_total[:, 0] / n
+    min_num = float(np.nanmin(out[sizes > 0, :, -1]))
+    return [TCFResult(t_grid, ratio[:, k0].copy(), normalization.copy(), se[:, k0].copy(), n, min_num, check)
+            for _, _, k0, _ in idxs]
 
 
 # ---------------------------------------------------------------------------
@@ -1209,8 +1204,11 @@ def intra_electron_check(weight, H, rho, A, n_traj, seed):
     Tr[rho K] Tr[A K] Tr[H K] over the weighted spheres; the identity
     requires the weight to satisfy both the exact-mapping condition and
     the cubic moment condition int w (1+F gamma)^3 = (1+F)(2+F)/2.
-    rho and A must be F x F, n_traj an integer of at least 1.
+    weight must be a GammaWeight, rho and A F x F, n_traj an integer of
+    at least 1.
     """
+    if not isinstance(weight, GammaWeight):
+        raise ValueError(f"weight must be a GammaWeight, got {weight!r}")
     weight.validate()
     H = require_hermitian(H, name="H")
     F = H.shape[0]

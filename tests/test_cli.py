@@ -198,6 +198,35 @@ def test_load_config_names_a_non_finite_weight(tmp_path, capsys, weight):
     assert "method.weight: comb entry" in capsys.readouterr().err
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        ("model.kind = random\nmodel.F = 1", "model.F"),
+        ("model.kind = ladder\nmodel.F = 1", "model.F"),
+        ("model.kind = two_level\nmodel.delta = nan", "model.delta"),
+        ("model.kind = two_level\nmodel.epsilon = -inf", "model.epsilon"),
+        ("model.kind = random\nmodel.scale = inf", "model.scale"),
+        ("model.kind = random\nmodel.seed = -1", "model.seed"),
+        ("model.kind = ladder\nmodel.gap = inf", "model.gap"),
+        ("model.kind = ladder\nmodel.coupling = nan", "model.coupling"),
+        ("model.kind = two_level\nmethod.family = cmmcv\nmethod.components = 1:inf", "method.components"),
+    ],
+    ids=["random-F1", "ladder-F1", "delta-nan", "epsilon-inf", "scale-inf", "seed-negative", "gap-inf",
+         "coupling-nan", "components-inf"],
+)
+def test_load_config_names_a_bad_model_key(tmp_path, capsys, lines, key):
+    # these were "F must be at least 2", "H has non-finite entries" or numpy's
+    # "expected non-negative integer"; inf * eye(F) warned before its error
+    if "method.family" not in lines:
+        lines += "\nmethod.family = cmm"
+    path = write_config(tmp_path, lines + "\n")
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        load_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
 def test_load_config_model_file(tmp_path):
     H = build_hamiltonian(ModelSpec.ladder(3))
     hpath = tmp_path / "h.txt"
@@ -597,6 +626,29 @@ def test_main_converge_rejects_sizes_below_one(tmp_path, capsys, sizes):
     assert code == 1
     assert "usage error: --n: sizes must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_main_converge_needs_three_distinct_sizes(tmp_path, capsys):
+    # a line through one size once printed a slope with a RankWarning and exit 0
+    code = main(["converge", str(write_config(tmp_path)), "--n", "10,10,10", "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "usage error: --n: needs at least 3 distinct sizes, got '10,10,10'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_main_converge_exits_2_on_a_nan_error(tmp_path, capsys):
+    # a lone hill_ww trajectory outside the density window divides by a zero denominator
+    text = (
+        "model.kind = random\nmodel.F = 3\nmethod.family = hill_ww\n"
+        "tcf.pairs = 1,1,2,2\ntcf.t_max = 2\ntcf.n_times = 5\n"
+    )
+    code = main(["converge", str(write_config(tmp_path, text)), "--n", "1,2,3", "--out", str(tmp_path / "o")])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "slope = nan" in captured.out
+    assert "max_error is NaN at n = 1, 2, 3" in captured.err
+    rows = (tmp_path / "o" / "convergence.csv").read_text().splitlines()
+    assert rows[-3:] == ["1,nan", "2,nan", "3,nan"]
 
 
 def test_main_converge_runs(tmp_path, capsys):

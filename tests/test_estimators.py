@@ -765,19 +765,22 @@ def list_pairs(family, F):
 @pytest.mark.parametrize("family, F, backend", ORACLE_CASES)
 def test_request_list_equals_single_calls_bitwise(family, F, backend):
     H = random_h(F, seed=17)
-    kw = dict(n_traj=1500, seed=9, t_grid=np.linspace(0.0, 1.0, 4), backend=backend, dt=1e-2)
     pairs = list_pairs(family, F)
-    singles = [estimate_tcf(request(H, ORACLE_METHODS[family](F), nmkl=p, **kw)) for p in pairs]
     method = ORACLE_METHODS[family](F)
-    for threads in (1, 3):
-        grouped = estimate_tcf(
-            [request(H, method, nmkl=p, n_threads=threads, **kw) for p in pairs]
-        )
-        assert len(grouped) == len(pairs)
-        for p, got, want in zip(pairs, grouped, singles):
-            for field in ("estimates", "standard_errors", "normalization", "zero_variance"):
-                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (p, field)
-            assert np.float64(got.min_numerator).tobytes() == np.float64(want.min_numerator).tobytes()
+    # a one-time grid reduces each request's lone column beside the frame moments
+    for t_grid in (np.linspace(0.0, 1.0, 4), [0.7]):
+        kw = dict(n_traj=1500, seed=9, t_grid=t_grid, backend=backend, dt=1e-2)
+        singles = [estimate_tcf(request(H, ORACLE_METHODS[family](F), nmkl=p, **kw)) for p in pairs]
+        for threads in (1, 3):
+            grouped = estimate_tcf(
+                [request(H, method, nmkl=p, n_threads=threads, **kw) for p in pairs]
+            )
+            assert len(grouped) == len(pairs)
+            for p, got, want in zip(pairs, grouped, singles):
+                for field in ("estimates", "standard_errors", "normalization", "zero_variance"):
+                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (p, field, len(t_grid))
+                assert np.float64(got.min_numerator).tobytes() == np.float64(want.min_numerator).tobytes()
+                assert got.moment_check == want.moment_check, (p, len(t_grid))
 
 
 LIST_FIELD_CHANGES = {
@@ -1133,11 +1136,18 @@ def test_moment_check_is_the_block_jackknife_of_each_entry():
         loo = (np.sum(col) - col) / (1234 - sizes)
         se = np.sqrt((N_BLOCKS - 1) / N_BLOCKS * np.sum(np.abs(loo - np.mean(loo)) ** 2))
         worst = max(worst, abs(np.sum(col) / 1234 - mean[a, b]) / se)
-    check = estimators._moment_check(frames, sizes, mean)
+
+    def moment_check(sizes):
+        blocks = frames.reshape(N_BLOCKS, -1)
+        total = blocks.sum(axis=0)
+        se = estimators._jackknife(blocks, sizes[:, None], total, int(sizes.sum()), sizes)
+        return estimators._moment_check(total, se, sizes, mean)
+
+    check = moment_check(sizes)
     assert check.worst_over_se == pytest.approx(worst, rel=1e-12)
     assert check.zero_variance_dev <= 1e-15
     assert check.limit == estimators.MOMENT_SE_LIMIT
-    assert math.isnan(estimators._moment_check(frames, _block_sizes(1), mean).worst_over_se)
+    assert math.isnan(moment_check(_block_sizes(1)).worst_over_se)
 
 
 def test_moment_limit_keeps_the_full_block_tail_on_fewer_blocks():
@@ -1281,8 +1291,8 @@ def test_intra_electron_rejects_an_unnormalized_comb():
         intra_electron_check(half, RABI, np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), 100, 1)
 
 
-# once NaN with a RuntimeWarning (n_traj 0), or a TypeError or matmul error
-# that did not name the input
+# once NaN with a RuntimeWarning (n_traj 0), or a TypeError, AttributeError
+# or matmul error that did not name the input
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -1293,13 +1303,16 @@ def test_intra_electron_rejects_an_unnormalized_comb():
         ("A", np.ones((2, 3))),
         ("H", np.array([[0.0, 1.0], [0.0, 0.0]])),
         ("H", np.ones((2, 3))),
+        ("weight", 0.5),
     ],
-    ids=["n_traj-zero", "n_traj-fraction", "n_traj-bool", "rho-3x3", "A-2x3", "H-non-hermitian", "H-2x3"],
+    ids=["n_traj-zero", "n_traj-fraction", "n_traj-bool", "rho-3x3", "A-2x3", "H-non-hermitian", "H-2x3",
+         "weight-float"],
 )
 def test_intra_electron_check_rejects_bad_input_by_name(field, value):
-    args = {"H": RABI, "rho": np.diag([1.0, 0.0]), "A": np.diag([0.0, 1.0]), "n_traj": 100, field: value}
+    args = {"weight": two_delta_comb(), "H": RABI, "rho": np.diag([1.0, 0.0]), "A": np.diag([0.0, 1.0]),
+            "n_traj": 100, field: value}
     with pytest.raises(ValueError, match=rf"^{field} "):
-        intra_electron_check(two_delta_comb(), args["H"], args["rho"], args["A"], args["n_traj"], 1)
+        intra_electron_check(args["weight"], args["H"], args["rho"], args["A"], args["n_traj"], 1)
 
 
 # -- wmm end to end ----------------------------------------------------
