@@ -10,15 +10,15 @@ gamma|.  The familiar single-sphere phase space is the r = 1 case,
 where the constraint reads sum_n (x_n^2 + p_n^2)/2 = 1 + F*gamma.
 
 A phase point is a complex frame array Z (..., r, F) together with its
-component's StiefelSignature; its frames meet their constraints when
-the Gram matrix conj(Z) Z^T is diag(2|lambda_i + gamma|).  This module
-holds the signatures, the gamma-axis quasi-probability weights
-(GammaWeight, a signed comb of point masses), and the Monte Carlo
-samplers: sample_sphere_batch for the sphere, and sample_stiefel for
-any component.  The sphere is drawn in action-angle form:
-sphere_normals draws complex normals as sqrt(E) e^(i theta), E ~ Exp(1)
-and theta uniform, and onto_sphere scales each row to the radius of its
-shell.  States are numbered 1..F in public interfaces.
+component's StiefelSignature; its frames meet their constraints when the
+Gram matrix conj(Z) Z^T is diag(2|lambda_i + gamma|).  This module holds
+the signatures, the gamma-axis quasi-probability weights (GammaWeight, a
+signed comb of point masses, which the estimators' comb sampler draws),
+and the Monte Carlo samplers: sample_sphere_batch for the sphere, and
+sample_stiefel for any component.  The sphere is drawn in action-angle
+form: sphere_normals draws complex normals as sqrt(E) e^(i theta), E ~
+Exp(1) and theta uniform, and onto_sphere scales each row to the radius
+of its shell.  States are numbered 1..F in public interfaces.
 
 Measure convention: integrals over one component are F times the
 expectation under the uniform probability measure, i.e. the measure of
@@ -112,9 +112,9 @@ def gdtwa_signature(F):
 class GammaWeight:
     """Signed, normalized comb of point masses (gamma_i, w_i) over sphere parameters.
 
-    The w_i may be negative.  Signed weights are handled by importance
-    sampling: draws come from |w| / sum|w| and carry sign(w) plus the
-    magnitude sum|w| as a multiplicative correction.
+    The w_i may be negative.  A sampler of the comb (the estimators'
+    _comb_density) draws its terms from |w| / sum|w|, each carrying
+    sign(w) and the magnitude sum|w| as a multiplicative correction.
     """
 
     pairs: tuple
@@ -142,10 +142,6 @@ class GammaWeight:
         """Signed normalization sum (must be 1 for a valid weight)."""
         return float(sum(w for _, w in self.pairs))
 
-    def abs_total(self):
-        """sum |w|, the importance-sampling magnitude."""
-        return float(sum(abs(w) for _, w in self.pairs))
-
     def validate(self, tol=1e-8):
         total = self.total_weight()
         if abs(total - 1.0) > tol:
@@ -155,24 +151,13 @@ class GammaWeight:
             )
         return self
 
-    def sample_batch(self, rng, size):
-        """Draw (gammas, signs) of shape (size,) from |w| / sum|w|."""
-        gs = np.array([g for g, _ in self.pairs])
-        ws = np.array([w for _, w in self.pairs])
-        probs = np.abs(ws) / np.sum(np.abs(ws))
-        idx = rng.choice(len(gs), size=size, p=probs)
-        return gs[idx], np.sign(ws[idx]).astype(np.float64)
-
 
 # ---------------------------------------------------------------------------
 # point samplers
 
 
 def sample_sphere_batch(F, gamma, rng, size):
-    """size uniform points on the sphere at gamma, as (size, F) complex z.
-
-    gamma is one sphere parameter for every row or an array of one per row.
-    """
+    """size uniform points on the sphere at gamma (one, or one per row), as (size, F) complex z."""
     w = np.empty((size, F), dtype=np.complex128)
     sphere_normals(rng, w)
     return onto_sphere(w, F, gamma)

@@ -13,18 +13,16 @@ Because H_C itself contains one factor of s_k per frame, the signs
 square away and every frame obeys dz/dt = -i H z, the time-dependent
 Schroedinger equation.  The march is therefore linear: grid_march, the
 one propagation entry point, builds the map z(t_k) = U_k z(0) of each
-grid time once, on either backend.  On rk4 one step of h is the
-polynomial P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 of x = -i H h, the same
-F x F map for every frame, so both backends are V f(lambda) V^dagger
-from one decomposition H = V diag(lambda) V^dagger: f = exp(-i lambda t)
-exactly, and on rk4 the product over grid segments of P(-i lambda h)^n,
-n steps of h each.  A point's frames march as Z @ U.T; the estimators
-carry a block's kernel as U M U^dagger, or march the frames a window
-reads with one gemm.  The invariants are read off the maps:
-U^dagger U - I for the frame norms and cross-frame products,
-U^dagger H U - H for H_C.  _rk4_arrays integrates frames (x, p) with
-their signs, step by step, so the sign equivalence can be measured
-rather than assumed.
+grid time once, on either backend, as V diag(f_k) V^dagger from one
+decomposition H = V diag(lambda) V^dagger, since one rk4 step of h is
+the polynomial P(x) = 1 + x + x^2/2 + x^3/6 + x^4/24 of x = -i H h, the
+same F x F map for every frame of either sign (s * (s * h) is exact).
+A point's frames march as Z @ U.T, and the invariants are numbers of f:
+U^dagger U - I, the drift of the frame norms and cross-frame products,
+has the eigenvalues |f_j|^2 - 1, and U^dagger H U - H, the drift of
+H_C, has lambda_j (|f_j|^2 - 1); both are 0 on the exact backend.
+_rk4_arrays integrates frames (x, p) with their signs, step by step, so
+the sign equivalence can be measured rather than assumed.
 """
 
 import math
@@ -32,6 +30,9 @@ import math
 import numpy as np
 
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian
+
+# rk4's stability edge on the imaginary axis: |P(-i y)| <= 1 exactly when |y| <= 2 sqrt(2)
+RK4_EDGE = 2.0 * math.sqrt(2.0)
 
 
 def _check_step(dt):
@@ -84,35 +85,37 @@ def _rk4_arrays(x, p, signs, H, dt, steps):
 def grid_march(H, times, backend="exact", dt=1e-3):
     """The maps U, shape (n_times, F, F), with z(t_k) = U_k z(0) for every frame.
 
-    Both backends build U_k = V diag(f_k) V^dagger for every grid time
-    from one decomposition H = V diag(lambda) V^dagger.  The exact
-    backend takes f_k = exp(-i lambda t_k).  The rk4 backend takes
-    n = ceil(span/dt) equal steps of h = span/n between grid times; one
-    step is the polynomial P(-i H h) of rk4's stages for every frame, of
-    either sign, since s * (s * h) is exact.  So f_k is the exp of the
-    cumulative sum over segments of n log1p(P(-i lambda h) - 1), with
-    P - 1 in Horner form; n is an integer, so the branch of the log does
-    not matter.  Both backends check H, times (1-D, finite, nonempty,
-    nonnegative, strictly increasing) and dt, naming the field at fault.
+    Both backends build U_k = V diag(f_k) V^dagger from one decomposition
+    H = V diag(lambda) V^dagger, with f_k = exp(-i lambda t_k) exactly, or
+    rk4_log_factors, also past rk4's stability edge; both check H, times
+    (1-D, finite, nonempty, nonnegative, strictly increasing) and dt,
+    naming the field at fault.
     """
     if backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {backend!r}")
     H = require_hermitian(H, name="H")
     times = _check_grid(times, "times")
     _check_step(dt)
-    return _march(H, times, backend, dt)
+    return _march(hermitian_eig(H, tol=None), times, backend, dt)
 
 
-def _march(H, times, backend, dt):
-    """grid_march of inputs it has checked: a Hermitian complex128 H, a float times array."""
-    dec = hermitian_eig(H, tol=None)
+def _march(dec, times, backend, dt):
+    """grid_march of inputs it has checked: the decomposition of a Hermitian H, a float times array."""
     if backend == "exact":
         return propagator_from_decomposition(dec, times)
+    V = dec.eigenvectors
+    return (V * np.exp(rk4_log_factors(dec.eigenvalues, times, dt)[0])[:, None, :]) @ V.conj().T
+
+
+def rk4_log_factors(lam, times, dt):
+    """The logs of rk4's factors f_j(t_k) (n_times, F) of the eigenvalues lambda_j, and max|lambda| h over its steps.
+
+    A segment takes n = ceil(span/dt) steps of h = span/n, so log f_k sums
+    n log1p(P(-i lambda h) - 1) over the segments, P - 1 in Horner form;
+    as n is an integer, the branch of the log does not matter.
+    """
     spans = np.diff(times, prepend=0.0)
     steps = np.maximum(1.0, np.ceil(spans / dt))
-    x = -1j * dec.eigenvalues * (spans / steps)[:, None]
-    # n log1p(P - 1) is the log of P^n on any branch of the log, as n is an integer
+    x = -1j * lam * (spans / steps)[:, None]
     log_step = np.log1p(x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0))))
-    phases = np.exp(np.cumsum(steps[:, None] * log_step, axis=0))
-    V = dec.eigenvectors
-    return (V * phases[:, None, :]) @ V.conj().T
+    return np.cumsum(steps[:, None] * log_step, axis=0), float(np.max(np.abs(x)))

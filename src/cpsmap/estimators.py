@@ -82,15 +82,14 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .cps import GammaWeight, gdtwa_signature, onto_sphere, sample_sphere_batch, sphere_normals
 from .kernels import inverse_kernel_coefficients, kernel_entries, kernel_trace
 
-# The maps of dynamics.grid_march own the propagators and the rk4 steps,
-# and the gdtwa plan forms its moments from the drawn signs without the
-# point set; hermitian_eig, propagator_from_decomposition, _rk4_arrays
-# and gdtwa_points are imported here only because perfbench/spans.py
-# wraps these names in this module.
-from .dynamics import _check_grid, _check_step, _march, _rk4_arrays  # noqa: F401
+# The maps of dynamics.grid_march own the propagators and the rk4 steps, the sphere plans draw
+# through _comb_density, and the gdtwa plan forms its moments from the drawn signs without the
+# point set: sample_sphere_batch, propagator_from_decomposition, _rk4_arrays and gdtwa_points
+# are imported here only because perfbench/spans.py wraps these names in this module.
+from .cps import GammaWeight, gdtwa_signature, onto_sphere, sample_sphere_batch, sphere_normals  # noqa: F401
+from .dynamics import RK4_EDGE, _check_grid, _check_step, _march, _rk4_arrays, rk4_log_factors  # noqa: F401
 from .kernels import gdtwa_points  # noqa: F401
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
 from .streams import BlockStreams, block_keys, check_seed, is_integer
@@ -217,11 +216,10 @@ class TCFRequest:
     """One correlation function to estimate.
 
     rho_indices = (n, m) selects rho = |n><m|, obs_indices = (k, l)
-    selects A = |k><l|, both 1-based.  backend is "exact" (every grid
-    time's exp(-i H t) in one broadcast of the decomposition of H) or
-    "rk4" (equal rk4 steps of at most dt between grid times, whose step
-    map is a polynomial in H, built from the same decomposition); see
-    dynamics.grid_march.
+    selects A = |k><l|, both 1-based.  backend is "exact" (exp(-i H t))
+    or "rk4" (equal rk4 steps h of at most dt between grid times, with
+    max|lambda| h at most 2 sqrt(2), rk4's stability edge); both build
+    their maps from one decomposition of H (dynamics.grid_march).
     """
 
     hamiltonian: np.ndarray
@@ -339,6 +337,14 @@ def _check_count(name, value):
         raise ValueError(f"{name} must be an integer (bool excluded) of at least 1, got {value!r}")
 
 
+def _check_scale(H, t_last, name):
+    """Reject H by name unless 2 F max|H_ij| t_last, a bound of each phase lambda t and gap (lambda_b - lambda_a) t, is finite."""
+    F, top, t_last = H.shape[0], float(np.max(np.abs(H))), float(t_last)
+    if not 2.0 * F * top * t_last < np.finfo(float).max:
+        raise ValueError(f"{name} has max|H_ij| = {top:.4g}, whose phases 2 F max|H_ij| t overflow at F = {F} by "
+                         f"t = {t_last:.4g}; max|H_ij| must be below {np.finfo(float).max / (2.0 * F * t_last):.4g}")
+
+
 def _prepare(req):
     """Check the fields a call's requests share, on its first request; return its H, F and t_grid."""
     fam = req.method.family
@@ -350,6 +356,7 @@ def _prepare(req):
         _check_count(name, getattr(req, name))
     check_seed(req.seed)
     t_grid = _check_grid(req.t_grid, "t_grid")
+    _check_scale(H, t_grid[-1], "hamiltonian")
     if req.backend not in ("exact", "rk4"):
         raise ValueError(f"unknown backend {req.backend!r}")
     _check_step(req.dt)
@@ -813,14 +820,11 @@ def _comb_density(F, terms, sides):
     shifts = np.stack([np.diag(np.full(F, A)) if A.ndim == 0 else A for A in As]).astype(np.complex128)
     coords = Bs[:, None] if Bs.ndim == 1 else np.eye(len(terms))
 
-    def draw(rng, nb):
-        return (rng.choice(len(terms), size=nb, p=probs),)
+    draw = (lambda rng, nb: (rng.choice(len(terms), size=nb, p=probs),)) if len(terms) > 1 else None
 
     def sample(rngs, nb):
-        if len(terms) == 1:
-            c, (w,) = 0, _draw_group(rngs, nb, F=F)
-        else:
-            c, w = _draw_group(rngs, nb, draw, F)
+        *c, w = _draw_group(rngs, nb, draw, F)
+        c = c[0] if c else 0
         Z = onto_sphere(w, F, gammas[c])
         return Z, [scales[c] * kernel_entries(Z[:, None], m0, n0, Gamma=shifts[c, m0, n0]) for n0, m0 in sides], coords[c]
 
@@ -1165,7 +1169,12 @@ def estimate_tcf(requests):
     _check_shared(reqs)
     every_idx = [_indices(r, F) for r in reqs]
     make_plan = _PLANS[req.method.family]
-    U = _march(H, t_grid, req.backend, req.dt)
+    dec = hermitian_eig(H, tol=None)
+    top = float(np.max(np.abs(dec.eigenvalues)))  # every rk4 step h is at most dt, so top dt bounds top h
+    if req.backend == "rk4" and top * req.dt > RK4_EDGE and (reach := rk4_log_factors(dec.eigenvalues, t_grid, req.dt)[1]) > RK4_EDGE:
+        raise ValueError(f"dt = {req.dt!r} is past rk4's stability edge: max|lambda| h = {reach:.4g} exceeds 2 sqrt(2) "
+                         f"= {RK4_EDGE:.4g}; dt must be at most {RK4_EDGE / top:.4g}")
+    U = _march(dec, t_grid, req.backend, req.dt)
     ensembles = {}
     for i, idx in enumerate(every_idx):
         key = () if make_plan in _SHARED_FRAMES else idx[:2]
@@ -1200,12 +1209,12 @@ class IntraElectronReport:
 def intra_electron_check(weight, H, rho, A, n_traj, seed):
     """Compare (1/2)Tr[rho {A, H}] with its self-dual phase space average.
 
-    The right side is the Monte Carlo integral of
-    Tr[rho K] Tr[A K] Tr[H K] over the weighted spheres; the identity
-    requires the weight to satisfy both the exact-mapping condition and
-    the cubic moment condition int w (1+F gamma)^3 = (1+F)(2+F)/2.
-    weight must be a GammaWeight, rho and A F x F, n_traj an integer of
-    at least 1.
+    The right side is the Monte Carlo integral of Tr[rho K] Tr[A K]
+    Tr[H K] over the weighted spheres, drawn by _comb_density on one
+    block stream; the identity requires the weight to satisfy both the
+    exact-mapping condition and the cubic moment condition
+    int w (1+F gamma)^3 = (1+F)(2+F)/2.  weight must be a GammaWeight,
+    rho and A F x F, n_traj an integer of at least 1.
     """
     if not isinstance(weight, GammaWeight):
         raise ValueError(f"weight must be a GammaWeight, got {weight!r}")
@@ -1219,16 +1228,13 @@ def intra_electron_check(weight, H, rho, A, n_traj, seed):
             raise ValueError(f"{name} must be {F} x {F} like H, got shape {M.shape}")
     _check_count("n_traj", n_traj)
     lhs = float(np.real(0.5 * np.trace(rho @ (A @ H + H @ A))))
-    tot = weight.abs_total()
-    rng = BlockStreams(block_keys(seed, 1))[0]
-    gam, sgn = weight.sample_batch(rng, n_traj)
-    Z = sample_sphere_batch(F, gam, rng, n_traj)[:, None, :]
-    traces = [kernel_trace(Z, M, gam) for M in (rho, A, H)]
-    vals = np.real((F * tot * sgn) * traces[0] * traces[1] * traces[2])
+    sides = list(zip(*np.nonzero(rho)))
+    Z, Ws, S = _comb_density(F, _comb(MethodSpec.wmm(weight), F), sides)(BlockStreams(block_keys(seed, 1)), n_traj)
+    # sum_nm rho_nm W_nm = F sum|w| sgn(w_c) Tr[rho K]; a wmm row's shift coordinate is its gamma
+    density = sum(rho[side] * W for side, W in zip(sides, Ws))
+    vals = np.real(density * kernel_trace(Z[:, None], A, S[..., 0]) * kernel_trace(Z[:, None], H, S[..., 0]))
     rhs = float(np.mean(vals))
     rhs_se = float(np.std(vals, ddof=1) / math.sqrt(n_traj)) if n_traj > 1 else math.nan
     cubic = weight.moment(lambda g: (1.0 + F * g) ** 3)
     target = 0.5 * (1.0 + F) * (2.0 + F)
-    return IntraElectronReport(
-        lhs, rhs, rhs_se, n_traj, float(cubic), float(target), abs(cubic - target) <= 1e-6
-    )
+    return IntraElectronReport(lhs, rhs, rhs_se, n_traj, float(cubic), float(target), abs(cubic - target) <= 1e-6)

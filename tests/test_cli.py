@@ -10,6 +10,7 @@ from cpsmap import __version__, cli, estimators
 from cpsmap.cli import (
     ConfigError,
     ExperimentConfig,
+    _drift,
     _validate_drift,
     _validate_exact_mapping,
     convergence_study,
@@ -225,6 +226,36 @@ def test_load_config_names_a_bad_model_key(tmp_path, capsys, lines, key):
         load_config(path)
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
     assert f"config error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        ("model.kind = random\nmodel.F = 3\nmodel.scale = 1e308", "model.scale"),
+        ("model.kind = random\nmodel.F = 3\nmodel.scale = 1e300\ntcf.t_max = 1e10", "model.scale"),
+        ("model.kind = two_level\nmodel.delta = 1e307", "model.delta, model.epsilon"),
+        ("model.kind = ladder\nmodel.F = 4\nmodel.gap = 1e306", "model.gap, model.coupling"),
+    ],
+    ids=["random-1e308", "random-by-t_max", "two_level", "ladder"],
+)
+def test_load_config_names_the_key_of_an_overflowing_hamiltonian(tmp_path, capsys, lines, key):
+    # the phases lambda t of the maps up to tcf.t_max overflowed; at 1e308 the run
+    # leaked a RuntimeWarning and failed with 'Eigenvalues did not converge'
+    path = write_config(tmp_path, lines + "\nmethod.family = cmm\n")
+    with pytest.raises(ConfigError, match=f"^{re.escape(key)}: the Hamiltonian has max"):
+        load_config(path)
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert f"config error: {key}: " in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_run_below_the_scale_bound_passes_with_finite_results(tmp_path):
+    # random at F = 3 stays finite up to 1e300 by t = 10; the matrix route's
+    # exact-backend drift failed it on rounding (3.9e285), the closed form reads 0
+    path = write_config(tmp_path, "model.kind = random\nmodel.F = 3\nmodel.scale = 1e300\nmethod.family = cmm\ntcf.n_traj = 2000\n")
+    assert main(["run", str(path), "--out", str(tmp_path / "big")]) == 0
+    assert "nan_points: 0" in (tmp_path / "big" / "manifest.txt").read_text()
 
 
 def test_load_config_model_file(tmp_path):
@@ -445,6 +476,28 @@ def test_drift_validation_bounds_sampled_trajectories(backend, dt):
     rounding = 8.0 * np.finfo(np.float64).eps * s * (1.0 + np.linalg.norm(H, 2))
     assert sampled <= reported * (1.0 + 5e-4) + rounding, (sampled, reported)
     assert reported <= (1e-10 if backend == "exact" else 1e-3)
+
+
+def matrix_drift(H, backend, dt):
+    """The drift read off the maps of the 10 grid times: s max|eig| of U^dagger U - I and U^dagger H U - H."""
+    F = H.shape[0]
+    U = grid_march(H, np.linspace(0.0, 10.0, 11)[1:], backend, dt)
+    Ud = np.conj(np.swapaxes(U, -1, -2))
+    dev = np.concatenate([Ud @ U - np.eye(F), Ud @ H @ U - H])
+    return (1.0 + F * gamma_wigner(F)) * float(np.max(np.abs(np.linalg.eigvalsh(dev))))
+
+
+@pytest.mark.parametrize("F, dt, scale", [(3, 1e-2, 1.0), (3, 1e-3, 1.0), (8, 0.037, 1.0), (3, 1e-2, 100.0)])
+def test_closed_form_drift_matches_the_matrix_route(F, dt, scale):
+    H = build_hamiltonian(ModelSpec.random(F, seed=4, scale=scale))
+    assert _drift(H, "exact", dt) == 0.0
+    # the matrix route carries the rounding of its products and eigensolve, which
+    # it reads on the exact maps, whose drift is 0; the closed form carries none
+    floor = matrix_drift(H, "exact", dt)
+    got, ref = _drift(H, "rk4", dt), matrix_drift(H, "rk4", dt)
+    assert abs(got - ref) <= 1e-6 * ref + 2.0 * floor, (got, ref, floor)
+    if ref > 1e6 * floor:
+        assert abs(got - ref) <= 1e-6 * ref
 
 
 def moments_line(validations):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsmap import estimators
+from cpsmap import dynamics, estimators, kernels, qcore
 from cpsmap.cps import GammaWeight, gamma_wigner, gdtwa_signature, sample_sphere_batch
 from cpsmap.dynamics import grid_march
 from cpsmap.estimators import (
@@ -21,6 +21,8 @@ from cpsmap.estimators import (
     MethodSpec,
     TCFRequest,
     _block_sizes,
+    _comb,
+    _comb_density,
     _cornered_window,
     _groups,
     _hill_obs_windows,
@@ -34,8 +36,8 @@ from cpsmap.estimators import (
 )
 from cpsmap.kernels import gdtwa_points, inverse_kernel_coefficients, kernel_entries
 from cpsmap.models import ModelSpec, build_hamiltonian
-from cpsmap.qcore import exact_tcf
-from cpsmap.streams import BlockStreams
+from cpsmap.qcore import HERMITIAN_TOL, exact_tcf, hermitian_eig
+from cpsmap.streams import BlockStreams, block_keys
 
 RABI = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -275,6 +277,54 @@ def test_gamma_just_below_its_overflow_bound_gives_finite_estimates():
         assert np.all(np.isfinite(res.estimates)) and np.all(np.isfinite(res.standard_errors)), family
         with pytest.raises(ValueError, match="gamma"):
             estimate_tcf(request(random_h(F), getattr(MethodSpec, family)(1.01 * limit), nmkl=nmkl, n_traj=200))
+
+
+@pytest.mark.parametrize("t_last", [10.0, 1e300])
+def test_hamiltonian_whose_phases_overflow_is_rejected_by_name(t_last):
+    # every phase lambda t is at most F max|H_ij| t, and the exact reference's gaps twice that:
+    # at F = 2 the bound on max|H_ij| is max / (4 t)
+    limit = np.finfo(np.float64).max / (4.0 * t_last)
+    t_grid = np.linspace(0.0, t_last, 3)
+    with np.errstate(all="raise"):
+        res = estimate_tcf(request(0.99 * limit * RABI, MethodSpec.cmm(0.0), t_grid=t_grid, n_traj=200))
+    assert np.all(np.isfinite(res.estimates)) and np.all(np.isfinite(res.standard_errors))
+    with pytest.raises(ValueError, match=r"^hamiltonian has max\|H_ij\| = .* must be below "):
+        estimate_tcf(request(1.01 * limit * RABI, MethodSpec.cmm(0.0), t_grid=t_grid, n_traj=200))
+
+
+def test_rk4_past_its_stability_edge_is_rejected_by_name():
+    # F = 3, scale 1000, dt 1e-2: once 0.99, then 1e112, then NaN, with no error
+    H = random_h(3, seed=0) * 1000.0
+    req = request(H, MethodSpec.cmm(gamma_wigner(3)), t_grid=np.linspace(0.0, 10.0, 5), n_traj=2000,
+                  backend="rk4", dt=1e-2)
+    with pytest.raises(ValueError, match=r"^dt = 0.01 is past rk4's stability edge: max\|lambda\| h = .* exceeds 2 sqrt\(2\)"):
+        estimate_tcf(req)
+    with np.errstate(over="ignore", invalid="ignore"):  # grid_march marches past the edge
+        assert not np.all(np.isfinite(grid_march(H, req.t_grid, "rk4", req.dt)))
+    # the bound reads the steps h = span / ceil(span / dt) that the march takes, not dt:
+    # lambda = 3 with dt = 1 steps 2.5 in three steps of 5/6, and 3 in three steps of 1
+    H = np.diag([3.0, -1.0])
+    estimate_tcf(request(H, MethodSpec.cmm(0.0), t_grid=[0.0, 2.5], n_traj=200, backend="rk4", dt=1.0))
+    with pytest.raises(ValueError, match=r"^dt = 1.0 is past rk4's stability edge: max\|lambda\| h = 3 exceeds"):
+        estimate_tcf(request(H, MethodSpec.cmm(0.0), t_grid=[0.0, 3.0], n_traj=200, backend="rk4", dt=1.0))
+
+
+@pytest.mark.parametrize("backend", ["exact", "rk4"])
+def test_estimate_tcf_decomposes_the_hamiltonian_once(backend, monkeypatch):
+    # one hermitian_eig serves the maps and the rk4 stability check of every ensemble of the call
+    calls = []
+
+    def counted(H, tol=HERMITIAN_TOL):
+        calls.append(1)
+        return hermitian_eig(H, tol)
+
+    for module in (estimators, dynamics, qcore, kernels):
+        monkeypatch.setattr(module, "hermitian_eig", counted)
+    H = random_h(3, seed=2)
+    for method, pairs in ((MethodSpec.cmm(0.2), [(1, 2, 2, 1)]), (MethodSpec.gdtwa(), [(1, 1, 2, 2), (2, 1, 1, 2)])):
+        calls.clear()
+        estimate_tcf([request(H, method, nmkl=nmkl, n_traj=300, backend=backend, dt=0.05) for nmkl in pairs])
+        assert len(calls) == 1, method.family
 
 
 def _not_an_integer_from(low):
@@ -1283,6 +1333,27 @@ def test_intra_electron_identity_hamiltonian():
     rep = intra_electron_check(w, np.eye(2), rho, A, 400000, 5)
     assert rep.lhs == pytest.approx(np.trace(rho @ A).real)
     assert abs(rep.lhs - rep.rhs) <= 5.0 * rep.rhs_se
+
+
+def test_comb_density_draws_signed_terms():
+    # the signed comb of test_cps.py::test_delta_comb_signed_weights, drawn by the
+    # one comb sampler: importance draws follow |w|, 2/3 at gamma=0, 1/3 at gamma=1
+    w = GammaWeight.delta_comb([(0.0, 2.0), (1.0, -1.0)])
+    F = 2
+    sample = _comb_density(F, _comb(MethodSpec.wmm(w), F), [(0, 0)])
+    Z, (W,), S = sample(BlockStreams(block_keys(8, 1)), 60000)
+    gam = S[:, 0]
+    assert set(np.unique(gam)) == {0.0, 1.0}
+    assert abs(np.mean(gam == 0.0) - 2.0 / 3.0) < 0.01
+    # a row's density weight is F sum|w| sgn(w_c) K_11(z; gamma_c)
+    K = 0.5 * np.abs(Z[:, 0]) ** 2 - gam
+    assert np.max(np.abs(W - np.where(gam == 0.0, 1.0, -1.0) * F * 3.0 * K)) <= 1e-12 * F * 3.0
+    sgn = np.sign(W.real * K)
+    assert np.all(sgn[gam == 0.0] == 1.0)
+    assert np.all(sgn[gam == 1.0] == -1.0)
+    # the signed average reproduces the signed integral of g
+    est = 3.0 * np.mean(sgn * gam)
+    assert abs(est - w.moment(lambda g: g)) < 0.02
 
 
 def test_intra_electron_rejects_an_unnormalized_comb():
