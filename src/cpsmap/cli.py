@@ -42,7 +42,7 @@ import numpy as np
 from . import __version__
 # sample_sphere_batch is imported only because perfbench/spans.py wraps it here.
 from .cps import GammaWeight, gamma_wigner, sample_sphere_batch  # noqa: F401
-from .dynamics import rk4_log_factors
+from .dynamics import check_rk4_edge, rk4_log_factors
 from .estimators import (
     COMB_FAMILIES, EXACT_MAPPING_TOL, ZERO_VARIANCE_TOL, MethodSpec, TCFRequest, _check_scale, _comb, _mapping_miss,
     estimate_tcf,
@@ -363,6 +363,11 @@ def load_config(path, overrides=None):
         _check_scale(H, cfg.t_max, "the Hamiltonian")
     except ValueError as exc:
         raise ConfigError(f"{_SCALE_KEYS.get(model_spec.kind, 'model.path')}: {exc}") from None
+    if cfg.backend == "rk4":
+        try:
+            check_rk4_edge(hermitian_eig(H, tol=None).eigenvalues, cfg.t_grid(), cfg.dt)
+        except ValueError as exc:
+            raise ConfigError(f"tcf.dt: {exc}") from None
     if "out" in overrides:
         cfg.out_dir = Path(overrides["out"])
     return cfg

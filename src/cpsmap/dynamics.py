@@ -119,3 +119,11 @@ def rk4_log_factors(lam, times, dt):
     x = -1j * lam * (spans / steps)[:, None]
     log_step = np.log1p(x * (1.0 + x * (0.5 + x * (1.0 / 6.0 + x / 24.0))))
     return np.cumsum(steps[:, None] * log_step, axis=0), float(np.max(np.abs(x)))
+
+
+def check_rk4_edge(lam, times, dt):
+    """Raise, naming dt, unless rk4's steps over times keep max|lambda| h within RK4_EDGE, for the eigenvalues lambda of H."""
+    top = float(np.max(np.abs(lam)))  # every rk4 step h is at most dt, so top dt bounds top h
+    if top * dt > RK4_EDGE and (reach := rk4_log_factors(lam, times, dt)[1]) > RK4_EDGE:
+        raise ValueError(f"dt = {dt!r} is past rk4's stability edge: max|lambda| h = {reach:.4g} exceeds 2 sqrt(2) "
+                         f"= {RK4_EDGE:.4g}; dt must be at most {RK4_EDGE / top:.4g}")

@@ -89,7 +89,7 @@ from .kernels import inverse_kernel_coefficients, kernel_entries, kernel_trace
 # point set: sample_sphere_batch, propagator_from_decomposition, _rk4_arrays and gdtwa_points
 # are imported here only because perfbench/spans.py wraps these names in this module.
 from .cps import GammaWeight, gdtwa_signature, onto_sphere, sample_sphere_batch, sphere_normals  # noqa: F401
-from .dynamics import RK4_EDGE, _check_grid, _check_step, _march, _rk4_arrays, rk4_log_factors  # noqa: F401
+from .dynamics import _check_grid, _check_step, _march, _rk4_arrays, check_rk4_edge  # noqa: F401
 from .kernels import gdtwa_points  # noqa: F401
 from .qcore import hermitian_eig, propagator_from_decomposition, require_hermitian  # noqa: F401
 from .streams import BlockStreams, block_keys, check_seed, is_integer
@@ -1170,10 +1170,8 @@ def estimate_tcf(requests):
     every_idx = [_indices(r, F) for r in reqs]
     make_plan = _PLANS[req.method.family]
     dec = hermitian_eig(H, tol=None)
-    top = float(np.max(np.abs(dec.eigenvalues)))  # every rk4 step h is at most dt, so top dt bounds top h
-    if req.backend == "rk4" and top * req.dt > RK4_EDGE and (reach := rk4_log_factors(dec.eigenvalues, t_grid, req.dt)[1]) > RK4_EDGE:
-        raise ValueError(f"dt = {req.dt!r} is past rk4's stability edge: max|lambda| h = {reach:.4g} exceeds 2 sqrt(2) "
-                         f"= {RK4_EDGE:.4g}; dt must be at most {RK4_EDGE / top:.4g}")
+    if req.backend == "rk4":
+        check_rk4_edge(dec.eigenvalues, t_grid, req.dt)
     U = _march(dec, t_grid, req.backend, req.dt)
     ensembles = {}
     for i, idx in enumerate(every_idx):

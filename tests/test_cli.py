@@ -258,6 +258,32 @@ def test_run_below_the_scale_bound_passes_with_finite_results(tmp_path):
     assert "nan_points: 0" in (tmp_path / "big" / "manifest.txt").read_text()
 
 
+RK4_PROBE = "model.kind = random\nmodel.F = 3\nmodel.scale = {scale}\nmethod.family = cmm\ntcf.backend = rk4\ntcf.dt = 1e-2\n"
+DT_MESSAGE = r"tcf.dt: dt = 0.01 is past rk4's stability edge: max\|lambda\| h = .* exceeds 2 sqrt\(2\)"
+
+
+def test_load_config_names_tcf_dt_past_rk4s_stability_edge(tmp_path):
+    # max|lambda| h = 11.7 > 2 sqrt(2): validate read 'drift: FAIL ... inf' (exit 2), run stopped in estimate_tcf
+    with pytest.raises(ConfigError, match=f"^{DT_MESSAGE}"):
+        load_config(write_config(tmp_path, RK4_PROBE.format(scale=1000)))
+
+
+@pytest.mark.parametrize("command", ["validate", "run"])
+def test_validate_and_run_reject_tcf_dt_past_rk4s_stability_edge_alike(tmp_path, capsys, command):
+    path = write_config(tmp_path, RK4_PROBE.format(scale=1000))
+    assert main([command, str(path), "--out", str(tmp_path / "out")]) == 1
+    assert re.fullmatch(f"config error: {DT_MESSAGE} = 2.828; dt must be at most 0.002415\n", capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_stable_rk4_step_still_loads_and_passes_its_drift_line(tmp_path, capsys):
+    path = write_config(tmp_path, RK4_PROBE.format(scale=1))
+    cfg = load_config(path)
+    assert (cfg.backend, cfg.dt) == ("rk4", 1e-2)
+    assert main(["validate", str(path)]) == 0
+    assert "validation drift: pass (backend=rk4" in capsys.readouterr().out
+
+
 def test_load_config_model_file(tmp_path):
     H = build_hamiltonian(ModelSpec.ladder(3))
     hpath = tmp_path / "h.txt"
