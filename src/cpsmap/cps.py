@@ -25,6 +25,7 @@ expectation under the uniform probability measure, i.e. the measure of
 a whole component is F.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -84,13 +85,15 @@ def cmm_signature(F, gamma):
     return StiefelSignature(F, eigenvalues, 1, float(gamma), (1,))
 
 
+@functools.lru_cache(maxsize=8)
 def gdtwa_signature(F):
     """Signature of the discrete-sampling component.
 
     The kernel spectrum is {(1 + c)/2, (1 - c)/2, 0 x (F-2)} with
     c = sqrt(2F - 1).  For F = 2 this is a single sphere at the
     Wigner-like gamma; for F >= 3 it is a two-frame component at
-    gamma = 0 with signs (+1, -1).
+    gamma = 0 with signs (+1, -1).  The signature is frozen and kept
+    per F, at most 8 of them, each under 1 KB at F = 32.
     """
     if F < 2:
         raise ValueError("need at least two states")

@@ -75,6 +75,7 @@ and sin of NumPy's SIMD loops giving an element the same bits at any
 place in an array, which the tests check.
 """
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -680,6 +681,7 @@ def _t_tail(x, dof):
     return 1.0 - inside
 
 
+@functools.lru_cache(maxsize=N_BLOCKS + 1)
 def _moment_limit(B):
     """The |dev| / SE limit of the frame moment check over B nonempty blocks.
 
@@ -687,7 +689,9 @@ def _moment_limit(B):
     of freedom, so the limit is the Student t quantile with B - 1
     degrees of freedom whose two-sided tail is that of MOMENT_SE_LIMIT
     over N_BLOCKS blocks: each entry fails by chance equally rarely at
-    any tcf.n_traj, and fewer blocks make a wider limit.
+    any tcf.n_traj, and fewer blocks make a wider limit.  Each B is
+    bisected once per process: B counts nonempty blocks, so the cache
+    holds at most N_BLOCKS + 1 floats, about 12 KB at any F.
     """
     if B < 2:
         return math.nan
@@ -940,6 +944,30 @@ def _focused_plan(req, F, idxs, U):
     return _Plan(sample, _focus_mean(F, (n0, m0), 1.0 + g, g))
 
 
+@functools.lru_cache(maxsize=4)
+def _placement(F, foci):
+    """The read-only (len(foci) (2F - 1), F^2) map from each focus's sums of W [1 | delta | sigma] to sum W (K + gamma I).
+
+    Per focus f, row 0 places gamma I + e_f e_f^dagger; with j the i-th
+    state other than f, row i places delta_j / 2 at (j, f) and (f, j),
+    and row F - 1 + i places sigma_j i/2 at (j, f) and -i/2 at (f, j)
+    (see _discrete_plan).  An entry is 2 (2F - 1) F^2 complex numbers
+    for two foci, 2.1 MB at F = 32, so the 4 entries retain at most
+    8.3 MB.
+    """
+    gamma = gdtwa_signature(F).gamma
+    place = np.zeros((len(foci), 2 * F - 1, F, F), dtype=np.complex128)
+    for p, f in enumerate(foci):
+        rows, others = np.arange(1, F), [i for i in range(F) if i != f]
+        place[p, 0] = gamma * np.eye(F)
+        place[p, 0, f, f] += 1.0
+        place[p, rows, others, f] = place[p, rows, f, others] = 0.5
+        place[p, rows + F - 1, others, f], place[p, rows + F - 1, f, others] = 0.5j, -0.5j
+    place = place.reshape(-1, F * F)
+    place.flags.writeable = False
+    return place
+
+
 def _discrete_plan(req, F, idxs, U):
     """dtwa and gdtwa: uniform draws from the discrete point sets, as block moments in closed form.
 
@@ -957,16 +985,9 @@ def _discrete_plan(req, F, idxs, U):
     """
     n0, m0 = idxs[0][:2]
     gamma = gdtwa_signature(F).gamma
-    foci, bits = list(dict.fromkeys((n0, m0))), 2 * (F - 1)
+    foci, bits = tuple(dict.fromkeys((n0, m0))), 2 * (F - 1)
     shifts = np.arange(bits - 1, -1, -1, dtype=np.uint64)[:, None, None]
-    place = np.zeros((len(foci), 2 * F - 1, F, F), dtype=np.complex128)
-    for p, f in enumerate(foci):
-        rows, others = np.arange(1, F), [i for i in range(F) if i != f]
-        place[p, 0] = gamma * np.eye(F)
-        place[p, 0, f, f] += 1.0
-        place[p, rows, others, f] = place[p, rows, f, others] = 0.5
-        place[p, rows + F - 1, others, f], place[p, rows + F - 1, f, others] = 0.5j, -0.5j
-    place = place.reshape(-1, F * F)
+    place = _placement(F, foci)
     # a row's X = [1 | delta | sigma]; its density weight 2 u_m = delta + i sigma
     # (focus n) or 2 conj(u_n) (focus m) reads the columns of state m or n
     q_m, q_n = m0 - (m0 > n0), n0 - (n0 > m0)

@@ -6,14 +6,18 @@ parallel streams.  block_keys takes the pool that SeedSequence(s)
 mixes from the seed and derives the SFC64 seed words of all blocks
 from it in one vectorized pass of SeedSequence's hash over the spawn
 keys and output words; NumPy's stream-compatibility policy freezes
-that hash.  BlockStreams hands each worker thread one SFC64 generator
-that it re-keys block by block instead of building one per block, with
-the thread's scratch arrays for the block temporaries beside it.
-BlockStreams.bit_draws reads the raw SFC64 words under NumPy's coin
-and power-of-two integer draws, one random_raw read per block, and
-returns those draws without a Generator call.
+that hash.  Each thread keeps one SFC64 generator for its lifetime,
+which every BlockStreams re-keys block by block instead of building
+one per block; so on one thread, one block's draws must finish before
+any other block's draws start, across all BlockStreams objects.  The
+scratch arrays for the block temporaries belong to the BlockStreams
+and its thread, and die with them.  BlockStreams.bit_draws reads the
+raw SFC64 words under NumPy's coin and power-of-two integer draws, one
+random_raw read per block, and returns those draws without a Generator
+call.
 """
 
+import functools
 import math
 import threading
 
@@ -26,6 +30,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # SFC64 seeding (numpy/random/src/sfc64/sfc64.h): the state is the three
 # seed words and a counter of 1, advanced by 12 discarded outputs.
 _WARM_UP = 12
+# Each thread's one SFC64 generator, built on the thread's first draw and re-keyed for every block.
+_THREAD = threading.local()
 
 
 def is_integer(value):
@@ -40,10 +46,22 @@ def check_seed(seed):
     return int(seed)
 
 
+@functools.lru_cache(maxsize=8)
+def _hash_constants(init, mult, start, count):
+    """The read-only (count, 1) uint64 column of SeedSequence's hash constants start, start + 1, ... of (init, mult).
+
+    block_keys asks for 5 or 7 constants per (init, mult) and seed word
+    count; with their array headers the 8 entries retain about 4 KB, at
+    any F.
+    """
+    consts = np.array([init * pow(mult, start + i, 1 << 32) & _MASK32 for i in range(count)], dtype=np.uint64)
+    consts.flags.writeable = False
+    return consts[:, None]
+
+
 def _hashed(words, init, mult, start):
     """SeedSequence's hashmix of the rows of words (uint64 < 2**32), with the hash constants start, start + 1, ... of (init, mult)."""
-    consts = [init * pow(mult, start + i, 1 << 32) & _MASK32 for i in range(len(words) + 1)]
-    consts = np.array(consts, dtype=np.uint64)[:, None]
+    consts = _hash_constants(init, mult, start, len(words) + 1)
     out = (words ^ consts[:-1]) * consts[1:] & _MASK32
     return out ^ out >> 16
 
@@ -75,12 +93,15 @@ def block_keys(seed, n):
 class BlockStreams:
     """The streams of blocks with the given SFC64 starting states (block_keys): item b is block b's.
 
-    Item b is the calling thread's one SFC64 generator, re-keyed to the
-    fresh stream of block b: its starting state, no half-used word, then
-    SFC64's warm-up outputs.  A slice holds the streams of a run of
-    blocks, with the same per-thread generators and scratch arrays;
-    iterating re-keys the one generator block after block, so a block's
-    draws must all be taken before the next block's.
+    Item b is the calling thread's one SFC64 generator, which the thread
+    keeps for its lifetime, re-keyed to the fresh stream of block b: its
+    starting state, no half-used word, then SFC64's warm-up outputs.  A
+    slice holds the streams of a run of blocks, with the same scratch
+    arrays; iterating re-keys the one generator block after block.  Every
+    BlockStreams on a thread re-keys that thread's one generator, so on
+    one thread a block's draws must all be taken before any other block's,
+    of this or any other BlockStreams.  The scratch arrays are kept per
+    BlockStreams and thread, so none outlives the BlockStreams.
     """
 
     def __init__(self, keys, local=None):
@@ -104,7 +125,7 @@ class BlockStreams:
     def __iter__(self):
         for bits in self._rekeyed():
             bits.random_raw(_WARM_UP)
-            yield self._local.gen
+            yield _THREAD.gen
 
     def __getitem__(self, b):
         if isinstance(b, slice):
@@ -134,9 +155,9 @@ class BlockStreams:
 
     def _rekeyed(self):
         """The calling thread's SFC64 bit generator, set in turn to each block's starting state with no half-used word."""
-        gen = getattr(self._local, "gen", None)
+        gen = getattr(_THREAD, "gen", None)
         if gen is None:
-            gen = self._local.gen = np.random.Generator(np.random.SFC64(0))
+            gen = _THREAD.gen = np.random.Generator(np.random.SFC64(0))
         # one state dict for all the blocks, whose inner state words the setter copies
         bits, state = gen.bit_generator, {"bit_generator": "SFC64", "state": {}, "has_uint32": 0, "uinteger": 0}
         for key in self.keys:

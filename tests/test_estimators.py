@@ -4,13 +4,14 @@ import dataclasses
 import itertools
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsmap import dynamics, estimators, kernels, qcore
+from cpsmap import dynamics, estimators, kernels, qcore, streams
 from cpsmap.cps import GammaWeight, gamma_wigner, gdtwa_signature, sample_sphere_batch
 from cpsmap.dynamics import grid_march
 from cpsmap.estimators import (
@@ -647,6 +648,49 @@ def discrete_draw(F, side, rng, nb):
     return (Z, [W], sig.gamma), weights
 
 
+def placement_loop(F, foci):
+    """_discrete_plan's focus placement built as each call once built it, the reference for the cached one."""
+    gamma = gdtwa_signature(F).gamma
+    place = np.zeros((len(foci), 2 * F - 1, F, F), dtype=np.complex128)
+    for p, f in enumerate(foci):
+        rows, others = np.arange(1, F), [i for i in range(F) if i != f]
+        place[p, 0] = gamma * np.eye(F)
+        place[p, 0, f, f] += 1.0
+        place[p, rows, others, f] = place[p, rows, f, others] = 0.5
+        place[p, rows + F - 1, others, f], place[p, rows + F - 1, f, others] = 0.5j, -0.5j
+    return place.reshape(-1, F * F)
+
+
+@pytest.mark.parametrize("F", range(2, 7))
+def test_cached_placement_is_read_only_and_equals_the_per_call_loop(F):
+    for side in itertools.product(range(F), repeat=2):
+        foci = tuple(dict.fromkeys(side))
+        place, want = estimators._placement(F, foci), placement_loop(F, foci)
+        assert place.shape == want.shape and place.tobytes() == want.tobytes(), side
+        with pytest.raises(ValueError):
+            place[0, 0] = 2.0
+        assert place.tobytes() == want.tobytes() and estimators._placement(F, foci) is place
+
+
+def test_a_repeated_gdtwa_call_builds_no_generator_and_misses_no_cache(monkeypatch):
+    # an off-diagonal side with fewer than N_BLOCKS trajectories reaches every cache
+    req = request(random_h(3), MethodSpec.gdtwa(), nmkl=(1, 2, 2, 1), n_traj=50, **SHORT_RK4)
+    caches = (gdtwa_signature, estimators._placement, estimators._moment_limit, streams._hash_constants)
+    first = estimate_tcf(req)
+    misses = [cache.cache_info().misses for cache in caches]
+    built, sfc64 = [], np.random.SFC64
+    monkeypatch.setattr(np.random, "SFC64", lambda *args: built.append(args) or sfc64(*args))
+    second = estimate_tcf(req)
+    assert built == [] and [cache.cache_info().misses for cache in caches] == misses
+    assert second.estimates.tobytes() == first.estimates.tobytes()
+    assert second.standard_errors.tobytes() == first.standard_errors.tobytes()
+    # the count sees the generator a new thread builds
+    worker = threading.Thread(target=estimate_tcf, args=(req,))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(built) == 1
+
+
 def per_trajectory_estimates(req):
     """Oracle of the block driver: every block marched by Z0 @ U_t.T, one grid time at a time.
 
@@ -1207,6 +1251,13 @@ def test_moment_limit_keeps_the_full_block_tail_on_fewer_blocks():
         assert estimators._moment_limit(B) == pytest.approx(stats.t.isf(tail, B - 1), rel=1e-8), B
     assert estimators._moment_limit(N_BLOCKS) == estimators.MOMENT_SE_LIMIT
     assert math.isnan(estimators._moment_limit(1))
+
+
+def test_memoized_moment_limit_equals_the_uncached_bisection():
+    for B in range(2, N_BLOCKS + 1):
+        want = estimators._moment_limit.__wrapped__(B).hex()
+        # the call that may fill the cache, then one that reads it
+        assert estimators._moment_limit(B).hex() == want == estimators._moment_limit(B).hex(), B
 
 
 @pytest.mark.parametrize("family", ["cmm", "wmm", "gdtwa", "triangle_sqc", "ehrenfest", "lambda_point", "triangle_ww", "hill_ww"])

@@ -1,11 +1,14 @@
 """Block streams: the vectorized SeedSequence states and the re-keyed SFC64 generator."""
 
+import sys
 import threading
 
 import numpy as np
 import pytest
 
-from cpsmap.estimators import N_BLOCKS
+from cpsmap.cps import gamma_wigner
+from cpsmap.estimators import N_BLOCKS, MethodSpec, TCFRequest, estimate_tcf
+from cpsmap.models import ModelSpec, build_hamiltonian
 from cpsmap.streams import BlockStreams, block_keys
 
 
@@ -14,16 +17,26 @@ def fresh_stream(seed, b):
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
 
 
-@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**160 + 7])
+# seeds of 1, 2, 3, 4 and 6 32-bit words
+SEEDS = (0, 1, 2**32 - 1, 2**32, 2**64 + 3, 10**30, 2**160 + 7)
+
+
+def spawned_keys(seed):
+    return [np.random.SeedSequence(seed, spawn_key=(b,)).generate_state(3, np.uint64) for b in range(N_BLOCKS)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_block_keys_equal_the_spawned_seed_sequences(seed):
-    want = [
-        np.random.SeedSequence(seed, spawn_key=(b,)).generate_state(3, np.uint64)
-        for b in range(N_BLOCKS)
-    ]
     got = block_keys(seed, N_BLOCKS)
     assert got.dtype == np.uint64 and got.shape == (N_BLOCKS, 4)
-    assert np.array_equal(got[:, :3], want)
+    assert np.array_equal(got[:, :3], spawned_keys(seed))
     assert np.all(got[:, 3] == 1)
+
+
+def test_block_keys_of_seeds_of_every_size_in_turn_keep_their_hash_constants():
+    # the hash constants are kept per seed word count: every size, one after another in one process
+    for seed in (*SEEDS, *reversed(SEEDS), *SEEDS[::2]):
+        assert np.array_equal(block_keys(seed, N_BLOCKS)[:, :3], spawned_keys(seed)), seed
 
 
 STREAM_DRAWS = (
@@ -83,3 +96,69 @@ def test_scratch_arrays_are_kept_per_thread_and_size():
     worker.start()
     worker.join(timeout=10)
     assert not worker.is_alive() and not np.shares_memory(seen[0], streams.scratch("x", (6, 2)))
+
+
+def on_a_fresh_thread(call):
+    """call() run on a new thread, which starts with no generator of its own."""
+    out = []
+    worker = threading.Thread(target=lambda: out.append(call()))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and len(out) == 1
+    return out[0]
+
+
+def assert_same_bits(a, b):
+    for name in ("estimates", "normalization", "standard_errors"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.moment_check == b.moment_check
+
+
+def tcf_request(family, seed, F=3, n_traj=2000):
+    H = build_hamiltonian(ModelSpec.random(F, seed=seed))
+    method = {
+        "cmm": MethodSpec.cmm(gamma_wigner(F)),
+        "gdtwa": MethodSpec.gdtwa(),
+        "ehrenfest": MethodSpec.ehrenfest(),
+        "triangle_sqc": MethodSpec.triangle_sqc(),
+    }[family]
+    return TCFRequest(H, (1, 2), (2, 1), np.linspace(0.0, 1.0, 3), n_traj, seed, method)
+
+
+def test_a_half_used_word_on_the_threads_generator_does_not_reach_the_next_call():
+    # cmm's float32 phases are drawn from 32-bit half words
+    req = tcf_request("cmm", 4801)
+    rng = BlockStreams(block_keys(5, 1))[0]
+    assert BlockStreams(block_keys(6, 2))[1] is rng  # every BlockStreams re-keys the thread's one generator
+    rng.integers(7, size=1, dtype=np.uint32)
+    assert rng.bit_generator.state["has_uint32"]
+    assert_same_bits(estimate_tcf(req), on_a_fresh_thread(lambda: estimate_tcf(req)))
+
+
+def test_concurrent_calls_on_user_threads_equal_sequential_calls():
+    reqs = [tcf_request(family, seed, n_traj=20000) for family, seed in
+            (("cmm", 11), ("gdtwa", 12), ("ehrenfest", 13), ("triangle_sqc", 14), ("gdtwa", 15))]
+    want = [estimate_tcf(req) for req in reqs]
+    got = [[] for _ in reqs]
+    start = threading.Barrier(len(reqs))
+
+    def calls(i):
+        start.wait(timeout=60)
+        got[i].extend(estimate_tcf(reqs[i]) for _ in range(3))
+
+    # more threads than cores, switching often, so the threads' draws interleave
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        workers = [threading.Thread(target=calls, args=(i,)) for i in range(len(reqs))]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(worker.is_alive() for worker in workers)
+    for results, res in zip(got, want):
+        assert len(results) == 3
+        for r in results:
+            assert_same_bits(r, res)
