@@ -18,7 +18,10 @@ and the Monte Carlo samplers: sample_sphere_batch for the sphere, and
 sample_stiefel for any component.  The sphere is drawn in action-angle
 form: sphere_normals draws complex normals as sqrt(E) e^(i theta), E ~
 Exp(1) and theta uniform, and onto_sphere scales each row to the radius
-of its shell.  States are numbered 1..F in public interfaces.
+of its shell.  The estimators' block streams read the phases off their
+raw SFC64 words (streams.float32_uniforms), bit for bit the phases of
+Generator.random, which sample_sphere_batch, taking any Generator,
+keeps.  States are numbered 1..F in public interfaces.
 
 Measure convention: integrals over one component are F times the
 expectation under the uniform probability measure, i.e. the measure of
@@ -30,6 +33,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .streams import float32_uniforms
 
 
 def gamma_wigner(F):
@@ -172,23 +177,31 @@ def sample_sphere_batch(F, gamma, rng, size):
 # 8 entries take its scalar path, which does not).  Read-only, so pool threads share it safely.
 _AVX_RESET = np.zeros(64)
 _AVX_RESET.flags.writeable = False
+_TWO_PI = np.float32(2.0 * np.pi)
 
 
-def sphere_normals(rng, w, actions=None, phases=None):
+def sphere_normals(rng, w, actions=None, phases=None, raw=False):
     """Fill complex rows w (rows, F), maybe a slice, with complex normals in polar form sqrt(E) e^(i theta).
 
     The uniform measure of the sphere splits into actions, uniform on the
     simplex, and uniform angles, so the rows draw all actions E ~ Exp(1)
     (float64), then all phases theta = 2 pi u from float32 uniforms u,
     whose cos and sin take NumPy's float32 SIMD loops into float32
-    temporaries.  actions, a float64 (rows, F) array or None, holds E
-    and then sqrt(E), and phases, a float32 one or None, holds theta.
+    temporaries.  With raw, rng is a re-keyed block stream with no half
+    word pending, and the phases are read off its raw words
+    (streams.float32_uniforms), bit for bit the phases rng.random would
+    give; otherwise rng is any Generator.  actions, a float64 (rows, F)
+    array or None, holds E and then sqrt(E), and phases, a float32 one or
+    None, holds theta.
     """
     np.add(_AVX_RESET, _AVX_RESET)  # a fresh result: clears the vector state a gemm left (see _AVX_RESET)
     root = rng.standard_exponential(w.shape, out=actions)
     np.sqrt(root, out=root)
-    theta = rng.random(w.shape, dtype=np.float32, out=phases)
-    theta *= np.float32(2.0 * np.pi)
+    if raw:
+        theta = float32_uniforms(rng, w.shape, _TWO_PI, out=phases)
+    else:
+        theta = rng.random(w.shape, dtype=np.float32, out=phases)
+        theta *= _TWO_PI
     np.multiply(root, np.cos(theta), out=w.real)
     np.multiply(root, np.sin(theta), out=w.imag)
 
@@ -197,17 +210,24 @@ def onto_sphere(w, F, gamma):
     """Scale rows w (rows, F), C-contiguous, onto the sphere at gamma (one, or one per row) in place; returns w.
 
     The norms and the scale are formed on the float view of w, with no
-    complex temporary.
+    complex temporary; a scalar gamma is checked and its radius formed in
+    Python floats, with the bits of the float64 array arithmetic.
     """
-    gamma = np.asarray(gamma, dtype=np.float64)
-    bad = gamma[~(gamma > -1.0 / F)]
-    if bad.size:
-        raise ValueError(f"gamma={float(bad[0])} must exceed -1/F = {-1.0 / F}")
+    if np.ndim(gamma):
+        gamma = np.asarray(gamma, dtype=np.float64)
+        bad = gamma[~(gamma > -1.0 / F)]
+        if bad.size:
+            raise ValueError(f"gamma={float(bad[0])} must exceed -1/F = {-1.0 / F}")
+        radius = np.sqrt(2.0 * (1.0 + F * gamma))[..., None]
+    else:
+        if not gamma > -1.0 / F:
+            raise ValueError(f"gamma={float(gamma)} must exceed -1/F = {-1.0 / F}")
+        radius = math.sqrt(2.0 * (1.0 + F * float(gamma)))
     v = w.view(np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
     # A zero draw has probability zero; guard against it anyway.
     norms[norms == 0.0] = 1.0
-    v *= np.sqrt(2.0 * (1.0 + F * gamma))[..., None] / norms
+    v *= radius / norms
     return w
 
 

@@ -45,9 +45,10 @@ table (_PLANS).  The cc families share one plan: each is a signed comb
 of sphere terms (_comb), whose exact mapping identity _prepare checks
 in closed form, drawn by the one sphere sampler (_comb_density), which
 draws each block's frames in polar form (cps.sphere_normals): float64
-exponential actions and float32 phases.  Every density-side kernel
-entry comes from kernels.kernel_entries; every window is one batched
-function of the actions (..., F) in this module.
+exponential actions and float32 phases, read off the block stream's raw
+words as its last draw (streams.float32_uniforms).  Every density-side
+kernel entry comes from kernels.kernel_entries; every window is one
+batched function of the actions (..., F) in this module.
 
 Each ensemble also checks its own sampler: every group returns each
 block's frame moment sum_i w z_i z_i^dagger at t = 0 (for dtwa and
@@ -522,16 +523,17 @@ def _draw_group(rngs, nb, draw=None, F=None):
     then draws its sphere normals into the rows of one scratch array,
     which comes back last (see _comb_density).
     """
-    w = None if F is None else rngs.scratch("frames", (len(rngs) * nb, F))
+    if F is not None:
+        w = rngs.scratch("frames", (len(rngs) * nb, F))
+        actions, phases = rngs.scratch("actions", (nb, F), np.float64), rngs.scratch("phases", (nb, F), np.float32)
     parts = []
     for i, rng in enumerate(rngs):
         if draw is not None:
             parts.append(draw(rng, nb))
-        if w is not None:
-            sphere_normals(rng, w[i * nb:(i + 1) * nb], rngs.scratch("actions", (nb, F), np.float64),
-                           rngs.scratch("phases", (nb, F), np.float32))
+        if F is not None:
+            sphere_normals(rng, w[i * nb:(i + 1) * nb], actions, phases, raw=True)
     items = [np.concatenate(p) for p in zip(*parts)]
-    return items if w is None else items + [w]
+    return items if F is None else items + [w]
 
 
 def _frame_moments(plan):
@@ -559,7 +561,7 @@ def _frame_moments(plan):
             if not out:
                 out.append(w * (At @ vAc))
             np.multiply((W * w).reshape(nblk, nb, 1), vAc, out=vAc)
-            shifts = np.sum((W[:, None] * S).reshape(nblk, nb, -1), axis=1)
+            shifts = (W[:, None] * S).reshape(nblk, nb, -1).sum(axis=1)
             out += [At @ vAc, shifts[..., None]]
         return out
 

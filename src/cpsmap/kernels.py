@@ -52,12 +52,12 @@ def kernel_entries(Z, row=None, col=None, gamma=0.0, weights=0.5, Gamma=None):
     entries themselves (a scalar, one value per leading index, or the
     (F, F) matrix).
     """
-    Zs = np.swapaxes(Z, -1, -2)
     full = row is None
     if full:
+        Zs = np.swapaxes(Z, -1, -2)
         a, b = Zs[..., :, None, :], Zs[..., None, :, :]
     else:
-        a, b = Zs[..., row, :], Zs[..., col, :]
+        a, b = Z[..., row], Z[..., col]
     val = _frame_sum(weights * a * np.conj(b))
     if Gamma is not None:
         return val - Gamma

@@ -14,7 +14,8 @@ scratch arrays for the block temporaries belong to the BlockStreams
 and its thread, and die with them.  BlockStreams.bit_draws reads the
 raw SFC64 words under NumPy's coin and power-of-two integer draws, one
 random_raw read per block, and returns those draws without a Generator
-call.
+call; float32_uniforms reads a block's float32 random() draws off the
+raw words of its stream in the same way, one random_raw read per call.
 """
 
 import functools
@@ -30,6 +31,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # SFC64 seeding (numpy/random/src/sfc64/sfc64.h): the state is the three
 # seed words and a counter of 1, advanced by 12 discarded outputs.
 _WARM_UP = 12
+# NumPy's float32 random() is (next_uint32 >> 8) times this.
+_F32_ULP = np.float32(2.0**-24)
 # Each thread's one SFC64 generator, built on the thread's first draw and re-keyed for every block.
 _THREAD = threading.local()
 
@@ -64,6 +67,28 @@ def _hashed(words, init, mult, start):
     consts = _hash_constants(init, mult, start, len(words) + 1)
     out = (words ^ consts[:-1]) * consts[1:] & _MASK32
     return out ^ out >> 16
+
+
+def float32_uniforms(rng, shape, scale, out=None):
+    """scale * rng.random(shape, dtype=np.float32), bit for bit, from one random_raw read of rng's SFC64 stream.
+
+    NumPy's float32 random() is (next_uint32 >> 8) 2**-24, and SFC64's
+    next_uint32 hands out a raw word's low half, then its high half; so
+    the n draws are the halves of ceil(n / 2) raw words, low half first,
+    shifted right by 8 and multiplied once by the float32 scale * 2**-24,
+    whose one rounding is the rounding of scale * u, since the power of
+    two commutes with rounding.  Valid only while rng holds no pending
+    half word: on a re-keyed block stream (BlockStreams) whose earlier
+    draws all take whole words, as float64 uniforms, choice(k, p=...)
+    and the ziggurat exponentials do.  An odd n leaves the last word's
+    high half unread, which random() would keep pending for the next
+    draw, so the uniforms must be the block's last draw.  scale is a
+    float32 and out, if given, a float32 array of this shape.
+    """
+    n = math.prod(shape)
+    halves = rng.bit_generator.random_raw(-(-n // 2)).astype("<u8", copy=False).view("<u4")[:n]
+    halves >>= 8
+    return np.multiply(halves.reshape(shape), scale * _F32_ULP, out=out, dtype=np.float32)
 
 
 def block_keys(seed, n):

@@ -114,18 +114,24 @@ def test_sphere_constraint_exact():
         assert abs(np.sum(0.5 * np.abs(z) ** 2) - (1.0 + F * gamma)) < 1e-12
 
 
-@pytest.mark.parametrize("F", [1, 3, 8])
-def test_sphere_batch_keeps_the_bits_of_the_one_line_draw(F):
+# sample_sphere_batch takes any Generator, and MT19937's raw words are 32 bits wide, so it draws no raw-word
+# phases; PCG64 (default_rng's bit generator) keeps the ids of F alone
+@pytest.mark.parametrize(
+    "F, bit_generator",
+    [pytest.param(F, bits, id=str(F) if bits is np.random.PCG64 else f"{F}-{bits.__name__}")
+     for F in (1, 3, 8) for bits in (np.random.PCG64, np.random.MT19937, np.random.Philox, np.random.SFC64)],
+)
+def test_sphere_batch_keeps_the_bits_of_the_one_line_draw(F, bit_generator):
     # reference: the polar draw as one expression, with its temporaries:
     # the actions, then the float32 phases, then the float64 norm
     for gamma in (0.25, np.linspace(0.0, 1.0, 500)):
-        rng = np.random.default_rng(F)
+        rng = np.random.Generator(bit_generator(F))
         root = np.sqrt(rng.standard_exponential((500, F)))
         theta = rng.random((500, F), dtype=np.float32) * np.float32(2.0 * np.pi)
         w = root * np.cos(theta) + 1j * (root * np.sin(theta))
         norms = np.sqrt(np.einsum("ij,ij->i", w.view(np.float64), w.view(np.float64)))[:, None]
         want = w * (np.sqrt(2.0 * (1.0 + F * gamma))[..., None] / norms)
-        got = sample_sphere_batch(F, gamma, np.random.default_rng(F), 500)
+        got = sample_sphere_batch(F, gamma, np.random.Generator(bit_generator(F)), 500)
         assert got.tobytes() == want.tobytes()
 
 

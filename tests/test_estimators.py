@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpsmap import dynamics, estimators, kernels, qcore, streams
+from cpsmap import cps, dynamics, estimators, kernels, qcore, streams
 from cpsmap.cps import GammaWeight, gamma_wigner, gdtwa_signature, sample_sphere_batch
 from cpsmap.dynamics import grid_march
 from cpsmap.estimators import (
@@ -620,6 +620,41 @@ def test_sphere_estimates_do_not_depend_on_the_grouping(case, monkeypatch):
             assert res.standard_errors.tobytes() == runs[0].standard_errors.tobytes(), nmkl
             assert res.normalization.tobytes() == runs[0].normalization.tobytes(), nmkl
             assert res.moment_check == runs[0].moment_check, nmkl
+
+
+RAW_PHASE_CASES = {
+    "cmm": ((3, 5), lambda F: MethodSpec.cmm(gamma_wigner(F)), ((1, 2, 2, 1), (2, 2, 1, 1))),
+    "wmm": ((3, 5), lambda F: MethodSpec.wmm(signed_comb(F)), ((1, 2, 2, 1), (2, 2, 3, 3))),
+    "cmmcv": ((3, 5), lambda F: MethodSpec.cmmcv(exact_cmmcv_comb(F)), ((1, 2, 2, 1), (3, 3, 1, 1))),
+    "cornered_simplex": ((3, 5), lambda F: MethodSpec.cornered_simplex(0.5), ((1, 2, 2, 2), (3, 3, 1, 1))),
+    "triangle_f2_single": ((2,), lambda F: MethodSpec.triangle_f2_single(0.3), ((1, 1, 2, 2), (2, 2, 2, 2))),
+    "hill_ww": ((3, 5), lambda F: MethodSpec.hill_ww(0.2), ((1, 1, 2, 2), (3, 3, 3, 3))),
+}
+
+
+def random_phases(rng, shape, scale, out=None):
+    """The sphere's phases from Generator.random, as sphere_normals took them before the raw-word reader."""
+    return np.multiply(rng.random(shape, dtype=np.float32, out=out), scale, out=out)
+
+
+@pytest.mark.parametrize("case", list(RAW_PHASE_CASES))
+def test_sphere_plans_read_the_phases_of_generator_random_off_the_raw_words(case, monkeypatch):
+    # n_traj 7, 150 and 5037 give blocks of odd rows x F, whose last raw word keeps a half unread
+    Fs, make, pairs = RAW_PHASE_CASES[case]
+    for F, n_traj, threads in itertools.product(Fs, (7, 150, 5037), (1, 2)):
+        H, method = random_h(F, seed=29), make(F)
+        reqs = [request(H, method, nmkl=p, n_traj=n_traj, seed=31, t_grid=np.linspace(0.0, 2.0, 5),
+                        n_threads=threads) for p in pairs]
+        raw = estimate_tcf(reqs)
+        monkeypatch.setattr(cps, "float32_uniforms", random_phases)
+        drawn = estimate_tcf(reqs)
+        monkeypatch.undo()
+        for got, want in zip(raw, drawn):
+            where = (F, n_traj, threads)
+            for field in ("estimates", "standard_errors", "normalization"):
+                assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (field, where)
+            assert np.float64(got.min_numerator).tobytes() == np.float64(want.min_numerator).tobytes(), where
+            assert np.array(got.moment_check).tobytes() == np.array(want.moment_check).tobytes(), where
 
 
 def fresh_stream(seed, b):

@@ -9,7 +9,7 @@ import pytest
 from cpsmap.cps import gamma_wigner
 from cpsmap.estimators import N_BLOCKS, MethodSpec, TCFRequest, estimate_tcf
 from cpsmap.models import ModelSpec, build_hamiltonian
-from cpsmap.streams import BlockStreams, block_keys
+from cpsmap.streams import BlockStreams, block_keys, float32_uniforms
 
 
 def fresh_stream(seed, b):
@@ -84,6 +84,43 @@ def test_bit_draws_are_the_generators_own_draws(F):
                     assert np.array_equal(got_coins[b], rng.random(nb) < 0.5), (nb, b)
                 want = rng.integers(4 ** (F - 1), size=nb)
                 assert np.array_equal(got[b].astype(np.uint64), want.astype(np.uint64)), (nb, b, coins)
+
+
+# what a block stream may draw before its float32 uniforms: nothing, whole-word exponentials, float64 choice
+BEFORE_UNIFORMS = {
+    "rekeyed": lambda rng: None,
+    "exponential": lambda rng: rng.standard_exponential(5),
+    "choice": lambda rng: rng.choice(3, size=6, p=[0.2, 0.5, 0.3]),
+}
+
+
+@pytest.mark.parametrize("before", list(BEFORE_UNIFORMS))
+@pytest.mark.parametrize("n", [1, 2, 7, 15_999, 16_000])
+def test_float32_uniforms_are_the_generators_own_draws(n, before):
+    # a change to NumPy's float32 random() or to SFC64's half words must fail here
+    seed, scale = 41, np.float32(2.0 * np.pi)
+    streams = BlockStreams(block_keys(seed, 2))
+    for b in range(2):
+        rng = streams[b]
+        BEFORE_UNIFORMS[before](rng)
+        got = float32_uniforms(rng, (n,), np.float32(1.0))
+        want_rng = fresh_stream(seed, b)
+        BEFORE_UNIFORMS[before](want_rng)
+        want = want_rng.random(n, dtype=np.float32)
+        assert got.dtype == np.float32 and got.tobytes() == want.tobytes(), (n, before, b)
+        if n % 2 == 0:
+            # the same state words and no half word pending (random() leaves a stale one in uinteger), so the same next draws
+            state, want_state = rng.bit_generator.state, want_rng.bit_generator.state
+            assert np.array_equal(state["state"]["state"], want_state["state"]["state"]), (n, before, b)
+            assert state["has_uint32"] == want_state["has_uint32"] == 0, (n, before, b)
+            for draw in STREAM_DRAWS:
+                assert np.array_equal(draw(rng), draw(want_rng)), (n, before, b)
+        # a float32 scale and an out array of any shape, as the sphere's phases take them
+        rng = streams[b]
+        BEFORE_UNIFORMS[before](rng)
+        out = np.empty((n, 1), dtype=np.float32)
+        assert float32_uniforms(rng, out.shape, scale, out=out) is out
+        assert out.tobytes() == (want * scale).tobytes(), (n, before, b)
 
 
 def test_scratch_arrays_are_kept_per_thread_and_size():
