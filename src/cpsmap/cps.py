@@ -210,24 +210,17 @@ def onto_sphere(w, F, gamma):
     """Scale rows w (rows, F), C-contiguous, onto the sphere at gamma (one, or one per row) in place; returns w.
 
     The norms and the scale are formed on the float view of w, with no
-    complex temporary; a scalar gamma is checked and its radius formed in
-    Python floats, with the bits of the float64 array arithmetic.
+    complex temporary.
     """
-    if np.ndim(gamma):
-        gamma = np.asarray(gamma, dtype=np.float64)
-        bad = gamma[~(gamma > -1.0 / F)]
-        if bad.size:
-            raise ValueError(f"gamma={float(bad[0])} must exceed -1/F = {-1.0 / F}")
-        radius = np.sqrt(2.0 * (1.0 + F * gamma))[..., None]
-    else:
-        if not gamma > -1.0 / F:
-            raise ValueError(f"gamma={float(gamma)} must exceed -1/F = {-1.0 / F}")
-        radius = math.sqrt(2.0 * (1.0 + F * float(gamma)))
+    gamma = np.asarray(gamma, dtype=np.float64)
+    bad = gamma[~(gamma > -1.0 / F)]
+    if bad.size:
+        raise ValueError(f"gamma={float(bad[0])} must exceed -1/F = {-1.0 / F}")
     v = w.view(np.float64)
     norms = np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
     # A zero draw has probability zero; guard against it anyway.
     norms[norms == 0.0] = 1.0
-    v *= radius / norms
+    v *= np.sqrt(2.0 * (1.0 + F * gamma))[..., None] / norms
     return w
 
 

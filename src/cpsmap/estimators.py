@@ -523,17 +523,16 @@ def _draw_group(rngs, nb, draw=None, F=None):
     then draws its sphere normals into the rows of one scratch array,
     which comes back last (see _comb_density).
     """
-    if F is not None:
-        w = rngs.scratch("frames", (len(rngs) * nb, F))
-        actions, phases = rngs.scratch("actions", (nb, F), np.float64), rngs.scratch("phases", (nb, F), np.float32)
+    w = None if F is None else rngs.scratch("frames", (len(rngs) * nb, F))
     parts = []
     for i, rng in enumerate(rngs):
         if draw is not None:
             parts.append(draw(rng, nb))
-        if F is not None:
-            sphere_normals(rng, w[i * nb:(i + 1) * nb], actions, phases, raw=True)
+        if w is not None:
+            sphere_normals(rng, w[i * nb:(i + 1) * nb], rngs.scratch("actions", (nb, F), np.float64),
+                           rngs.scratch("phases", (nb, F), np.float32), raw=True)
     items = [np.concatenate(p) for p in zip(*parts)]
-    return items if F is None else items + [w]
+    return items if w is None else items + [w]
 
 
 def _frame_moments(plan):
