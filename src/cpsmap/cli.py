@@ -44,8 +44,8 @@ from . import __version__
 from .cps import GammaWeight, gamma_wigner, sample_sphere_batch  # noqa: F401
 from .dynamics import check_rk4_edge, rk4_log_factors
 from .estimators import (
-    COMB_FAMILIES, EXACT_MAPPING_TOL, ZERO_VARIANCE_TOL, MethodSpec, TCFRequest, _check_scale, _comb, _mapping_miss,
-    estimate_tcf,
+    COMB_FAMILIES, EXACT_MAPPING_TOL, ZERO_VARIANCE_TOL, MethodSpec, TCFRequest, _check_scale, _comb, _indices,
+    _mapping_miss, _prepare, estimate_tcf,
 )
 from .models import ModelSpec, build_hamiltonian
 from .qcore import exact_tcf, hermitian_eig
@@ -289,16 +289,15 @@ def _build_method(entries, F):
     family = entries.pop("method.family", None)
     if family is None:
         raise ConfigError("method.family: required")
-    # Every method key is consumed, whether or not the family reads it.
-    given = {key: entries.pop(key, None) for key in _PARAM_PARSERS}
     if family not in _METHODS:
         raise ConfigError(f"method.family: unknown family {family!r}")
+    # only the family's own key is consumed: any other method key is an unknown key
     make, key, default = _METHODS[family]
-    raw = given.get(key)
-    if key is not None and raw is None and default is None:
-        raise ConfigError(f"{key}: required for {family}")
     if key is None:
         return make(), f"{family}()"
+    raw = entries.pop(key, None)
+    if raw is None and default is None:
+        raise ConfigError(f"{key}: required for {family}")
     try:
         arg = default(F) if raw is None else _PARAM_PARSERS[key](raw, F)
         spec = make(arg)
@@ -368,6 +367,17 @@ def load_config(path, overrides=None):
             check_rk4_edge(hermitian_eig(H, tol=None).eigenvalues, cfg.t_grid(), cfg.dt)
         except ValueError as exc:
             raise ConfigError(f"tcf.dt: {exc}") from None
+    # estimate_tcf's request checks, under the config key each concerns
+    requests = [_request(cfg, H, pair, cfg.n_traj) for pair in cfg.pairs]
+    try:
+        _prepare(requests[0])
+    except ValueError as exc:
+        raise ConfigError(f"method.family: {exc}") from None
+    try:
+        for req in requests:
+            _indices(req, F)
+    except ValueError as exc:
+        raise ConfigError(f"tcf.pairs: {exc}") from None
     if "out" in overrides:
         cfg.out_dir = Path(overrides["out"])
     return cfg

@@ -29,26 +29,27 @@ estimate_tcf takes one request or a list of requests that differ only
 in their index pairs, and splits the list into ensembles: the requests
 that draw the same frames (every request of a cc or cx family, the
 requests with one density side (n, m) of an xc or ww family).  Each
-ensemble is one plan: its sampler draws a block once, on one component
-of the phase space (a sphere, or the gdtwa two-frame Stiefel
-component), together with the density-side weights of every density
-side it serves, and the maps U of dynamics.grid_march, built once per
-call by either backend, carry the block to every grid time at once: a
-covariant observable kernel (cc and xc), described by its frame weight
-and shift, as one F x F moment matrix per block and density side
-carried as U M U^dagger (one einsum per request over all blocks, after
-the groups), formed from the frames (nb, F) the plan draws or, for
-dtwa and gdtwa, in closed form from the drawn signs; a window (cx and
-ww) by one gemm of the frames with the map rows it reads (per bounded
-chunk of grid times).  Plans are looked up by family in one
-table (_PLANS).  The cc families share one plan: each is a signed comb
-of sphere terms (_comb), whose exact mapping identity _prepare checks
-in closed form, drawn by the one sphere sampler (_comb_density), which
-draws each block's frames in polar form (cps.sphere_normals): float64
-exponential actions and float32 phases, read off the block stream's raw
-words as its last draw (streams.float32_uniforms).  Every density-side
-kernel entry comes from kernels.kernel_entries; every window is one
-batched function of the actions (..., F) in this module.
+ensemble is one plan: its group draws a run of blocks once, on one
+component of the phase space (a sphere, or the gdtwa two-frame Stiefel
+component), and returns their frame moments and outputs; the driver
+joins the outputs in block order and applies the plan's finish.  The
+maps U of dynamics.grid_march, built once per call by either backend,
+carry the blocks to every grid time at once: a covariant observable
+kernel (cc and xc) as one F x F moment matrix per block and density
+side, which the group forms from its frames (_frame_moments) or, for
+dtwa and gdtwa, in closed form from the drawn signs, and the finish
+carries as U M U^dagger (_carry, one einsum per request); a window (cx
+and ww) by one gemm of the frames with the map rows it reads, per
+bounded chunk of grid times, in the group (_window_group).  Plans are
+looked up by family in one table (_PLANS).  The cc families share one
+plan (_comb_plan): each is a signed comb of sphere terms (_comb), whose
+exact mapping identity the plan checks in closed form when it is built,
+drawn by the one sphere sampler (_comb_density), which draws each
+block's frames in polar form (cps.sphere_normals): float64 exponential
+actions and float32 phases, read off the block stream's raw words as
+its last draw (streams.float32_uniforms).  Every density-side kernel
+entry comes from kernels.kernel_entries; every window is one batched
+function of the actions (..., F) in this module.
 
 Each ensemble also checks its own sampler: every group returns each
 block's frame moment sum_i w z_i z_i^dagger at t = 0 (for dtwa and
@@ -140,8 +141,25 @@ class MethodSpec:
     obs_gamma: str = "shell"
 
     def __post_init__(self):
-        if self.gamma is not None and not math.isfinite(self.gamma):
-            raise ValueError(f"{self.family} gamma must be finite, got {self.gamma!r}")
+        fam, g = self.family, self.gamma
+        if fam not in _PLANS:
+            raise ValueError(f"unknown method family {fam!r}")
+        if g is not None and not math.isfinite(g):
+            raise ValueError(f"{fam} gamma must be finite, got {g!r}")
+        if fam in ("cmm", "cornered_simplex", "lambda_point", "triangle_f2_single", "hill_ww") and g is None:
+            raise ValueError(f"{fam} needs a gamma")
+        if fam in ("cornered_simplex", "lambda_point") and not g > 0:
+            raise ValueError(f"{fam} requires gamma > 0, got {g!r}")
+        if fam in ("triangle_f2_single", "hill_ww") and not g >= 0:
+            raise ValueError(f"{fam} requires gamma >= 0, got {g!r}")
+        if fam == "wmm" and not isinstance(self.weight, GammaWeight):
+            raise ValueError(f"wmm needs a GammaWeight, got {self.weight!r}")
+        if fam == "cmmcv" and not self.components:
+            raise ValueError("cmmcv needs at least one (weight, Gamma) component")
+        for i, (w, G) in enumerate(self.components if fam == "cmmcv" else (), start=1):
+            if not math.isfinite(w):
+                raise ValueError(f"cmmcv component {i} has a non-finite weight {w!r}")
+            require_hermitian(G, name="cmmcv Gamma")
         if self.obs_gamma not in ("shell", "third"):
             raise ValueError("obs_gamma must be 'shell' or 'third'")
 
@@ -151,27 +169,15 @@ class MethodSpec:
 
     @staticmethod
     def wmm(weight):
-        if not isinstance(weight, GammaWeight):
-            raise ValueError("wmm needs a GammaWeight")
         return MethodSpec("wmm", weight=weight)
 
     @staticmethod
     def cmmcv(components):
-        comps = []
-        for i, (w, G) in enumerate(components, start=1):
-            w, G = float(w), np.asarray(G, dtype=np.complex128)
-            if not math.isfinite(w):
-                raise ValueError(f"cmmcv component {i} has a non-finite weight {w!r}")
-            require_hermitian(G, name="cmmcv Gamma")
-            comps.append((w, G))
-        if not comps:
-            raise ValueError("cmmcv needs at least one (weight, Gamma) component")
-        return MethodSpec("cmmcv", components=tuple(comps))
+        comps = tuple((float(w), np.asarray(G, dtype=np.complex128)) for w, G in components)
+        return MethodSpec("cmmcv", components=comps)
 
     @staticmethod
     def cornered_simplex(gamma):
-        if gamma <= 0:
-            raise ValueError("cornered_simplex requires gamma > 0")
         return MethodSpec("cornered_simplex", gamma=float(gamma))
 
     @staticmethod
@@ -184,8 +190,6 @@ class MethodSpec:
 
     @staticmethod
     def lambda_point(gamma):
-        if gamma <= 0:
-            raise ValueError("lambda_point requires gamma > 0")
         return MethodSpec("lambda_point", gamma=float(gamma))
 
     @staticmethod
@@ -202,14 +206,10 @@ class MethodSpec:
 
     @staticmethod
     def triangle_f2_single(gamma=0.0):
-        if gamma < 0:
-            raise ValueError("triangle_f2_single requires gamma >= 0")
         return MethodSpec("triangle_f2_single", gamma=float(gamma))
 
     @staticmethod
     def hill_ww(gamma=0.0):
-        if gamma < 0:
-            raise ValueError("hill_ww requires gamma >= 0")
         return MethodSpec("hill_ww", gamma=float(gamma))
 
 
@@ -350,8 +350,6 @@ def _check_scale(H, t_last, name):
 def _prepare(req):
     """Check the fields a call's requests share, on its first request; return its H, F and t_grid."""
     fam = req.method.family
-    if fam not in _PLANS:
-        raise ValueError(f"unknown method family {fam!r}")
     H = require_hermitian(req.hamiltonian, name="hamiltonian")
     F = H.shape[0]
     for name in ("n_traj", "n_threads"):
@@ -375,13 +373,6 @@ def _prepare(req):
         if not req.method.gamma >= low:
             raise ValueError(f"cornered_simplex gamma = {req.method.gamma!r} overflows its window normalization "
                              f"1 / (F (F gamma / (1 + F gamma))^(F-1)) at F = {F}; it must be at least {low:.4g}")
-    if fam in COMB_FAMILIES:
-        miss, where = _mapping_miss(F, _comb(req.method, F))
-        if not miss <= EXACT_MAPPING_TOL:
-            raise ValueError(
-                f"{fam} comb violates the exact mapping condition: F sum_c w_c E_c[K_mn K_lk] misses "
-                f"delta_mk delta_nl by {miss:.3e} at (m, n, l, k) = {where}, tolerance {EXACT_MAPPING_TOL:.0e}"
-            )
     if fam == "dtwa" and F != 2:
         raise ValueError("dtwa is the F=2 method; use gdtwa for F >= 3")
     if fam == "gdtwa" and F < 2:
@@ -460,37 +451,26 @@ def _mapping_miss(F, terms):
 
 
 class _Plan(NamedTuple):
-    """One ensemble's sampler and the data of its requests' observables.
+    """One ensemble's group of blocks and what the driver does with the groups' outputs.
 
     An ensemble is the requests of one call that draw the same frames;
     idxs lists their 0-based (n, m, k, l) and _sides(idxs) their
-    distinct density sides (n, m).  sample(rngs, nb) draws a group of
+    distinct density sides (n, m).  group(rngs, nb) draws a group of
     len(rngs) blocks of nb trajectories, each block from its own stream
-    of rngs in block order, and returns the group's frames Z0
-    (len(rngs) * nb, F), block after block, once for all requests.
+    of rngs in block order, once for all requests, and returns each
+    block's frame moment (len(rngs), F, F), then its outputs, each with
+    one row per block.  finish(outputs) turns the outputs, joined in
+    block order over the nonempty blocks, into their block sums
+    (blocks, n_times, columns); without a finish the first output is
+    the block sums.  A kernel plan's group is _frame_moments or
+    closed-form moments and its finish _carry; a window plan's group is
+    _window_group.
 
-    A kernel plan (window None) gives request (n, m, k, l) the
-    observable kernel w z z^dagger - shift read at (l, k), with the one
-    frame weight w = weights.  Its sample returns (Z0, Ws, S): one
-    density weight vector W per density side in Ws, and shift
-    coordinates S (broadcastable to (rows, C)).  Trajectory i's shift at
-    time t has (l, k) entry sum_c S_ic shift_lk(l, k)[t, c]; shift_lk
-    None means the one column delta_lk of a gamma*I shift.
-    moments(rngs, nb) gives the group's block frame moments, then each
-    density side's block moments M and shifts, which _carry carries (see
-    _frame_moments, which forms them from the frames of sample when
-    moments is None); a plan that has them in closed form gives moments
-    and no sample.
-
-    A window plan's sample returns (Z0, aux).  rows lists the sets of
-    map rows it marches, and window(E, aux, j) turns the actions E
-    (blocks, nb, n_times, len(rows[j])) of row set j into that set's
-    block sums (blocks, n_times, w_j); the sets' sums stand side by
-    side, width columns in all.  columns[i] is request i's column; a ww
-    plan (columns None) holds the numerators of every state and, last,
-    the smallest numerator.  measure is the phase space measure factor
-    of a ww plan, whose block sums are real, and None for the complex
-    block means of the other families.
+    The block sums hold one column per request in request order, except
+    a ww plan's: the numerators of every state and, last, the smallest
+    numerator.  measure is the phase space measure factor of a ww plan,
+    whose block sums are real, and None for the complex block means of
+    the other families.
 
     mean is the closed-form expectation (F, F) of one trajectory's frame
     moment w z z^dagger (w = 1/2 for a window plan, K + gamma I of the
@@ -498,16 +478,10 @@ class _Plan(NamedTuple):
     are checked against (MomentCheck).
     """
 
-    sample: Callable
+    group: Callable
     mean: np.ndarray
-    weights: float = 0.5
-    shift_lk: Callable = None
-    rows: list = None
-    window: Callable = None
-    width: int = 1
-    columns: list = None
+    finish: Callable = None
     measure: float = None
-    moments: Callable = None
 
 
 def _sides(idxs):
@@ -535,23 +509,25 @@ def _draw_group(rngs, nb, draw=None, F=None):
     return items if w is None else items + [w]
 
 
-def _frame_moments(plan):
-    """The block moments of a kernel plan from the frames it draws (see _Plan).
+def _frame_moments(sample, w, F):
+    """The group of a kernel plan whose observable kernel is w z z^dagger - shift, from the frames sample draws.
 
-    Per density side, every block's M = sum_i W_i w z_i z_i^dagger as one
+    sample(rngs, nb) returns the group's frames Z0 (len(rngs) * nb, F),
+    block after block, one density weight vector W per density side,
+    and shift coordinates S (broadcastable to (rows, C)).  Per density
+    side, every block's M = sum_i W_i w z_i z_i^dagger comes from one
     stacked matmul over the group, with the blocks' weighted shift
-    coordinates (blocks, C, 1); the frame moment w A^T conj(A) per block
-    comes from one more stacked matmul, on the first side's conj(A)
-    before its density weight.
+    coordinates (blocks, C, 1), which _carry carries; the frame moment
+    w A^T conj(A) per block comes from one more stacked matmul, on the
+    first side's conj(A) before its density weight.
     """
-    w, F = plan.weights, len(plan.mean)
 
     def moments(rngs, nb):
         nblk = len(rngs)
         # W w conj(A) in place, in scratch taken before the draw's temporaries so that it sits below
         # them on the heap (BlockStreams.scratch): taken after, it cost 0.5 MB of two-thread peak RSS
         vAc = rngs.scratch("temp", (nblk, nb, F))
-        Z0, Ws, S = plan.sample(rngs, nb)
+        Z0, Ws, S = sample(rngs, nb)
         A = Z0.reshape(nblk, nb, F)
         At = A.transpose(0, 2, 1)
         out = []
@@ -567,50 +543,59 @@ def _frame_moments(plan):
     return moments
 
 
-def _carry(U, plan, idxs, moments, out):
-    """Write the block sums of covariant observable kernels at every grid time into out, one column per request.
+def _carry(U, idxs, shift_lk=None):
+    """The finish of a kernel plan: block sums of covariant observable kernels at every grid time, one column per request.
 
     Every frame obeys z(t) = U_t z(0), so the kernel is carried as
     K(X_t) = U_t K(X_0) U_t^dagger, shift aside.  The block sum
     sum_i W_i K_lk(X_i(t)) is therefore [U_t M U_t^dagger]_lk minus the
     weighted shifts, with one F x F moment matrix
-    M = sum_i W_i w z_i z_i^dagger per block and density side,
-    which the plan's moments give (see _Plan): moments holds each
-    side's M (blocks, F, F) and shifts (blocks, C, 1) in turn.  Every
-    request reads its own (l, k) entry off its side's M, in one einsum
-    over all blocks, which gives each block the bits it has alone.
+    M = sum_i W_i w z_i z_i^dagger per block and density side: the
+    group's outputs hold each side's M (blocks, F, F) and shift
+    coordinates S (blocks, C, 1) in turn.  Trajectory i's shift at time
+    t has (l, k) entry sum_c S_ic shift_lk(l, k)[t, c]; shift_lk None
+    means the one column delta_lk of a gamma*I shift.  Every request
+    reads its own (l, k) entry off its side's M, in one einsum over all
+    blocks, which gives each block the bits it has alone.
     """
     sides = _sides(idxs)
-    for i, (n0, m0, k0, l0) in enumerate(idxs):
-        d = 2 * sides.index((n0, m0))
-        M, S = moments[d], moments[d + 1]
-        shift_lk = np.full((len(U), 1), float(l0 == k0)) if plan.shift_lk is None else plan.shift_lk(l0, k0)
-        out[..., i] = np.einsum("ta,xab,tb->xt", U[:, l0], M, U[:, k0].conj())
-        out[..., i] -= (shift_lk @ S)[..., 0]
+
+    def finish(moments):
+        out = np.empty((len(moments[0]), len(U), len(idxs)), dtype=np.complex128)
+        for i, (n0, m0, k0, l0) in enumerate(idxs):
+            d = 2 * sides.index((n0, m0))
+            M, S = moments[d], moments[d + 1]
+            lk = np.full((len(U), 1), float(l0 == k0)) if shift_lk is None else shift_lk(l0, k0)
+            out[..., i] = np.einsum("ta,xab,tb->xt", U[:, l0], M, U[:, k0].conj())
+            out[..., i] -= (lk @ S)[..., 0]
+        return out
+
+    return finish
 
 
-def _window_group(U, plan):
-    """Block sums of a window observable: a group's frames marched by one stacked matmul per row set and chunk of grid times.
+def _window_group(U, sample, rows, window):
+    """The group of a window plan: its frames marched by one stacked matmul per row set and chunk of grid times.
 
+    sample(rngs, nb) returns the group's frames Z0 (len(rngs) * nb, F)
+    and aux; window(E, aux, j) turns the actions E (blocks, nb, n_times,
+    len(rows[j])) of the map rows rows[j] into their block sums (blocks,
+    n_times, w_j), which stand side by side in the group's one output,
+    after each block's frame moment sum_i (1/2) z_i z_i^dagger.
     The stacked matmul makes each block's own BLAS call: a block of one
     row is a gemv, which rounds differently from the rows of a gemm.  A
     chunk holds at most MARCH_ENTRIES marched entries, so a group's
     memory does not grow with the number of grid times; the usual grid
     is one chunk.  Each row set has its own march, as in a call that
     reads only that set: one wider gemm rounds a column differently,
-    and every request of a list must equal its own call bitwise.  The
-    group returns each block's frame moment sum_i (1/2) z_i z_i^dagger,
-    then its sums.
+    and every request of a list must equal its own call bitwise.
     """
     n_times, F = len(U), U.shape[-1]
-    marches = [
-        np.ascontiguousarray(U[:, rows, :].transpose(2, 0, 1).reshape(F, -1)) for rows in plan.rows
-    ]
+    marches = [np.ascontiguousarray(U[:, r, :].transpose(2, 0, 1).reshape(F, -1)) for r in rows]
 
     def group(rngs, nb):
         # scratch before the draw's temporaries, as in _frame_moments
         Zc = rngs.scratch("temp", (len(rngs), nb, F))
-        Z0, aux = plan.sample(rngs, nb)
+        Z0, aux = sample(rngs, nb)
         Z0 = Z0.reshape(len(rngs), nb, F)
         sums = []
         for j, UT in enumerate(marches):
@@ -619,49 +604,39 @@ def _window_group(U, plan):
             parts = []
             for lo in range(0, n_times, step):
                 Zt = (Z0 @ UT[:, lo * R:(lo + step) * R]).reshape(*Z0.shape[:2], -1, R)
-                parts.append(plan.window(0.5 * np.abs(Zt) ** 2, aux, j))
+                parts.append(window(0.5 * np.abs(Zt) ** 2, aux, j))
             sums.append(np.concatenate(parts, axis=1))
         np.conjugate(Z0, out=Zc)
-        return plan.weights * (Z0.transpose(0, 2, 1) @ Zc), np.concatenate(sums, axis=2)
+        return 0.5 * (Z0.transpose(0, 2, 1) @ Zc), np.concatenate(sums, axis=2)
 
     return group
 
 
-def _drive(req, U, plan, idxs):
+def _drive(req, U, plan):
     """Sample and evaluate every block of one ensemble at every grid time; returns the block sums, frame moments and sizes.
 
-    The maps U of grid_march carry the blocks to all grid times at once:
-    a window plan's groups march their frames by the rows they read, and
-    a kernel plan's moment matrices of every block are carried after the
-    groups (_carry).  Each block is drawn once for every request of the
-    ensemble, from its own SFC64 stream; the groups write their own rows
-    of frame moments (and window sums) and return their kernel moments,
+    The maps U of grid_march carry the blocks to all grid times at once,
+    in the plan's groups or its finish.  Each block is drawn once for
+    every request of the ensemble, from its own SFC64 stream; the groups
+    write their own rows of frame moments and return their outputs,
     joined in block order, all bitwise the same in any group, so the
     result does not depend on the thread count.  Empty blocks sum to zero.
     """
     sizes = _block_sizes(req.n_traj)
-    kernel = plan.window is None
-    group = (plan.moments or _frame_moments(plan)) if kernel else _window_group(U, plan)
-    width = len(idxs) if kernel else plan.width
     F = U.shape[-1]
-    sums = np.zeros((N_BLOCKS, len(U), width), dtype=np.complex128 if plan.measure is None else np.float64)
     frames = np.zeros((N_BLOCKS, F, F), dtype=np.complex128)
     streams = BlockStreams(block_keys(req.seed, N_BLOCKS))
 
     def work(span):
         lo, hi = span
-        frames[lo:hi], *rest = group(streams[lo:hi], int(sizes[lo]))
-        if kernel:
-            return rest
-        sums[lo:hi] = rest[0]
+        frames[lo:hi], *out = plan.group(streams[lo:hi], int(sizes[lo]))
+        return out
 
     max_rows = GROUP_ENTRIES // F if req.n_threads == 1 else POOL_ROWS
-    parts = _run_blocks(work, _groups(sizes, max_rows), req.n_threads)
-    if kernel:
-        moments = [np.concatenate(items) for items in zip(*parts)]
-        # the nonempty blocks come first (_block_sizes)
-        _carry(U, plan, idxs, moments, sums[:len(moments[0])])
-    return sums, frames, sizes
+    out = [np.concatenate(items) for items in zip(*_run_blocks(work, _groups(sizes, max_rows), req.n_threads))]
+    sums = out[0] if plan.finish is None else plan.finish(out)
+    # the nonempty blocks come first (_block_sizes)
+    return np.concatenate([sums, np.zeros((N_BLOCKS - len(sums), *sums.shape[1:]), sums.dtype)]), frames, sizes
 
 
 def _t_tail(x, dof):
@@ -738,8 +713,8 @@ def _reduce(req, plan, idxs, t_grid, out, frames, sizes):
     if plan.measure is None:
         # take keeps the table C-ordered where fancy indexing may not (T = F = 1): numpy sums the columns
         # of an F-ordered table pairwise, not block by block, so a list would round unlike its calls
-        cols = range(len(idxs)) if plan.columns is None else plan.columns
-        blocks = np.concatenate([blocks, np.take(out, cols, axis=2).transpose(0, 2, 1).reshape(N_BLOCKS, -1)], 1)
+        cols = np.take(out, range(len(idxs)), axis=2)
+        blocks = np.concatenate([blocks, cols.transpose(0, 2, 1).reshape(N_BLOCKS, -1)], 1)
     total = np.sum(blocks, axis=0)
     se = _jackknife(blocks, sizes[:, None], total, n, sizes)
     check = _moment_check(total[:F2], se[:F2], sizes, plan.mean)
@@ -791,7 +766,8 @@ def _comb(method, F):
     cmm is the one term (1, gamma, c1, c2) of its kernel and inverse
     kernel, wmm the terms (w, gamma_c, 1/2, gamma_c) of its pairs and
     cmmcv the terms (w, Gamma_c, 1/2, Gamma_c) of its components.  Term
-    c samples the sphere of squared radius 2(1 + Re Tr A_c) > 0.
+    c samples the sphere of squared radius 2(1 + Re Tr A_c) > 0, and its
+    sphere gamma_c = Re Tr A_c / F is bounded as _prepare bounds a gamma.
     """
     fam = method.family
     if fam == "cmm":
@@ -800,11 +776,15 @@ def _comb(method, F):
         terms = [(w, g, 0.5, g) for g, w in method.weight.pairs]
     else:
         terms = [(w, G, 0.5, G) for w, G in method.components]
+    limit = (np.finfo(float).max ** 0.5 - 1) / F
     for i, (_, A, _, _) in enumerate(terms, start=1):
         if np.ndim(A) and np.shape(A) != (F, F):
             raise ValueError(f"{fam} Gamma {i} has shape {np.shape(A)}, not ({F}, {F})")
         if not (g := _sphere_gamma(A, F)) > -1.0 / F:
             raise ValueError(f"{fam} sphere {i}: gamma = Re Tr Gamma / F = {g!r} must exceed -1/F = {-1.0 / F}")
+        if not g < limit:
+            raise ValueError(f"{fam} sphere {i}: gamma = Re Tr Gamma / F = {g!r} overflows (1 + F gamma)^2 at F = {F}; "
+                             f"it must be below {limit:.4g}")
     if fam == "cmm":  # the inverse kernel divides by the shell 1 + F gamma, checked above
         terms = [(1.0, method.gamma, *inverse_kernel_coefficients(F, method.gamma))]
     return terms
@@ -839,16 +819,24 @@ def _comb_density(F, terms, sides):
 def _comb_plan(req, F, idxs, U):
     """cmm, wmm and cmmcv: the observable kernel b z z^dagger - B_c of each trajectory's term c.
 
-    Every term of these combs has the same b.  A scalar B_c is the one
+    The comb must meet the exact mapping condition in closed form
+    (_mapping_miss).  Every term of these combs has the same b.  A scalar B_c is the one
     delta_lk column; a matrix B_c is shared by the trajectories of term
     c, so its (l, k) entry of U_t B_c U_t^dagger is read off the maps
     once per request.
     """
-    terms = _comb(req.method, F)
+    fam, terms = req.method.family, _comb(req.method, F)
+    miss, where = _mapping_miss(F, terms)
+    if not miss <= EXACT_MAPPING_TOL:
+        raise ValueError(
+            f"{fam} comb violates the exact mapping condition: F sum_c w_c E_c[K_mn K_lk] misses "
+            f"delta_mk delta_nl by {miss:.3e} at (m, n, l, k) = {where}, tolerance {EXACT_MAPPING_TOL:.0e}"
+        )
     Bs = np.array([B for _, _, _, B in terms])
     shift_lk = None if Bs.ndim == 1 else lambda l0, k0: np.einsum("ta,cab,tb->tc", U[:, l0], Bs, U[:, k0].conj())
     b = terms[0][2]
-    return _Plan(_comb_density(F, terms, _sides(idxs)), _sphere_mean(F, terms, b), weights=b, shift_lk=shift_lk)
+    group = _frame_moments(_comb_density(F, terms, _sides(idxs)), b, F)
+    return _Plan(group, _sphere_mean(F, terms, b), _carry(U, idxs, shift_lk))
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +855,8 @@ def _cx_plan(req, F, idxs, U):
 
     columns = [ks.index(idx[2]) * len(sides) + sides.index(idx[:2]) for idx in idxs]
     density = _comb_density(F, [(1.0, g, None, None)], sides)
-    return _Plan(
-        lambda rngs, nb: density(rngs, nb)[:2], _sphere_mean(F, [(1.0, g, None, None)]),
-        rows=[[k0] for k0 in ks], window=window, width=len(ks) * len(sides), columns=columns,
-    )
+    group = _window_group(U, lambda rngs, nb: density(rngs, nb)[:2], [[k0] for k0 in ks], window)
+    return _Plan(group, _sphere_mean(F, [(1.0, g, None, None)]), lambda out: np.take(out[0], columns, axis=2))
 
 
 # ---------------------------------------------------------------------------
@@ -921,7 +907,7 @@ def _triangle_sqc_plan(req, F, idxs, U):
         gobs = 1.0 / 3.0 if third else ((np.sum(0.5 * np.abs(z) ** 2, axis=1) - 1.0) / F)[:, None]
         return z, [W], gobs
 
-    return _Plan(sample, _focus_mean(F, (n0, m0), 4.0 / 3.0, 1.0 / 3.0))
+    return _Plan(_frame_moments(sample, 0.5, F), _focus_mean(F, (n0, m0), 4.0 / 3.0, 1.0 / 3.0), _carry(U, idxs))
 
 
 def _focused_plan(req, F, idxs, U):
@@ -942,7 +928,7 @@ def _focused_plan(req, F, idxs, U):
             return Z, [np.ones(len(Z), dtype=np.complex128)], g
         return Z, [kernel_entries(Z[:, None], m0, n0, weights=2.0) / (1.0 + 2.0 * g) ** 2], g
 
-    return _Plan(sample, _focus_mean(F, (n0, m0), 1.0 + g, g))
+    return _Plan(_frame_moments(sample, 0.5, F), _focus_mean(F, (n0, m0), 1.0 + g, g), _carry(U, idxs))
 
 
 @functools.lru_cache(maxsize=4)
@@ -1015,7 +1001,7 @@ def _discrete_plan(req, F, idxs, U):
         return out[:, 2], out[:, 0] + 1j * out[:, 1], (gamma * sum_w)[:, None, None]
 
     # each point's frame moment is its kernel plus gamma I, and E[K] = |n><n|
-    return _Plan(None, _focus_mean(F, (n0, m0), 1.0 + gamma, gamma), moments=moments)
+    return _Plan(moments, _focus_mean(F, (n0, m0), 1.0 + gamma, gamma), _carry(U, idxs))
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1052,7 @@ def _ww_plan(req, F, idxs, U):
         low = np.min(vals, axis=1).min(axis=-1, keepdims=True)
         return np.concatenate([np.sum(vals, axis=1), low], axis=-1)
 
-    return _Plan(sample, mean, rows=[slice(None)], window=window, width=F + 1, measure=measure)
+    return _Plan(_window_group(U, sample, [slice(None)], window), mean, measure=measure)
 
 
 # ---------------------------------------------------------------------------
@@ -1203,7 +1189,7 @@ def estimate_tcf(requests):
     for members in ensembles.values():
         idxs = [every_idx[i] for i in members]
         plan = make_plan(req, F, idxs, U)
-        out, frames, sizes = _drive(req, U, plan, idxs)
+        out, frames, sizes = _drive(req, U, plan)
         for i, res in zip(members, _reduce(req, plan, idxs, t_grid, out, frames, sizes)):
             results[i] = res
     return results[0] if single else results

@@ -82,6 +82,42 @@ def test_load_config_rejects_the_retired_validation_keys(tmp_path, capsys, key):
     assert key in capsys.readouterr().err
 
 
+def test_a_method_key_the_family_does_not_read_is_an_unknown_key(tmp_path, capsys):
+    # every method key was once consumed whatever the family, so ehrenfest ignored both
+    path = write_config(tmp_path, BASE.replace("cmm", "ehrenfest") + "method.gamma = 0.3\nmethod.weight = 0:1\n")
+    with pytest.raises(ConfigError, match=r"^unknown config key\(s\): method.gamma, method.weight$"):
+        load_config(path)
+    assert main(["validate", str(path)]) == 1
+    assert "unknown config key(s): method.gamma, method.weight" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "lines, key",
+    [
+        ("method.family = dtwa", "method.family"),
+        ("method.family = triangle_f2_single", "method.family"),
+        ("method.family = hill_ww\ntcf.pairs = 1,2,2,1", "tcf.pairs"),
+        ("method.family = cmm\nmethod.gamma = 1e200", "method.family"),
+    ],
+    ids=["dtwa", "triangle_f2_single", "hill_ww-pairs", "cmm-1e200"],
+)
+def test_validate_rejects_what_run_rejects(tmp_path, capsys, lines, key):
+    # validate once exited 0 on the first three, whose run exits 1, and died
+    # on the last with an OverflowError from the inverse kernel coefficients
+    path = write_config(tmp_path, f"model.kind = random\nmodel.F = 3\n{lines}\n")
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        load_config(path)
+    errors = []
+    for command in ("validate", "run"):
+        assert main([command, str(path), "--out", str(tmp_path / "o")]) == 1
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err and "nan" not in out + err
+        errors.append(err)
+    assert errors[0] == errors[1] and errors[0].startswith(f"config error: {key}: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config(tmp_path / "absent.cfg")
@@ -575,6 +611,28 @@ def test_main_validate_checks_the_configured_comb(tmp_path, capsys, method, pass
         assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
         assert "comb violates the exact mapping condition" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "method", ["method.family = wmm\nmethod.weight = 1e200:1", "method.family = cmmcv\nmethod.components = 1:1e200"]
+)
+def test_an_overflowing_comb_sphere_fails_validate_and_run_by_name(tmp_path, capsys, method):
+    # validate once printed "closed-form miss nan" for the wmm comb
+    path = write_config(tmp_path, f"model.kind = random\nmodel.F = 3\n{method}\n")
+    family = method.split()[2]
+    assert main(["validate", str(path)]) == 2
+    out = capsys.readouterr().out
+    assert f"validation exact_mapping: FAIL ({family} comb: {family} sphere 1: gamma = " in out and "nan" not in out
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert "overflows (1 + F gamma)^2 at F = 3" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_exact_mapping_line_of_an_overflowing_cmm_gamma_fails():
+    # the inverse kernel coefficients once raised an OverflowError here
+    line = _validate_exact_mapping(3, MethodSpec.cmm(1e200))
+    assert not line.passed and "cmm sphere 1: gamma = " in line.detail and "overflows" in line.detail
 
 
 def test_a_cc_run_checks_its_comb_once_in_the_estimate_and_once_for_the_manifest(tmp_path, monkeypatch):

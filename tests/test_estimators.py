@@ -201,6 +201,26 @@ def test_wmm_rejects_weight_violating_mapping_condition():
         estimate_tcf(request(RABI, MethodSpec.wmm(bad)))
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(family="lambda_point", gamma=-0.5), "lambda_point requires gamma > 0, got -0.5"),
+        (dict(family="hill_ww", gamma=-0.2), "hill_ww requires gamma >= 0, got -0.2"),
+        (dict(family="cmm"), "cmm needs a gamma"),
+        (dict(family="wmm"), "wmm needs a GammaWeight, got None"),
+        (dict(family="cmmcv"), "cmmcv needs at least one (weight, Gamma) component"),
+        (dict(family="bogus"), "unknown method family 'bogus'"),
+    ],
+    ids=["lambda_point", "hill_ww", "cmm", "wmm", "cmmcv", "bogus"],
+)
+def test_a_method_spec_built_directly_obeys_its_family_rules(kwargs, message):
+    # the rules once lived in the static constructors only: lambda_point at
+    # -0.5 gave NaN for every estimate, hill_ww ran on a sphere its constructor
+    # rejects, cmm raised a TypeError and wmm an AttributeError in estimate_tcf
+    with pytest.raises(ValueError, match=re.escape(message)):
+        MethodSpec(**kwargs)
+
+
 def test_unknown_family_dispatch():
     with pytest.raises(ValueError, match="unknown method family"):
         estimate_tcf(request(RABI, MethodSpec("bogus")))
@@ -732,21 +752,43 @@ def per_trajectory_estimates(req):
     Kernel plans sum W_i (kernel_entries of the marched frames minus the
     trajectory's shift) per time; window plans evaluate their window on
     the actions of one time.  The reduction repeats estimate_tcf's.
-    The dtwa/gdtwa plan forms its moments without frames, so their
-    blocks are drawn as frames by discrete_draw.
+    The plan's sampler, frame weight, shift, rows and window are the
+    arguments its builder hands _frame_moments, _carry and
+    _window_group, recorded on the way to the real functions.  The
+    dtwa/gdtwa plan forms its moments without frames, so their blocks
+    are drawn as frames by discrete_draw.
     """
     H, F, t_grid = _prepare(req)
     idx = _indices(req, F)
     U = grid_march(H, t_grid, req.backend, req.dt)
-    plan = _PLANS[req.method.family](req, F, [idx], U)
+    seen = {}
+
+    def recorded(name, real):
+        def wrapper(*args):
+            seen[name] = args
+            return real(*args)
+
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("_frame_moments", "_carry", "_window_group"):
+            patch.setattr(estimators, name, recorded(name, getattr(estimators, name)))
+        plan = _PLANS[req.method.family](req, F, [idx], U)
     discrete = req.method.family in ("dtwa", "gdtwa")
+    kernel = "_carry" in seen
+    if kernel and not discrete:
+        sample, weights, _ = seen["_frame_moments"]
+    elif not kernel:
+        _, sample, rows, window = seen["_window_group"]
     l0, k0 = idx[3], idx[2]
-    if plan.shift_lk is None:
+    shift_lk = seen["_carry"][2] if kernel and len(seen["_carry"]) > 2 else None
+    if shift_lk is None:
         shift_lk = np.full((len(U), 1), float(l0 == k0))
     else:
-        shift_lk = plan.shift_lk(l0, k0)
+        shift_lk = shift_lk(l0, k0)
     sizes = _block_sizes(req.n_traj)
-    sums = np.zeros((N_BLOCKS, len(U), plan.width), dtype=np.complex128 if plan.measure is None else np.float64)
+    # one column per state and the smallest numerator for a ww plan; the others read column 0
+    sums = np.zeros((N_BLOCKS, len(U), F + 1), dtype=np.complex128 if plan.measure is None else np.float64)
     for b in range(N_BLOCKS):
         nb = int(sizes[b])
         if nb == 0:
@@ -755,17 +797,17 @@ def per_trajectory_estimates(req):
             drawn, weights = discrete_draw(F, idx[:2], fresh_stream(req.seed, b), nb)
         else:
             words = np.random.SeedSequence(req.seed, spawn_key=(b,)).generate_state(3, np.uint64)
-            drawn, weights = plan.sample(BlockStreams(np.append(words, np.uint64(1))[None]), nb), plan.weights
+            drawn = sample(BlockStreams(np.append(words, np.uint64(1))[None]), nb)
         Z0 = drawn[0].reshape(nb, -1, F)
         for ti, Ut in enumerate(U):
             Zt = np.matmul(Z0, Ut.T)
-            if plan.window is None:
+            if kernel:
                 W, S = drawn[1][0], np.broadcast_to(drawn[2], (nb, shift_lk.shape[1]))
                 K = kernel_entries(Zt, l0, k0, weights=weights) - S @ shift_lk[ti]
                 sums[b, ti] = np.sum(W * K)
             else:
                 e = 0.5 * np.abs(Zt[:, 0, :]) ** 2
-                sums[b, ti] = plan.window(e[None, :, None, plan.rows[0]], drawn[1], 0)[0, 0]
+                sums[b, ti] = window(e[None, :, None, rows[0]], drawn[1], 0)[0, 0]
     if plan.measure is None:
         return np.sum(sums[:, :, 0], axis=0) / req.n_traj
     num = np.sum(sums[:, :, :F], axis=0)
@@ -896,9 +938,10 @@ def test_request_list_equals_single_calls_bitwise(family, F, backend):
     H = random_h(F, seed=17)
     pairs = list_pairs(family, F)
     method = ORACLE_METHODS[family](F)
-    # a one-time grid reduces each request's lone column beside the frame moments
-    for t_grid in (np.linspace(0.0, 1.0, 4), [0.7]):
-        kw = dict(n_traj=1500, seed=9, t_grid=t_grid, backend=backend, dt=1e-2)
+    # a one-time grid reduces each request's lone column beside the frame moments;
+    # at 7 trajectories 93 of the 100 blocks are empty and take zeros in the driver
+    for t_grid, n_traj in itertools.product((np.linspace(0.0, 1.0, 4), [0.7]), (1500, 7)):
+        kw = dict(n_traj=n_traj, seed=9, t_grid=t_grid, backend=backend, dt=1e-2)
         singles = [estimate_tcf(request(H, ORACLE_METHODS[family](F), nmkl=p, **kw)) for p in pairs]
         for threads in (1, 3):
             grouped = estimate_tcf(
@@ -907,9 +950,9 @@ def test_request_list_equals_single_calls_bitwise(family, F, backend):
             assert len(grouped) == len(pairs)
             for p, got, want in zip(pairs, grouped, singles):
                 for field in ("estimates", "standard_errors", "normalization", "zero_variance"):
-                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (p, field, len(t_grid))
+                    assert getattr(got, field).tobytes() == getattr(want, field).tobytes(), (p, field, len(t_grid), n_traj)
                 assert np.float64(got.min_numerator).tobytes() == np.float64(want.min_numerator).tobytes()
-                assert got.moment_check == want.moment_check, (p, len(t_grid))
+                assert got.moment_check == want.moment_check, (p, len(t_grid), n_traj)
 
 
 LIST_FIELD_CHANGES = {
@@ -1177,9 +1220,9 @@ def test_cmmcv_gamma_trace_domain():
 
 
 def comb_verdict(method, F):
-    """None when _prepare accepts the comb, else the (m, n, l, k) its error names."""
+    """None when estimate_tcf accepts the comb, else the (m, n, l, k) its error names."""
     try:
-        _prepare(request(random_h(F), method))
+        estimate_tcf(request(random_h(F), method, n_traj=100))
     except ValueError as exc:
         assert "exact mapping condition" in str(exc)
         return re.search(r"\(m, n, l, k\) = (\(.*?\))", str(exc)).group(1)
