@@ -16,12 +16,15 @@ the signatures, the gamma-axis quasi-probability weights (GammaWeight, a
 signed comb of point masses, which the estimators' comb sampler draws),
 and the Monte Carlo samplers: sample_sphere_batch for the sphere, and
 sample_stiefel for any component.  The sphere is drawn in action-angle
-form: sphere_normals draws complex normals as sqrt(E) e^(i theta), E ~
-Exp(1) and theta uniform, and onto_sphere scales each row to the radius
-of its shell.  The estimators' block streams read the phases off their
-raw SFC64 words (streams.float32_uniforms), bit for bit the phases of
-Generator.random, which sample_sphere_batch, taking any Generator,
-keeps.  States are numbered 1..F in public interfaces.
+form: complex normals sqrt(E) e^(i theta), E ~ Exp(1) and theta
+uniform, which onto_sphere scales row by row to the radius of its shell.
+sphere_normals draws a group of the estimators' blocks: each block only
+reads its stream, the phases off its raw SFC64 words
+(streams.float32_uniforms), bit for bit the phases of Generator.random,
+and each transform is then one call over the group, since every short
+NumPy call hands the GIL over.  sample_sphere_batch, taking any
+Generator, keeps Generator.random.  States are numbered 1..F in public
+interfaces.
 
 Measure convention: integrals over one component are F times the
 expectation under the uniform probability measure, i.e. the measure of
@@ -165,9 +168,17 @@ class GammaWeight:
 
 
 def sample_sphere_batch(F, gamma, rng, size):
-    """size uniform points on the sphere at gamma (one, or one per row), as (size, F) complex z."""
+    """size uniform points on the sphere at gamma (one, or one per row), as (size, F) complex z, from any Generator.
+
+    The rows draw their actions and then their phases as sphere_normals
+    draws a block, taking the phases from Generator.random.
+    """
+    np.add(_AVX_RESET, _AVX_RESET)  # a fresh result: clears the vector state a gemm left (see _AVX_RESET)
     w = np.empty((size, F), dtype=np.complex128)
-    sphere_normals(rng, w)
+    actions = rng.standard_exponential(w.shape)
+    theta = rng.random(w.shape, dtype=np.float32)
+    theta *= _TWO_PI
+    _polar(w, actions, theta)
     return onto_sphere(w, F, gamma)
 
 
@@ -178,32 +189,50 @@ def sample_sphere_batch(F, gamma, rng, size):
 _AVX_RESET = np.zeros(64)
 _AVX_RESET.flags.writeable = False
 _TWO_PI = np.float32(2.0 * np.pi)
+# theta = 2 pi u of the float32 uniform u = 2**-24 times its word (streams.float32_uniforms)
+_PHASE_SCALE = _TWO_PI * np.float32(2.0**-24)
 
 
-def sphere_normals(rng, w, actions=None, phases=None, raw=False):
-    """Fill complex rows w (rows, F), maybe a slice, with complex normals in polar form sqrt(E) e^(i theta).
+def _polar(w, actions, theta, trig=None):
+    """w = sqrt(actions) e^(i theta), the actions (float64) turned into their roots in place and each of the float32 cos and sin formed in trig (or afresh)."""
+    np.sqrt(actions, out=actions)
+    np.multiply(actions, np.cos(theta, out=trig), out=w.real)
+    np.multiply(actions, np.sin(theta, out=trig), out=w.imag)
+
+
+def sphere_normals(rngs, w, scratch, picks=None):
+    """Fill complex rows w (len(rngs) nb, F) with complex normals in polar form sqrt(E) e^(i theta), block i's nb rows from its re-keyed stream rngs[i].
 
     The uniform measure of the sphere splits into actions, uniform on the
-    simplex, and uniform angles, so the rows draw all actions E ~ Exp(1)
-    (float64), then all phases theta = 2 pi u from float32 uniforms u,
-    whose cos and sin take NumPy's float32 SIMD loops into float32
-    temporaries.  With raw, rng is a re-keyed block stream with no half
-    word pending, and the phases are read off its raw words
-    (streams.float32_uniforms), bit for bit the phases rng.random would
-    give; otherwise rng is any Generator.  actions, a float64 (rows, F)
-    array or None, holds E and then sqrt(E), and phases, a float32 one or
-    None, holds theta.
+    simplex, and uniform angles.  Each block of the streams.BlockStreams
+    rngs only reads its stream, into its own rows of group-wide arrays:
+    rng.random(nb) into picks, a float64 (len(w),) array, if given; its
+    actions E ~ Exp(1) (float64); then, as its last draw, the words of
+    its float32 uniforms u (streams.float32_uniforms).  The group then
+    makes each transform one call over all its rows: sqrt(E); theta =
+    2 pi u, as the float32 product of the words with float32(2 pi)
+    2**-24, bit for bit the theta of rng.random's u; and the float32 cos
+    and sin, on NumPy's SIMD loops, each over the spent words.  Each
+    short NumPy call hands the GIL over, so calls per block kept two pool
+    threads from running side by side, where calls per group do.
+    scratch, a complex (len(w), F) array that is idle during the draw,
+    holds the actions, the words and theta, 8 + 4 + 4 bytes an entry;
+    theta goes beside the words, not over them, since NumPy first copies
+    the input of a cast onto overlapping memory, about 1.6x slower.
     """
-    np.add(_AVX_RESET, _AVX_RESET)  # a fresh result: clears the vector state a gemm left (see _AVX_RESET)
-    root = rng.standard_exponential(w.shape, out=actions)
-    np.sqrt(root, out=root)
-    if raw:
-        theta = float32_uniforms(rng, w.shape, _TWO_PI, out=phases)
-    else:
-        theta = rng.random(w.shape, dtype=np.float32, out=phases)
-        theta *= _TWO_PI
-    np.multiply(root, np.cos(theta), out=w.real)
-    np.multiply(root, np.sin(theta), out=w.imag)
+    nb, n = len(w) // len(rngs), w.size
+    room = scratch.reshape(-1).view(np.float64)
+    actions, words = room[:n].reshape(w.shape), room[n:].view(np.uint32)
+    words, theta = words[:n].reshape(w.shape), words[n:].view(np.float32).reshape(w.shape)
+    np.add(_AVX_RESET, _AVX_RESET)  # once per group: no gemm runs between its blocks' draws
+    for i, rng in enumerate(rngs):
+        rows = slice(i * nb, (i + 1) * nb)
+        if picks is not None:
+            rng.random(out=picks[rows])
+        rng.standard_exponential(out=actions[rows])
+        float32_uniforms(rng, words[rows])
+    np.multiply(words, _PHASE_SCALE, out=theta, dtype=np.float32)
+    _polar(w, actions, theta, words.view(np.float32))
 
 
 def onto_sphere(w, F, gamma):

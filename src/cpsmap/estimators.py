@@ -44,12 +44,14 @@ bounded chunk of grid times, in the group (_window_group).  Plans are
 looked up by family in one table (_PLANS).  The cc families share one
 plan (_comb_plan): each is a signed comb of sphere terms (_comb), whose
 exact mapping identity the plan checks in closed form when it is built,
-drawn by the one sphere sampler (_comb_density), which draws each
-block's frames in polar form (cps.sphere_normals): float64 exponential
-actions and float32 phases, read off the block stream's raw words as
-its last draw (streams.float32_uniforms).  Every density-side kernel
-entry comes from kernels.kernel_entries; every window is one batched
-function of the actions (..., F) in this module.
+drawn by the one sphere sampler (_comb_density), which draws a group's
+frames in polar form (cps.sphere_normals): each block reads its term
+picks, its float64 exponential actions and, as its last draw, the words
+of its float32 phases off its stream's raw words
+(streams.float32_uniforms), and the group then transforms them all at
+once.  Every density-side kernel entry comes from kernels.kernel_entries;
+every window is one batched function of the actions (..., F) in this
+module.
 
 Each ensemble also checks its own sampler: every group returns each
 block's frame moment sum_i w z_i z_i^dagger at t = 0 (for dtwa and
@@ -69,10 +71,14 @@ most GROUP_ENTRIES rows times F in all, or POOL_ROWS rows on a pool of
 workers (a larger block is a group of one), drawn block by block from
 the blocks' own streams and then transformed and reduced per block as
 one stacked array, in scratch arrays that each worker keeps from group
-to group.  Every per-block sum is bitwise what the block alone gives,
-whatever group it is in, and the reduction over blocks runs in a fixed
-order, so results are bitwise reproducible for a given (seed, n_traj)
-regardless of the worker thread count.  That rests on the float32 cos
+to group.  A block's own work is its stream reads only, and each
+transform is one call over the group: every short NumPy call hands the
+GIL over, so calls per block keep two workers from running side by
+side.  A pool has at most one worker per group, and a call of one group
+runs on the calling thread.  Every per-block sum is bitwise what the
+block alone gives, whatever group it is in, and the reduction over
+blocks runs in a fixed order, so results are bitwise reproducible for a
+given (seed, n_traj) regardless of the worker thread count.  That rests on the float32 cos
 and sin of NumPy's SIMD loops giving an element the same bits at any
 place in an array, which the tests check.
 """
@@ -117,6 +123,13 @@ MOMENT_SE_LIMIT = 5.0
 EXACT_MAPPING_TOL = 1e-8
 # The cc families: signed combs of covariant kernel pairs on spheres (see _comb).
 COMB_FAMILIES = ("cmm", "wmm", "cmmcv")
+# Each MethodSpec parameter and the families that read it; every other family must leave it unset.
+_READERS = {
+    "gamma": ("cmm", "cornered_simplex", "lambda_point", "triangle_f2_single", "hill_ww"),
+    "weight": ("wmm",),
+    "components": ("cmmcv",),
+    "obs_gamma": ("triangle_sqc",),
+}
 
 def hill_exponent(F):
     """Exponent B(F) of the hill window, 3/(7(F-1)) + 60/(7(F+13))."""
@@ -131,7 +144,8 @@ class MethodSpec:
     weight is a GammaWeight for the weighted families; components holds
     the (weight, Gamma-matrix) pairs of the cmmcv comb; obs_gamma picks
     the observable-kernel gamma of triangle_sqc ("shell" follows the
-    sampled sphere, "third" fixes 1/3).
+    sampled sphere, "third" fixes 1/3).  A parameter the family does not
+    read (_READERS) must keep its default: it would be ignored.
     """
 
     family: str
@@ -144,9 +158,12 @@ class MethodSpec:
         fam, g = self.family, self.gamma
         if fam not in _PLANS:
             raise ValueError(f"unknown method family {fam!r}")
+        for f in fields(self)[1:]:
+            if fam not in _READERS[f.name] and not _same(getattr(self, f.name), f.default):
+                raise ValueError(f"{fam} does not read {f.name}, got {f.name}={getattr(self, f.name)!r}")
         if g is not None and not math.isfinite(g):
             raise ValueError(f"{fam} gamma must be finite, got {g!r}")
-        if fam in ("cmm", "cornered_simplex", "lambda_point", "triangle_f2_single", "hill_ww") and g is None:
+        if fam in _READERS["gamma"] and g is None:
             raise ValueError(f"{fam} needs a gamma")
         if fam in ("cornered_simplex", "lambda_point") and not g > 0:
             raise ValueError(f"{fam} requires gamma > 0, got {g!r}")
@@ -186,7 +203,7 @@ class MethodSpec:
 
     @staticmethod
     def ehrenfest():
-        return MethodSpec("ehrenfest", gamma=0.0)
+        return MethodSpec("ehrenfest")
 
     @staticmethod
     def lambda_point(gamma):
@@ -308,9 +325,14 @@ def _groups(sizes, max_rows):
 
 
 def _run_blocks(work, blocks, n_threads):
-    """[work(b) for b in blocks], on a pool of n_threads workers when n_threads > 1."""
-    if n_threads > 1:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+    """[work(b) for b in blocks], on a pool of at most n_threads workers when there are two blocks or more.
+
+    A pool for one block would only add its start-up and the hand-offs
+    to the calling thread.
+    """
+    workers = min(n_threads, len(blocks))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(work, blocks))
     return [work(b) for b in blocks]
 
@@ -489,24 +511,14 @@ def _sides(idxs):
     return list(dict.fromkeys(idx[:2] for idx in idxs))
 
 
-def _draw_group(rngs, nb, draw=None, F=None):
+def _draw_group(rngs, nb, draw):
     """Draw a group block by block, each block from its own stream in block order.
 
     draw(rng, nb) returns a tuple of nb-row arrays, which come back
-    concatenated item by item over the group.  With F given, each block
-    then draws its sphere normals into the rows of one scratch array,
-    which comes back last (see _comb_density).
+    concatenated item by item over the group.  The sphere plans draw
+    through cps.sphere_normals instead (see _comb_density).
     """
-    w = None if F is None else rngs.scratch("frames", (len(rngs) * nb, F))
-    parts = []
-    for i, rng in enumerate(rngs):
-        if draw is not None:
-            parts.append(draw(rng, nb))
-        if w is not None:
-            sphere_normals(rng, w[i * nb:(i + 1) * nb], rngs.scratch("actions", (nb, F), np.float64),
-                           rngs.scratch("phases", (nb, F), np.float32), raw=True)
-    items = [np.concatenate(p) for p in zip(*parts)]
-    return items if w is None else items + [w]
+    return [np.concatenate(p) for p in zip(*(draw(rng, nb) for rng in rngs))]
 
 
 def _frame_moments(sample, w, F):
@@ -525,7 +537,8 @@ def _frame_moments(sample, w, F):
     def moments(rngs, nb):
         nblk = len(rngs)
         # W w conj(A) in place, in scratch taken before the draw's temporaries so that it sits below
-        # them on the heap (BlockStreams.scratch): taken after, it cost 0.5 MB of two-thread peak RSS
+        # them on the heap (BlockStreams.scratch): taken after, it cost 0.5 MB of two-thread peak RSS;
+        # written only after the draw, since the sphere draw holds its actions and phases in it
         vAc = rngs.scratch("temp", (nblk, nb, F))
         Z0, Ws, S = sample(rngs, nb)
         A = Z0.reshape(nblk, nb, F)
@@ -593,7 +606,7 @@ def _window_group(U, sample, rows, window):
     marches = [np.ascontiguousarray(U[:, r, :].transpose(2, 0, 1).reshape(F, -1)) for r in rows]
 
     def group(rngs, nb):
-        # scratch before the draw's temporaries, as in _frame_moments
+        # scratch before the draw's temporaries and written after the draw, as in _frame_moments
         Zc = rngs.scratch("temp", (len(rngs), nb, F))
         Z0, aux = sample(rngs, nb)
         Z0 = Z0.reshape(len(rngs), nb, F)
@@ -794,22 +807,26 @@ def _comb_density(F, terms, sides):
     """Sampler of a comb's spheres with the density weights F sum|w| sgn(w_c) K_mn(z; A_c) of every side (n, m).
 
     A trajectory draws its term c with probability |w_c| / sum|w| (a
-    comb of one term draws none), then its frame z on the sphere of
-    term c.  Its shift coordinates are B_c, the one delta_lk column, for
-    scalar B, and otherwise the one-hot row of c (see _comb_plan).
+    comb of one term draws none), as Generator.choice does from one
+    uniform, then its frame z on the sphere of term c.  Its shift
+    coordinates are B_c, the one delta_lk column, for scalar B, and
+    otherwise the one-hot row of c (see _comb_plan).
     """
     ws, As, _, Bs = (np.array(x) for x in zip(*terms))
-    probs = np.abs(ws) / np.sum(np.abs(ws))
+    # the cdf that Generator.choice(len(terms), p=|w| / sum|w|) searches for its uniforms
+    cdf = np.cumsum(np.abs(ws) / np.sum(np.abs(ws)))
+    cdf /= cdf[-1]
     scales = F * float(np.sum(np.abs(ws))) * np.where(ws < 0.0, -1.0, 1.0)
     gammas = np.array([_sphere_gamma(A, F) for A in As])
     shifts = np.stack([np.diag(np.full(F, A)) if A.ndim == 0 else A for A in As]).astype(np.complex128)
     coords = Bs[:, None] if Bs.ndim == 1 else np.eye(len(terms))
 
-    draw = (lambda rng, nb: (rng.choice(len(terms), size=nb, p=probs),)) if len(terms) > 1 else None
-
     def sample(rngs, nb):
-        *c, w = _draw_group(rngs, nb, draw, F)
-        c = c[0] if c else 0
+        # "temp" is the group scratch that _frame_moments and _window_group write only after the draw
+        w, temp = (rngs.scratch(name, (len(rngs) * nb, F)) for name in ("frames", "temp"))
+        u = np.empty(len(w)) if len(terms) > 1 else None
+        sphere_normals(rngs, w, temp, u)
+        c = 0 if u is None else cdf.searchsorted(u, side="right")
         Z = onto_sphere(w, F, gammas[c])
         return Z, [scales[c] * kernel_entries(Z[:, None], m0, n0, Gamma=shifts[c, m0, n0]) for n0, m0 in sides], coords[c]
 
@@ -911,7 +928,7 @@ def _triangle_sqc_plan(req, F, idxs, U):
 
 
 def _focused_plan(req, F, idxs, U):
-    """ehrenfest (gamma = 0) and lambda_point: the focused density kernel."""
+    """ehrenfest (gamma = 0, which it does not read) and lambda_point: the focused density kernel."""
     n0, m0 = idxs[0][:2]
     g = 0.0 if req.method.family == "ehrenfest" else req.method.gamma
 

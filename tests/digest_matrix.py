@@ -14,8 +14,8 @@ density sides, valid for its family at its F) and a single call of the
 list's second request, and hashes every result's estimates, standard
 errors, normalization, zero_variance, min_numerator and MomentCheck
 fields, or the error the call raises.  The intra-electron cases hash
-the whole IntraElectronReport.  A summary goes to stderr.  The 2408
-cases take about two minutes on a 2-core x86-64 machine; pytest does
+the whole IntraElectronReport.  A summary goes to stderr.  The 3608
+cases take about three minutes on a 2-core x86-64 machine; pytest does
 not collect this file.
 """
 
@@ -38,7 +38,7 @@ FS = (1, 2, 3, 5, 8)
 N_TRAJ = (1, 7, 150, 5037, 200_000)
 GRIDS = {"t1": np.array([0.7]), "t5": np.linspace(0.0, 2.0, 5)}
 BACKENDS = ("exact", "rk4")
-THREADS = (1, 2)
+THREADS = (1, 2, 3)
 
 
 def signed_comb(F, g2=0.2):

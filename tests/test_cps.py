@@ -15,7 +15,9 @@ from cpsmap.cps import (
     gdtwa_signature,
     sample_sphere_batch,
     sample_stiefel,
+    sphere_normals,
 )
+from cpsmap.streams import BlockStreams, block_keys
 
 
 def test_gamma_wigner_solves_quadratic():
@@ -133,6 +135,27 @@ def test_sphere_batch_keeps_the_bits_of_the_one_line_draw(F, bit_generator):
         want = w * (np.sqrt(2.0 * (1.0 + F * gamma))[..., None] / norms)
         got = sample_sphere_batch(F, gamma, np.random.Generator(bit_generator(F)), 500)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("picks", [False, True])
+@pytest.mark.parametrize("nb, F", [(1, 1), (7, 3), (51, 3), (250, 8)])
+def test_a_group_draw_gives_each_block_its_own_generator_draws(nb, F, picks):
+    # reference: each block's own stream, built from scratch, drawing its row picks (if any), actions and float32
+    # phases through the Generator and turning them into normals on its own; odd nb F leaves a half word unread
+    seed, blocks = 17, 5
+    w = np.empty((blocks * nb, F), dtype=np.complex128)
+    scratch = np.full(w.shape, np.nan + 1j * np.nan)  # the draw must not read what the scratch held
+    u = np.empty(len(w)) if picks else None
+    sphere_normals(BlockStreams(block_keys(seed, blocks)), w, scratch, u)
+    for b in range(blocks):
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(b,))))
+        want_u = rng.random(nb) if picks else None
+        root = np.sqrt(rng.standard_exponential((nb, F)))
+        theta = rng.random((nb, F), dtype=np.float32) * np.float32(2.0 * np.pi)
+        want = root * np.cos(theta) + 1j * (root * np.sin(theta))
+        assert w[b * nb:(b + 1) * nb].tobytes() == want.tobytes(), b
+        if picks:
+            assert u[b * nb:(b + 1) * nb].tobytes() == want_u.tobytes(), b
 
 
 @pytest.mark.parametrize("n", [1, 7, 37, 2000])

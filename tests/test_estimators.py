@@ -210,13 +210,23 @@ def test_wmm_rejects_weight_violating_mapping_condition():
         (dict(family="wmm"), "wmm needs a GammaWeight, got None"),
         (dict(family="cmmcv"), "cmmcv needs at least one (weight, Gamma) component"),
         (dict(family="bogus"), "unknown method family 'bogus'"),
+        (dict(family="ehrenfest", gamma=0.3), "ehrenfest does not read gamma, got gamma=0.3"),
+        (dict(family="gdtwa", gamma=0.7), "gdtwa does not read gamma, got gamma=0.7"),
+        (dict(family="triangle_ww", gamma=0.0), "triangle_ww does not read gamma, got gamma=0.0"),
+        (dict(family="cmm", gamma=0.1, weight=GammaWeight.single(0.1)), "cmm does not read weight"),
+        (dict(family="wmm", weight=GammaWeight.single(0.1), components=((1.0, np.eye(2)),)),
+         "wmm does not read components"),
+        (dict(family="cmm", gamma=0.1, obs_gamma="third"), "cmm does not read obs_gamma, got obs_gamma='third'"),
     ],
-    ids=["lambda_point", "hill_ww", "cmm", "wmm", "cmmcv", "bogus"],
+    ids=["lambda_point", "hill_ww", "cmm", "wmm", "cmmcv", "bogus", "ehrenfest-gamma", "gdtwa-gamma",
+         "triangle_ww-gamma", "cmm-weight", "wmm-components", "cmm-obs_gamma"],
 )
 def test_a_method_spec_built_directly_obeys_its_family_rules(kwargs, message):
     # the rules once lived in the static constructors only: lambda_point at
     # -0.5 gave NaN for every estimate, hill_ww ran on a sphere its constructor
-    # rejects, cmm raised a TypeError and wmm an AttributeError in estimate_tcf
+    # rejects, cmm raised a TypeError and wmm an AttributeError in estimate_tcf;
+    # and a parameter the family does not read, such as ehrenfest's or gdtwa's
+    # gamma, was ignored without a word
     with pytest.raises(ValueError, match=re.escape(message)):
         MethodSpec(**kwargs)
 
@@ -625,21 +635,46 @@ def test_sphere_estimates_do_not_depend_on_the_grouping(case, monkeypatch):
     # the polar draw's float32 cos and sin must give a block the same bits
     # in any group: GROUP_ENTRIES = 1 makes every block its own group,
     # 10**9 one group per block size, and POOL_ROWS bounds a pool's groups
+    # of two or three threads; at F = 3, n_traj = 5037 gives blocks of 51
+    # and 50 rows, so a block of 153 phases leaves its last raw word's high
+    # half unread in the middle of a group
     F, make, pairs = SPHERE_GROUPING_CASES[case]
     H, method = random_h(F, seed=23), make()
-    kw = dict(n_traj=1537, seed=4, t_grid=np.linspace(0.0, 2.0, 5))
-    for nmkl in pairs:
+    for n_traj, nmkl in itertools.product((1537, 5037), pairs):
+        kw = dict(nmkl=nmkl, n_traj=n_traj, seed=4, t_grid=np.linspace(0.0, 2.0, 5))
         runs = []
         for name, entries, threads in (("GROUP_ENTRIES", GROUP_ENTRIES, 1), ("GROUP_ENTRIES", 1, 1),
-                                       ("GROUP_ENTRIES", 10**9, 1), ("POOL_ROWS", 1, 2), ("POOL_ROWS", 10**9, 2)):
+                                       ("GROUP_ENTRIES", 10**9, 1), ("POOL_ROWS", 1, 2), ("POOL_ROWS", 10**9, 2),
+                                       ("POOL_ROWS", 1, 3), ("POOL_ROWS", POOL_ROWS, 3)):
             monkeypatch.setattr(estimators, name, entries)
-            runs.append(estimate_tcf(request(H, method, nmkl=nmkl, n_threads=threads, **kw)))
+            runs.append(estimate_tcf(request(H, method, n_threads=threads, **kw)))
             monkeypatch.undo()
+        where = (n_traj, nmkl)
         for res in runs[1:]:
-            assert res.estimates.tobytes() == runs[0].estimates.tobytes(), nmkl
-            assert res.standard_errors.tobytes() == runs[0].standard_errors.tobytes(), nmkl
-            assert res.normalization.tobytes() == runs[0].normalization.tobytes(), nmkl
-            assert res.moment_check == runs[0].moment_check, nmkl
+            assert res.estimates.tobytes() == runs[0].estimates.tobytes(), where
+            assert res.standard_errors.tobytes() == runs[0].standard_errors.tobytes(), where
+            assert res.normalization.tobytes() == runs[0].normalization.tobytes(), where
+            assert res.moment_check == runs[0].moment_check, where
+
+
+def test_a_call_of_one_group_starts_no_pool(monkeypatch):
+    # the rk4 gdtwa call of 5000 trajectories fits one pool group (POOL_ROWS rows), for which a pool only adds its
+    # start-up: the call runs on the calling thread, with the bits of its one-thread call
+    req = request(random_h(3), MethodSpec.gdtwa(), nmkl=(1, 2, 2, 1), n_traj=5000, t_grid=np.linspace(0.0, 1.0, 21),
+                  backend="rk4", dt=1e-2)
+    alone = estimate_tcf(req)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a call of one group started a thread pool")
+
+    monkeypatch.setattr(estimators, "ThreadPoolExecutor", no_pool)
+    pooled = estimate_tcf(dataclasses.replace(req, n_threads=2))
+    for field in ("estimates", "standard_errors", "normalization"):
+        assert getattr(pooled, field).tobytes() == getattr(alone, field).tobytes(), field
+    assert pooled.moment_check == alone.moment_check
+    # two groups or more still go to the pool
+    with pytest.raises(AssertionError, match="thread pool"):
+        estimate_tcf(dataclasses.replace(req, n_traj=200_000, n_threads=2))
 
 
 RAW_PHASE_CASES = {
@@ -652,9 +687,13 @@ RAW_PHASE_CASES = {
 }
 
 
-def random_phases(rng, shape, scale, out=None):
-    """The sphere's phases from Generator.random, as sphere_normals took them before the raw-word reader."""
-    return np.multiply(rng.random(shape, dtype=np.float32, out=out), scale, out=out)
+def random_words(rng, out):
+    """The words of the sphere's phases from Generator.random, as sphere_normals took them before the raw-word reader.
+
+    A float32 uniform u is 2**-24 times its word, which the product
+    gives back exactly.
+    """
+    return np.multiply(rng.random(out.shape, dtype=np.float32), np.float32(2.0**24), out=out, casting="unsafe")
 
 
 @pytest.mark.parametrize("case", list(RAW_PHASE_CASES))
@@ -666,9 +705,13 @@ def test_sphere_plans_read_the_phases_of_generator_random_off_the_raw_words(case
         reqs = [request(H, method, nmkl=p, n_traj=n_traj, seed=31, t_grid=np.linspace(0.0, 2.0, 5),
                         n_threads=threads) for p in pairs]
         raw = estimate_tcf(reqs)
-        monkeypatch.setattr(cps, "float32_uniforms", random_phases)
+        calls = []
+        monkeypatch.setattr(cps, "float32_uniforms", lambda rng, out: calls.append(out.size) or random_words(rng, out))
         drawn = estimate_tcf(reqs)
         monkeypatch.undo()
+        # every trajectory's phases came through the reference, once per ensemble: the ww plans draw per density side
+        ensembles = len({p[:2] for p in pairs}) if case in ("triangle_f2_single", "hill_ww") else 1
+        assert sum(calls) == ensembles * n_traj * F, (F, n_traj, threads)
         for got, want in zip(raw, drawn):
             where = (F, n_traj, threads)
             for field in ("estimates", "standard_errors", "normalization"):

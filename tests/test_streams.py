@@ -103,11 +103,13 @@ def test_float32_uniforms_are_the_generators_own_draws(n, before):
     for b in range(2):
         rng = streams[b]
         BEFORE_UNIFORMS[before](rng)
-        got = float32_uniforms(rng, (n,), np.float32(1.0))
+        words = np.empty(n, dtype=np.uint32)
+        assert float32_uniforms(rng, words) is words
         want_rng = fresh_stream(seed, b)
         BEFORE_UNIFORMS[before](want_rng)
         want = want_rng.random(n, dtype=np.float32)
-        assert got.dtype == np.float32 and got.tobytes() == want.tobytes(), (n, before, b)
+        got = np.multiply(words, np.float32(2.0**-24), dtype=np.float32)
+        assert got.tobytes() == want.tobytes(), (n, before, b)
         if n % 2 == 0:
             # the same state words and no half word pending (random() leaves a stale one in uinteger), so the same next draws
             state, want_state = rng.bit_generator.state, want_rng.bit_generator.state
@@ -115,12 +117,13 @@ def test_float32_uniforms_are_the_generators_own_draws(n, before):
             assert state["has_uint32"] == want_state["has_uint32"] == 0, (n, before, b)
             for draw in STREAM_DRAWS:
                 assert np.array_equal(draw(rng), draw(want_rng)), (n, before, b)
-        # a float32 scale and an out array of any shape, as the sphere's phases take them
+        # an out array of any shape, and the float32 product with scale * 2**-24 that the sphere's phases take
+        # is scale * u bit for bit
         rng = streams[b]
         BEFORE_UNIFORMS[before](rng)
-        out = np.empty((n, 1), dtype=np.float32)
-        assert float32_uniforms(rng, out.shape, scale, out=out) is out
-        assert out.tobytes() == (want * scale).tobytes(), (n, before, b)
+        out = float32_uniforms(rng, np.empty((n, 1), dtype=np.uint32))
+        theta = np.multiply(out, scale * np.float32(2.0**-24), dtype=np.float32)
+        assert theta.tobytes() == (want * scale).tobytes(), (n, before, b)
 
 
 def test_scratch_arrays_are_kept_per_thread_and_size():
